@@ -316,13 +316,13 @@ class CrossCheckResult:
 
 
 def _check_one(g6):
-    g = parse_graph6(g6)
     try:
-        rep = classify(g)
+        rep = classify(parse_graph6(g6))
     except ConsistencyError as exc:
         return {"graph6": g6, "error": str(exc)}
-    out = {"graph6": rep.graph6, "memberships": rep.memberships}
-    return out
+    except Exception as exc:  # one failing graph must not end the run
+        return {"graph6": g6, "error": f"{type(exc).__name__}: {exc}"}
+    return {"graph6": rep.graph6, "memberships": rep.memberships}
 
 
 def cross_check(max_n, workers=1):

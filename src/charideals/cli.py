@@ -26,10 +26,16 @@ from .mining import MiningTask, mine
 
 
 def _workers():
+    """GRAPHTOOL_THREADS, clamped to 1 .. the CPUs this process may run on."""
     try:
-        return max(1, int(os.environ.get("GRAPHTOOL_THREADS", "1")))
+        requested = int(os.environ.get("GRAPHTOOL_THREADS", "1"))
     except ValueError:
         return 1
+    if hasattr(os, "sched_getaffinity"):
+        usable = len(os.sched_getaffinity(0))
+    else:
+        usable = os.cpu_count() or 1
+    return max(1, min(requested, usable))
 
 
 def _emit(command, input_echo, payload):
@@ -121,21 +127,43 @@ def _classify_one(g6):
     return classify(parse_graph6(g6)).to_json_dict()
 
 
-def _cmd_classify(args):
-    if args.graph == "-":
-        lines = [ln.strip() for ln in sys.stdin if ln.strip()]
-        nworkers = _workers()
-        if nworkers > 1:
-            with ProcessPoolExecutor(max_workers=nworkers) as pool:
-                reports = list(pool.map(_classify_one, lines))
-        else:
-            reports = [_classify_one(ln) for ln in lines]
-        for line, rep in zip(lines, reports):
+def _classify_line(g6):
+    """(report, None) for a good line, (None, message) for a bad one."""
+    try:
+        return _classify_one(g6), None
+    except (Graph6Error, ValueError, ConsistencyError) as exc:
+        return None, str(exc)
+
+
+def _emit_stream(numbered, results):
+    """One envelope per line, in input order, flushed as it arrives; a bad
+    line gets an error payload with its stdin line number.  True if any
+    line was bad."""
+    failed = False
+    for (lineno, line), (rep, error) in zip(numbered, results):
+        if error is None:
             _emit("classify", rep["graph6"], rep)
-    else:
+        else:
+            failed = True
+            _emit("classify", line, {"error": error, "line": lineno})
+        sys.stdout.flush()
+    return failed
+
+
+def _cmd_classify(args):
+    if args.graph != "-":
         rep = _classify_one(args.graph)
         _emit("classify", rep["graph6"], rep)
-    return 0
+        return 0
+    numbered = [(no, ln.strip()) for no, ln in enumerate(sys.stdin, start=1) if ln.strip()]
+    lines = [ln for _, ln in numbered]
+    nworkers = _workers()
+    if nworkers > 1:
+        with ProcessPoolExecutor(max_workers=nworkers) as pool:
+            failed = _emit_stream(numbered, pool.map(_classify_line, lines))
+    else:
+        failed = _emit_stream(numbered, map(_classify_line, lines))
+    return 1 if failed else 0
 
 
 def _cmd_mine(args):

@@ -6,11 +6,16 @@ the largest k for which that ideal is the whole ring.  Evaluating the chain
 of ideals at t = 0 recovers the invariant factors of the adjacency matrix,
 and at t = r those of the Laplacian when G is r-regular.
 
-Minor enumeration is full (all row/column pairs, lexicographic) but
-deduplicates submatrix contents before computing determinants and
-deduplicates polynomials up to sign before they reach the Groebner builder,
-which interreduces after every insertion and stops the stream as soon as
-the ideal is seen to be trivial.
+Every determinantal ideal here comes from one engine in two steps.  First
+the presentation is pruned: while some entry of the matrix is the constant
++1 or -1, the first such entry in row-major order is eliminated (Schur
+complement) and its row and column are dropped.  The k-minor ideal is a
+Fitting ideal, which unit pivots leave unchanged while shifting k by one,
+so after r pivots I_k(tI - A) = I_{k-r}(M) for the remaining (n-r)x(n-r)
+matrix M, and I_k is the unit ideal for every k <= r.  Then the
+(k-r)-minors of M are taken with fraction-free Bareiss determinants,
+deduplicated first by submatrix content and then up to sign, and streamed
+into the Groebner builder, which stops as soon as the ideal is trivial.
 """
 
 from __future__ import annotations
@@ -19,113 +24,85 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graphs import Graph
-from .intlinalg import ConsistencyError, IntMatrix, InvariantFactors, det_int, snf_diagonal
+from .intlinalg import ConsistencyError, IntMatrix, InvariantFactors, snf_diagonal
 from .zpoly import ONE, ZERO, ZPoly
-from .ztideal import GroebnerBuilder, IdealZt, reduce
+from .ztideal import IdealZt, reduce, strong_groebner
 
-_GENERATOR_CAP = 5000
-
-
-def _det_poly(cmat, tpos):
-    # determinant of (constant matrix) + t at the given positions, as a list
-    if not tpos:
-        d = det_int([row[:] for row in cmat])
-        return [d] if d else []
-    i, j = tpos[0]
-    rest = tpos[1:]
-    res = _det_poly(cmat, rest)
-    sub = [[row[c] for c in range(len(row)) if c != j]
-           for r, row in enumerate(cmat) if r != i]
-    shifted = [(a - (a > i), b - (b > j)) for a, b in rest]
-    tail = _det_poly(sub, shifted)
-    if tail:
-        need = len(tail) + 1
-        if len(res) < need:
-            res.extend([0] * (need - len(res)))
-        if (i + j) & 1:
-            for idx, c in enumerate(tail):
-                res[idx + 1] -= c
-        else:
-            for idx, c in enumerate(tail):
-                res[idx + 1] += c
-    while res and not res[-1]:
-        res.pop()
-    return res
+_UNITS = (ONE, -ONE)
 
 
-def _det_from_key(key, k):
-    cmat = [[0] * k for _ in range(k)]
-    tpos = []
-    for j, (ti, colbits) in enumerate(key):
-        if ti >= 0:
-            tpos.append((ti, j))
-        for i in range(k):
-            if colbits >> i & 1:
-                cmat[i][j] = -1
-    tpos.sort()
-    return tuple(_det_poly(cmat, tpos))
+def _pruned_presentation(g):
+    """(M, r): tI - A(g) after r unit pivots, as a list of rows of ZPoly.
 
-
-def _distinct_k_minor_polys(g, k):
-    """Each distinct k-minor of tI - A(g) as a coefficient tuple, first-seen order.
-
-    A submatrix is keyed per column by (row index holding t, adjacency bits
-    against the chosen rows); tI - A is symmetric, so those column keys
-    determine the determinant.
+    I_k(tI - A) = I_{k-r}(M) for every k, so r is a lower bound on the
+    algebraic co-rank.
     """
-    n = g.n
-    adj = g.adj
-    rng = range(n)
-    dets = {}
+    mat = [list(row) for row in PolyMatrix.characteristic(g).entries]
+    r = 0
+    while True:
+        pivot = next(((i, j) for i, row in enumerate(mat)
+                      for j, e in enumerate(row) if e in _UNITS), None)
+        if pivot is None:
+            return mat, r
+        i, j = pivot
+        u = mat[i][j][0]  # its own inverse
+        prow = mat[i]
+        rest = []
+        for a, row in enumerate(mat):
+            if a == i:
+                continue
+            f = row[j] * u
+            rest.append([e - f * p if f and p else e
+                         for b, (e, p) in enumerate(zip(row, prow)) if b != j])
+        mat = rest
+        r += 1
+
+
+def _minors(g, k):
+    """The distinct nonzero k-minors of tI - A(g) up to sign, leading
+    coefficient positive, generating the k-th characteristic ideal.
+
+    Yields ONE alone when k is at most the number of unit pivots.  Columns
+    of each row set are keyed by the ids of their entries in those rows: a
+    zero column is never chosen, and a submatrix already seen is skipped.
+    """
+    mat, r = _pruned_presentation(g)
+    size = k - r
+    if size <= 0:
+        yield ONE
+        return
+    ids = {ZERO: 0}
+    cols = [[ids.setdefault(e, len(ids)) for e in col] for col in zip(*mat)]
     seen = set()
-    for rows in combinations(rng, k):
-        rowpos = {}
-        for i, v in enumerate(rows):
-            rowpos[v] = i
-        rowsel = []
-        for v in rng:
-            m = adj[v]
-            packed = 0
-            for i, r in enumerate(rows):
-                packed |= (m >> r & 1) << i
-            rowsel.append(packed)
-        get = rowpos.get
-        for cols in combinations(rng, k):
-            key = tuple((get(c, -1), rowsel[c]) for c in cols)
+    polys = set()
+    for rows in combinations(range(len(mat)), size):
+        keys = [tuple(col[i] for i in rows) for col in cols]
+        live = [c for c, key in enumerate(keys) if any(key)]
+        for chosen in combinations(live, size):
+            key = tuple(keys[c] for c in chosen)
             if key in seen:
                 continue
             seen.add(key)
-            p = dets.get(key)
-            if p is None:
-                p = _det_from_key(key, k)
-                dets[key] = p
-            yield p
+            p = _poly_det([[mat[i][c] for c in chosen] for i in rows])
+            if not p:
+                continue
+            if p[-1] < 0:
+                p = -p
+            if p not in polys:
+                polys.add(p)
+                yield p
 
 
 def characteristic_ideal(g, k):
-    """Reduced Groebner basis of the ideal of all k-minors of tI - A(g)."""
+    """Reduced Groebner basis of the ideal of all k-minors of tI - A(g).
+
+    The returned ideal's generators are its basis.
+    """
     n = g.n
     if not 1 <= k <= n:
         raise ValueError(f"characteristic ideal index {k} out of range 1..{n}")
-    builder = GroebnerBuilder()
-    seen = set()
-    gens = []
-    for coeffs in _distinct_k_minor_polys(g, k):
-        if not coeffs:
-            continue
-        if coeffs[-1] < 0:
-            coeffs = tuple(-c for c in coeffs)
-        if coeffs in seen:
-            continue
-        seen.add(coeffs)
-        p = ZPoly(coeffs)
-        gens.append(p)
-        builder.add(p)
-        if builder.is_unit:
-            break
-    basis = builder.basis
-    generators = tuple(gens) if len(gens) <= _GENERATOR_CAP else basis
-    return IdealZt(generators, basis=basis)
+    basis = strong_groebner(_minors(g, k))
+    return IdealZt(basis, basis=basis)
 
 
 def algebraic_corank(g):
@@ -249,7 +226,7 @@ def all_k_minors_in_ideal(g, k, ideal):
     mod m, and det commutes with evaluation, so the whole check is m
     dividing the gcd of the k-minors of the integer matrix aI - A(g), i.e.
     the product of its first k invariant factors.  Other ideals fall back
-    to reducing every distinct minor.
+    to reducing every distinct minor of the pruned presentation.
     """
     basis = ideal.basis
     if basis == (ONE,):
@@ -264,14 +241,11 @@ def all_k_minors_in_ideal(g, k, ideal):
         for d in snf_diagonal(IntMatrix(mat)).factors[:k]:
             prod *= d
         return prod % mod == 0
-    for coeffs in _distinct_k_minor_polys(g, k):
-        if coeffs and reduce(ZPoly(coeffs), basis):
-            return False
-    return True
+    return not any(reduce(p, basis) for p in _minors(g, k))
 
 
 class PolyMatrix:
-    """Square matrix over Z[t]; the general (slow) route to minors."""
+    """Square matrix over Z[t]; `characteristic` builds tI - A(g) for the engine."""
 
     __slots__ = ("n", "entries")
 

@@ -2,11 +2,16 @@
 
 Deliberately naive: permutation-expansion determinants, exhaustive subset
 search, and throwaway polynomial arithmetic on plain lists, sharing no code
-with the package paths they check.
+with the package paths they check.  The last section keeps the package's
+former route to characteristic-ideal generators, every k-minor position of
+tI - A walked and deduplicated by submatrix content, as the reference for
+the unit-pivot engine that replaced it.
 """
 
 from itertools import combinations, permutations
 from math import gcd
+
+from charideals.intlinalg import det_int
 
 
 def perm_sign(perm):
@@ -134,3 +139,81 @@ def random_connected_graph(rng, n, p=0.5):
         g = random_graph(rng, n, p)
         if g.is_connected():
             return g
+
+
+# -- the full minor walk over tI - A ------------------------------------------
+
+def _det_poly(cmat, tpos):
+    # determinant of (constant matrix) + t at the given positions, as a list
+    if not tpos:
+        d = det_int([row[:] for row in cmat])
+        return [d] if d else []
+    i, j = tpos[0]
+    rest = tpos[1:]
+    res = _det_poly(cmat, rest)
+    sub = [[row[c] for c in range(len(row)) if c != j]
+           for r, row in enumerate(cmat) if r != i]
+    shifted = [(a - (a > i), b - (b > j)) for a, b in rest]
+    tail = _det_poly(sub, shifted)
+    if tail:
+        need = len(tail) + 1
+        if len(res) < need:
+            res.extend([0] * (need - len(res)))
+        if (i + j) & 1:
+            for idx, c in enumerate(tail):
+                res[idx + 1] -= c
+        else:
+            for idx, c in enumerate(tail):
+                res[idx + 1] += c
+    while res and not res[-1]:
+        res.pop()
+    return res
+
+
+def _det_from_key(key, k):
+    cmat = [[0] * k for _ in range(k)]
+    tpos = []
+    for j, (ti, colbits) in enumerate(key):
+        if ti >= 0:
+            tpos.append((ti, j))
+        for i in range(k):
+            if colbits >> i & 1:
+                cmat[i][j] = -1
+    tpos.sort()
+    return tuple(_det_poly(cmat, tpos))
+
+
+def _distinct_k_minor_polys(g, k):
+    """Each distinct k-minor of tI - A(g) as a coefficient tuple, first-seen order.
+
+    A submatrix is keyed per column by (row index holding t, adjacency bits
+    against the chosen rows); tI - A is symmetric, so those column keys
+    determine the determinant.
+    """
+    n = g.n
+    adj = g.adj
+    rng = range(n)
+    dets = {}
+    seen = set()
+    for rows in combinations(rng, k):
+        rowpos = {}
+        for i, v in enumerate(rows):
+            rowpos[v] = i
+        rowsel = []
+        for v in rng:
+            m = adj[v]
+            packed = 0
+            for i, r in enumerate(rows):
+                packed |= (m >> r & 1) << i
+            rowsel.append(packed)
+        get = rowpos.get
+        for cols in combinations(rng, k):
+            key = tuple((get(c, -1), rowsel[c]) for c in cols)
+            if key in seen:
+                continue
+            seen.add(key)
+            p = dets.get(key)
+            if p is None:
+                p = _det_from_key(key, k)
+                dets[key] = p
+            yield p

@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -178,6 +179,26 @@ def test_cross_check_parallel_matches_sequential():
     assert seq.family_counts == par.family_counts
     assert seq.graphs_checked == par.graphs_checked == 10
     assert not par.violations
+
+
+def test_cross_check_reports_unexpected_exception(monkeypatch):
+    # the package's `classify` attribute is the function, not the module
+    classify_mod = importlib.import_module("charideals.classify")
+    baseline = cross_check(3)
+    target = canonical_form(complete_graph(2))
+    real = classify_mod.classify
+
+    def flaky(g):
+        if canonical_form(g) == target:
+            raise RuntimeError("boom")
+        return real(g)
+
+    monkeypatch.setattr(classify_mod, "classify", flaky)
+    res = cross_check(3)
+    assert res.graphs_checked == baseline.graphs_checked == 4
+    assert res.violations == [{"graph6": target, "detail": "RuntimeError: boom"}]
+    lost = real(complete_graph(2)).memberships
+    assert res.family_counts == {f: c - lost[f] for f, c in baseline.family_counts.items()}
 
 
 def test_cross_check_n5():

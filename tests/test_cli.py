@@ -114,6 +114,42 @@ def test_classify_stream_respects_worker_env(capsys, monkeypatch):
     assert envelopes(out)[0]["payload"]["corank"] == 2
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_classify_stream_keeps_valid_lines_around_bad_ones(capsys, monkeypatch, threads):
+    monkeypatch.setenv("GRAPHTOOL_THREADS", threads)
+    monkeypatch.setattr("sys.stdin", io.StringIO("C^\nC?\n\nC~\nxx\n"))
+    code, out, _ = run(capsys, "classify", "-")
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 4
+    for line, g6 in ((lines[0], "C^"), (lines[2], "C~")):
+        assert run(capsys, "classify", g6)[1] == line + "\n"
+    for line, g6, lineno in ((lines[1], "C?", 2), (lines[3], "xx", 5)):
+        env = json.loads(line)
+        single_code, _, err = run(capsys, "classify", g6)
+        assert single_code == 1
+        assert env["command"] == "classify" and env["input"] == g6
+        assert env["payload"] == {"error": err.strip()[len("error: "):], "line": lineno}
+
+
+def test_workers_clamped_to_usable_cpus(monkeypatch):
+    from charideals.cli import _workers
+    monkeypatch.setenv("GRAPHTOOL_THREADS", "100000")
+    if hasattr(os, "sched_getaffinity"):
+        assert _workers() == len(os.sched_getaffinity(0))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert _workers() == 3
+    for value, want in (("2", 2), ("0", 1), ("-5", 1), ("many", 1)):
+        monkeypatch.setenv("GRAPHTOOL_THREADS", value)
+        assert _workers() == want
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setenv("GRAPHTOOL_THREADS", "100000")
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert _workers() == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _workers() == 1
+
+
 def test_mine_line_output(capsys):
     code, out, _ = run(capsys, "mine", "--max-n", "5", "--stat", "phiA", "--k", "2")
     assert code == 0
@@ -250,3 +286,13 @@ def test_console_script_installed():
                               env=cmd_env, timeout=60)
         assert proc.returncode == 0, f"{cmd}: exit {proc.returncode}\n{proc.stderr}"
         assert proc.stdout.strip() == "n 1", f"{cmd}: {proc.stdout!r}\n{proc.stderr}"
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "charideals", "g6", "decode", "@"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "n 1"

@@ -12,10 +12,14 @@ from charideals import (BlowupSpec, IdealZt, PolyMatrix, ZPoly, adjacency_matrix
                         smith_invariants_via_ideals, snf_diagonal)
 from charideals.catalog import (complete_graph, complete_multipartite_graph,
                                 cycle_graph, path_graph, prism_graph, star_graph)
-from charideals.graph_ideals import _distinct_k_minor_polys
+from charideals.graph_ideals import _pruned_presentation
+from charideals.graphs import Graph
+from charideals.mining import enumerate_connected
 from charideals.zpoly import ONE
+from charideals.ztideal import strong_groebner
 
 import oracles
+from oracles import _distinct_k_minor_polys
 
 
 def P(*coeffs):
@@ -206,6 +210,72 @@ def test_all_k_minors_fast_path_matches_enumeration():
         fast = all_k_minors_in_ideal(g, k, ideal)
         slow = all(ideal.contains(ZPoly(c)) for c in _distinct_k_minor_polys(g, k))
         assert fast == slow
+
+
+def _oracle_basis(g, k):
+    polys = {c if c[-1] > 0 else tuple(-x for x in c)
+             for c in _distinct_k_minor_polys(g, k) if c}
+    return strong_groebner(ZPoly(c) for c in polys)
+
+
+def _assert_engine_matches_oracle(g, ks):
+    for k in ks:
+        got = characteristic_ideal(g, k)
+        assert got.basis == _oracle_basis(g, k), (g, k)
+        assert got.generators == got.basis
+
+
+def test_engine_matches_minor_walk_on_connected_graphs_up_to_6():
+    for n in range(1, 7):
+        for g in enumerate_connected(n):
+            _assert_engine_matches_oracle(g, range(1, n + 1))
+
+
+def test_engine_matches_minor_walk_on_blowups():
+    bases = {"p4": path_graph(4), "k13": star_graph(4), "c4": cycle_graph(4),
+             "paw": lookup("paw"), "diamond": lookup("diamond"),
+             "k4": complete_graph(4)}
+    rng = random.Random(89)
+    for name in sorted(bases):
+        for sign in (-1, 1):
+            sizes = tuple(sign * rng.randint(1, 3) for _ in range(4))
+            g = blowup(BlowupSpec(bases[name], sizes))
+            _assert_engine_matches_oracle(g, range(1, min(5, g.n) + 1))
+
+
+def test_engine_matches_minor_walk_without_unit_pivots():
+    rng = random.Random(97)
+    for n in range(1, 9):
+        _assert_engine_matches_oracle(Graph(n), range(1, n + 1))
+    for n in range(2, 9):
+        _assert_engine_matches_oracle(Graph(n, [(0, 1)]), range(1, n + 1))
+    for _ in range(25):
+        g = oracles.random_graph(rng, rng.randint(2, 7), p=0.25)
+        if not g.is_connected():
+            _assert_engine_matches_oracle(g, range(1, g.n + 1))
+
+
+def test_membership_fallback_matches_minor_walk():
+    rng = random.Random(101)
+    ideals = [IdealZt((P(0, 1),)), IdealZt((P(1, 1),)), IdealZt((P(-1, 0, 1),)),
+              IdealZt((P(2),)), IdealZt((P(0, 0, 1),)), IdealZt.zero()]
+    for _ in range(120):
+        g = oracles.random_graph(rng, rng.randint(1, 6))
+        k = rng.randint(1, g.n)
+        ideal = rng.choice(ideals)
+        slow = all(ideal.contains(ZPoly(c)) for c in _distinct_k_minor_polys(g, k))
+        assert all_k_minors_in_ideal(g, k, ideal) == slow, (g, k, ideal)
+
+
+def test_unit_pivots_bound_corank():
+    rng = random.Random(103)
+    graphs = [oracles.random_graph(rng, rng.randint(1, 7)) for _ in range(60)]
+    graphs.append(lookup("petersen"))
+    for g in graphs:
+        _, r = _pruned_presentation(g)
+        assert algebraic_corank(g) >= r
+        if r:
+            assert characteristic_ideal(g, r).is_trivial()
 
 
 def test_minor_stream_matches_generic_poly_matrix():

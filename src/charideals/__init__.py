@@ -8,37 +8,33 @@ __version__ = "0.1.0"
 from .catalog import FAMILY_F, FORBIDDEN_S4, lookup
 from .classify import (ClassificationReport, CrossCheckResult, classify,
                        cross_check, is_C_leq, is_K_leq_regular, is_S_leq)
-from .graph_ideals import (CharIdealProfile, PolyMatrix, algebraic_corank,
-                           all_k_minors_in_ideal, char_ideal_profile,
-                           characteristic_ideal, critical_invariants_regular,
-                           multipartite_closed_form, smith_invariants_via_ideals)
+from .graph_ideals import (CharIdealProfile, algebraic_corank, all_k_minors_in_ideal,
+                           char_ideal_profile, characteristic_ideal,
+                           critical_invariants_regular, multipartite_closed_form,
+                           smith_invariants_via_ideals)
 from .graphs import (BlowupSpec, Graph, Graph6Error, adjacency_matrix, blowup,
-                     induced_subgraph, laplacian_matrix, parse_edge_list,
-                     parse_graph6, to_graph6, twin_quotient)
+                     laplacian_matrix, parse_edge_list, parse_graph6, to_graph6)
 from .intlinalg import (ConsistencyError, DeltaSequence, IntMatrix,
                         InvariantFactors, count_unit_factors, delta_sequence,
                         gcd_of_k_minors, invariant_factors_from_deltas,
                         snf_diagonal)
-from .isomorphism import canonical_form, find_induced, has_induced, is_isomorphic
+from .isomorphism import canonical_form, find_induced, is_isomorphic
 from .mining import MiningResult, MiningTask, enumerate_connected, mine
 from .zpoly import ZPoly
-from .ztideal import (GroebnerBuilder, IdealZt, contains, evaluate_ideal,
-                      ideal_equals, ideal_subset, is_trivial, reduce,
-                      strong_groebner)
+from .ztideal import GroebnerBuilder, IdealZt, reduce, strong_groebner
 
 __all__ = [
     "BlowupSpec", "CharIdealProfile", "ClassificationReport", "ConsistencyError",
     "CrossCheckResult", "DeltaSequence", "FAMILY_F", "FORBIDDEN_S4", "Graph",
     "Graph6Error", "GroebnerBuilder", "IdealZt", "IntMatrix", "InvariantFactors",
-    "MiningResult", "MiningTask", "PolyMatrix", "ZPoly", "adjacency_matrix",
+    "MiningResult", "MiningTask", "ZPoly", "adjacency_matrix",
     "algebraic_corank", "all_k_minors_in_ideal", "blowup", "canonical_form",
-    "char_ideal_profile", "characteristic_ideal", "classify", "contains",
+    "char_ideal_profile", "characteristic_ideal", "classify",
     "count_unit_factors", "critical_invariants_regular", "cross_check",
-    "delta_sequence", "enumerate_connected", "evaluate_ideal", "find_induced",
-    "gcd_of_k_minors", "has_induced", "ideal_equals", "ideal_subset",
-    "induced_subgraph", "invariant_factors_from_deltas", "is_C_leq",
-    "is_K_leq_regular", "is_S_leq", "is_isomorphic", "is_trivial",
+    "delta_sequence", "enumerate_connected", "find_induced",
+    "gcd_of_k_minors", "invariant_factors_from_deltas", "is_C_leq",
+    "is_K_leq_regular", "is_S_leq", "is_isomorphic",
     "laplacian_matrix", "lookup", "mine", "multipartite_closed_form",
     "parse_edge_list", "parse_graph6", "smith_invariants_via_ideals",
-    "snf_diagonal", "strong_groebner", "to_graph6", "twin_quotient",
+    "snf_diagonal", "strong_groebner", "to_graph6",
 ]

@@ -325,6 +325,17 @@ def _check_one(g6):
     return {"graph6": rep.graph6, "memberships": rep.memberships}
 
 
+def imap_workers(fn, items, workers, chunksize=1):
+    """fn over items, lazily and in order; over a pool of `workers`
+    processes when workers > 1, handing each `chunksize` items at a time."""
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    import multiprocessing
+    with multiprocessing.Pool(workers) as pool:
+        yield from pool.imap(fn, items, chunksize)
+
+
 def cross_check(max_n, workers=1):
     """Classify every connected graph up to isomorphism with at most max_n
     vertices, recording route disagreements and nesting violations.  Graphs
@@ -333,15 +344,9 @@ def cross_check(max_n, workers=1):
     todo = []
     for n in range(1, max_n + 1):
         todo.extend(to_graph6(g) for g in enumerate_connected(n))
-    if workers and workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_check_one, todo, chunksize=16))
-    else:
-        results = [_check_one(g6) for g6 in todo]
     counts = {}
     violations = []
-    for res in results:
+    for res in imap_workers(_check_one, todo, workers, chunksize=16):
         if "error" in res:
             violations.append({"graph6": res["graph6"], "detail": res["error"]})
             continue

@@ -12,13 +12,12 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .catalog import UnknownGraphError, collection, lookup, names
-from .classify import classify, cross_check
-from .graphs import (Graph6Error, adjacency_matrix, format_edge_list,
-                     laplacian_matrix, parse_edge_list, parse_graph6, to_graph6)
+from .classify import classify, cross_check, imap_workers
+from .graphs import (adjacency_matrix, format_edge_list, laplacian_matrix,
+                     parse_edge_list, parse_graph6, to_graph6)
 from .graph_ideals import algebraic_corank, char_ideal_profile, characteristic_ideal
 from .intlinalg import ConsistencyError, snf_diagonal
 from .isomorphism import canonical_form
@@ -127,20 +126,23 @@ def _classify_one(g6):
     return classify(parse_graph6(g6)).to_json_dict()
 
 
-def _classify_line(g6):
-    """(report, None) for a good line, (None, message) for a bad one."""
+def _classify_line(numbered):
+    """(line number, line, report, None) for a good stdin line,
+    (line number, line, None, message) for a bad one."""
+    lineno, line = numbered
+    line = line.strip()
     try:
-        return _classify_one(g6), None
-    except (Graph6Error, ValueError, ConsistencyError) as exc:
-        return None, str(exc)
+        return lineno, line, _classify_one(line), None
+    except (ValueError, ConsistencyError) as exc:
+        return lineno, line, None, str(exc)
 
 
-def _emit_stream(numbered, results):
+def _emit_stream(results):
     """One envelope per line, in input order, flushed as it arrives; a bad
     line gets an error payload with its stdin line number.  True if any
     line was bad."""
     failed = False
-    for (lineno, line), (rep, error) in zip(numbered, results):
+    for lineno, line, rep, error in results:
         if error is None:
             _emit("classify", rep["graph6"], rep)
         else:
@@ -155,14 +157,8 @@ def _cmd_classify(args):
         rep = _classify_one(args.graph)
         _emit("classify", rep["graph6"], rep)
         return 0
-    numbered = [(no, ln.strip()) for no, ln in enumerate(sys.stdin, start=1) if ln.strip()]
-    lines = [ln for _, ln in numbered]
-    nworkers = _workers()
-    if nworkers > 1:
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            failed = _emit_stream(numbered, pool.map(_classify_line, lines))
-    else:
-        failed = _emit_stream(numbered, map(_classify_line, lines))
+    numbered = ((no, ln) for no, ln in enumerate(sys.stdin, start=1) if ln.strip())
+    failed = _emit_stream(imap_workers(_classify_line, numbered, _workers()))
     return 1 if failed else 0
 
 
@@ -184,15 +180,14 @@ def _cmd_mine(args):
 
 
 def _cmd_g6(args):
+    text = sys.stdin.read() if args.value == "-" else args.value
     if args.direction == "decode":
-        text = sys.stdin.read() if args.value == "-" else args.value
         for line in text.splitlines() if args.value == "-" else [text]:
             line = line.strip()
             if not line:
                 continue
             print(format_edge_list(parse_graph6(line)))
     else:
-        text = sys.stdin.read() if args.value == "-" else args.value
         print(to_graph6(parse_edge_list(text)))
     return 0
 
@@ -290,9 +285,6 @@ def main(argv=None):
         parser.error("catalog emit requires a name")
     try:
         return args.fn(args)
-    except Graph6Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except UnknownGraphError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 1

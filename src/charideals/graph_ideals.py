@@ -25,10 +25,16 @@ from itertools import combinations
 
 from .graphs import Graph
 from .intlinalg import ConsistencyError, IntMatrix, InvariantFactors, snf_diagonal
-from .zpoly import ONE, ZERO, ZPoly
+from .zpoly import ONE, T, ZERO, ZPoly
 from .ztideal import IdealZt, reduce, strong_groebner
 
 _UNITS = (ONE, -ONE)
+
+
+def _char_matrix(g):
+    """tI - A(g) as a list of rows of ZPoly."""
+    return [[T if i == j else ZPoly.const(-(g.adj[i] >> j & 1)) for j in range(g.n)]
+            for i in range(g.n)]
 
 
 def _pruned_presentation(g):
@@ -37,7 +43,7 @@ def _pruned_presentation(g):
     I_k(tI - A) = I_{k-r}(M) for every k, so r is a lower bound on the
     algebraic co-rank.
     """
-    mat = [list(row) for row in PolyMatrix.characteristic(g).entries]
+    mat = _char_matrix(g)
     r = 0
     while True:
         pivot = next(((i, j) for i, row in enumerate(mat)
@@ -93,16 +99,15 @@ def _minors(g, k):
                 yield p
 
 
-def characteristic_ideal(g, k):
-    """Reduced Groebner basis of the ideal of all k-minors of tI - A(g).
+def _check_index(g, k):
+    if not 1 <= k <= g.n:
+        raise ValueError(f"characteristic ideal index {k} out of range 1..{g.n}")
 
-    The returned ideal's generators are its basis.
-    """
-    n = g.n
-    if not 1 <= k <= n:
-        raise ValueError(f"characteristic ideal index {k} out of range 1..{n}")
-    basis = strong_groebner(_minors(g, k))
-    return IdealZt(basis, basis=basis)
+
+def characteristic_ideal(g, k):
+    """Reduced Groebner basis of the ideal of all k-minors of tI - A(g)."""
+    _check_index(g, k)
+    return IdealZt(basis=strong_groebner(_minors(g, k)))
 
 
 def algebraic_corank(g):
@@ -228,6 +233,7 @@ def all_k_minors_in_ideal(g, k, ideal):
     the product of its first k invariant factors.  Other ideals fall back
     to reducing every distinct minor of the pruned presentation.
     """
+    _check_index(g, k)
     basis = ideal.basis
     if basis == (ONE,):
         return True
@@ -242,44 +248,6 @@ def all_k_minors_in_ideal(g, k, ideal):
             prod *= d
         return prod % mod == 0
     return not any(reduce(p, basis) for p in _minors(g, k))
-
-
-class PolyMatrix:
-    """Square matrix over Z[t]; `characteristic` builds tI - A(g) for the engine."""
-
-    __slots__ = ("n", "entries")
-
-    def __init__(self, entries):
-        rows = tuple(tuple(e if isinstance(e, ZPoly) else ZPoly(e) for e in row)
-                     for row in entries)
-        self.n = len(rows)
-        if any(len(r) != self.n for r in rows):
-            raise ValueError("square matrices only")
-        self.entries = rows
-
-    @classmethod
-    def characteristic(cls, g):
-        """tI - A(g)."""
-        t = ZPoly((0, 1))
-        rows = []
-        for i in range(g.n):
-            rows.append(tuple(
-                t if i == j else ZPoly.const(-(g.adj[i] >> j & 1))
-                for j in range(g.n)))
-        return cls(rows)
-
-    def __eq__(self, other):
-        return isinstance(other, PolyMatrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def minor(self, rows, cols):
-        sub = [[self.entries[i][j] for j in cols] for i in rows]
-        return _poly_det(sub)
-
-    def det(self):
-        return _poly_det([list(r) for r in self.entries])
 
 
 def _poly_det(mat):

@@ -165,10 +165,6 @@ class Graph:
         return Graph.from_adj(adj)
 
 
-def induced_subgraph(g, vertices):
-    return g.subgraph(vertices)
-
-
 def adjacency_matrix(g):
     return IntMatrix([[g.adj[i] >> j & 1 for j in range(g.n)] for i in range(g.n)])
 
@@ -335,60 +331,12 @@ def blowup(spec):
     return Graph(total, edges)
 
 
-def _partition_by(g, key):
-    groups = {}
-    for v in range(g.n):
-        groups.setdefault(key(v), []).append(v)
-    return list(groups.values())
-
-
-def open_twin_classes(g):
-    """Maximal classes of false twins (equal open neighbourhoods)."""
-    return _partition_by(g, lambda v: g.adj[v])
-
-
 def closed_twin_classes(g):
     """Maximal classes of true twins (equal closed neighbourhoods)."""
-    return _partition_by(g, lambda v: g.adj[v] | 1 << v)
-
-
-def twin_quotient(g):
-    """Collapse maximal twin classes into one BlowupSpec, or None if ambiguous.
-
-    False twins become stable classes (positive multiplicity), true twins
-    clique classes (negative), in a single deterministic pass keyed on the
-    smallest label of each class.  The blow-up of the result is isomorphic
-    to g; classifiers cross-check that rather than relying on this alone.
-    """
-    in_open = {}
-    for cls in open_twin_classes(g):
-        if len(cls) > 1:
-            for v in cls:
-                in_open[v] = cls
-    in_closed = {}
-    for cls in closed_twin_classes(g):
-        if len(cls) > 1:
-            for v in cls:
-                in_closed[v] = cls
-    if set(in_open) & set(in_closed):
-        return None
-    assigned = set()
-    classes = []
+    groups = {}
     for v in range(g.n):
-        if v in assigned:
-            continue
-        if v in in_open:
-            cls, sign = in_open[v], 1
-        elif v in in_closed:
-            cls, sign = in_closed[v], -1
-        else:
-            cls, sign = [v], 1
-        assigned.update(cls)
-        classes.append((cls, sign))
-    reps = [cls[0] for cls, _ in classes]
-    underlying = g.subgraph(reps)
-    d = tuple(sign * len(cls) for cls, sign in classes)
-    return BlowupSpec(underlying, d)
+        groups.setdefault(g.adj[v] | 1 << v, []).append(v)
+    return list(groups.values())
 
 
 def true_twin_quotient(g):

@@ -28,11 +28,6 @@ class IntMatrix:
             raise ValueError("ragged rows")
         self.data = data
 
-    @property
-    def entries(self):
-        """Row-major flat view."""
-        return tuple(v for row in self.data for v in row)
-
     def __getitem__(self, ij):
         i, j = ij
         return self.data[i][j]
@@ -48,14 +43,6 @@ class IntMatrix:
 
     def to_lists(self):
         return [list(r) for r in self.data]
-
-    def to_text(self):
-        return "\n".join(" ".join(str(v) for v in row) for row in self.data)
-
-    @classmethod
-    def from_text(cls, text):
-        rows = [line.split() for line in text.strip().splitlines() if line.strip()]
-        return cls([[int(v) for v in row] for row in rows])
 
 
 @dataclass(frozen=True)

@@ -166,8 +166,3 @@ def find_induced(host, pattern):
     for i, (v, _, _) in enumerate(steps):
         mapping[v] = assigned[i]
     return tuple(mapping)
-
-
-def has_induced(g, h):
-    """True iff some vertex subset of g induces a graph isomorphic to h."""
-    return find_induced(g, h) is not None

@@ -172,54 +172,38 @@ def strong_groebner(gens):
 
 
 class IdealZt:
-    """An ideal of Z[t], held as generators plus the cached reduced basis."""
+    """An ideal of Z[t], held as its reduced strong Groebner basis."""
 
-    __slots__ = ("generators", "basis")
+    __slots__ = ("basis",)
 
     def __init__(self, generators=(), basis=None):
-        seen = set()
-        gens = []
-        for g in generators:
-            g = g if isinstance(g, ZPoly) else ZPoly(g)
-            if not g:
-                continue
-            if g[-1] < 0:
-                g = -g
-            if g not in seen:
-                seen.add(g)
-                gens.append(g)
-        self.generators = tuple(gens)
-        self.basis = strong_groebner(gens) if basis is None else tuple(basis)
+        self.basis = strong_groebner(generators) if basis is None else tuple(basis)
 
     @classmethod
     def unit(cls):
-        return cls((ONE,), basis=(ONE,))
+        return cls(basis=(ONE,))
 
     @classmethod
     def zero(cls):
-        return cls((), basis=())
+        return cls(basis=())
 
     @classmethod
     def principal(cls, p):
-        p = p if isinstance(p, ZPoly) else ZPoly(p)
         return cls((p,))
 
     def is_trivial(self):
         return self.basis == (ONE,)
 
-    def is_zero(self):
-        return not self.basis
-
     def contains(self, p):
         return not reduce(p, self.basis)
 
     def subset_of(self, other):
-        return all(other.contains(g) for g in self.generators)
+        return all(other.contains(g) for g in self.basis)
 
     def evaluate(self, c):
         """Nonnegative generator of {p(c) : p in the ideal} as an ideal of Z."""
         out = 0
-        for g in self.generators:
+        for g in self.basis:
             out = gcd(out, g(c))
             if out == 1:
                 return 1
@@ -241,37 +225,7 @@ class IdealZt:
         return f"IdealZt{self.pretty()}"
 
     def to_json_dict(self):
-        """Coefficient arrays low-degree first, integers as decimal strings."""
-        return {
-            "generators": [[str(c) for c in g] for g in self.generators],
-            "basis": [[str(c) for c in g] for g in self.basis],
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj):
-        gens = [ZPoly(int(c) for c in g) for g in obj["generators"]]
-        basis = obj.get("basis")
-        if basis:
-            return cls(gens, basis=tuple(ZPoly(int(c) for c in g) for g in basis))
-        return cls(gens)
-
-
-def is_trivial(ideal):
-    return ideal.is_trivial()
-
-
-def contains(ideal, p):
-    return ideal.contains(p)
-
-
-def ideal_subset(inner, outer):
-    """inner is a subset of outer, decided generator-wise."""
-    return inner.subset_of(outer)
-
-
-def ideal_equals(a, b):
-    return a.subset_of(b) and b.subset_of(a)
-
-
-def evaluate_ideal(ideal, c):
-    return ideal.evaluate(c)
+        """Coefficient arrays low-degree first, integers as decimal strings;
+        "generators" repeats the basis."""
+        basis = [[str(c) for c in g] for g in self.basis]
+        return {"generators": basis, "basis": basis}

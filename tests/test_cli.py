@@ -1,9 +1,11 @@
 import io
 import json
 import os
+import queue
 import shutil
 import subprocess
 import sys
+import threading
 from importlib.metadata import EntryPoint, entry_points
 from pathlib import Path
 
@@ -296,3 +298,41 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "n 1"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_classify_stream_answers_each_line_as_it_arrives(threads):
+    # the first envelope must come while stdin is still open
+    env = dict(os.environ, GRAPHTOOL_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    with subprocess.Popen([sys.executable, "-m", "charideals", "classify", "-"],
+                          stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, env=env) as proc:
+        lines = queue.Queue()
+
+        def read():
+            for line in proc.stdout:
+                lines.put(line)
+            lines.put(None)
+
+        threading.Thread(target=read, daemon=True).start()
+        try:
+            proc.stdin.write("C^\n")
+            proc.stdin.flush()
+            first = lines.get(timeout=60)
+            assert proc.poll() is None
+            proc.stdin.write("C?\nC~\n")
+            proc.stdin.close()
+            rest = [lines.get(timeout=60) for _ in range(2)]
+            assert proc.wait(timeout=60) == 1, proc.stderr.read()
+            assert lines.get(timeout=60) is None
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+    envs = [json.loads(line) for line in [first] + rest]
+    assert [e["input"] for e in envs] == [canonical_form(parse_graph6("C^")), "C?",
+                                          canonical_form(parse_graph6("C~"))]
+    assert envs[0]["payload"]["corank"] == 2
+    assert envs[1]["payload"]["line"] == 2 and "disconnected" in envs[1]["payload"]["error"]
+    assert envs[2]["payload"]["memberships"]["K<=1"] is True

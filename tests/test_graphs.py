@@ -3,12 +3,11 @@ import random
 import pytest
 
 from charideals import (BlowupSpec, Graph, Graph6Error, adjacency_matrix, blowup,
-                        induced_subgraph, is_isomorphic, laplacian_matrix,
-                        parse_edge_list, parse_graph6, to_graph6, twin_quotient)
+                        is_isomorphic, laplacian_matrix, parse_edge_list,
+                        parse_graph6, to_graph6)
 from charideals.catalog import (complete_graph, complete_multipartite_graph,
                                 cycle_graph, path_graph, star_graph)
-from charideals.graphs import (closed_twin_classes, format_edge_list,
-                               open_twin_classes, true_twin_quotient)
+from charideals.graphs import closed_twin_classes, format_edge_list, true_twin_quotient
 
 import oracles
 
@@ -84,11 +83,11 @@ def test_induced_subgraph_examples():
     diamond = parse_graph6("C^")
     p3 = diamond.subgraph([0, 2, 1])
     assert is_isomorphic(p3, path_graph(3))
-    assert induced_subgraph(diamond, range(4)) == diamond
+    assert diamond.subgraph(range(4)) == diamond
     k5 = complete_graph(5)
-    assert induced_subgraph(k5, [0, 2, 3, 4]) == complete_graph(4)
+    assert k5.subgraph([0, 2, 3, 4]) == complete_graph(4)
     with pytest.raises(ValueError):
-        induced_subgraph(k5, [0, 9])
+        k5.subgraph([0, 9])
 
 
 def test_edge_list_round_trip():
@@ -148,45 +147,9 @@ def test_blowup_clique_classes():
 
 def test_twin_classes():
     km = complete_multipartite_graph((2, 2))
-    assert sorted(map(sorted, open_twin_classes(km))) == [[0, 1], [2, 3]]
     assert sorted(map(len, closed_twin_classes(km))) == [1, 1, 1, 1]
     k3 = complete_graph(3)
     assert sorted(map(len, closed_twin_classes(k3))) == [3]
-
-
-def test_twin_quotient_examples():
-    c4 = cycle_graph(4)
-    big = blowup(BlowupSpec(c4, (-2, -2, -2, -2)))
-    spec = twin_quotient(big)
-    assert spec is not None
-    assert is_isomorphic(spec.underlying, c4)
-    assert spec.d == (-2, -2, -2, -2)
-    assert is_isomorphic(blowup(spec), big)
-
-    spec = twin_quotient(complete_graph(5))
-    assert spec.underlying.n == 1 and spec.d == (-5,)
-
-    c5 = cycle_graph(5)
-    spec = twin_quotient(c5)
-    assert spec.d == (1, 1, 1, 1, 1)
-    assert blowup(spec) == c5
-
-
-def test_twin_quotient_mixed_classes():
-    # diamond: one stable pair of false twins, one clique pair of true twins
-    spec = twin_quotient(parse_graph6("C^"))
-    assert sorted(spec.d) == [-2, 2]
-    assert is_isomorphic(blowup(spec), parse_graph6("C^"))
-
-
-def test_twin_quotient_round_trip_random():
-    rng = random.Random(13)
-    for _ in range(200):
-        n = rng.randint(1, 7)
-        g = oracles.random_graph(rng, n)
-        spec = twin_quotient(g)
-        if spec is not None:
-            assert is_isomorphic(blowup(spec), g)
 
 
 def test_true_twin_quotient():
@@ -194,15 +157,3 @@ def test_true_twin_quotient():
     q, sizes = true_twin_quotient(big)
     assert is_isomorphic(q, cycle_graph(4))
     assert sorted(sizes) == [1, 1, 2, 3]
-
-
-def test_blowup_then_quotient_round_trip_on_twin_free_bases():
-    rng = random.Random(17)
-    bases = [cycle_graph(5), path_graph(4), cycle_graph(4), star_graph(4)]
-    for _ in range(100):
-        base = rng.choice(bases)
-        d = tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(base.n))
-        g = blowup(BlowupSpec(base, d))
-        spec = twin_quotient(g)
-        if spec is not None:
-            assert is_isomorphic(blowup(spec), g)

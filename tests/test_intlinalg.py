@@ -5,7 +5,7 @@ import pytest
 from charideals import (ConsistencyError, DeltaSequence, IntMatrix, adjacency_matrix,
                         count_unit_factors, delta_sequence, gcd_of_k_minors,
                         invariant_factors_from_deltas, lookup, snf_diagonal)
-from charideals.catalog import complete_graph, path_graph, paw_graph
+from charideals.catalog import complete_graph, path_graph
 
 import oracles
 
@@ -143,12 +143,6 @@ def test_phi_monotone_under_induced_subgraphs():
             continue
         h = g.subgraph(keep)
         assert count_unit_factors(adjacency_matrix(h)) <= phi_g
-
-
-def test_matrix_text_round_trip():
-    m = adjacency_matrix(paw_graph())
-    assert IntMatrix.from_text(m.to_text()) == m
-    assert m.entries == tuple(v for row in m.to_lists() for v in row)
 
 
 def test_det_int_against_permanuation_expansion():

@@ -21,7 +21,7 @@ from .intlinalg import (ConsistencyError, DeltaSequence, IntMatrix,
 from .isomorphism import canonical_form, find_induced, is_isomorphic
 from .mining import MiningResult, MiningTask, enumerate_connected, mine
 from .zpoly import ZPoly
-from .ztideal import GroebnerBuilder, IdealZt, reduce, strong_groebner
+from .ztideal import GroebnerBuilder, IdealZt, strong_groebner
 
 __all__ = [
     "BlowupSpec", "CharIdealProfile", "ClassificationReport", "ConsistencyError",

@@ -6,27 +6,34 @@ the largest k for which that ideal is the whole ring.  Evaluating the chain
 of ideals at t = 0 recovers the invariant factors of the adjacency matrix,
 and at t = r those of the Laplacian when G is r-regular.
 
-Every determinantal ideal here comes from one engine in two steps.  First
-the presentation is pruned: while some entry of the matrix is the constant
-+1 or -1, the first such entry in row-major order is eliminated (Schur
-complement) and its row and column are dropped.  The k-minor ideal is a
-Fitting ideal, which unit pivots leave unchanged while shifting k by one,
-so after r pivots I_k(tI - A) = I_{k-r}(M) for the remaining (n-r)x(n-r)
-matrix M, and I_k is the unit ideal for every k <= r.  Then the
-(k-r)-minors of M are taken with fraction-free Bareiss determinants,
-deduplicated first by submatrix content and then up to sign, and streamed
-into the Groebner builder, which stops as soon as the ideal is trivial.
+Every characteristic ideal here comes from one engine in three steps.
+First the presentation is pruned: while some entry of the matrix is the
+constant +1 or -1, the first such entry in row-major order is eliminated
+(Schur complement) and its row and column are dropped.  The k-minor ideal
+is a Fitting ideal, which unit pivots leave unchanged while shifting k by
+one, so after r pivots I_k(tI - A) = I_{k-r}(M) for the remaining
+(n-r)x(n-r) matrix M, and I_k is the unit ideal for every k <= r.  Second,
+the (k-r)-minors of M are taken with fraction-free Bareiss determinants,
+deduplicated first by submatrix content and then up to sign.  Third, they
+go into a lattice: a principal k-minor f of tI - A is a characteristic
+polynomial, monic of degree k and in I_k, so I_k/(f) is a sublattice of
+Z[t]/(f) = Z^k, spanned by the minors times powers of t mod f.  Its
+Hermite normal form, keyed by degree, stops as soon as it holds 1, and
+otherwise gives the reduced Groebner basis with f.  The co-rank is found
+top-down from an upper bound read off integer Smith forms, so most graphs
+need one trivial ideal and none needs a nontrivial basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import prod
 
-from .graphs import Graph
+from .graphs import Graph, bits
 from .intlinalg import ConsistencyError, IntMatrix, InvariantFactors, snf_diagonal
 from .zpoly import ONE, T, ZERO, ZPoly
-from .ztideal import IdealZt, reduce, strong_groebner
+from .ztideal import IdealZt, _canonicalize, _hnf_insert, reduce
 
 _UNITS = (ONE, -ONE)
 
@@ -51,28 +58,39 @@ def _pruned_presentation(g):
         if pivot is None:
             return mat, r
         i, j = pivot
-        u = mat[i][j][0]  # its own inverse
-        prow = mat[i]
-        rest = []
-        for a, row in enumerate(mat):
-            if a == i:
-                continue
-            f = row[j] * u
-            rest.append([e - f * p if f and p else e
-                         for b, (e, p) in enumerate(zip(row, prow)) if b != j])
-        mat = rest
+        prow = mat.pop(i)
+        u = prow.pop(j)[0]  # its own inverse
+        live = [(b, p) for b, p in enumerate(prow) if p]
+        for row in mat:
+            f = row.pop(j)
+            if f:
+                f = -f if u < 0 else f
+                for b, p in live:
+                    row[b] = _sub_mul(row[b], f, p)
         r += 1
 
 
-def _minors(g, k):
-    """The distinct nonzero k-minors of tI - A(g) up to sign, leading
-    coefficient positive, generating the k-th characteristic ideal.
+def _sub_mul(e, f, p):
+    """e - f * p for polynomials e, f, p."""
+    out = list(e)
+    out += [0] * (len(f) + len(p) - 1 - len(out))
+    for a, c in enumerate(f):
+        if c:
+            for b, d in enumerate(p):
+                out[a + b] -= c * d
+    return ZPoly(out)
+
+
+def _minors(pres, k):
+    """The distinct nonzero k-minors of tI - A up to sign, leading
+    coefficient positive, from its pruned presentation `pres` = (M, r);
+    they generate the k-th characteristic ideal.
 
     Yields ONE alone when k is at most the number of unit pivots.  Columns
     of each row set are keyed by the ids of their entries in those rows: a
     zero column is never chosen, and a submatrix already seen is skipped.
     """
-    mat, r = _pruned_presentation(g)
+    mat, r = pres
     size = k - r
     if size <= 0:
         yield ONE
@@ -99,6 +117,83 @@ def _minors(g, k):
                 yield p
 
 
+def _lattice(f, gens):
+    """Degree-keyed HNF rows of <f, gens>/(f) in Z^k, k = deg f, for monic
+    f; None when the ideal is the unit ideal.
+
+    Z[t]/(f) is Z^k with basis 1, t, ..., t^(k-1), and the ideal is the
+    sublattice spanned by t^i g mod f for i < k.  The multiples of one g
+    stop at the first the lattice already holds: the lattice of the earlier
+    generators is t-stable, so every later multiple lies in it too.  Once
+    the rank is full, the determinant D (the product of the leading
+    entries) is in the ideal, so D * Z^k lies in the lattice and entries
+    are kept mod D.  1 is in the ideal exactly when the degree-0 row is 1.
+    """
+    k = len(f) - 1
+    rows = [None] * k
+    mod = 0
+    for g in gens:
+        v = list(g)
+        for d in range(len(v) - 1, k - 1, -1):
+            c = v.pop()
+            if c:
+                for i in range(k):
+                    v[d - k + i] -= c * f[i]
+        for _ in range(k):
+            if not _hnf_insert(rows, v, mod):
+                break
+            if rows[0] == [1]:
+                return None
+            if None not in rows:
+                det = prod(row[-1] for row in rows)
+                if det != mod:
+                    mod = det
+                    for row in rows:
+                        row[:-1] = [e % mod for e in row[:-1]]
+            v = [0] + v
+            if len(v) > k:
+                c = v.pop()
+                v = [x - c * y for x, y in zip(v, f)]
+    return rows
+
+
+def _principal_minor(g, k):
+    """det(tI - A) over the first k vertices of g, by Faddeev-LeVerrier:
+    with M_1 = I, c_(k-i) = -tr(A M_i) / i and M_(i+1) = A M_i + c_(k-i) I.
+    The coefficients are integers, so each division is exact."""
+    nbrs = [list(bits(g.adj[v] & ((1 << k) - 1))) for v in range(k)]
+    coeffs = [0] * k + [1]
+    m = [[int(i == j) for j in range(k)] for i in range(k)]
+    for i in range(1, k + 1):
+        m = [[sum(col) for col in zip(*(m[w] for w in nb))] if nb else [0] * k
+             for nb in nbrs]
+        c = -sum(m[v][v] for v in range(k)) // i
+        coeffs[k - i] = c
+        for v in range(k):
+            m[v][v] += c
+    return ZPoly(coeffs)
+
+
+def _ideal_lattice(g, pres, k):
+    """(f, rows): f a principal k-minor of tI - A(g), monic of degree k,
+    and rows the lattice of the k-th characteristic ideal modulo f; None
+    when that ideal is the unit ideal."""
+    if k <= pres[1]:
+        return None
+    f = _principal_minor(g, k)
+    rows = _lattice(f, _minors(pres, k))
+    return None if rows is None else (f, rows)
+
+
+def _basis(g, pres, k):
+    """Reduced strong Groebner basis of the k-th characteristic ideal."""
+    found = _ideal_lattice(g, pres, k)
+    if found is None:
+        return (ONE,)
+    f, rows = found
+    return _canonicalize([f] + [ZPoly(row) for row in rows if row])
+
+
 def _check_index(g, k):
     if not 1 <= k <= g.n:
         raise ValueError(f"characteristic ideal index {k} out of range 1..{g.n}")
@@ -107,19 +202,39 @@ def _check_index(g, k):
 def characteristic_ideal(g, k):
     """Reduced Groebner basis of the ideal of all k-minors of tI - A(g)."""
     _check_index(g, k)
-    return IdealZt(basis=strong_groebner(_minors(g, k)))
+    return IdealZt(basis=_basis(g, _pruned_presentation(g), k))
+
+
+_BOUND_POINTS = (0, 1, -1, 2, -2)
+
+
+def _corank_bound(pres):
+    """u >= the co-rank, from the pruned presentation (M, r).
+
+    I_k evaluated at t = a is the ideal of Z generated by the k-minors of
+    aI - A, and I_k = I_(k-r)(M), so a trivial I_k needs k - r unit
+    invariant factors of M(a).  u is r plus the fewest over the points a.
+    """
+    mat, r = pres
+    return r + min(snf_diagonal(IntMatrix([[e(a) for e in row] for row in mat])).ones
+                   for a in _BOUND_POINTS)
 
 
 def algebraic_corank(g):
     """Largest k with the k-th characteristic ideal trivial (0 if none is).
 
-    Computed bottom-up; the descending chain of ideals makes stopping at the
-    first nontrivial one valid.
+    Computed top-down: the r unit pivots make I_1 .. I_r trivial, the
+    evaluation bound u caps the co-rank, and the ideals form a descending
+    chain, so the first trivial one from k = u down to r + 1 is the answer.
+    Only the trivial test is run, which stops at the unit ideal; no
+    nontrivial ideal is completed to a basis.
     """
-    for k in range(1, g.n + 1):
-        if not characteristic_ideal(g, k).is_trivial():
-            return k - 1
-    return g.n
+    pres = _pruned_presentation(g)
+    r = pres[1]
+    for k in range(_corank_bound(pres), r, -1):
+        if _ideal_lattice(g, pres, k) is None:
+            return k
+    return r
 
 
 @dataclass(frozen=True)
@@ -130,7 +245,8 @@ class CharIdealProfile:
 
 
 def char_ideal_profile(g):
-    ideals = tuple(characteristic_ideal(g, k) for k in range(1, g.n + 1))
+    pres = _pruned_presentation(g)
+    ideals = tuple(IdealZt(basis=_basis(g, pres, k)) for k in range(1, g.n + 1))
     gamma = 0
     for ideal in ideals:
         if not ideal.is_trivial():
@@ -141,10 +257,11 @@ def char_ideal_profile(g):
 
 def _invariants_by_evaluation(g, point):
     n = g.n
+    pres = _pruned_presentation(g)
     factors = []
     prev = 1
     for k in range(1, n + 1):
-        cur = characteristic_ideal(g, k).evaluate(point)
+        cur = IdealZt(basis=_basis(g, pres, k)).evaluate(point)
         if cur == 0:
             factors.extend([0] * (n - len(factors)))
             break
@@ -243,11 +360,8 @@ def all_k_minors_in_ideal(g, k, ideal):
         a = -basis[1][0]
         mat = [[(a if i == j else 0) - (g.adj[i] >> j & 1) for j in range(g.n)]
                for i in range(g.n)]
-        prod = 1
-        for d in snf_diagonal(IntMatrix(mat)).factors[:k]:
-            prod *= d
-        return prod % mod == 0
-    return not any(reduce(p, basis) for p in _minors(g, k))
+        return prod(snf_diagonal(IntMatrix(mat)).factors[:k]) % mod == 0
+    return not any(reduce(p, basis) for p in _minors(_pruned_presentation(g), k))
 
 
 def _poly_det(mat):

@@ -9,6 +9,8 @@ all discrete leaves.  Sized for the n <= 16 workloads of this project.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .graphs import bits, to_graph6
 
 
@@ -120,49 +122,71 @@ def _pattern_order(p):
     return order
 
 
+@lru_cache(maxsize=512)
+def _search_plan(pattern):
+    """How find_induced places the pattern: its vertices in search order
+    and, per step, the earlier steps adjacent and non-adjacent to that
+    vertex and its degree."""
+    order = _pattern_order(pattern)
+    degs = pattern.degrees()
+    steps = []
+    for i, v in enumerate(order):
+        earlier = [(j, pattern.adj[v] >> order[j] & 1) for j in range(i)]
+        steps.append((tuple(j for j, e in earlier if e),
+                      tuple(j for j, e in earlier if not e), degs[v]))
+    return tuple(order), tuple(steps)
+
+
 def find_induced(host, pattern):
     """An injective map pattern-vertex -> host-vertex preserving adjacency and
-    non-adjacency, or None.  Backtracking with degree pruning."""
+    non-adjacency, or None.  Backtracking with degree pruning; host vertices
+    are tried in increasing order at every step."""
     pn, hn = pattern.n, host.n
     if pn > hn:
         return None
     if pn == 0:
         return ()
+    order, steps = _search_plan(pattern)
     hadj = host.adj
-    hdeg = host.degrees()
-    pdeg = pattern.degrees()
-    order = _pattern_order(pattern)
-    # for each step: masks of earlier pattern vertices split by adjacency
-    steps = []
-    for i, v in enumerate(order):
-        nbrs = []
-        nonnbrs = []
-        for j in range(i):
-            w = order[j]
-            (nbrs if pattern.has_edge(v, w) else nonnbrs).append(j)
-        steps.append((v, nbrs, nonnbrs))
-    full = (1 << hn) - 1
+    # below[d]: host vertices of degree below d.  A pattern vertex of degree
+    # d maps to one of degree d .. d + hn - pn, to keep its neighbours and
+    # its non-neighbours; fit[d] holds those.
+    below = [0] * (hn + 1)
+    for hv, a in enumerate(hadj):
+        below[a.bit_count() + 1] |= 1 << hv
+    for d in range(hn):
+        below[d + 1] |= below[d]
+    slack = hn - pn + 1
+    fit = [below[d + slack] & ~below[d] for d in range(pn)]
     assigned = [0] * pn
-
-    def bt(i, used):
-        v, nbrs, nonnbrs = steps[i]
-        cand = full & ~used
+    cands = [0] * pn
+    cands[0] = fit[steps[0][2]]
+    used = 0
+    i = 0
+    last = pn - 1
+    while True:
+        cand = cands[i]
+        if not cand:
+            if not i:
+                return None
+            i -= 1
+            used ^= 1 << assigned[i]
+            continue
+        low = cand & -cand
+        cands[i] = cand ^ low
+        assigned[i] = low.bit_length() - 1
+        if i == last:
+            break
+        used |= low
+        i += 1
+        nbrs, nonnbrs, needed = steps[i]
+        cand = fit[needed] & ~used
         for j in nbrs:
             cand &= hadj[assigned[j]]
         for j in nonnbrs:
             cand &= ~hadj[assigned[j]]
-        needed = pdeg[v]
-        for hv in bits(cand):
-            if hdeg[hv] < needed:
-                continue
-            assigned[i] = hv
-            if i + 1 == pn or bt(i + 1, used | 1 << hv):
-                return True
-        return False
-
-    if not bt(0, 0):
-        return None
+        cands[i] = cand
     mapping = [0] * pn
-    for i, (v, _, _) in enumerate(steps):
+    for i, v in enumerate(order):
         mapping[v] = assigned[i]
     return tuple(mapping)

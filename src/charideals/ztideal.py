@@ -37,6 +37,50 @@ def _xgcd(a, b):
     return a, x0, y0
 
 
+def _hnf_insert(rows, v, mod):
+    """Merge the integer vector v into a lattice basis in Hermite normal form.
+
+    rows[d] is None or a list of length d + 1 with a positive last (leading)
+    entry, so the rows are triangular and keyed by degree; v is a list of at
+    most len(rows) entries, consumed.  An xgcd on the leading entries folds
+    v into the row at its degree and sends the remainder on down.  When mod
+    is nonzero the lattice contains mod * Z^len(rows), so entries other than
+    the leading ones are reduced mod it.  Returns whether the lattice grew.
+    """
+    grew = False
+    if mod:
+        v = [c % mod for c in v]
+    while True:
+        while v and not v[-1]:
+            v.pop()
+        if not v:
+            return grew
+        d = len(v) - 1
+        row = rows[d]
+        c = v[d]
+        if row is None:
+            rows[d] = v if c > 0 else [-x for x in v]
+            return True
+        a = row[d]
+        if c % a == 0:
+            q = c // a
+            v = [x - q * y for x, y in zip(v[:d], row)]
+        else:
+            g, x, y = _xgcd(a, c)
+            if g < 0:
+                g, x, y = -g, -x, -y
+            a //= g
+            c //= g
+            new = [x * p + y * q for p, q in zip(row, v)]
+            v = [a * q - c * p for p, q in zip(row[:d], v)]
+            if mod:
+                new[:d] = [e % mod for e in new[:d]]
+            rows[d] = new
+            grew = True
+        if mod:
+            v = [e % mod for e in v]
+
+
 def reduce(p, basis):
     """Normal form of p modulo a strong Groebner basis.
 

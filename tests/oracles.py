@@ -2,16 +2,20 @@
 
 Deliberately naive: permutation-expansion determinants, exhaustive subset
 search, and throwaway polynomial arithmetic on plain lists, sharing no code
-with the package paths they check.  The last section keeps the package's
-former route to characteristic-ideal generators, every k-minor position of
-tI - A walked and deduplicated by submatrix content, as the reference for
-the unit-pivot engine that replaced it.
+with the package paths they check.  The last two sections keep former
+package routes as references for what replaced them: every k-minor
+position of tI - A walked and deduplicated by submatrix content, for the
+unit-pivot engine; and the induced-subgraph search before its plan was
+cached, which shares the pattern order with its replacement, so the two
+must return the same embedding.
 """
 
 from itertools import combinations, permutations
 from math import gcd
 
+from charideals.graphs import bits
 from charideals.intlinalg import det_int
+from charideals.isomorphism import _pattern_order
 
 
 def perm_sign(perm):
@@ -217,3 +221,53 @@ def _distinct_k_minor_polys(g, k):
                 p = _det_from_key(key, k)
                 dets[key] = p
             yield p
+
+
+# -- induced-subgraph search before its plan was cached -----------------------
+
+def find_induced(host, pattern):
+    """An injective map pattern-vertex -> host-vertex preserving adjacency and
+    non-adjacency, or None.  Backtracking with degree pruning."""
+    pn, hn = pattern.n, host.n
+    if pn > hn:
+        return None
+    if pn == 0:
+        return ()
+    hadj = host.adj
+    hdeg = host.degrees()
+    pdeg = pattern.degrees()
+    order = _pattern_order(pattern)
+    # for each step: masks of earlier pattern vertices split by adjacency
+    steps = []
+    for i, v in enumerate(order):
+        nbrs = []
+        nonnbrs = []
+        for j in range(i):
+            w = order[j]
+            (nbrs if pattern.has_edge(v, w) else nonnbrs).append(j)
+        steps.append((v, nbrs, nonnbrs))
+    full = (1 << hn) - 1
+    assigned = [0] * pn
+
+    def bt(i, used):
+        v, nbrs, nonnbrs = steps[i]
+        cand = full & ~used
+        for j in nbrs:
+            cand &= hadj[assigned[j]]
+        for j in nonnbrs:
+            cand &= ~hadj[assigned[j]]
+        needed = pdeg[v]
+        for hv in bits(cand):
+            if hdeg[hv] < needed:
+                continue
+            assigned[i] = hv
+            if i + 1 == pn or bt(i + 1, used | 1 << hv):
+                return True
+        return False
+
+    if not bt(0, 0):
+        return None
+    mapping = [0] * pn
+    for i, (v, _, _) in enumerate(steps):
+        mapping[v] = assigned[i]
+    return tuple(mapping)

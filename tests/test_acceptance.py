@@ -12,9 +12,8 @@ from charideals import (BlowupSpec, IdealZt, ZPoly, adjacency_matrix,
                         count_unit_factors, cross_check, delta_sequence,
                         invariant_factors_from_deltas,
                         is_K_leq_regular, laplacian_matrix, lookup, mine,
-                        multipartite_closed_form, parse_graph6,
-                        smith_invariants_via_ideals, snf_diagonal, to_graph6,
-                        IntMatrix, MiningTask)
+                        multipartite_closed_form, parse_graph6, snf_diagonal,
+                        to_graph6, IntMatrix, MiningTask)
 from charideals.catalog import (FORBIDDEN_S4, complete_multipartite_graph,
                                 cycle_graph, prism_graph, star_graph)
 from charideals.ztideal import reduce as zt_reduce, strong_groebner

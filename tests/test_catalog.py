@@ -58,7 +58,6 @@ def test_family_f_join_forms():
 
 def test_family_f_complements():
     # the two complement-named members really are complements
-    from charideals.graphs import Graph
     diamond_k2 = diamond_graph().disjoint_union(complete_graph(2))
     assert is_isomorphic(FAMILY_F["co-diamond-k2"], diamond_k2.complement())
     p3_cop3 = path_graph(3).disjoint_union(path_graph(3).complement())

@@ -3,16 +3,17 @@ from itertools import combinations
 
 import pytest
 
-from charideals import (BlowupSpec, IdealZt, ZPoly, adjacency_matrix,
+from charideals import (BlowupSpec, IdealZt, IntMatrix, ZPoly, adjacency_matrix,
                         algebraic_corank, all_k_minors_in_ideal, blowup,
                         char_ideal_profile, characteristic_ideal,
                         count_unit_factors, critical_invariants_regular,
                         laplacian_matrix, lookup,
-                        multipartite_closed_form, parse_graph6,
-                        smith_invariants_via_ideals, snf_diagonal)
+                        multipartite_closed_form, smith_invariants_via_ideals,
+                        snf_diagonal)
 from charideals.catalog import (complete_graph, complete_multipartite_graph,
                                 cycle_graph, path_graph, prism_graph, star_graph)
-from charideals.graph_ideals import _char_matrix, _poly_det, _pruned_presentation
+from charideals.graph_ideals import (_char_matrix, _corank_bound, _minors, _poly_det,
+                                     _principal_minor, _pruned_presentation)
 from charideals.graphs import Graph
 from charideals.mining import enumerate_connected
 from charideals.zpoly import ONE
@@ -287,6 +288,54 @@ def test_unit_pivots_bound_corank():
         assert algebraic_corank(g) >= r
         if r:
             assert characteristic_ideal(g, r).is_trivial()
+
+
+def _bottom_up_corank(g):
+    for k in range(1, g.n + 1):
+        if _oracle_basis(g, k) != (ONE,):
+            return k - 1
+    return g.n
+
+
+def test_corank_top_down_matches_bottom_up_oracle():
+    graphs = [g for n in range(1, 7) for g in enumerate_connected(n)]
+    assert len(graphs) == 143
+    rng = random.Random(107)
+    for base in (path_graph(4), star_graph(4), cycle_graph(4), lookup("paw"),
+                 lookup("diamond"), complete_graph(4)):
+        for sign in (-1, 1):
+            sizes = tuple(sign * rng.randint(1, 2) for _ in range(4))
+            graphs.append(blowup(BlowupSpec(base, sizes)))
+    for g in graphs:
+        assert algebraic_corank(g) == _bottom_up_corank(g), g
+
+
+def test_corank_between_bounds_on_larger_graphs():
+    # the co-rank lies between the unit pivots and the evaluation bound, is
+    # at most the unit invariant factors of aI - A at every point, and the
+    # Groebner builder fed the minors agrees: I_gamma trivial, I_gamma+1 not
+    rng = random.Random(109)
+    for _ in range(40):
+        g = oracles.random_connected_graph(rng, rng.randint(8, 9), rng.choice((0.3, 0.5, 0.7)))
+        pres = _pruned_presentation(g)
+        gamma = algebraic_corank(g)
+        assert pres[1] <= gamma <= _corank_bound(pres), g
+        for a in (0, 1, -1, 2, -2):
+            mat = [[(a if i == j else 0) - g.has_edge(i, j) for j in range(g.n)]
+                   for i in range(g.n)]
+            assert gamma <= count_unit_factors(IntMatrix(mat)), (g, a)
+        assert strong_groebner(_minors(pres, gamma)) == (ONE,), g
+        if gamma < g.n:
+            assert strong_groebner(_minors(pres, gamma + 1)) != (ONE,), g
+
+
+def test_principal_minor_is_the_characteristic_polynomial():
+    rng = random.Random(127)
+    for _ in range(40):
+        g = oracles.random_graph(rng, rng.randint(1, 6))
+        k = rng.randint(1, g.n)
+        want = oracles.poly_perm_det(oracles.char_matrix_lists(g.subgraph(range(k))))
+        assert tuple(_principal_minor(g, k)) == tuple(want), (g, k)
 
 
 def _minor(mat, rows, cols):

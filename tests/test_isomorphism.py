@@ -1,9 +1,10 @@
 import random
 
-from charideals import (FORBIDDEN_S4, Graph, canonical_form, find_induced,
+from charideals import (FAMILY_F, FORBIDDEN_S4, Graph, canonical_form, find_induced,
                         is_isomorphic, parse_graph6)
 from charideals.catalog import (complete_graph, complete_minus_edge, cycle_graph,
                                 path_graph, paw_graph, star_graph)
+from charideals.classify import _PATTERNS
 
 import oracles
 
@@ -89,3 +90,27 @@ def test_is_isomorphic():
     assert is_isomorphic(cycle_graph(4), Graph(4, [(0, 2), (2, 1), (1, 3), (3, 0)]))
     assert not is_isomorphic(cycle_graph(4), path_graph(4))
     assert not is_isomorphic(cycle_graph(4), cycle_graph(5))
+
+
+def test_find_induced_returns_what_the_former_search_returned():
+    # same pattern order and host vertices in increasing order, so the
+    # embeddings the certificates print must not change
+    patterns = (list(_PATTERNS.values()) + [parse_graph6(s) for s in FORBIDDEN_S4]
+                + [FAMILY_F[name] for name in sorted(FAMILY_F)])
+    rng = random.Random(131)
+    hosts = [oracles.random_connected_graph(rng, rng.randint(5, 9), rng.choice((0.3, 0.5, 0.7)))
+             for _ in range(40)]
+    hosts += [p for p in patterns if p.n >= 5]
+    relabelled = []
+    for g in hosts:
+        order = list(range(g.n))
+        rng.shuffle(order)
+        relabelled.append(g.relabelled(order))
+    hits = misses = 0
+    for host in hosts + relabelled:
+        for pattern in patterns:
+            got = find_induced(host, pattern)
+            assert got == oracles.find_induced(host, pattern), (host, pattern)
+            hits += got is not None
+            misses += got is None
+    assert hits > 500 and misses > 500

@@ -1,10 +1,9 @@
-import random
 from itertools import combinations
 
 import pytest
 
-from charideals import (ConsistencyError, MiningTask, canonical_form, enumerate_connected,
-                        lookup, mine, parse_graph6, to_graph6)
+from charideals import (MiningTask, canonical_form, enumerate_connected, lookup, mine,
+                        parse_graph6, to_graph6)
 from charideals.catalog import FAMILY_F
 from charideals.graphs import Graph
 from charideals.mining import CONNECTED_COUNTS

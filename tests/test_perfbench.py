@@ -20,5 +20,8 @@ def test_ideal_chain_round_traced_and_untraced(monkeypatch):
     assert out["untraced"]["spans"] and out["traced"]["spans"]
     assert out["untraced"]["errors"] == []
     assert out["traced"]["errors"] == []
-    assert out["trace"]["records"]["ztideal.GroebnerBuilder.add"][0] > 0
+    records = out["trace"]["records"]
+    assert records["graph_ideals.characteristic_ideal"][0] > 0
+    # patched and restored, though the lattice engine makes no call to it
+    assert "ztideal.GroebnerBuilder.add" in records
     assert ztideal.GroebnerBuilder.add is add

@@ -1,10 +1,22 @@
-"""Canonical labelling and induced-subgraph search.
+"""Canonical labelling, automorphism groups and induced-subgraph search.
 
-Canonical forms come from colour refinement plus individualisation: refine
-to an equitable partition, branch on the first non-singleton cell (one
-representative per twin-equivalent group, since swapping twins is an
-automorphism), and take the lexicographically least adjacency encoding over
-all discrete leaves.  Sized for the n <= 16 workloads of this project.
+A canonical form is the least adjacency encoding over the leaves of a
+search tree, after McKay & Piperno, "Practical graph isomorphism II"
+(J. Symb. Comput. 2014).  A node holds an ordered partition of the vertices
+as bitmasks, refined to the coarsest equitable one: each pass ranks the
+vertices of every cell by their neighbour counts in all cells, listed in
+cell order, and splits the cell in place.  A node branches by
+individualising each vertex of its first non-singleton cell; a leaf is a
+discrete partition, read as a vertex order.
+
+Automorphisms prune the tree.  Swaps of twins are automorphisms, and so is
+the map between two leaves with equal encodings.  A child is skipped when
+an automorphism fixing the node's individualised vertices maps an explored
+sibling onto it, and a leaf that matches the first or the best leaf sends
+the search back to the branch point the two paths share.  Every leaf left
+out has the encoding of one explored, so the least encoding is that of the
+whole tree; the automorphisms found generate the automorphism group.
+Induced-subgraph search is a backtracking embedding with degree pruning.
 """
 
 from __future__ import annotations
@@ -14,81 +26,156 @@ from functools import lru_cache
 from .graphs import bits, to_graph6
 
 
-def _equitable(adj, colors):
-    n = len(adj)
+def _refine(adj, cells):
+    """The equitable refinement of an ordered partition (vertex bitmasks).
+
+    A pass sorts the vertices of each cell by their neighbour counts, as
+    (cell index, count) pairs over the cells where the count is nonzero,
+    and puts the resulting cells in its place in that order.  Passes repeat
+    until one splits nothing."""
     while True:
-        sigs = []
-        for v in range(n):
-            counts = {}
-            for w in bits(adj[v]):
-                c = colors[w]
-                counts[c] = counts.get(c, 0) + 1
-            sigs.append((colors[v], tuple(sorted(counts.items()))))
-        ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = tuple(ranks[s] for s in sigs)
-        if new == colors:
-            return colors
-        colors = new
+        out = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                out.append(cell)
+                continue
+            parts = {}
+            rest = cell
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                a = adj[low.bit_length() - 1]
+                sig = tuple([(i, k) for i, c in enumerate(cells) if (k := (a & c).bit_count())])
+                parts[sig] = parts.get(sig, 0) | low
+            if len(parts) == 1:
+                out.append(cell)
+            else:
+                out.extend([parts[s] for s in sorted(parts)])
+        if len(out) == len(cells):
+            return cells
+        cells = out
 
 
-def _pack_upper(adj, order):
-    # graph6 body bits for the relabelled graph; comparable as bytes
-    out = bytearray()
-    chunk = 0
-    nfill = 0
-    for j in range(1, len(order)):
-        aj = adj[order[j]]
-        for i in range(j):
-            chunk = chunk << 1 | (aj >> order[i] & 1)
-            nfill += 1
-            if nfill == 6:
-                out.append(chunk)
-                chunk = 0
-                nfill = 0
-    if nfill:
-        out.append(chunk << (6 - nfill))
-    return bytes(out)
+def _leaf_key(adj, order):
+    # the graph6 body bits of the relabelled graph as one integer; all keys
+    # of a graph have the same length, so they order as the encodings do
+    n = len(order)
+    place = [0] * n
+    for i, v in enumerate(order):
+        place[v] = 1 << (n - 1 - i)
+    key = 0
+    for j in range(1, n):
+        a = adj[order[j]]
+        row = 0
+        while a:
+            low = a & -a
+            a ^= low
+            row |= place[low.bit_length() - 1]
+        key = key << j | row >> (n - j)
+    return key
 
 
-def _twins(adj, u, v):
-    mask = ~(1 << u | 1 << v)
-    return adj[u] & mask == adj[v] & mask
+def _orbit(perms, mask):
+    """The union of the orbits of the vertices in mask under the group the
+    permutations (tuples of images) generate."""
+    frontier = mask
+    while frontier:
+        grown = 0
+        for p in perms:
+            for v in bits(frontier):
+                grown |= 1 << p[v]
+        frontier = grown & ~mask
+        mask |= frontier
+    return mask
+
+
+def _automorphism(src, dst):
+    # the map src[i] -> dst[i], with the mask of its fixed points
+    images = [0] * len(src)
+    fixed = 0
+    for a, b in zip(src, dst):
+        images[a] = b
+        if a == b:
+            fixed |= 1 << a
+    return tuple(images), fixed
+
+
+def _label(adj):
+    """(order, generators) for the graph with adjacency bitmasks adj: a
+    vertex order whose relabelling is the canonical form, and permutations
+    (tuples of images) generating the automorphism group."""
+    n = len(adj)
+    if n <= 1:
+        return tuple(range(n)), []
+    full = (1 << n) - 1
+    gens = []  # (images, mask of fixed points)
+    # swaps of consecutive twins, false (closed = 0) and true (closed = 1):
+    # those fixing the vertices on a path still generate their stabiliser
+    for closed in (0, 1):
+        last_with = {}
+        for v, a in enumerate(adj):
+            u = last_with.get(a | closed << v)
+            last_with[a | closed << v] = v
+            if u is not None:
+                images = list(range(n))
+                images[u], images[v] = v, u
+                gens.append((tuple(images), full ^ (1 << u | 1 << v)))
+    first = best = None  # (key, order, path)
+
+    def dfs(cells, path, fixed):
+        # returns the depth to resume at; n when nothing is cut short
+        nonlocal first, best
+        cells = _refine(adj, cells)
+        for t, cell in enumerate(cells):
+            if cell & (cell - 1):
+                break
+        else:
+            order = [c.bit_length() - 1 for c in cells]
+            key = _leaf_key(adj, order)
+            if first is None:
+                first = best = (key, order, path)
+                return n
+            for ref in (first, best):
+                if key == ref[0]:
+                    gens.append(_automorphism(ref[1], order))
+                    common = 0
+                    while ref[2][common] == path[common]:
+                        common += 1
+                    return common
+            if key < best[0]:
+                best = (key, order, path)
+            return n
+        depth = len(path)
+        covered = 0  # orbits of the explored children
+        known = -1
+        rest = cell
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if len(gens) != known:
+                known = len(gens)
+                perms = [p for p, fix in gens if not fixed & ~fix]
+                covered = _orbit(perms, covered)
+            if covered & low:
+                continue
+            back = dfs(cells[:t] + [low, cell ^ low] + cells[t + 1:],
+                       path + (low.bit_length() - 1,), fixed | low)
+            if back < depth:
+                return back
+            covered = _orbit(perms, covered | low)
+        return n
+
+    by_degree = {}
+    for v, a in enumerate(adj):
+        d = a.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    dfs([by_degree[d] for d in sorted(by_degree)], (), 0)
+    return tuple(best[1]), [p for p, _ in gens]
 
 
 def canonical_order(g):
     """A relabelling order realising the canonical form."""
-    n = g.n
-    if n <= 1:
-        return tuple(range(n))
-    adj = g.adj
-    best = [None, None]
-
-    def dfs(colors):
-        colors = _equitable(adj, colors)
-        cells = {}
-        for v in range(n):
-            cells.setdefault(colors[v], []).append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
-                break
-        if target is None:
-            order = sorted(range(n), key=colors.__getitem__)
-            enc = _pack_upper(adj, order)
-            if best[0] is None or enc < best[0]:
-                best[0] = enc
-                best[1] = tuple(order)
-            return
-        reps = []
-        for v in target:
-            if not any(_twins(adj, v, r) for r in reps):
-                reps.append(v)
-        for v in reps:
-            dfs(tuple((colors[w], 0 if w == v else 1) for w in range(n)))
-
-    dfs((0,) * n)
-    return best[1]
+    return _label(g.adj)[0]
 
 
 def canonical_form(g):

@@ -1,28 +1,78 @@
-"""Isomorphism-free enumeration of connected graphs and mining of minimal
+"""Isomorph-free enumeration of connected graphs and mining of minimal
 forbidden graphs for a hereditary statistic.
 
-Enumeration augments each (n-1)-vertex canonical representative by one new
-vertex over every nonempty neighbourhood and deduplicates by canonical
-form; every connected graph has a non-cut vertex, so every class is
-reached.  Mining collects all graphs whose statistic exceeds the threshold,
-filters to graphs containing no smaller forbidden one, then re-verifies
-minimality exhaustively: generation-order filtering alone is fragile.
+Enumeration is canonical augmentation, after McKay, "Isomorph-free
+exhaustive generation" (J. Algorithms 1998).  A connected graph C has a
+canonical deletion vertex w: of its non-cut vertices of largest degree, the
+first in canonical order.  C - w is connected, so C grows from the
+representative of C - w by one new vertex.  Each representative is
+augmented once per orbit of its automorphism group on the neighbourhoods
+of the new vertex.  A child whose new vertex is not of largest degree among
+its non-cut vertices is dropped before it is labelled; otherwise it is kept
+only when the new vertex is in the orbit of w, so every class comes out
+exactly once.  Mining collects all graphs whose statistic exceeds the
+threshold, filters to graphs containing no smaller forbidden one, then
+re-verifies minimality exhaustively: generation-order filtering alone is
+fragile.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import takewhile
 
-from .graphs import Graph, adjacency_matrix, laplacian_matrix, parse_graph6, to_graph6
+from .graphs import Graph, adjacency_matrix, bits, laplacian_matrix, parse_graph6, to_graph6
 from .graph_ideals import algebraic_corank
 from .intlinalg import (ConsistencyError, count_unit_factors, delta_sequence,
                         invariant_factors_from_deltas)
-from .isomorphism import canonical_form, find_induced
+from .isomorphism import _label, _orbit, canonical_form, find_induced
 
 # connected graphs up to isomorphism on 1, 2, 3, ... vertices
 CONNECTED_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117)
 
 _LEVELS = {}
+
+
+def _mask_orbits(m, perms):
+    """One nonempty subset of range(m), as a bitmask, per orbit of the
+    group the permutations generate."""
+    if not perms:
+        return range(1, 1 << m)
+    tables = []
+    for p in perms:
+        image = [0] * (1 << m)
+        for x in range(1, 1 << m):
+            low = x & -x
+            image[x] = image[x ^ low] | 1 << p[low.bit_length() - 1]
+        tables.append(image)
+    seen = bytearray(1 << m)
+    reps = []
+    for x in range(1, 1 << m):
+        if seen[x]:
+            continue
+        reps.append(x)
+        seen[x] = 1
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            for image in tables:
+                z = image[y]
+                if not seen[z]:
+                    seen[z] = 1
+                    stack.append(z)
+    return reps
+
+
+def _is_cut_vertex(adj, v):
+    rest = ((1 << len(adj)) - 1) ^ 1 << v
+    seen = frontier = rest & -rest
+    while frontier:
+        reach = 0
+        for u in bits(frontier):
+            reach |= adj[u]
+        frontier = reach & rest & ~seen
+        seen |= frontier
+    return seen != rest
 
 
 def _level(n):
@@ -33,14 +83,22 @@ def _level(n):
     if n == 1:
         out = (canonical_form(Graph(1)),)
     else:
-        prev = _level(n - 1)
-        found = set()
-        for s in prev:
-            g = parse_graph6(s)
-            base = list(g.edges())
-            for mask in range(1, 1 << (n - 1)):
-                extra = [(v, n - 1) for v in range(n - 1) if mask >> v & 1]
-                found.add(canonical_form(Graph(n, base + extra)))
+        new = n - 1
+        found = []
+        for s in _level(n - 1):
+            adj = parse_graph6(s).adj
+            for mask in _mask_orbits(new, _label(adj)[1]):
+                child = [a | (mask >> u & 1) << new for u, a in enumerate(adj)] + [mask]
+                degree = mask.bit_count()
+                # the deletion vertex is a non-cut vertex of largest degree
+                if any(a.bit_count() > degree and not _is_cut_vertex(child, u)
+                       for u, a in enumerate(child)):
+                    continue
+                order, perms = _label(child)
+                w = next(u for u in order if child[u].bit_count() == degree
+                         and not _is_cut_vertex(child, u))
+                if w == new or _orbit(perms, 1 << w) >> new & 1:
+                    found.append(to_graph6(Graph.from_adj(child).relabelled(order)))
         out = tuple(sorted(found))
     _LEVELS[n] = out
     return out
@@ -139,10 +197,9 @@ def mine(task):
                 forbidden.append((size, g6, g))
     minimal = []
     for size, g6, g in forbidden:
-        contains_smaller = any(
-            s2 < size and find_induced(g, g2) is not None
-            for s2, _, g2 in forbidden)
-        if not contains_smaller:
+        # forbidden is in size order: scan only the smaller graphs
+        smaller = takewhile(lambda entry: entry[0] < size, forbidden)
+        if not any(find_induced(g, g2) is not None for _, _, g2 in smaller):
             minimal.append((size, g6, g))
     for size, g6, g in minimal:
         recheck = _independent_value(g6, task.statistic)

@@ -5,15 +5,19 @@ search, and throwaway polynomial arithmetic on plain lists, sharing no code
 with the package paths they check.  The last two sections keep former
 package routes as references for what replaced them: every k-minor
 position of tI - A walked and deduplicated by submatrix content, for the
-unit-pivot engine; and the induced-subgraph search before its plan was
-cached, which shares the pattern order with its replacement, so the two
-must return the same embedding.
+unit-pivot engine; the induced-subgraph search before its plan was cached,
+which shares the pattern order with its replacement, so the two must
+return the same embedding; canonical labelling by refinement on colour
+tuples with only twins pruned, whose forms the automorphism-pruned search
+must reproduce byte for byte; and enumeration that augments a
+representative by every neighbourhood of a new vertex and deduplicates by
+canonical form.
 """
 
 from itertools import combinations, permutations
 from math import gcd
 
-from charideals.graphs import bits
+from charideals.graphs import Graph, bits, parse_graph6, to_graph6
 from charideals.intlinalg import det_int
 from charideals.isomorphism import _pattern_order
 
@@ -132,8 +136,14 @@ def brute_has_induced(host, pattern):
     return False
 
 
+def brute_automorphisms(graph):
+    """Every vertex permutation, as a tuple of images, that keeps the edges."""
+    edges = set(graph.edges())
+    return {p for p in permutations(range(graph.n))
+            if all((min(p[u], p[v]), max(p[u], p[v])) in edges for u, v in edges)}
+
+
 def random_graph(rng, n, p=0.5):
-    from charideals import Graph
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return Graph(n, edges)
 
@@ -271,3 +281,113 @@ def find_induced(host, pattern):
     for i, (v, _, _) in enumerate(steps):
         mapping[v] = assigned[i]
     return tuple(mapping)
+
+
+# -- canonical labelling by plain refinement and twin pruning ----------------
+
+def _equitable(adj, colors):
+    n = len(adj)
+    while True:
+        sigs = []
+        for v in range(n):
+            counts = {}
+            for w in bits(adj[v]):
+                c = colors[w]
+                counts[c] = counts.get(c, 0) + 1
+            sigs.append((colors[v], tuple(sorted(counts.items()))))
+        ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = tuple(ranks[s] for s in sigs)
+        if new == colors:
+            return colors
+        colors = new
+
+
+def _pack_upper(adj, order):
+    # graph6 body bits for the relabelled graph; comparable as bytes
+    out = bytearray()
+    chunk = 0
+    nfill = 0
+    for j in range(1, len(order)):
+        aj = adj[order[j]]
+        for i in range(j):
+            chunk = chunk << 1 | (aj >> order[i] & 1)
+            nfill += 1
+            if nfill == 6:
+                out.append(chunk)
+                chunk = 0
+                nfill = 0
+    if nfill:
+        out.append(chunk << (6 - nfill))
+    return bytes(out)
+
+
+def _twins(adj, u, v):
+    mask = ~(1 << u | 1 << v)
+    return adj[u] & mask == adj[v] & mask
+
+
+def canonical_order(g):
+    """A relabelling order realising the canonical form."""
+    n = g.n
+    if n <= 1:
+        return tuple(range(n))
+    adj = g.adj
+    best = [None, None]
+
+    def dfs(colors):
+        colors = _equitable(adj, colors)
+        cells = {}
+        for v in range(n):
+            cells.setdefault(colors[v], []).append(v)
+        target = None
+        for c in sorted(cells):
+            if len(cells[c]) > 1:
+                target = cells[c]
+                break
+        if target is None:
+            order = sorted(range(n), key=colors.__getitem__)
+            enc = _pack_upper(adj, order)
+            if best[0] is None or enc < best[0]:
+                best[0] = enc
+                best[1] = tuple(order)
+            return
+        reps = []
+        for v in target:
+            if not any(_twins(adj, v, r) for r in reps):
+                reps.append(v)
+        for v in reps:
+            dfs(tuple((colors[w], 0 if w == v else 1) for w in range(n)))
+
+    dfs((0,) * n)
+    return best[1]
+
+
+def canonical_form(g):
+    """graph6 of a canonically relabelled copy; equal iff graphs isomorphic."""
+    return to_graph6(g.relabelled(canonical_order(g)))
+
+
+# -- enumeration by augmenting every mask and deduplicating ------------------
+
+_LEVELS = {}
+
+
+def _level(n):
+    if n in _LEVELS:
+        return _LEVELS[n]
+    if n < 1:
+        raise ValueError("need at least one vertex")
+    if n == 1:
+        out = (canonical_form(Graph(1)),)
+    else:
+        prev = _level(n - 1)
+        found = set()
+        for s in prev:
+            g = parse_graph6(s)
+            base = list(g.edges())
+            for mask in range(1, 1 << (n - 1)):
+                extra = [(v, n - 1) for v in range(n - 1) if mask >> v & 1]
+                found.add(canonical_form(Graph(n, base + extra)))
+        out = tuple(sorted(found))
+    _LEVELS[n] = out
+    return out

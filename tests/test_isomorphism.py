@@ -5,8 +5,35 @@ from charideals import (FAMILY_F, FORBIDDEN_S4, Graph, canonical_form, find_indu
 from charideals.catalog import (complete_graph, complete_minus_edge, cycle_graph,
                                 path_graph, paw_graph, star_graph)
 from charideals.classify import _PATTERNS
+from charideals.isomorphism import _label, _orbit
 
 import oracles
+
+
+def _shuffled(g, rng):
+    order = list(range(g.n))
+    rng.shuffle(order)
+    return g.relabelled(order)
+
+
+def _rook(a):
+    # K_a x K_a: vertices (i, j), adjacent when they share exactly one coordinate
+    cells = [(i, j) for i in range(a) for j in range(a)]
+    return Graph(a * a, [(x, y) for x in range(len(cells)) for y in range(x + 1, len(cells))
+                         if (cells[x][0] == cells[y][0]) != (cells[x][1] == cells[y][1])])
+
+
+def _generated(perms, n):
+    group = {tuple(range(n))}
+    stack = list(group)
+    while stack:
+        g = stack.pop()
+        for p in perms:
+            h = tuple(p[x] for x in g)
+            if h not in group:
+                group.add(h)
+                stack.append(h)
+    return group
 
 
 def test_canonical_invariance_under_relabelling():
@@ -45,14 +72,21 @@ def test_canonical_is_stable_on_its_output():
 
 
 def test_canonical_heavy_symmetry():
-    # big automorphism groups must not blow the search up or break invariance
+    # big automorphism groups must not blow the search up or break invariance,
+    # and the pruned search must give the former search's forms
+    from charideals import BlowupSpec, blowup, lookup
+    from charideals.catalog import complete_multipartite_graph
     k16 = complete_graph(16)
     assert canonical_form(k16) == canonical_form(k16.relabelled(list(reversed(range(16)))))
-    from charideals import BlowupSpec, blowup
     big = blowup(BlowupSpec(cycle_graph(4), (-4, -4, -4, -4)))
     order = list(range(16))
     random.Random(5).shuffle(order)
     assert canonical_form(big) == canonical_form(big.relabelled(order))
+    rng = random.Random(47)
+    for g in (k16, big, lookup("petersen"), _rook(4), complete_multipartite_graph([3, 3])):
+        want = oracles.canonical_form(g)
+        assert canonical_form(g) == want
+        assert canonical_form(_shuffled(g, rng)) == want
 
 
 def test_forbidden_list_has_43_distinct_canonical_forms():
@@ -114,3 +148,46 @@ def test_find_induced_returns_what_the_former_search_returned():
             hits += got is not None
             misses += got is None
     assert hits > 500 and misses > 500
+
+
+def test_canonical_form_matches_former_search_on_all_connected_graphs_to_7():
+    rng = random.Random(41)
+    graphs = [parse_graph6(s) for n in range(1, 8) for s in oracles._level(n)]
+    assert len(graphs) == 996
+    for g in graphs + [_shuffled(g, rng) for g in graphs]:
+        assert canonical_form(g) == oracles.canonical_form(g), g
+
+
+def test_canonical_form_matches_former_search_on_random_graphs_8_to_12():
+    rng = random.Random(43)
+    graphs = []
+    for n in range(8, 13):
+        graphs += [Graph(n), complete_graph(n), Graph(n, [(0, 1)]).complement()]
+        graphs += [oracles.random_graph(rng, n, p) for p in (0.1, 0.2, 0.3, 0.5, 0.7, 0.9)
+                   for _ in range(4)]
+        graphs.append(cycle_graph(n // 2).disjoint_union(path_graph(n - n // 2)))
+    assert any(not g.is_connected() for g in graphs if g.edge_count)
+    for g in graphs:
+        assert canonical_form(g) == oracles.canonical_form(g), g
+
+
+def test_rook_5x5_form_is_invariant_and_stable():
+    # |Aut| = 28800 and no twins: the former search took seconds here
+    rng = random.Random(53)
+    g = _rook(5)
+    want = canonical_form(g)
+    for _ in range(10):
+        assert canonical_form(_shuffled(g, rng)) == want
+    assert canonical_form(parse_graph6(want)) == want
+
+
+def test_automorphisms_found_generate_the_whole_group():
+    rng = random.Random(59)
+    graphs = [parse_graph6(s) for n in range(1, 7) for s in oracles._level(n)]
+    graphs += [oracles.random_graph(rng, rng.randint(1, 6), rng.random()) for _ in range(150)]
+    for g in graphs:
+        perms = _label(g.adj)[1]
+        brute = oracles.brute_automorphisms(g)
+        assert _generated(perms, g.n) == brute, g
+        for v in range(g.n):
+            assert _orbit(perms, 1 << v) == sum({1 << p[v] for p in brute}), (g, v)

@@ -6,7 +6,10 @@ from charideals import (MiningTask, canonical_form, enumerate_connected, lookup,
                         parse_graph6, to_graph6)
 from charideals.catalog import FAMILY_F
 from charideals.graphs import Graph
-from charideals.mining import CONNECTED_COUNTS
+from charideals.isomorphism import _label
+from charideals.mining import CONNECTED_COUNTS, _level, _mask_orbits
+
+import oracles
 
 
 def test_enumeration_counts():
@@ -111,3 +114,32 @@ def test_mine_phi_l_regular_statistic():
         assert g.regular_degree() is not None
         comp = g.complement()
         assert comp.edge_count > 0  # not complete
+
+
+def test_levels_match_former_enumeration():
+    for n in range(1, 8):
+        assert _level(n) == oracles._level(n), n
+
+
+def test_mask_orbits_one_subset_per_orbit():
+    # the subsets a parent is augmented by: one per orbit of its group
+    for n in range(1, 6):
+        for s in oracles._level(n):
+            g = parse_graph6(s)
+            brute = oracles.brute_automorphisms(g)
+            reps = list(_mask_orbits(n, _label(g.adj)[1]))
+            orbits = {frozenset(sum(1 << p[v] for v in range(n) if x >> v & 1) for p in brute)
+                      for x in range(1, 1 << n)}
+            assert sorted(min(o) for o in orbits) == sorted(reps), s
+
+
+@pytest.mark.slow
+def test_enumeration_count_n9():
+    assert sum(1 for _ in enumerate_connected(9)) == 261080
+
+
+@pytest.mark.slow
+def test_mine_corank_k3_to_8_gives_family_f():
+    result = mine(MiningTask(8, "gammaA", 3))
+    assert sorted(result.minimal) == sorted(canonical_form(g) for g in FAMILY_F.values())
+    assert result.counts_by_size == {5: 8, 6: 4, 7: 1, 8: 1}

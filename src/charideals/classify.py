@@ -220,10 +220,11 @@ def is_K_leq_regular(g, k, _phi_l=None):
     return member, cert
 
 
-def _s4_partial(g, phi):
+def _s4_partial(g, snf):
+    phi = snf.ones
     member = phi <= 4
     cert = {"phi_adjacency": phi, "route": "partial",
-            "invariant_factors": list(snf_diagonal(adjacency_matrix(g)).factors)}
+            "invariant_factors": list(snf.factors)}
     hit = None
     if g.n >= 6:
         for idx, pat in enumerate(_S4_PATTERNS):
@@ -265,7 +266,8 @@ def classify(g):
     available route executed and cross-checked."""
     _check_connected(g)
     g6 = canonical_form(g)
-    phi_a = count_unit_factors(adjacency_matrix(g))
+    snf = snf_diagonal(adjacency_matrix(g))
+    phi_a = snf.ones
     gamma = algebraic_corank(g)
     rdeg = g.regular_degree()
     phi_l = count_unit_factors(laplacian_matrix(g)) if rdeg is not None else None
@@ -275,7 +277,7 @@ def classify(g):
         member, cert = is_S_leq(g, k, _phi=phi_a)
         memberships[f"S<={k}"] = member
         certificates[f"S<={k}"] = cert
-    member, cert = _s4_partial(g, phi_a)
+    member, cert = _s4_partial(g, snf)
     memberships["S<=4"] = member
     certificates["S<=4"] = cert
     for k in (1, 2, 3):

@@ -15,11 +15,13 @@ one, so after r pivots I_k(tI - A) = I_{k-r}(M) for the remaining
 (n-r)x(n-r) matrix M, and I_k is the unit ideal for every k <= r.  Second,
 the (k-r)-minors of M are taken with fraction-free Bareiss determinants,
 deduplicated first by submatrix content and then up to sign.  Third, they
-go into a lattice: a principal k-minor f of tI - A is a characteristic
-polynomial, monic of degree k and in I_k, so I_k/(f) is a sublattice of
-Z[t]/(f) = Z^k, spanned by the minors times powers of t mod f.  Its
-Hermite normal form, keyed by degree, stops as soon as it holds 1, and
-otherwise gives the reduced Groebner basis with f.  The co-rank is found
+go into the lattice that serves every ideal of Z[t] (ztideal): the part of
+I_k of degree at most k, in Hermite normal form keyed by degree.  A
+principal k-minor f of tI - A is a characteristic polynomial, monic of
+degree k and in I_k; fed first, it is the degree-k row, and every minor
+and every t-multiple of a row is reduced mod f on the way in.  The form
+stops as soon as it holds 1, and otherwise gives the reduced Groebner
+basis.  The co-rank is found
 top-down from an upper bound read off integer Smith forms, so most graphs
 need one trivial ideal and none needs a nontrivial basis.
 """
@@ -27,13 +29,13 @@ need one trivial ideal and none needs a nontrivial basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import prod
 
 from .graphs import Graph, bits
 from .intlinalg import ConsistencyError, IntMatrix, InvariantFactors, snf_diagonal
 from .zpoly import ONE, T, ZERO, ZPoly
-from .ztideal import IdealZt, _canonicalize, _hnf_insert, reduce
+from .ztideal import IdealZt, _canonicalize, _lattice, reduce
 
 _UNITS = (ONE, -ONE)
 
@@ -117,46 +119,6 @@ def _minors(pres, k):
                 yield p
 
 
-def _lattice(f, gens):
-    """Degree-keyed HNF rows of <f, gens>/(f) in Z^k, k = deg f, for monic
-    f; None when the ideal is the unit ideal.
-
-    Z[t]/(f) is Z^k with basis 1, t, ..., t^(k-1), and the ideal is the
-    sublattice spanned by t^i g mod f for i < k.  The multiples of one g
-    stop at the first the lattice already holds: the lattice of the earlier
-    generators is t-stable, so every later multiple lies in it too.  Once
-    the rank is full, the determinant D (the product of the leading
-    entries) is in the ideal, so D * Z^k lies in the lattice and entries
-    are kept mod D.  1 is in the ideal exactly when the degree-0 row is 1.
-    """
-    k = len(f) - 1
-    rows = [None] * k
-    mod = 0
-    for g in gens:
-        v = list(g)
-        for d in range(len(v) - 1, k - 1, -1):
-            c = v.pop()
-            if c:
-                for i in range(k):
-                    v[d - k + i] -= c * f[i]
-        for _ in range(k):
-            if not _hnf_insert(rows, v, mod):
-                break
-            if rows[0] == [1]:
-                return None
-            if None not in rows:
-                det = prod(row[-1] for row in rows)
-                if det != mod:
-                    mod = det
-                    for row in rows:
-                        row[:-1] = [e % mod for e in row[:-1]]
-            v = [0] + v
-            if len(v) > k:
-                c = v.pop()
-                v = [x - c * y for x, y in zip(v, f)]
-    return rows
-
-
 def _principal_minor(g, k):
     """det(tI - A) over the first k vertices of g, by Faddeev-LeVerrier:
     with M_1 = I, c_(k-i) = -tr(A M_i) / i and M_(i+1) = A M_i + c_(k-i) I.
@@ -174,24 +136,21 @@ def _principal_minor(g, k):
     return ZPoly(coeffs)
 
 
-def _ideal_lattice(g, pres, k):
-    """(f, rows): f a principal k-minor of tI - A(g), monic of degree k,
-    and rows the lattice of the k-th characteristic ideal modulo f; None
-    when that ideal is the unit ideal."""
+def _ideal_rows(g, pres, k):
+    """HNF rows of the k-th characteristic ideal cut down to degree k
+    (ztideal._lattice); rows[0] == [1] when it is the unit ideal.
+
+    The first generator is a principal k-minor f, monic of degree k, so it
+    is the degree-k row and reduces every minor and t-multiple mod f.
+    """
     if k <= pres[1]:
-        return None
-    f = _principal_minor(g, k)
-    rows = _lattice(f, _minors(pres, k))
-    return None if rows is None else (f, rows)
+        return [[1]]
+    return _lattice(chain((_principal_minor(g, k),), _minors(pres, k)), k)
 
 
 def _basis(g, pres, k):
     """Reduced strong Groebner basis of the k-th characteristic ideal."""
-    found = _ideal_lattice(g, pres, k)
-    if found is None:
-        return (ONE,)
-    f, rows = found
-    return _canonicalize([f] + [ZPoly(row) for row in rows if row])
+    return _canonicalize(_ideal_rows(g, pres, k))
 
 
 def _check_index(g, k):
@@ -232,7 +191,7 @@ def algebraic_corank(g):
     pres = _pruned_presentation(g)
     r = pres[1]
     for k in range(_corank_bound(pres), r, -1):
-        if _ideal_lattice(g, pres, k) is None:
+        if _ideal_rows(g, pres, k)[0] == [1]:
             return k
     return r
 

@@ -1,12 +1,30 @@
 """Ideals of Z[t]: strong Groebner bases, reduction, membership, evaluation.
 
 With a single variable the monomial order is forced (by degree), but the
-coefficient ring Z is only Euclidean, so completion has to close the basis
-under both S-polynomials (lcm of the leading coefficients at the common
-degree) and gcd-polynomials (a Bezout combination realising the coefficient
-gcd at the higher degree).  A reduced basis then looks like a staircase
-g_1, ..., g_s with strictly increasing degrees and positive leading
-coefficients c_1, c_2 | c_1, ..., each properly dividing the previous one.
+coefficient ring Z is only Euclidean.  A reduced strong Groebner basis
+looks like a staircase g_1, ..., g_s with strictly increasing degrees and
+positive leading coefficients c_1, c_2 | c_1, ..., each properly dividing
+the previous one.
+
+Every basis comes from one lattice.  Let D be the largest degree of the
+generators of an ideal I, and L the smallest lattice in Z^(D+1) (the
+coefficients of 1, t, ..., t^D) that holds the generators and holds t*r
+for each of its elements r of degree below D.  L lies in I, and I is the
+Z[t]-span of L.  Let h be the row of degree D of the Hermite normal form
+of L (a generator has degree D).  Closure puts t*L into L + Z*t*h, so
+I = L + Z*t*h + Z*t^2*h + ..., and a nonzero element of the second part
+has degree above D.  Hence L is I cut down to degree D, the leading
+coefficients of I in degree d > D are the multiples of the leading
+coefficient of h, and the degree-keyed rows of L are a strong Groebner
+basis: completion never raises a degree above D.
+
+`_lattice` builds those rows with `_hnf_insert`.  An insert that grows
+the lattice queues t*r for every row it created or replaced; the other
+rows keep their multiples.  It stops once the degree-0 row is 1, and
+once the rank is full it keeps entries modulo the determinant, since the
+lattice then contains that multiple of Z^(D+1).  `_canonicalize` turns
+the rows into the reduced basis.  Characteristic ideals (graph_ideals)
+use the same routine with a monic generator of degree D.
 
 Coefficient division uses the balanced remainder r in (-m/2, m/2], positive
 on ties, which pins down a unique canonical basis per ideal.
@@ -14,7 +32,7 @@ on ties, which pins down a unique canonical basis per ideal.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
 
 from .zpoly import ONE, ZPoly
 
@@ -45,22 +63,24 @@ def _hnf_insert(rows, v, mod):
     most len(rows) entries, consumed.  An xgcd on the leading entries folds
     v into the row at its degree and sends the remainder on down.  When mod
     is nonzero the lattice contains mod * Z^len(rows), so entries other than
-    the leading ones are reduced mod it.  Returns whether the lattice grew.
+    the leading ones are reduced mod it.  Returns the degrees of the rows
+    it created or replaced, highest first: empty when v was in the lattice.
     """
-    grew = False
+    changed = []
     if mod:
         v = [c % mod for c in v]
     while True:
         while v and not v[-1]:
             v.pop()
         if not v:
-            return grew
+            return changed
         d = len(v) - 1
         row = rows[d]
         c = v[d]
         if row is None:
             rows[d] = v if c > 0 else [-x for x in v]
-            return True
+            changed.append(d)
+            return changed
         a = row[d]
         if c % a == 0:
             q = c // a
@@ -76,9 +96,36 @@ def _hnf_insert(rows, v, mod):
             if mod:
                 new[:d] = [e % mod for e in new[:d]]
             rows[d] = new
-            grew = True
+            changed.append(d)
         if mod:
             v = [e % mod for e in v]
+
+
+def _lattice(gens, deg):
+    """Degree-keyed HNF rows of the smallest lattice in Z^(deg+1) that holds
+    the generators (of degree at most deg) and t*r for each of its rows r
+    of degree below deg; rows[d] is None where no element has degree d.
+
+    Stops early, with rows[0] == [1], when the lattice holds 1.
+    """
+    rows = [None] * (deg + 1)
+    mod = 0
+    for g in gens:
+        queue = [list(g)]
+        while queue:
+            changed = _hnf_insert(rows, queue.pop(), mod)
+            if not changed:
+                continue
+            if rows[0] == [1]:
+                return rows
+            if None not in rows:
+                det = prod(row[-1] for row in rows)
+                if det != mod:
+                    mod = det
+                    for row in rows:
+                        row[:-1] = [e % mod for e in row[:-1]]
+            queue.extend([0] + rows[d] for d in changed if d < deg)
+    return rows
 
 
 def reduce(p, basis):
@@ -116,27 +163,10 @@ def reduce(p, basis):
     return ZPoly(work)
 
 
-def _pair_candidates(f, g):
-    # S-polynomial always; gcd-polynomial only when neither lc divides the other.
-    if len(f) < len(g):
-        f, g = g, f
-    cf, cg = f[-1], g[-1]
-    s = len(f) - len(g)
-    gs = g.shifted(s)
-    if cf % cg == 0:
-        yield f - gs * (cf // cg)
-    elif cg % cf == 0:
-        yield f * (cg // cf) - gs
-    else:
-        d = gcd(cf, cg)
-        l = cf // d * cg
-        yield f * (l // cf) - gs * (l // cg)
-        _, u, v = _xgcd(cf, cg)
-        yield f * u + gs * v
-
-
 def _canonicalize(polys):
-    polys = [p if p[-1] > 0 else -p for p in polys if p]
+    """The reduced basis from a strong Groebner basis given as coefficient
+    sequences; falsy entries (zero, None) are skipped."""
+    polys = [ZPoly(p) if p[-1] > 0 else -ZPoly(p) for p in polys if p]
     if any(p == (1,) for p in polys):
         return (ONE,)
     polys.sort(key=lambda p: (len(p), p[-1]))
@@ -161,58 +191,39 @@ def _canonicalize(polys):
 class GroebnerBuilder:
     """Incrementally maintained reduced strong Groebner basis.
 
-    Generators may be fed one at a time; the basis is interreduced after
-    every insertion and `add` reports whether the ideal actually grew.
-    Callers streaming many generators (minor enumerations) should stop as
-    soon as `is_unit` turns true.
+    Generators may be fed one at a time; `add` reports whether the ideal
+    actually grew, and when it did recomputes the basis from the former
+    basis and the new generator.
     """
 
     __slots__ = ("_basis",)
 
     def __init__(self, gens=()):
-        self._basis = []
+        self._basis = ()
         for g in gens:
             self.add(g)
 
     @property
     def basis(self):
-        return tuple(self._basis)
+        return self._basis
 
     @property
     def is_unit(self):
-        return len(self._basis) == 1 and self._basis[0] == (1,)
+        return self._basis == (ONE,)
 
     def add(self, p):
-        p = p if isinstance(p, ZPoly) else ZPoly(p)
-        h = reduce(p, self._basis)
-        if not h:
+        if not reduce(p, self._basis):
             return False
-        work = list(self._basis)
-        pending = [h]
-        while pending:
-            h = reduce(pending.pop(), work)
-            if not h:
-                continue
-            if h[-1] < 0:
-                h = -h
-            if h == (1,):
-                work = [ONE]
-                break
-            for g in work:
-                pending.extend(_pair_candidates(h, g))
-            work.append(h)
-        self._basis = list(_canonicalize(work))
+        self._basis = strong_groebner(self._basis + (p,))
         return True
 
 
 def strong_groebner(gens):
     """Reduced strong Groebner basis of <gens>; () for the zero ideal, (1) for the unit."""
-    builder = GroebnerBuilder()
-    for g in gens:
-        builder.add(g)
-        if builder.is_unit:
-            break
-    return builder.basis
+    gens = [g for g in map(ZPoly, gens) if g]
+    if not gens:
+        return ()
+    return _canonicalize(_lattice(gens, max(map(len, gens)) - 1))
 
 
 class IdealZt:
@@ -230,10 +241,6 @@ class IdealZt:
     @classmethod
     def zero(cls):
         return cls(basis=())
-
-    @classmethod
-    def principal(cls, p):
-        return cls((p,))
 
     def is_trivial(self):
         return self.basis == (ONE,)

@@ -11,7 +11,9 @@ return the same embedding; canonical labelling by refinement on colour
 tuples with only twins pruned, whose forms the automorphism-pruned search
 must reproduce byte for byte; and enumeration that augments a
 representative by every neighbourhood of a new vertex and deduplicates by
-canonical form.
+canonical form; and Buchberger completion of ideals of Z[t] by S- and
+gcd-polynomials, for the lattice that replaced it, which shares only
+polynomial reduction and the final interreduction with the package.
 """
 
 from itertools import combinations, permutations
@@ -20,6 +22,8 @@ from math import gcd
 from charideals.graphs import Graph, bits, parse_graph6, to_graph6
 from charideals.intlinalg import det_int
 from charideals.isomorphism import _pattern_order
+from charideals.zpoly import ONE
+from charideals.ztideal import _canonicalize, _xgcd, reduce
 
 
 def perm_sign(perm):
@@ -391,3 +395,52 @@ def _level(n):
         out = tuple(sorted(found))
     _LEVELS[n] = out
     return out
+
+
+# -- Buchberger completion of ideals of Z[t] ----------------------------------
+
+def _pair_candidates(f, g):
+    # S-polynomial always; gcd-polynomial only when neither lc divides the other.
+    if len(f) < len(g):
+        f, g = g, f
+    cf, cg = f[-1], g[-1]
+    s = len(f) - len(g)
+    gs = g.shifted(s)
+    if cf % cg == 0:
+        yield f - gs * (cf // cg)
+    elif cg % cf == 0:
+        yield f * (cg // cf) - gs
+    else:
+        d = gcd(cf, cg)
+        l = cf // d * cg
+        yield f * (l // cf) - gs * (l // cg)
+        _, u, v = _xgcd(cf, cg)
+        yield f * u + gs * v
+
+
+def strong_groebner(gens):
+    """Reduced strong Groebner basis of <gens>, each generator added in turn
+    and the basis closed under S- and gcd-polynomials of every pair."""
+    basis = []
+    for p in gens:
+        h = reduce(p, basis)
+        if not h:
+            continue
+        work = list(basis)
+        pending = [h]
+        while pending:
+            h = reduce(pending.pop(), work)
+            if not h:
+                continue
+            if h[-1] < 0:
+                h = -h
+            if h == (1,):
+                work = [ONE]
+                break
+            for g in work:
+                pending.extend(_pair_candidates(h, g))
+            work.append(h)
+        basis = list(_canonicalize(work))
+        if basis == [ONE]:
+            break
+    return tuple(basis)

@@ -17,7 +17,6 @@ from charideals.graph_ideals import (_char_matrix, _corank_bound, _minors, _poly
 from charideals.graphs import Graph
 from charideals.mining import enumerate_connected
 from charideals.zpoly import ONE
-from charideals.ztideal import strong_groebner
 
 import oracles
 from oracles import _distinct_k_minor_polys
@@ -217,7 +216,7 @@ def test_all_k_minors_fast_path_matches_enumeration():
 def _oracle_basis(g, k):
     polys = {c if c[-1] > 0 else tuple(-x for x in c)
              for c in _distinct_k_minor_polys(g, k) if c}
-    return strong_groebner(ZPoly(c) for c in polys)
+    return oracles.strong_groebner(ZPoly(c) for c in polys)
 
 
 def _assert_engine_matches_oracle(g, ks):
@@ -313,7 +312,7 @@ def test_corank_top_down_matches_bottom_up_oracle():
 def test_corank_between_bounds_on_larger_graphs():
     # the co-rank lies between the unit pivots and the evaluation bound, is
     # at most the unit invariant factors of aI - A at every point, and the
-    # Groebner builder fed the minors agrees: I_gamma trivial, I_gamma+1 not
+    # Buchberger completion of the minors agrees: I_gamma trivial, I_gamma+1 not
     rng = random.Random(109)
     for _ in range(40):
         g = oracles.random_connected_graph(rng, rng.randint(8, 9), rng.choice((0.3, 0.5, 0.7)))
@@ -324,9 +323,9 @@ def test_corank_between_bounds_on_larger_graphs():
             mat = [[(a if i == j else 0) - g.has_edge(i, j) for j in range(g.n)]
                    for i in range(g.n)]
             assert gamma <= count_unit_factors(IntMatrix(mat)), (g, a)
-        assert strong_groebner(_minors(pres, gamma)) == (ONE,), g
+        assert oracles.strong_groebner(_minors(pres, gamma)) == (ONE,), g
         if gamma < g.n:
-            assert strong_groebner(_minors(pres, gamma + 1)) != (ONE,), g
+            assert oracles.strong_groebner(_minors(pres, gamma + 1)) != (ONE,), g
 
 
 def test_principal_minor_is_the_characteristic_polynomial():

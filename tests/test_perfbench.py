@@ -1,15 +1,20 @@
 """The benchmark harness in perfbench/ against the library in src/.
 
 The harness imports, calls and patches library names; running one traced
-ideal-chain round here makes an API change that breaks it fail in the
-test suite rather than only in the benchmark.
+ideal-chain round and one traced CLI run here makes an API change that
+breaks it fail in the test suite rather than only in the benchmark.
 """
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from charideals import ztideal
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_ideal_chain_round_traced_and_untraced(monkeypatch):
@@ -25,3 +30,21 @@ def test_ideal_chain_round_traced_and_untraced(monkeypatch):
     # patched and restored, though the lattice engine makes no call to it
     assert "ztideal.GroebnerBuilder.add" in records
     assert ztideal.GroebnerBuilder.add is add
+
+
+def test_traced_cli_lists_the_wrapped_functions():
+    # a subprocess, because the traced CLI leaves its tracer installed
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "child.py"), "cli", "mine", "--stat", "gammaA",
+         "--k", "1", "--max-n", "4"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    mark = "PERFBENCH-TRACE "
+    lines = [line for line in proc.stdout.splitlines() if line.startswith(mark)]
+    assert len(lines) == 1, proc.stdout
+    records = json.loads(lines[0][len(mark):])["records"]
+    assert "ztideal.GroebnerBuilder.add" in records
+    assert "isomorphism.find_induced" in records

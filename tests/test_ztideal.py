@@ -4,6 +4,8 @@ from math import gcd
 from charideals.zpoly import ONE, ZPoly
 from charideals.ztideal import GroebnerBuilder, IdealZt, reduce, strong_groebner
 
+import oracles
+
 
 def P(*coeffs):
     return ZPoly(coeffs)
@@ -29,6 +31,28 @@ def test_groebner_unit_from_paw_minors():
 
 def test_groebner_principal_stays_put():
     assert strong_groebner([P(-1, 1, 1)]) == (P(-1, 1, 1),)
+
+
+def test_groebner_requeues_t_multiples_of_new_rows():
+    # the t-multiples of the generators alone span a lattice that misses
+    # t times the rows the two generators combine into
+    assert strong_groebner([P(-7, 2, 9, -8), P(8, -1, 6, -1)]) == (
+        P(105016), P(-13256, 8), P(33961, 2, 1))
+
+
+def test_groebner_matches_buchberger_on_random_sets():
+    rng = random.Random(53)
+    cases = [[], [P(), P()], [P(1, -1, -1), P(0, 1, 1)], [P(-7, 2, 9, -8), P(8, -1, 6, -1)]]
+    while len(cases) < 2000:
+        top = rng.randint(0, 6)
+        gens = [ZPoly([rng.randint(-9, 9) for _ in range(rng.randint(0, top + 1))])
+                for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.3:
+            content = rng.randint(2, 12)
+            gens = [g * content for g in gens]
+        cases.append(gens)
+    for gens in cases:
+        assert strong_groebner(gens) == oracles.strong_groebner(gens), gens
 
 
 def test_groebner_idempotent_and_order_free():

@@ -47,23 +47,23 @@ _PATTERNS = {
     "k5-e": complete_minus_edge(5),
 }
 
-_S_FORBIDDEN = {1: ("p2",), 2: ("p4", "paw", "k4"), 3: ("p4", "paw", "k5")}
-_C_FORBIDDEN = {1: ("p3",), 2: ("p4", "paw", "k5-e")}
 
-_S4_PATTERNS = tuple(parse_graph6(s) for s in FORBIDDEN_S4)
-
-
-def _find_forbidden(g, names):
-    for name in names:
-        emb = find_induced(g, _PATTERNS[name])
-        if emb is not None:
-            return name, emb
-    return None
+def _named(*names):
+    return tuple((name, _PATTERNS[name]) for name in names)
 
 
-def _find_family_f(g):
-    for name in sorted(FAMILY_F):
-        emb = find_induced(g, FAMILY_F[name])
+# (name, pattern) tuples in search order
+_S_FORBIDDEN = {1: _named("p2"), 2: _named("p4", "paw", "k4"), 3: _named("p4", "paw", "k5")}
+_C_FORBIDDEN = {1: _named("p3"), 2: _named("p4", "paw", "k5-e"),
+                3: tuple((name, FAMILY_F[name]) for name in sorted(FAMILY_F))}
+_S4_FORBIDDEN = tuple((s, parse_graph6(s)) for s in FORBIDDEN_S4)
+
+
+def _first_hit(g, patterns):
+    """(name, embedding) for the first pattern that g holds as an induced
+    subgraph, or None."""
+    for name, pat in patterns:
+        emb = find_induced(g, pat)
         if emb is not None:
             return name, emb
     return None
@@ -159,7 +159,7 @@ def is_S_leq(g, k, _phi=None):
     _check_connected(g)
     phi = count_unit_factors(adjacency_matrix(g)) if _phi is None else _phi
     member = phi <= k
-    hit = _find_forbidden(g, _S_FORBIDDEN[k])
+    hit = _first_hit(g, _S_FORBIDDEN[k])
     structural = _structural_s(g, k)
     _routes_agree(g, f"S<={k}", member, hit, structural)
     return member, _certificate(member, structural, hit, {"phi_adjacency": phi})
@@ -172,7 +172,7 @@ def is_C_leq(g, k, _gamma=None):
     _check_connected(g)
     gamma = algebraic_corank(g) if _gamma is None else _gamma
     member = gamma <= k
-    hit = _find_forbidden(g, _C_FORBIDDEN[k]) if k <= 2 else _find_family_f(g)
+    hit = _first_hit(g, _C_FORBIDDEN[k])
     structural = _structural_c(g, k)
     _routes_agree(g, f"C<={k}", member, hit, structural)
     return member, _certificate(member, structural, hit, {"corank": gamma})
@@ -225,13 +225,7 @@ def _s4_partial(g, snf):
     member = phi <= 4
     cert = {"phi_adjacency": phi, "route": "partial",
             "invariant_factors": list(snf.factors)}
-    hit = None
-    if g.n >= 6:
-        for idx, pat in enumerate(_S4_PATTERNS):
-            emb = find_induced(g, pat)
-            if emb is not None:
-                hit = (FORBIDDEN_S4[idx], emb)
-                break
+    hit = _first_hit(g, _S4_FORBIDDEN)
     if hit is not None:
         if member:
             raise RouteDisagreement(canonical_form(g), "S<=4", {

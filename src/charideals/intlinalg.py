@@ -1,5 +1,9 @@
 """Exact integer matrices: Smith normal form, minor gcds, invariant factors.
 
+The Smith form is one pivot loop followed by a gcd/lcm pass over the
+recorded pivots; the minor gcds enumerate minors directly and are the
+independent route it is checked against.
+
 Everything runs on Python's arbitrary-precision integers, so coefficient
 growth can cost time and memory but never correctness.
 """
@@ -8,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 
 class ConsistencyError(RuntimeError):
@@ -77,7 +81,9 @@ class InvariantFactors:
     def __eq__(self, other):
         if isinstance(other, InvariantFactors):
             return self.factors == other.factors
-        return self.factors == tuple(other)
+        if isinstance(other, (tuple, list)):
+            return self.factors == tuple(other)
+        return NotImplemented
 
     def __hash__(self):
         return hash(self.factors)
@@ -138,90 +144,47 @@ def det_int(mat):
 def snf_diagonal(m):
     """Diagonal of the Smith normal form, zero-padded to min(rows, cols).
 
-    Elimination picks the nonzero pivot of minimal absolute value in the
-    remaining submatrix, which keeps coefficient growth tame on the dense
-    +-1 matrices this project feeds it.
+    One loop: the nonzero entry of least absolute value is the pivot, and
+    its column and its row are floor-reduced by it.  When both are clear,
+    |pivot| is recorded and its row and column are deleted; otherwise a
+    nonzero remainder is a smaller pivot for the next pass.  Least pivots
+    keep coefficient growth tame on the dense +-1 matrices this project
+    feeds it.  A gcd/lcm pass puts the recorded pivots in divisibility
+    order, since diag(a, b) and diag(gcd, lcm) have the same Smith form.
     """
     a = m.to_lists()
-    nr, nc = m.rows, m.cols
-    size = min(nr, nc)
     diag = []
-    k = 0
-    while k < size:
-        pi = pj = -1
+    while True:
         best = 0
-        for i in range(k, nr):
-            row = a[i]
-            for j in range(k, nc):
-                v = row[j]
-                if v:
-                    v = -v if v < 0 else v
-                    if not best or v < best:
-                        best, pi, pj = v, i, j
-                        if v == 1:
-                            break
+        for i, row in enumerate(a):
+            for j, v in enumerate(row):
+                if v and (not best or abs(v) < best):
+                    best, pi, pj = abs(v), i, j
             if best == 1:
                 break
-        if pi < 0:
+        if not best:
             break
-        a[k], a[pi] = a[pi], a[k]
-        if pj != k:
+        prow = a[pi]
+        p = prow[pj]
+        for row in a:
+            if row[pj] and row is not prow:
+                q = row[pj] // p
+                row[:] = [x - q * y for x, y in zip(row, prow)]
+        col = [row for row in a if row[pj]]
+        for j, v in enumerate(prow):
+            if v and j != pj:
+                q = v // p
+                for row in col:
+                    row[j] -= q * row[pj]
+        if len(col) == 1 and prow.count(0) == len(prow) - 1:
+            diag.append(best)
+            del a[pi]
             for row in a:
-                row[k], row[pj] = row[pj], row[k]
-        if a[k][k] < 0:
-            a[k] = [-v for v in a[k]]
-        while True:
-            p = a[k][k]
-            restart = False
-            for i in range(k + 1, nr):
-                v = a[i][k]
-                if v:
-                    q, r = divmod(v, p)
-                    rk = a[k]
-                    ri = a[i]
-                    for j in range(k, nc):
-                        ri[j] -= q * rk[j]
-                    if r:
-                        a[k], a[i] = a[i], a[k]
-                        restart = True
-                        break
-            if restart:
-                if a[k][k] < 0:
-                    a[k] = [-v for v in a[k]]
-                continue
-            for j in range(k + 1, nc):
-                v = a[k][j]
-                if v:
-                    q, r = divmod(v, p)
-                    for row in a:
-                        row[j] -= q * row[k]
-                    if r:
-                        for row in a:
-                            row[k], row[j] = row[j], row[k]
-                        restart = True
-                        break
-            if restart:
-                if a[k][k] < 0:
-                    a[k] = [-v for v in a[k]]
-                continue
-            off = None
-            for i in range(k + 1, nr):
-                ri = a[i]
-                for j in range(k + 1, nc):
-                    if ri[j] % p:
-                        off = i
-                        break
-                if off is not None:
-                    break
-            if off is None:
-                break
-            rk = a[k]
-            ro = a[off]
-            for j in range(k, nc):
-                rk[j] += ro[j]
-        diag.append(a[k][k])
-        k += 1
-    diag.extend([0] * (size - len(diag)))
+                del row[pj]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            diag[i], diag[j] = gcd(diag[i], diag[j]), lcm(diag[i], diag[j])
+    diag.extend([0] * (min(m.rows, m.cols) - len(diag)))
     return InvariantFactors(tuple(diag))
 
 

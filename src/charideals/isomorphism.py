@@ -173,14 +173,9 @@ def _label(adj):
     return tuple(best[1]), [p for p, _ in gens]
 
 
-def canonical_order(g):
-    """A relabelling order realising the canonical form."""
-    return _label(g.adj)[0]
-
-
 def canonical_form(g):
     """graph6 of a canonically relabelled copy; equal iff graphs isomorphic."""
-    return to_graph6(g.relabelled(canonical_order(g)))
+    return to_graph6(g.relabelled(_label(g.adj)[0]))
 
 
 def is_isomorphic(g, h):

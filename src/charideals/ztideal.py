@@ -22,12 +22,16 @@ basis: completion never raises a degree above D.
 the lattice queues t*r for every row it created or replaced; the other
 rows keep their multiples.  It stops once the degree-0 row is 1, and
 once the rank is full it keeps entries modulo the determinant, since the
-lattice then contains that multiple of Z^(D+1).  `_canonicalize` turns
-the rows into the reduced basis.  Characteristic ideals (graph_ideals)
-use the same routine with a monic generator of degree D.
+lattice then contains that multiple of Z^(D+1).  Characteristic ideals
+(graph_ideals) use the same routine with a monic generator of degree D.
 
-Coefficient division uses the balanced remainder r in (-m/2, m/2], positive
-on ties, which pins down a unique canonical basis per ideal.
+The leading coefficients of the rows weakly fall with the degree, as t*r
+is in L, so `_canonicalize` reads the reduced basis straight off them:
+the rows at the degrees where the leading coefficient drops, each reduced
+by the kept rows below it.  `reduce` takes such a reduced basis and walks
+a polynomial once from its top degree down.  Coefficient division uses
+the balanced remainder r in (-m/2, m/2], positive on ties, which pins
+down a unique canonical basis per ideal.
 """
 
 from __future__ import annotations
@@ -129,63 +133,40 @@ def _lattice(gens, deg):
 
 
 def reduce(p, basis):
-    """Normal form of p modulo a strong Groebner basis.
+    """Normal form of p modulo a reduced strong Groebner basis.
 
-    Zero exactly when p lies in the ideal the basis generates.  Every
-    surviving coefficient is balanced-reduced against every basis leading
-    coefficient applicable at its degree.
+    Zero exactly when p lies in the ideal the basis generates.  One walk
+    from the top degree down balanced-reduces the coefficient at each
+    degree d by the basis element of highest degree at most d, whose
+    leading coefficient is the least one applicable there; that step only
+    changes degree d and below.
     """
-    p = p if isinstance(p, ZPoly) else ZPoly(p)
-    if not basis or not p:
-        return p
-    info = sorted(((len(g) - 1, g[-1] if g[-1] > 0 else -g[-1], g if g[-1] > 0 else -g)
-                   for g in basis if g), key=lambda x: -x[0])
-    if not info:
-        return p
     work = list(p)
+    i = len(basis) - 1
     for d in range(len(work) - 1, -1, -1):
-        if not work[d]:
-            continue
-        changed = True
-        while changed and work[d]:
-            changed = False
-            for dg, cg, g in info:
-                if dg > d:
-                    continue
-                q, _ = _bal_div(work[d], cg)
-                if q:
-                    s = d - dg
-                    for i, b in enumerate(g):
-                        work[s + i] -= q * b
-                    changed = True
-                if not work[d]:
-                    break
+        while i >= 0 and len(basis[i]) > d + 1:
+            i -= 1
+        if i < 0:
+            break
+        g = basis[i]
+        q, _ = _bal_div(work[d], g[-1])
+        if q:
+            s = d + 1 - len(g)
+            for j, b in enumerate(g):
+                work[s + j] -= q * b
     return ZPoly(work)
 
 
-def _canonicalize(polys):
-    """The reduced basis from a strong Groebner basis given as coefficient
-    sequences; falsy entries (zero, None) are skipped."""
-    polys = [ZPoly(p) if p[-1] > 0 else -ZPoly(p) for p in polys if p]
-    if any(p == (1,) for p in polys):
+def _canonicalize(rows):
+    """The reduced basis read off the degree-keyed rows of `_lattice`: the
+    rows where the leading coefficient drops, each reduced by those below."""
+    if rows[0] == [1]:
         return (ONE,)
-    polys.sort(key=lambda p: (len(p), p[-1]))
-    kept = []
-    for p in polys:
-        dp, cp = len(p) - 1, p[-1]
-        if not any(len(g) - 1 <= dp and cp % g[-1] == 0 for g in kept):
-            kept.append(p)
-    while True:
-        changed = False
-        for i, p in enumerate(kept):
-            q = reduce(p, kept[:i] + kept[i + 1:])
-            if q != p:
-                kept[i] = q if q[-1] > 0 else -q
-                changed = True
-        if not changed:
-            break
-    kept.sort(key=lambda p: (len(p), tuple(p)))
-    return tuple(kept)
+    basis = []
+    for row in rows:
+        if row is not None and (not basis or row[-1] != basis[-1][-1]):
+            basis.append(reduce(row, basis))
+    return tuple(basis)
 
 
 class GroebnerBuilder:
@@ -227,12 +208,18 @@ def strong_groebner(gens):
 
 
 class IdealZt:
-    """An ideal of Z[t], held as its reduced strong Groebner basis."""
+    """An ideal of Z[t], held as its reduced strong Groebner basis; `basis=`
+    takes such a basis as it is, and rejects one that is not a staircase."""
 
     __slots__ = ("basis",)
 
     def __init__(self, generators=(), basis=None):
         self.basis = strong_groebner(generators) if basis is None else tuple(basis)
+        steps = [(len(g), g[-1]) if g else (0, 0) for g in self.basis]
+        if any(c <= 0 for _, c in steps) or any(
+                d >= e or b % c or b == c for (d, b), (e, c) in zip(steps, steps[1:])):
+            raise ValueError("basis must have rising degrees, each leading coefficient "
+                             "a positive proper divisor of the one before")
 
     @classmethod
     def unit(cls):

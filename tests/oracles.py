@@ -2,7 +2,7 @@
 
 Deliberately naive: permutation-expansion determinants, exhaustive subset
 search, and throwaway polynomial arithmetic on plain lists, sharing no code
-with the package paths they check.  The last two sections keep former
+with the package paths they check.  The later sections keep former
 package routes as references for what replaced them: every k-minor
 position of tI - A walked and deduplicated by submatrix content, for the
 unit-pivot engine; the induced-subgraph search before its plan was cached,
@@ -12,8 +12,11 @@ tuples with only twins pruned, whose forms the automorphism-pruned search
 must reproduce byte for byte; and enumeration that augments a
 representative by every neighbourhood of a new vertex and deduplicates by
 canonical form; and Buchberger completion of ideals of Z[t] by S- and
-gcd-polynomials, for the lattice that replaced it, which shares only
-polynomial reduction and the final interreduction with the package.
+gcd-polynomials, for the lattice that replaced it, with its own copies of
+the general reduction and interreduction it runs on unreduced bases.
+Those copies are also the references for the package's one-pass
+reduction, which only takes reduced bases, and for its reading of the
+reduced basis off the lattice rows.
 """
 
 from itertools import combinations, permutations
@@ -22,8 +25,7 @@ from math import gcd
 from charideals.graphs import Graph, bits, parse_graph6, to_graph6
 from charideals.intlinalg import det_int
 from charideals.isomorphism import _pattern_order
-from charideals.zpoly import ONE
-from charideals.ztideal import _canonicalize, _xgcd, reduce
+from charideals.zpoly import ONE, ZPoly
 
 
 def perm_sign(perm):
@@ -47,12 +49,13 @@ def perm_det(mat):
     n = len(mat)
     total = 0
     for perm in permutations(range(n)):
-        term = perm_sign(perm)
+        term = 1
         for i in range(n):
             term *= mat[i][perm[i]]
             if term == 0:
                 break
-        total += term
+        if term:
+            total += perm_sign(perm) * term
     return total
 
 
@@ -124,6 +127,8 @@ def brute_minor_gcd(mat_lists, k):
         for cc in combinations(range(cols), k):
             sub = [[mat_lists[i][j] for j in cc] for i in rr]
             g = gcd(g, perm_det(sub))
+            if g == 1:
+                return 1
     return g
 
 
@@ -398,6 +403,84 @@ def _level(n):
 
 
 # -- Buchberger completion of ideals of Z[t] ----------------------------------
+
+def _bal_div(c, m):
+    """Balanced division by m > 0: (q, r) with c = q*m + r, r in (-m/2, m/2]."""
+    r = c % m
+    if 2 * r > m:
+        r -= m
+    return (c - r) // m, r
+
+
+def _xgcd(a, b):
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
+
+
+def reduce(p, basis):
+    """Normal form of p modulo a strong Groebner basis.
+
+    Zero exactly when p lies in the ideal the basis generates.  Every
+    surviving coefficient is balanced-reduced against every basis leading
+    coefficient applicable at its degree.
+    """
+    p = p if isinstance(p, ZPoly) else ZPoly(p)
+    if not basis or not p:
+        return p
+    info = sorted(((len(g) - 1, g[-1] if g[-1] > 0 else -g[-1], g if g[-1] > 0 else -g)
+                   for g in basis if g), key=lambda x: -x[0])
+    if not info:
+        return p
+    work = list(p)
+    for d in range(len(work) - 1, -1, -1):
+        if not work[d]:
+            continue
+        changed = True
+        while changed and work[d]:
+            changed = False
+            for dg, cg, g in info:
+                if dg > d:
+                    continue
+                q, _ = _bal_div(work[d], cg)
+                if q:
+                    s = d - dg
+                    for i, b in enumerate(g):
+                        work[s + i] -= q * b
+                    changed = True
+                if not work[d]:
+                    break
+    return ZPoly(work)
+
+
+def _canonicalize(polys):
+    """The reduced basis from a strong Groebner basis given as coefficient
+    sequences; falsy entries (zero, None) are skipped."""
+    polys = [ZPoly(p) if p[-1] > 0 else -ZPoly(p) for p in polys if p]
+    if any(p == (1,) for p in polys):
+        return (ONE,)
+    polys.sort(key=lambda p: (len(p), p[-1]))
+    kept = []
+    for p in polys:
+        dp, cp = len(p) - 1, p[-1]
+        if not any(len(g) - 1 <= dp and cp % g[-1] == 0 for g in kept):
+            kept.append(p)
+    while True:
+        changed = False
+        for i, p in enumerate(kept):
+            q = reduce(p, kept[:i] + kept[i + 1:])
+            if q != p:
+                kept[i] = q if q[-1] > 0 else -q
+                changed = True
+        if not changed:
+            break
+    kept.sort(key=lambda p: (len(p), tuple(p)))
+    return tuple(kept)
+
 
 def _pair_candidates(f, g):
     # S-polynomial always; gcd-polynomial only when neither lc divides the other.

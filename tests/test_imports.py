@@ -53,3 +53,20 @@ def test_scan_sees_unread_names():
     tree = ast.parse("import os\nfrom a import b, c as d\n__all__ = ['b']\n"
                      "def f():\n    from e import g\n    return d\n")
     assert _unread_imports(tree) == ["line 1: os", "line 5: g"]
+
+
+
+def test_oracles_import_no_kernel_they_check():
+    # the reference routes stay independent of the Smith form and the
+    # ideal routines they are compared with
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    assert "charideals.isomorphism" in modules
+    assert not [m for m in modules | names if m.startswith("charideals.ztideal")]
+    assert not [n for n in names if n.endswith(".snf_diagonal")]

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -6,6 +7,8 @@ from charideals import (ConsistencyError, DeltaSequence, IntMatrix, adjacency_ma
                         count_unit_factors, delta_sequence, gcd_of_k_minors,
                         invariant_factors_from_deltas, lookup, snf_diagonal)
 from charideals.catalog import complete_graph, path_graph
+from charideals.intlinalg import InvariantFactors
+from charideals.mining import enumerate_connected
 
 import oracles
 
@@ -156,10 +159,8 @@ def test_det_int_against_permanuation_expansion():
 
 def test_invariant_factor_validation():
     with pytest.raises(ConsistencyError):
-        from charideals.intlinalg import InvariantFactors
         InvariantFactors((2, 3))
     with pytest.raises(ConsistencyError):
-        from charideals.intlinalg import InvariantFactors
         InvariantFactors((1, 0, 2))
 
 
@@ -170,3 +171,45 @@ def test_snf_of_path_and_complete_sequences():
         assert snf_diagonal(m) == invariant_factors_from_deltas(delta_sequence(m))
         m = adjacency_matrix(path_graph(n))
         assert snf_diagonal(m) == invariant_factors_from_deltas(delta_sequence(m))
+
+
+def test_invariant_factors_compare_with_other_types():
+    f = InvariantFactors((1, 2))
+    assert f == (1, 2) and f == [1, 2] and f == InvariantFactors((1, 2))
+    assert f != (1, 4) and f != [1]
+    assert not f == None  # noqa: E711
+    assert f != 3 and f != "12"
+    assert f not in [None, 0, (2, 1)]
+    assert f in [None, (1, 2)]
+
+
+def _assert_snf_matches_minor_gcds(rows):
+    factors = snf_diagonal(IntMatrix(rows)).factors
+    delta = 1
+    for k, d in enumerate(factors, start=1):
+        delta *= d
+        assert oracles.brute_minor_gcd(rows, k) == delta, (rows, factors)
+
+
+def test_snf_gcd_lcm_pass_on_diagonals():
+    # pivots that come out of the loop without dividing each other
+    assert snf_diagonal(IntMatrix([[4, 0], [0, 6]])) == (2, 12)
+    assert snf_diagonal(IntMatrix([[2, 0, 0], [0, 3, 0], [0, 0, 5]])) == (1, 1, 30)
+    assert snf_diagonal(IntMatrix([[6, 0, 0], [0, 10, 0], [0, 0, 15]])) == (1, 30, 30)
+    for diag in ((4, 6), (2, 3, 5), (6, 10, 15), (12, 8, 0, 9)):
+        n = len(diag)
+        for rp in permutations(range(n)):
+            for cp in permutations(range(n)):
+                rows = [[diag[i] if cp[j] == rp[i] else 0 for j in range(n)]
+                        for i in range(n)]
+                _assert_snf_matches_minor_gcds(rows)
+
+
+def test_snf_of_shifted_adjacency_matches_minor_gcds_up_to_6():
+    # aI - A at the points the co-rank bound reads, on every connected graph
+    for n in range(1, 7):
+        for g in enumerate_connected(n):
+            for a in (0, 1, -1, 2, -2):
+                _assert_snf_matches_minor_gcds(
+                    [[(a if i == j else 0) - (g.adj[i] >> j & 1) for j in range(n)]
+                     for i in range(n)])

@@ -1,8 +1,13 @@
 import random
 from math import gcd
 
+import pytest
+
+from charideals.graph_ideals import _ideal_rows, _minors, _pruned_presentation
+from charideals.mining import enumerate_connected
 from charideals.zpoly import ONE, ZPoly
-from charideals.ztideal import GroebnerBuilder, IdealZt, reduce, strong_groebner
+from charideals.ztideal import (GroebnerBuilder, IdealZt, _canonicalize, _lattice, reduce,
+                                strong_groebner)
 
 import oracles
 
@@ -121,6 +126,14 @@ def test_evaluate_ideal():
     assert IdealZt.unit().evaluate(12345) == 1
     assert IdealZt((P(1, 1), P(3))).evaluate(3 * 4 - 1) == 3
     assert IdealZt.zero().evaluate(5) == 0
+
+
+def test_basis_argument_must_be_a_staircase():
+    assert IdealZt(basis=(P(2), P(0, 1))).contains(P(0, 1))
+    for bad in ((P(0, 1), P(2)), (P(2), P(1, 3)), (P(-2),), (P(3), P(0, 2)), (P(2), P(0, 2)),
+                (P(),)):
+        with pytest.raises(ValueError):
+            IdealZt(basis=bad)
 
 
 def test_generator_normalisation():
@@ -251,3 +264,38 @@ def test_pretty():
     assert IdealZt((P(2), P(0, 1))).pretty() == "⟨2, t⟩"
     assert IdealZt.zero().pretty() == "⟨0⟩"
     assert IdealZt.unit().pretty() == "⟨1⟩"
+
+
+def _assert_one_pass_matches_oracle(rows, probes):
+    basis = _canonicalize(rows)
+    assert basis == oracles._canonicalize(rows), rows
+    for p in probes:
+        assert reduce(p, basis) == oracles.reduce(p, basis), (p, basis)
+
+
+def test_one_pass_kernels_match_oracle_on_random_lattices():
+    rng = random.Random(59)
+    for _ in range(1500):
+        gens = [ZPoly([rng.randint(-20, 20) for _ in range(rng.randint(1, 8))])
+                for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.3:
+            content = rng.randint(2, 30)
+            gens = [g * content for g in gens]
+        gens = [g for g in gens if g]
+        if not gens:
+            continue
+        probes = [ZPoly([rng.randint(-50, 50) for _ in range(rng.randint(0, 10))])
+                  for _ in range(3)]
+        probes.append(gens[0] * ZPoly((rng.randint(-3, 3), 1)))
+        _assert_one_pass_matches_oracle(_lattice(gens, max(map(len, gens)) - 1), probes)
+
+
+def test_one_pass_kernels_match_oracle_on_characteristic_ideals_up_to_6():
+    shift = ZPoly((3, 1))
+    for n in range(1, 7):
+        for g in enumerate_connected(n):
+            pres = _pruned_presentation(g)
+            for k in range(1, n + 1):
+                minors = list(_minors(pres, k))[:4]
+                probes = minors + [m * shift + ONE for m in minors]
+                _assert_one_pass_matches_oracle(_ideal_rows(g, pres, k), probes)

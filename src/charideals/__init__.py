@@ -15,9 +15,8 @@ from .graph_ideals import (CharIdealProfile, algebraic_corank, all_k_minors_in_i
 from .graphs import (BlowupSpec, Graph, Graph6Error, adjacency_matrix, blowup,
                      laplacian_matrix, parse_edge_list, parse_graph6, to_graph6)
 from .intlinalg import (ConsistencyError, DeltaSequence, IntMatrix,
-                        InvariantFactors, count_unit_factors, delta_sequence,
-                        gcd_of_k_minors, invariant_factors_from_deltas,
-                        snf_diagonal)
+                        InvariantFactors, delta_sequence, gcd_of_k_minors,
+                        invariant_factors_from_deltas, snf_diagonal)
 from .isomorphism import canonical_form, find_induced, is_isomorphic
 from .mining import MiningResult, MiningTask, enumerate_connected, mine
 from .zpoly import ZPoly
@@ -30,7 +29,7 @@ __all__ = [
     "MiningResult", "MiningTask", "ZPoly", "adjacency_matrix",
     "algebraic_corank", "all_k_minors_in_ideal", "blowup", "canonical_form",
     "char_ideal_profile", "characteristic_ideal", "classify",
-    "count_unit_factors", "critical_invariants_regular", "cross_check",
+    "critical_invariants_regular", "cross_check",
     "delta_sequence", "enumerate_connected", "find_induced",
     "gcd_of_k_minors", "invariant_factors_from_deltas", "is_C_leq",
     "is_K_leq_regular", "is_S_leq", "is_isomorphic",

@@ -23,7 +23,7 @@ from .catalog import (FAMILY_F, FORBIDDEN_S4, complete_graph, complete_minus_edg
 from .graphs import (adjacency_matrix, laplacian_matrix, parse_graph6,
                      to_graph6, true_twin_quotient)
 from .graph_ideals import algebraic_corank
-from .intlinalg import ConsistencyError, count_unit_factors, snf_diagonal
+from .intlinalg import ConsistencyError, snf_diagonal
 from .isomorphism import canonical_form, find_induced, is_isomorphic
 from .mining import enumerate_connected
 
@@ -157,7 +157,7 @@ def is_S_leq(g, k, _phi=None):
     if k not in (1, 2, 3):
         raise ValueError("structural characterisations exist for k in {1, 2, 3}")
     _check_connected(g)
-    phi = count_unit_factors(adjacency_matrix(g)) if _phi is None else _phi
+    phi = snf_diagonal(adjacency_matrix(g)).ones if _phi is None else _phi
     member = phi <= k
     hit = _first_hit(g, _S_FORBIDDEN[k])
     structural = _structural_s(g, k)
@@ -207,7 +207,7 @@ def is_K_leq_regular(g, k, _phi_l=None):
     _check_connected(g)
     if g.regular_degree() is None:
         raise ValueError(f"graph is not regular: degrees {sorted(set(g.degrees()))}")
-    phi_l = count_unit_factors(laplacian_matrix(g)) if _phi_l is None else _phi_l
+    phi_l = snf_diagonal(laplacian_matrix(g)).ones if _phi_l is None else _phi_l
     member = phi_l <= k
     structural = _k_regular_structural(g, k)
     by_struct = structural is not None
@@ -264,7 +264,7 @@ def classify(g):
     phi_a = snf.ones
     gamma = algebraic_corank(g)
     rdeg = g.regular_degree()
-    phi_l = count_unit_factors(laplacian_matrix(g)) if rdeg is not None else None
+    phi_l = snf_diagonal(laplacian_matrix(g)).ones if rdeg is not None else None
     memberships = {}
     certificates = {}
     for k in (1, 2, 3):

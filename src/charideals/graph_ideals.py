@@ -13,17 +13,17 @@ constant +1 or -1, the first such entry in row-major order is eliminated
 is a Fitting ideal, which unit pivots leave unchanged while shifting k by
 one, so after r pivots I_k(tI - A) = I_{k-r}(M) for the remaining
 (n-r)x(n-r) matrix M, and I_k is the unit ideal for every k <= r.  Second,
-the (k-r)-minors of M are taken with fraction-free Bareiss determinants,
-deduplicated first by submatrix content and then up to sign.  Third, they
-go into the lattice that serves every ideal of Z[t] (ztideal): the part of
-I_k of degree at most k, in Hermite normal form keyed by degree.  A
-principal k-minor f of tI - A is a characteristic polynomial, monic of
-degree k and in I_k; fed first, it is the degree-k row, and every minor
-and every t-multiple of a row is reduced mod f on the way in.  The form
-stops as soon as it holds 1, and otherwise gives the reduced Groebner
-basis.  The co-rank is found
-top-down from an upper bound read off integer Smith forms, so most graphs
-need one trivial ideal and none needs a nontrivial basis.
+the (k-r)-minors of M are taken with intlinalg.det_int, the determinant
+the integer minors use too, deduplicated first by submatrix content and
+then up to sign.  Third, they go into the lattice that serves every ideal
+of Z[t] (ztideal): the part of I_k of degree at most k, in Hermite normal
+form keyed by degree.  A principal k-minor f of tI - A is a characteristic
+polynomial, monic of degree k and in I_k; fed first, it is the degree-k
+row, and every minor and every t-multiple of a row is reduced mod f on the
+way in.  The form stops as soon as it holds 1, and otherwise gives the
+reduced Groebner basis.  The co-rank is found top-down from an upper bound
+read off integer Smith forms, so most graphs need one trivial ideal and
+none needs a nontrivial basis.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from itertools import chain, combinations
 from math import prod
 
 from .graphs import Graph, bits
-from .intlinalg import ConsistencyError, IntMatrix, InvariantFactors, snf_diagonal
+from .intlinalg import ConsistencyError, IntMatrix, InvariantFactors, det_int, snf_diagonal
 from .zpoly import ONE, T, ZERO, ZPoly
 from .ztideal import IdealZt, _canonicalize, _lattice, reduce
 
@@ -109,7 +109,7 @@ def _minors(pres, k):
             if key in seen:
                 continue
             seen.add(key)
-            p = _poly_det([[mat[i][c] for c in chosen] for i in rows])
+            p = det_int([[mat[i][c] for c in chosen] for i in rows])
             if not p:
                 continue
             if p[-1] < 0:
@@ -321,45 +321,3 @@ def all_k_minors_in_ideal(g, k, ideal):
                for i in range(g.n)]
         return prod(snf_diagonal(IntMatrix(mat)).factors[:k]) % mod == 0
     return not any(reduce(p, basis) for p in _minors(_pruned_presentation(g), k))
-
-
-def _poly_det(mat):
-    """Cofactor expansion up to 4x4, fraction-free Bareiss beyond."""
-    n = len(mat)
-    if n == 0:
-        return ONE
-    if n == 1:
-        return mat[0][0]
-    if n == 2:
-        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    if n <= 4:
-        out = ZERO
-        first = mat[0]
-        rest = mat[1:]
-        for j in range(n):
-            c = first[j]
-            if not c:
-                continue
-            sub = [[row[jj] for jj in range(n) if jj != j] for row in rest]
-            term = c * _poly_det(sub)
-            out = out - term if j & 1 else out + term
-        return out
-    work = [row[:] for row in mat]
-    prev = ONE
-    sign = 1
-    for k in range(n - 1):
-        if not work[k][k]:
-            for i in range(k + 1, n):
-                if work[i][k]:
-                    work[k], work[i] = work[i], work[k]
-                    sign = -sign
-                    break
-            else:
-                return ZERO
-        pivot = work[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                work[i][j] = (work[i][j] * pivot - work[i][k] * work[k][j]).exact_div(prev)
-        prev = pivot
-    d = work[n - 1][n - 1]
-    return d if sign > 0 else -d

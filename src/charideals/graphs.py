@@ -76,9 +76,6 @@ class Graph:
     def degrees(self):
         return tuple(a.bit_count() for a in self.adj)
 
-    def neighbors(self, v):
-        return bits(self.adj[v])
-
     def is_connected(self):
         if self.n <= 1:
             return True

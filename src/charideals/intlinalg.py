@@ -1,4 +1,5 @@
-"""Exact integer matrices: Smith normal form, minor gcds, invariant factors.
+"""Exact integer matrices: Smith normal form, minor gcds, invariant factors,
+and det_int, the one determinant for minors over Z and over Z[t] (ZPoly).
 
 The Smith form is one pivot loop followed by a gcd/lcm pass over the
 recorded pivots; the minor gcds enumerate minors directly and are the
@@ -108,7 +109,9 @@ class DeltaSequence:
 
 
 def det_int(mat):
-    """Determinant of a square list-of-lists; the argument is consumed."""
+    """Determinant of a square list-of-lists over Z or Z[t]; the argument is
+    consumed.  Bareiss divides exactly in either ring, and a singular matrix
+    gives the zero of its entries' ring."""
     n = len(mat)
     if n == 0:
         return 1
@@ -130,7 +133,7 @@ def det_int(mat):
                     sign = -sign
                     break
             else:
-                return 0
+                return mat[k][k]
         pk = mat[k][k]
         for i in range(k + 1, n):
             ri, rk = mat[i], mat[k]
@@ -186,11 +189,6 @@ def snf_diagonal(m):
             diag[i], diag[j] = gcd(diag[i], diag[j]), lcm(diag[i], diag[j])
     diag.extend([0] * (min(m.rows, m.cols) - len(diag)))
     return InvariantFactors(tuple(diag))
-
-
-def count_unit_factors(m):
-    """phi(M): how many invariant factors equal 1."""
-    return snf_diagonal(m).ones
 
 
 def gcd_of_k_minors(m, k):

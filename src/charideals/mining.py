@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from itertools import takewhile
 
 from .graphs import Graph, adjacency_matrix, bits, laplacian_matrix, parse_graph6, to_graph6
-from .graph_ideals import algebraic_corank
-from .intlinalg import (ConsistencyError, count_unit_factors, delta_sequence,
-                        invariant_factors_from_deltas)
+from .graph_ideals import algebraic_corank, characteristic_ideal
+from .intlinalg import (ConsistencyError, delta_sequence, invariant_factors_from_deltas,
+                        snf_diagonal)
 from .isomorphism import _label, _orbit, canonical_form, find_induced
 
 # connected graphs up to isomorphism on 1, 2, 3, ... vertices
@@ -112,7 +112,7 @@ def enumerate_connected(n):
 
 
 def _stat_phi_adjacency(g):
-    return count_unit_factors(adjacency_matrix(g))
+    return snf_diagonal(adjacency_matrix(g)).ones
 
 
 def _stat_corank(g):
@@ -122,7 +122,7 @@ def _stat_corank(g):
 def _stat_phi_laplacian(g):
     if g.regular_degree() is None:
         return None
-    return count_unit_factors(laplacian_matrix(g))
+    return snf_diagonal(laplacian_matrix(g)).ones
 
 
 STATISTICS = {
@@ -159,7 +159,8 @@ class MiningResult:
 
 def _independent_value(g6, statistic):
     # recomputation on the canonically relabelled copy; phi goes through the
-    # minor-gcd route rather than the SNF elimination it was mined with
+    # minor-gcd route rather than the SNF elimination it was mined with; the
+    # co-rank counts trivial ideals bottom-up without the evaluation bound
     g = parse_graph6(g6)
     if statistic == "phiA":
         return invariant_factors_from_deltas(delta_sequence(adjacency_matrix(g))).ones
@@ -167,7 +168,10 @@ def _independent_value(g6, statistic):
         if g.regular_degree() is None:
             return None
         return invariant_factors_from_deltas(delta_sequence(laplacian_matrix(g))).ones
-    return algebraic_corank(g)
+    gamma = 0
+    while gamma < g.n and characteristic_ideal(g, gamma + 1).is_trivial():
+        gamma += 1
+    return gamma
 
 
 def mine(task):

@@ -94,10 +94,13 @@ class ZPoly(tuple):
             out = out * x + c
         return out
 
-    def exact_div(self, other):
-        """Quotient self/other, which must be exact (used by Bareiss pivots)."""
+    def __floordiv__(self, other):
+        """Quotient self/other by a polynomial or an int, which must be exact
+        (Bareiss divides by the previous pivot, starting from 1)."""
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
+        if isinstance(other, int):
+            other = (other,)
         if not self:
             return ZERO
         rem = list(self)

@@ -5,7 +5,9 @@ search, and throwaway polynomial arithmetic on plain lists, sharing no code
 with the package paths they check.  The later sections keep former
 package routes as references for what replaced them: every k-minor
 position of tI - A walked and deduplicated by submatrix content, for the
-unit-pivot engine; the induced-subgraph search before its plan was cached,
+unit-pivot engine, with its own copy of the integer Bareiss determinant,
+since the package's determinant also evaluates the engine's polynomial
+minors; the induced-subgraph search before its plan was cached,
 which shares the pattern order with its replacement, so the two must
 return the same embedding; canonical labelling by refinement on colour
 tuples with only twins pruned, whose forms the automorphism-pruned search
@@ -23,7 +25,6 @@ from itertools import combinations, permutations
 from math import gcd
 
 from charideals.graphs import Graph, bits, parse_graph6, to_graph6
-from charideals.intlinalg import det_int
 from charideals.isomorphism import _pattern_order
 from charideals.zpoly import ONE, ZPoly
 
@@ -165,6 +166,40 @@ def random_connected_graph(rng, n, p=0.5):
 
 
 # -- the full minor walk over tI - A ------------------------------------------
+
+def det_int(mat):
+    """Determinant of a square list-of-lists; the argument is consumed."""
+    n = len(mat)
+    if n == 0:
+        return 1
+    if n == 1:
+        return mat[0][0]
+    if n == 2:
+        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = mat
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    # Bareiss fraction-free elimination
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not mat[k][k]:
+            for i in range(k + 1, n):
+                if mat[i][k]:
+                    mat[k], mat[i] = mat[i], mat[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pk = mat[k][k]
+        for i in range(k + 1, n):
+            ri, rk = mat[i], mat[k]
+            aik = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (ri[j] * pk - aik * rk[j]) // prev
+        prev = pk
+    return sign * mat[n - 1][n - 1]
+
 
 def _det_poly(cmat, tpos):
     # determinant of (constant matrix) + t at the given positions, as a list

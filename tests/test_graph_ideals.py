@@ -6,17 +6,18 @@ import pytest
 from charideals import (BlowupSpec, IdealZt, IntMatrix, ZPoly, adjacency_matrix,
                         algebraic_corank, all_k_minors_in_ideal, blowup,
                         char_ideal_profile, characteristic_ideal,
-                        count_unit_factors, critical_invariants_regular,
+                        critical_invariants_regular,
                         laplacian_matrix, lookup,
                         multipartite_closed_form, smith_invariants_via_ideals,
                         snf_diagonal)
 from charideals.catalog import (complete_graph, complete_multipartite_graph,
                                 cycle_graph, path_graph, prism_graph, star_graph)
-from charideals.graph_ideals import (_char_matrix, _corank_bound, _minors, _poly_det,
-                                     _principal_minor, _pruned_presentation)
+from charideals.graph_ideals import (_char_matrix, _corank_bound, _minors, _principal_minor,
+                                     _pruned_presentation)
 from charideals.graphs import Graph
+from charideals.intlinalg import det_int
 from charideals.mining import enumerate_connected
-from charideals.zpoly import ONE
+from charideals.zpoly import ONE, ZERO
 
 import oracles
 from oracles import _distinct_k_minor_polys
@@ -183,9 +184,9 @@ def test_corank_bounded_by_phi():
     for _ in range(60):
         g = oracles.random_graph(rng, rng.randint(1, 6))
         gamma = algebraic_corank(g)
-        assert gamma <= count_unit_factors(adjacency_matrix(g))
+        assert gamma <= snf_diagonal(adjacency_matrix(g)).ones
         if g.regular_degree() is not None:
-            assert gamma <= count_unit_factors(laplacian_matrix(g))
+            assert gamma <= snf_diagonal(laplacian_matrix(g)).ones
 
 
 def test_blowup_containment_observation():
@@ -322,7 +323,7 @@ def test_corank_between_bounds_on_larger_graphs():
         for a in (0, 1, -1, 2, -2):
             mat = [[(a if i == j else 0) - g.has_edge(i, j) for j in range(g.n)]
                    for i in range(g.n)]
-            assert gamma <= count_unit_factors(IntMatrix(mat)), (g, a)
+            assert gamma <= snf_diagonal(IntMatrix(mat)).ones, (g, a)
         assert oracles.strong_groebner(_minors(pres, gamma)) == (ONE,), g
         if gamma < g.n:
             assert oracles.strong_groebner(_minors(pres, gamma + 1)) != (ONE,), g
@@ -338,7 +339,7 @@ def test_principal_minor_is_the_characteristic_polynomial():
 
 
 def _minor(mat, rows, cols):
-    return _poly_det([[mat[i][j] for j in cols] for i in rows])
+    return det_int([[mat[i][j] for j in cols] for i in rows])
 
 
 def test_minor_stream_matches_generic_poly_matrix():
@@ -367,7 +368,37 @@ def test_poly_matrix_det_against_oracle():
         rows = [[[rng.randint(-2, 2) for _ in range(rng.randint(0, 2))]
                  for _ in range(n)] for _ in range(n)]
         mat = [[ZPoly(e) for e in row] for row in rows]
-        assert tuple(_poly_det(mat)) == tuple(ZPoly(oracles.poly_perm_det(rows)))
+        assert tuple(det_int(mat)) == tuple(ZPoly(oracles.poly_perm_det(rows)))
+
+
+def _random_poly_rows(rng, n):
+    return [[[rng.randint(-2, 2) for _ in range(rng.randint(0, 2))]
+             for _ in range(n)] for _ in range(n)]
+
+
+def test_poly_det_of_singular_matrix_is_the_zero_polynomial():
+    # a zero column leaves Bareiss no pivot: the result is ZERO, not the int 0
+    rng = random.Random(89)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        rows = _random_poly_rows(rng, n)
+        zero_col = rng.randrange(n)
+        for row in rows:
+            row[zero_col] = []
+        d = det_int([[ZPoly(e) for e in row] for row in rows])
+        assert isinstance(d, ZPoly) and d == ZERO, (rows, d)
+
+
+def test_poly_det_with_row_swaps_against_oracle():
+    # a zero leading entry over a nonzero one makes Bareiss swap rows
+    rng = random.Random(97)
+    for _ in range(40):
+        n = rng.randint(4, 6)
+        rows = _random_poly_rows(rng, n)
+        rows[0][0] = []
+        rows[rng.randrange(1, n)][0] = [rng.choice((-1, 1)), rng.randint(-2, 2)]
+        mat = [[ZPoly(e) for e in row] for row in rows]
+        assert tuple(det_int(mat)) == tuple(ZPoly(oracles.poly_perm_det(rows))), rows
 
 
 def test_char_matrix_block_form_of_cycle_blowup():

@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 
 from charideals import (ConsistencyError, DeltaSequence, IntMatrix, adjacency_matrix,
-                        count_unit_factors, delta_sequence, gcd_of_k_minors,
+                        delta_sequence, gcd_of_k_minors,
                         invariant_factors_from_deltas, lookup, snf_diagonal)
 from charideals.catalog import complete_graph, path_graph
 from charideals.intlinalg import InvariantFactors
@@ -36,9 +36,9 @@ def test_snf_nonsquare_and_rank_deficient():
 
 
 def test_count_unit_factors_examples():
-    assert count_unit_factors(A("p2")) == 2
-    assert count_unit_factors(adjacency_matrix(lookup("k1"))) == 0
-    assert count_unit_factors(A("paw")) == 4
+    assert snf_diagonal(A("p2")).ones == 2
+    assert snf_diagonal(adjacency_matrix(lookup("k1"))).ones == 0
+    assert snf_diagonal(A("paw")).ones == 4
 
 
 def test_gcd_of_k_minors_examples():
@@ -140,12 +140,12 @@ def test_phi_monotone_under_induced_subgraphs():
     for _ in range(150):
         n = rng.randint(2, 7)
         g = oracles.random_graph(rng, n)
-        phi_g = count_unit_factors(adjacency_matrix(g))
+        phi_g = snf_diagonal(adjacency_matrix(g)).ones
         keep = [v for v in range(n) if rng.random() < 0.6]
         if not keep:
             continue
         h = g.subgraph(keep)
-        assert count_unit_factors(adjacency_matrix(h)) <= phi_g
+        assert snf_diagonal(adjacency_matrix(h)).ones <= phi_g
 
 
 def test_det_int_against_permanuation_expansion():

@@ -2,8 +2,9 @@ from itertools import combinations
 
 import pytest
 
-from charideals import (MiningTask, canonical_form, enumerate_connected, lookup, mine,
-                        parse_graph6, to_graph6)
+from charideals import (ConsistencyError, MiningTask, canonical_form, enumerate_connected,
+                        lookup, mine, parse_graph6, to_graph6)
+from charideals import graph_ideals
 from charideals.catalog import FAMILY_F
 from charideals.graphs import Graph
 from charideals.isomorphism import _label
@@ -74,6 +75,15 @@ def test_mine_smith_k3():
 def test_mine_corank_k2():
     result = mine(MiningTask(6, "gammaA", 2))
     assert sorted(result.minimal) == _canon("p4", "paw", "k5-e")
+
+
+def test_mine_corank_recheck_catches_a_low_bound(monkeypatch):
+    # a co-rank bound one too low makes the top-down route undercount; the
+    # bottom-up recheck of each minimal graph never reads that bound
+    bound = graph_ideals._corank_bound
+    monkeypatch.setattr(graph_ideals, "_corank_bound", lambda pres: bound(pres) - 1)
+    with pytest.raises(ConsistencyError):
+        mine(MiningTask(6, "gammaA", 2))
 
 
 def test_mine_determinism():

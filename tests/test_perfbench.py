@@ -27,6 +27,8 @@ def test_ideal_chain_round_traced_and_untraced(monkeypatch):
     assert out["traced"]["errors"] == []
     records = out["trace"]["records"]
     assert records["graph_ideals.characteristic_ideal"][0] > 0
+    # the engine's minors go through det_int, so its metric counts them
+    assert records["graph_ideals.det_int"][0] > 0
     # patched and restored, though the lattice engine makes no call to it
     assert "ztideal.GroebnerBuilder.add" in records
     assert ztideal.GroebnerBuilder.add is add

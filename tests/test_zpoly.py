@@ -63,13 +63,23 @@ def test_evaluation_horner():
 def test_exact_div():
     a = P(-1, 0, 1)  # t^2 - 1
     b = P(1, 1)
-    assert a.exact_div(b) == (-1, 1)
-    assert (a * b).exact_div(a) == tuple(b)
+    assert a // b == (-1, 1)
+    assert (a * b) // a == tuple(b)
     try:
-        P(1, 1).exact_div(P(2))
+        P(1, 1) // P(2)
         assert False, "expected inexact division to raise"
     except ValueError:
         pass
+    # an int divisor, as Bareiss's first pivot is 1
+    assert P(4, -6, 2) // 2 == (2, -3, 1)
+    assert P(4, -6, 2) // 1 == (4, -6, 2)
+    assert P() // 3 == P()
+    for bad, exc in ((3, ValueError), (0, ZeroDivisionError), (P(), ZeroDivisionError)):
+        try:
+            P(4, -6, 2) // bad
+            assert False, f"expected {exc.__name__} from division by {bad!r}"
+        except exc:
+            pass
 
 
 def test_pretty():

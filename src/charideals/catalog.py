@@ -184,5 +184,5 @@ def lookup(name):
     m = re.fullmatch(r"k(\d+(?:,\d+)+)", key)
     if m:
         return complete_multipartite_graph(tuple(int(p) for p in m.group(1).split(",")))
-    pool = list(_FIXED) + list(FAMILY_F) + list(_COLLECTIONS)
+    pool = list(_FIXED) + list(FAMILY_F)  # only names lookup resolves
     raise UnknownGraphError(name, get_close_matches(key, pool, n=3))

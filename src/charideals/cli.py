@@ -165,7 +165,7 @@ def _cmd_classify(args):
 def _cmd_mine(args):
     task = MiningTask(max_vertices=args.max_n, statistic=args.stat, k=args.k)
     result = mine(task)
-    listed = result.forbidden if args.emit_all else result.minimal
+    listed = result.forbidden() if args.emit_all else result.minimal
     for g6 in listed:
         print(g6)
     _emit("mine", None, {
@@ -174,7 +174,7 @@ def _cmd_mine(args):
         "k": task.k,
         "minimal": list(result.minimal),
         "counts_by_size": {str(k): v for k, v in sorted(result.counts_by_size.items())},
-        "forbidden_total": len(result.forbidden),
+        "forbidden_total": result.forbidden_total,
     })
     return 0
 
@@ -284,7 +284,15 @@ def main(argv=None):
     if args.command == "catalog" and args.action == "emit" and not args.name:
         parser.error("catalog emit requires a name")
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a reader that left shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader took what it wanted; the flush at exit goes to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except UnknownGraphError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 1

@@ -1,5 +1,5 @@
 """Isomorph-free enumeration of connected graphs and mining of minimal
-forbidden graphs for a hereditary statistic.
+forbidden graphs.
 
 Enumeration is canonical augmentation, after McKay, "Isomorph-free
 exhaustive generation" (J. Algorithms 1998).  A connected graph C has a
@@ -10,10 +10,27 @@ augmented once per orbit of its automorphism group on the neighbourhoods
 of the new vertex.  A child whose new vertex is not of largest degree among
 its non-cut vertices is dropped before it is labelled; otherwise it is kept
 only when the new vertex is in the orbit of w, so every class comes out
-exactly once.  Mining collects all graphs whose statistic exceeds the
-threshold, filters to graphs containing no smaller forbidden one, then
-re-verifies minimality exhaustively: generation-order filtering alone is
-fragile.
+exactly once.
+
+Mining looks for the connected graphs whose statistic exceeds the
+threshold k (the forbidden graphs) that contain no smaller forbidden graph
+as an induced subgraph.  phiA and gammaA never grow when a vertex is
+deleted, so the connected graphs at or below k (the members) form a
+hereditary family, and the miner grows it level by level: only the members
+on n - 1 vertices are augmented, as in the PRUNE hook of nauty's geng.
+This reaches every member and every minimal forbidden graph on n vertices,
+because the canonical deletion of either leaves a member on n - 1
+vertices: by heredity for a member, by minimality for a minimal one.  The
+statistic is evaluated on those children only.  A forbidden child G is
+minimal iff each connected G - v is a member.  Checking these is enough:
+G is connected, so a connected proper induced subgraph H of G grows, one
+neighbouring vertex at a time, to a connected induced subgraph G - v on
+n - 1 vertices that contains H; H is a member when G - v is.  phiL is
+defined on regular graphs only, which deletion does not keep, so for it
+every connected graph is evaluated and each forbidden one is searched for
+every smaller forbidden one.  Either way each minimal graph is then
+rechecked: its value by a second route, and its minimality by deleting
+each vertex.
 """
 
 from __future__ import annotations
@@ -27,8 +44,8 @@ from .intlinalg import (ConsistencyError, delta_sequence, invariant_factors_from
                         snf_diagonal)
 from .isomorphism import _label, _orbit, canonical_form, find_induced
 
-# connected graphs up to isomorphism on 1, 2, 3, ... vertices
-CONNECTED_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117)
+# connected graphs up to isomorphism on 1, 2, 3, ... vertices (OEIS A001349)
+CONNECTED_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117, 261080, 11716571)
 
 _LEVELS = {}
 
@@ -75,6 +92,25 @@ def _is_cut_vertex(adj, v):
     return seen != rest
 
 
+def _children(g6):
+    """The canonical graph6 of each connected class, on one vertex more,
+    whose canonical deletion leaves the class of g6; each class once."""
+    adj = parse_graph6(g6).adj
+    new = len(adj)
+    for mask in _mask_orbits(new, _label(adj)[1]):
+        child = [a | (mask >> u & 1) << new for u, a in enumerate(adj)] + [mask]
+        degree = mask.bit_count()
+        # the deletion vertex is a non-cut vertex of largest degree
+        if any(a.bit_count() > degree and not _is_cut_vertex(child, u)
+               for u, a in enumerate(child)):
+            continue
+        order, perms = _label(child)
+        w = next(u for u in order if child[u].bit_count() == degree
+                 and not _is_cut_vertex(child, u))
+        if w == new or _orbit(perms, 1 << w) >> new & 1:
+            yield to_graph6(Graph.from_adj(child).relabelled(order))
+
+
 def _level(n):
     if n in _LEVELS:
         return _LEVELS[n]
@@ -83,23 +119,7 @@ def _level(n):
     if n == 1:
         out = (canonical_form(Graph(1)),)
     else:
-        new = n - 1
-        found = []
-        for s in _level(n - 1):
-            adj = parse_graph6(s).adj
-            for mask in _mask_orbits(new, _label(adj)[1]):
-                child = [a | (mask >> u & 1) << new for u, a in enumerate(adj)] + [mask]
-                degree = mask.bit_count()
-                # the deletion vertex is a non-cut vertex of largest degree
-                if any(a.bit_count() > degree and not _is_cut_vertex(child, u)
-                       for u, a in enumerate(child)):
-                    continue
-                order, perms = _label(child)
-                w = next(u for u in order if child[u].bit_count() == degree
-                         and not _is_cut_vertex(child, u))
-                if w == new or _orbit(perms, 1 << w) >> new & 1:
-                    found.append(to_graph6(Graph.from_adj(child).relabelled(order)))
-        out = tuple(sorted(found))
+        out = tuple(sorted(c for s in _level(n - 1) for c in _children(s)))
     _LEVELS[n] = out
     return out
 
@@ -131,6 +151,10 @@ STATISTICS = {
     "phiL": _stat_phi_laplacian,
 }
 
+# statistics that deleting a vertex never raises; phiL is defined on
+# regular graphs only, which deletion does not keep
+_HEREDITARY = frozenset({"phiA", "gammaA"})
+
 
 @dataclass(frozen=True)
 class MiningTask:
@@ -141,6 +165,9 @@ class MiningTask:
     def __post_init__(self):
         if self.max_vertices < 2:
             raise ValueError("mining needs max_vertices >= 2")
+        if self.max_vertices > len(CONNECTED_COUNTS):
+            # forbidden_total counts the graphs growth never visits
+            raise ValueError(f"mining supports max_vertices <= {len(CONNECTED_COUNTS)}")
         if self.k < 0:
             raise ValueError("threshold k must be nonnegative")
         if self.statistic not in STATISTICS:
@@ -152,9 +179,18 @@ class MiningTask:
 class MiningResult:
     task: MiningTask
     minimal: tuple          # canonical graph6, sorted by (size, string)
-    forbidden: tuple        # every forbidden graph found, same order
-    values: dict            # canonical graph6 -> statistic value
+    members: frozenset      # canonical graph6 of the graphs on 2..N vertices not forbidden
+    forbidden_total: int    # connected graphs on 2..N vertices not in members
+    values: dict            # canonical graph6 -> statistic value, per graph evaluated
     counts_by_size: dict    # vertex count -> number of minimal graphs
+
+    def forbidden(self):
+        """Every forbidden graph, as canonical graph6 sorted by (size,
+        string); this enumerates every connected graph on 2..N vertices."""
+        for n in range(2, self.task.max_vertices + 1):
+            for s in _level(n):
+                if s not in self.members:
+                    yield s
 
 
 def _independent_value(g6, statistic):
@@ -174,6 +210,52 @@ def _independent_value(g6, statistic):
     return gamma
 
 
+def _grow(max_vertices, limit, stat, values):
+    """Minimal forbidden graphs as (size, graph6, Graph), and the members,
+    of a statistic that deleting a vertex never raises."""
+    level = {canonical_form(Graph(1))}  # K_1: phiA and gammaA are 0 on it
+    members = set()
+    minimal = []
+    for size in range(2, max_vertices + 1):
+        grown = set()
+        for s in sorted(level):
+            for c in _children(s):
+                g = parse_graph6(c)
+                val = values[c] = stat(g, c)
+                if val < limit:
+                    grown.add(c)
+                elif all(canonical_form(h) in level
+                         for h in map(g.delete_vertex, range(size)) if h.is_connected()):
+                    minimal.append((size, c, g))
+        members |= grown
+        level = grown
+    return minimal, members
+
+
+def _scan(max_vertices, limit, stat, values):
+    """The same for any statistic: every connected graph is evaluated, and
+    each forbidden one is searched for every smaller forbidden one."""
+    members = set()
+    forbidden = []  # (size, graph6, Graph)
+    for size in range(2, max_vertices + 1):
+        for g in enumerate_connected(size):
+            g6 = to_graph6(g)  # enumeration yields canonically labelled graphs
+            val = stat(g, g6)
+            if val is not None:
+                values[g6] = val
+            if val is None or val < limit:
+                members.add(g6)
+            else:
+                forbidden.append((size, g6, g))
+    minimal = []
+    for size, g6, g in forbidden:
+        # forbidden is in size order: scan only the smaller graphs
+        smaller = takewhile(lambda entry: entry[0] < size, forbidden)
+        if not any(find_induced(g, g2) is not None for _, _, g2 in smaller):
+            minimal.append((size, g6, g))
+    return minimal, members
+
+
 def mine(task):
     if not isinstance(task, MiningTask):
         raise TypeError("mine expects a MiningTask")
@@ -189,22 +271,8 @@ def mine(task):
         return cache[key]
 
     values = {}
-    forbidden = []  # (size, graph6, Graph)
-    for size in range(2, task.max_vertices + 1):
-        for g in enumerate_connected(size):
-            g6 = to_graph6(g)  # enumeration yields canonically labelled graphs
-            val = stat(g, g6)
-            if val is None:
-                continue
-            values[g6] = val
-            if val >= limit:
-                forbidden.append((size, g6, g))
-    minimal = []
-    for size, g6, g in forbidden:
-        # forbidden is in size order: scan only the smaller graphs
-        smaller = takewhile(lambda entry: entry[0] < size, forbidden)
-        if not any(find_induced(g, g2) is not None for _, _, g2 in smaller):
-            minimal.append((size, g6, g))
+    route = _grow if task.statistic in _HEREDITARY else _scan
+    minimal, members = route(task.max_vertices, limit, stat, values)
     for size, g6, g in minimal:
         recheck = _independent_value(g6, task.statistic)
         if recheck != values[g6]:
@@ -219,14 +287,14 @@ def mine(task):
                 raise ConsistencyError(
                     f"{g6} is not minimal: deleting vertex {v} keeps the statistic at {val}")
     minimal.sort()
-    forbidden.sort()
     counts = {}
     for size, _, _ in minimal:
         counts[size] = counts.get(size, 0) + 1
     return MiningResult(
         task=task,
         minimal=tuple(g6 for _, g6, _ in minimal),
-        forbidden=tuple(g6 for _, g6, _ in forbidden),
+        members=frozenset(members),
+        forbidden_total=sum(CONNECTED_COUNTS[1:task.max_vertices]) - len(members),
         values=values,
         counts_by_size=counts,
     )

@@ -13,9 +13,12 @@ return the same embedding; canonical labelling by refinement on colour
 tuples with only twins pruned, whose forms the automorphism-pruned search
 must reproduce byte for byte; and enumeration that augments a
 representative by every neighbourhood of a new vertex and deduplicates by
-canonical form; and Buchberger completion of ideals of Z[t] by S- and
-gcd-polynomials, for the lattice that replaced it, with its own copies of
-the general reduction and interreduction it runs on unreduced bases.
+canonical form; mining that evaluates every connected graph and searches
+each forbidden one for every smaller one, for the growth of the
+hereditary family that replaced it; and Buchberger completion of ideals
+of Z[t] by S- and gcd-polynomials, for the lattice that replaced it, with
+its own copies of the general reduction and interreduction it runs on
+unreduced bases.
 Those copies are also the references for the package's one-pass
 reduction, which only takes reduced bases, and for its reading of the
 reduced basis off the lattice rows.
@@ -562,3 +565,26 @@ def strong_groebner(gens):
         if basis == [ONE]:
             break
     return tuple(basis)
+
+
+# -- mining by full enumeration and pairwise induced-subgraph search ---------
+
+def mine_by_scan(max_vertices, value, limit):
+    """Minimal forbidden graphs (canonical graph6 sorted by size, then
+    string), their number per size, and every forbidden graph in the same
+    order, for a statistic given as value(graph6) -> int or None: every
+    connected graph on 2..max_vertices vertices is evaluated, and each one
+    at or above limit is searched for every smaller one."""
+    forbidden = []
+    for size in range(2, max_vertices + 1):
+        for s in _level(size):
+            val = value(s)
+            if val is not None and val >= limit:
+                forbidden.append((size, s, parse_graph6(s)))
+    minimal = [(size, s) for size, s, g in forbidden
+               if not any(find_induced(g, h) is not None
+                          for hsize, _, h in forbidden if hsize < size)]
+    counts = {}
+    for size, _ in minimal:
+        counts[size] = counts.get(size, 0) + 1
+    return [s for _, s in minimal], counts, [s for _, s, _ in forbidden]

@@ -84,3 +84,22 @@ def test_collections():
 def test_names_listing():
     listed = names()
     assert "diamond" in listed and "prism" in listed and "forbidden-s4" in listed
+
+
+def test_every_listed_name_resolves():
+    for name in names():
+        concrete = name.replace("<n>", "5").replace("<a>,<b>,...", "2,3")
+        try:
+            graphs = [lookup(concrete)]
+        except UnknownGraphError:
+            graphs = collection(concrete)
+        assert graphs and all(g.n > 0 for g in graphs), name
+
+
+def test_lookup_suggests_only_names_it_resolves():
+    # the collections are emitted by collection(), not lookup()
+    with pytest.raises(UnknownGraphError) as err:
+        lookup("family-f")
+    assert "family-f" not in err.value.suggestions
+    for suggestion in err.value.suggestions:
+        lookup(suggestion)

@@ -180,6 +180,44 @@ def test_catalog_list_and_emit(capsys):
     assert out.split() == list(FORBIDDEN_S4)
 
 
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write fails."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self._fd
+
+
+def test_closed_pipe_exits_quietly(tmp_path, monkeypatch, capsys):
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fh.fileno()))
+        code = main(["catalog", "emit", "family-f"])
+        monkeypatch.undo()
+    assert code == 0
+    assert "error:" not in capsys.readouterr().err
+
+
+def test_reader_closing_the_pipe_first_is_not_an_error():
+    # the reader is gone before the command writes: exit 0, stderr empty
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    with subprocess.Popen([sys.executable, "-m", "charideals", "catalog", "emit",
+                           "forbidden-s4"], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=env) as proc:
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err = proc.stderr.read()
+    assert code == 0, err
+    assert err == b""
+
+
 def test_catalog_unknown_name(capsys):
     code, out, err = run(capsys, "catalog", "emit", "diamnod")
     assert code == 1

@@ -1,14 +1,16 @@
+from functools import cache, partial
 from itertools import combinations
 
 import pytest
 
 from charideals import (ConsistencyError, MiningTask, canonical_form, enumerate_connected,
                         lookup, mine, parse_graph6, to_graph6)
-from charideals import graph_ideals
-from charideals.catalog import FAMILY_F
+from charideals import graph_ideals, isomorphism, mining
+from charideals.catalog import FAMILY_F, FORBIDDEN_S4
+from charideals.classify import is_C_leq
 from charideals.graphs import Graph
 from charideals.isomorphism import _label
-from charideals.mining import CONNECTED_COUNTS, _level, _mask_orbits
+from charideals.mining import CONNECTED_COUNTS, STATISTICS, _children, _level, _mask_orbits
 
 import oracles
 
@@ -58,6 +60,14 @@ def test_task_validation():
         mine("not a task")
 
 
+def test_connected_counts_bound_the_task():
+    # OEIS A001349; forbidden_total needs the count of every level mined
+    assert CONNECTED_COUNTS[8:] == (261080, 11716571)
+    assert MiningTask(len(CONNECTED_COUNTS), "phiA", 4).max_vertices == 10
+    with pytest.raises(ValueError, match="max_vertices <= 10"):
+        MiningTask(len(CONNECTED_COUNTS) + 1, "phiA", 4)
+
+
 def _canon(*names):
     return sorted(canonical_form(lookup(n)) for n in names)
 
@@ -89,7 +99,8 @@ def test_mine_corank_recheck_catches_a_low_bound(monkeypatch):
 def test_mine_determinism():
     a = mine(MiningTask(5, "phiA", 2))
     b = mine(MiningTask(5, "phiA", 2))
-    assert a.minimal == b.minimal and a.forbidden == b.forbidden
+    assert a.minimal == b.minimal and a.members == b.members
+    assert a.forbidden_total == b.forbidden_total
     assert a.values == b.values
 
 
@@ -145,11 +156,69 @@ def test_mask_orbits_one_subset_per_orbit():
 
 @pytest.mark.slow
 def test_enumeration_count_n9():
-    assert sum(1 for _ in enumerate_connected(9)) == 261080
+    assert sum(1 for _ in enumerate_connected(9)) == CONNECTED_COUNTS[8] == 261080
 
 
-@pytest.mark.slow
 def test_mine_corank_k3_to_8_gives_family_f():
     result = mine(MiningTask(8, "gammaA", 3))
     assert sorted(result.minimal) == sorted(canonical_form(g) for g in FAMILY_F.values())
     assert result.counts_by_size == {5: 8, 6: 4, 7: 1, 8: 1}
+
+
+def test_mine_corank_k3_to_10_gives_family_f_and_agrees_with_classifier():
+    result = mine(MiningTask(10, "gammaA", 3))
+    assert sorted(result.minimal) == sorted(canonical_form(g) for g in FAMILY_F.values())
+    assert len(result.values) > 500
+    for g6, gamma in result.values.items():
+        assert is_C_leq(parse_graph6(g6), 3)[0] == (gamma <= 3), g6
+
+
+@pytest.mark.slow
+def test_mine_smith_k4_to_10_gives_forbidden_s4():
+    result = mine(MiningTask(10, "phiA", 4))
+    assert sorted(result.minimal) == sorted(canonical_form(parse_graph6(s))
+                                            for s in FORBIDDEN_S4)
+    assert result.counts_by_size == {6: 43}
+
+
+@cache
+def _value(statistic, g6):
+    return STATISTICS[statistic](parse_graph6(g6))
+
+
+@pytest.mark.parametrize("statistic,k", [("phiA", k) for k in range(1, 5)]
+                         + [("gammaA", k) for k in range(1, 4)])
+def test_growth_matches_full_scan(statistic, k):
+    # growing the members against evaluating every graph and searching each
+    # forbidden one for every smaller one
+    result = mine(MiningTask(7, statistic, k))
+    minimal, counts, forbidden = oracles.mine_by_scan(7, partial(_value, statistic), k + 1)
+    assert result.minimal == tuple(minimal)
+    assert result.counts_by_size == counts
+    assert result.forbidden_total == len(forbidden)
+    assert list(result.forbidden()) == forbidden
+
+
+def test_growth_runs_no_induced_search(monkeypatch):
+    def refuse(host, pattern):
+        raise AssertionError("find_induced called")
+    monkeypatch.setattr(mining, "find_induced", refuse)
+    monkeypatch.setattr(isomorphism, "find_induced", refuse)
+    assert len(mine(MiningTask(7, "phiA", 4)).minimal) == 43
+    assert len(mine(MiningTask(7, "gammaA", 3)).minimal) == 13
+
+
+def test_growth_evaluates_only_children_of_members(monkeypatch):
+    calls = []
+    fn = STATISTICS["gammaA"]
+
+    def counted(g):
+        calls.append(to_graph6(g))
+        return fn(g)
+
+    monkeypatch.setitem(STATISTICS, "gammaA", counted)
+    result = mine(MiningTask(7, "gammaA", 3))
+    parents = [canonical_form(Graph(1))] + [s for s in result.members if parse_graph6(s).n < 7]
+    children = sorted(c for s in parents for c in _children(s))
+    assert sorted(calls) == children == sorted(result.values)
+    assert len(children) < sum(CONNECTED_COUNTS[1:7])

@@ -337,6 +337,8 @@ def cross_check(max_n, workers=1):
     vertices, recording route disagreements and nesting violations.  Graphs
     are distributed over a process pool when workers > 1; counters merge in
     the parent either way."""
+    if max_n < 1:
+        raise ValueError(f"crosscheck needs max_n >= 1, got {max_n}")
     todo = []
     for n in range(1, max_n + 1):
         todo.extend(to_graph6(g) for g in enumerate_connected(n))

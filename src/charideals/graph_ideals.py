@@ -6,24 +6,34 @@ the largest k for which that ideal is the whole ring.  Evaluating the chain
 of ideals at t = 0 recovers the invariant factors of the adjacency matrix,
 and at t = r those of the Laplacian when G is r-regular.
 
-Every characteristic ideal here comes from one engine in three steps.
-First the presentation is pruned: while some entry of the matrix is the
-constant +1 or -1, the first such entry in row-major order is eliminated
-(Schur complement) and its row and column are dropped.  The k-minor ideal
-is a Fitting ideal, which unit pivots leave unchanged while shifting k by
-one, so after r pivots I_k(tI - A) = I_{k-r}(M) for the remaining
-(n-r)x(n-r) matrix M, and I_k is the unit ideal for every k <= r.  Second,
-the (k-r)-minors of M are taken with intlinalg.det_int, the determinant
-the integer minors use too, deduplicated first by submatrix content and
-then up to sign.  Third, they go into the lattice that serves every ideal
-of Z[t] (ztideal): the part of I_k of degree at most k, in Hermite normal
-form keyed by degree.  A principal k-minor f of tI - A is a characteristic
-polynomial, monic of degree k and in I_k; fed first, it is the degree-k
-row, and every minor and every t-multiple of a row is reduced mod f on the
-way in.  The form stops as soon as it holds 1, and otherwise gives the
-reduced Groebner basis.  The co-rank is found top-down from an upper bound
-read off integer Smith forms, so most graphs need one trivial ideal and
-none needs a nontrivial basis.
+Every characteristic ideal here comes from one engine in four steps, on
+one presentation.  First twin classes are split off.  The rows of a class
+S of s >= 3 false twins (equal open neighbourhoods) differ by t times
+e_u - e_v, and those of true twins (equal closed ones) by t + 1 times it,
+so unimodular row and column operations inside S turn tI - A into
+M' (+) diag(c, ..., c): s - 2 copies of c = t or t + 1, and M' keeps two
+vertices of S.  The k-minor ideal is a Fitting ideal, and for a
+direct sum I_k(M' (+) D) = sum_j I_j(D) I_(k-j)(M').  D is diagonal, so
+I_j(D) is generated by every product t^x (t+1)^y with x + y = j that D
+has factors for; a fixed j of them would not do, as <t, t+1> is the unit
+ideal.  Second, while some entry of M' is the constant +1 or -1, the
+first such entry in row-major order is eliminated (Schur complement) and
+its row and column are dropped.  Unit pivots leave the Fitting ideals
+unchanged while shifting k by one, so after r pivots I_k(M') =
+I_(k-r)(M) for the remaining matrix M, and I_k(tI - A) is the unit ideal
+for every k <= r.  Third, the minors of M are taken with
+intlinalg.det_int, the determinant the integer minors use too,
+deduplicated first by submatrix content and then up to sign, and
+multiplied by the products of split factors.  Fourth, they go into the
+lattice that serves every ideal of Z[t] (ztideal): the part of I_k of
+degree at most k, in Hermite normal form keyed by degree.  A principal
+k-minor f of the unsplit tI - A is a characteristic polynomial, monic of
+degree k and in I_k; fed first, it is the degree-k row, and every
+generator and every t-multiple of a row is reduced mod f on the way in.
+The form stops as soon as it holds 1, and otherwise gives the reduced
+Groebner basis.  The co-rank is found top-down from an upper bound read
+off integer Smith forms of the presentation, so most graphs need one
+trivial ideal and none needs a nontrivial basis.
 """
 
 from __future__ import annotations
@@ -42,23 +52,60 @@ _UNITS = (ONE, -ONE)
 
 def _char_matrix(g):
     """tI - A(g) as a list of rows of ZPoly."""
-    return [[T if i == j else ZPoly.const(-(g.adj[i] >> j & 1)) for j in range(g.n)]
+    entries = (ZERO, -ONE)
+    return [[T if i == j else entries[g.adj[i] >> j & 1] for j in range(g.n)]
             for i in range(g.n)]
 
 
-def _pruned_presentation(g):
-    """(M, r): tI - A(g) after r unit pivots, as a list of rows of ZPoly.
+def _twin_classes(g):
+    """(tau, vertices) for each class of at least three vertices with equal
+    open neighbourhoods (false twins, tau = 0) or equal closed ones (true
+    twins, tau = 1); a vertex lies in at most one of them."""
+    out = []
+    for tau in (0, 1):
+        groups = {}
+        for v in range(g.n):
+            groups.setdefault(g.adj[v] | tau << v, []).append(v)
+        out.extend((tau, vs) for vs in groups.values() if len(vs) >= 3)
+    return out
 
-    I_k(tI - A) = I_{k-r}(M) for every k, so r is a lower bound on the
-    algebraic co-rank.
+
+def _presentation(g):
+    """(mat, r, split): tI - A(g) is equivalent to I_r (+) mat (+) D, where
+    D is diagonal with split[0] factors t and split[1] factors t + 1.
+
+    Each twin class S = {v0, v1, ...} of s twins, with c = t + tau, is split
+    off in turn: v0 and v1 stay, and the rest of S goes with its s - 2
+    factors c.  Entry (v0, v0) becomes t - (s-1)tau and (v0, v1) becomes
+    -tau, row v1 becomes c on its diagonal and zero elsewhere, and column v0
+    of each row outside S is multiplied by s; the rows of another class
+    change alike, so it stays a class of twins.  Then the unit pivots are
+    taken, leaving `mat` as a list of rows of ZPoly.
     """
+    n = g.n
     mat = _char_matrix(g)
+    split = [0, 0]
+    dropped = set()
+    for tau, (v0, v1, *rest) in _twin_classes(g):
+        s = len(rest) + 2
+        inside = {v0, v1, *rest}
+        for w in range(n):
+            if w not in inside and mat[w][v0]:
+                mat[w][v0] = mat[w][v0] * s
+        mat[v0][v0] = ZPoly((-(s - 1) * tau, 1))
+        mat[v0][v1] = ZPoly.const(-tau)
+        mat[v1] = [ZERO] * n
+        mat[v1][v1] = ZPoly((tau, 1))
+        split[tau] += s - 2
+        dropped.update(rest)
+    keep = [v for v in range(n) if v not in dropped]
+    mat = [[mat[i][j] for j in keep] for i in keep]
     r = 0
     while True:
         pivot = next(((i, j) for i, row in enumerate(mat)
                       for j, e in enumerate(row) if e in _UNITS), None)
         if pivot is None:
-            return mat, r
+            return mat, r, tuple(split)
         i, j = pivot
         prow = mat.pop(i)
         u = prow.pop(j)[0]  # its own inverse
@@ -84,16 +131,34 @@ def _sub_mul(e, f, p):
 
 
 def _minors(pres, k):
-    """The distinct nonzero k-minors of tI - A up to sign, leading
-    coefficient positive, from its pruned presentation `pres` = (M, r);
-    they generate the k-th characteristic ideal.
-
-    Yields ONE alone when k is at most the number of unit pivots.  Columns
-    of each row set are keyed by the ids of their entries in those rows: a
-    zero column is never chosen, and a submatrix already seen is skipped.
+    """Nonzero generators of the k-th characteristic ideal, leading
+    coefficient positive, from the presentation `pres`: each product
+    t^x (t+1)^y of j split factors times each distinct (k - j - r)-minor of
+    the pivoted matrix.  Yields ONE alone when k is at most r.
     """
-    mat, r = pres
-    size = k - r
+    mat, r, (of_t, of_t1) = pres
+    if k <= r:
+        yield ONE
+        return
+    for j in range(min(k, of_t + of_t1) + 1):
+        size = k - j - r
+        if size > len(mat):
+            continue
+        factors = [prod([T] * x + [T + 1] * (j - x), start=ONE)
+                   for x in range(max(0, j - of_t1), min(j, of_t) + 1)]
+        for m in _distinct_minors(mat, size):
+            for f in factors:
+                yield f * m if j else m
+
+
+def _distinct_minors(mat, size):
+    """The distinct nonzero size-minors of `mat` up to sign, leading
+    coefficient positive; ONE alone when size <= 0.
+
+    Columns of each row set are keyed by the ids of their entries in those
+    rows: a zero column is never chosen, and a submatrix already seen is
+    skipped.
+    """
     if size <= 0:
         yield ONE
         return
@@ -161,22 +226,32 @@ def _check_index(g, k):
 def characteristic_ideal(g, k):
     """Reduced Groebner basis of the ideal of all k-minors of tI - A(g)."""
     _check_index(g, k)
-    return IdealZt(basis=_basis(g, _pruned_presentation(g), k))
+    return IdealZt(basis=_basis(g, _presentation(g), k))
 
 
 _BOUND_POINTS = (0, 1, -1, 2, -2)
 
 
 def _corank_bound(pres):
-    """u >= the co-rank, from the pruned presentation (M, r).
+    """u >= the co-rank, from the presentation.
 
     I_k evaluated at t = a is the ideal of Z generated by the k-minors of
-    aI - A, and I_k = I_(k-r)(M), so a trivial I_k needs k - r unit
-    invariant factors of M(a).  u is r plus the fewest over the points a.
+    aI - A, which is equivalent to I_r (+) M(a) (+) D(a) for the pivoted
+    matrix M and the split factors D, so a trivial I_k needs k - r unit
+    invariant factors of M(a) (+) D(a).  The Smith form is taken of the
+    whole sum: diag(2) (+) diag(3) has a unit invariant factor though
+    neither block has one.  u is r plus the fewest over the points a.
     """
-    mat, r = pres
-    return r + min(snf_diagonal(IntMatrix([[e(a) for e in row] for row in mat])).ones
-                   for a in _BOUND_POINTS)
+    mat, r, (of_t, of_t1) = pres
+
+    def unit_factors(a):
+        diag = [a] * of_t + [a + 1] * of_t1
+        rows = [[e(a) for e in row] + [0] * len(diag) for row in mat]
+        rows += [[0] * len(mat) + [c if i == j else 0 for j in range(len(diag))]
+                 for i, c in enumerate(diag)]
+        return snf_diagonal(IntMatrix(rows)).ones
+
+    return r + min(unit_factors(a) for a in _BOUND_POINTS)
 
 
 def algebraic_corank(g):
@@ -188,7 +263,7 @@ def algebraic_corank(g):
     Only the trivial test is run, which stops at the unit ideal; no
     nontrivial ideal is completed to a basis.
     """
-    pres = _pruned_presentation(g)
+    pres = _presentation(g)
     r = pres[1]
     for k in range(_corank_bound(pres), r, -1):
         if _ideal_rows(g, pres, k)[0] == [1]:
@@ -204,7 +279,7 @@ class CharIdealProfile:
 
 
 def char_ideal_profile(g):
-    pres = _pruned_presentation(g)
+    pres = _presentation(g)
     ideals = tuple(IdealZt(basis=_basis(g, pres, k)) for k in range(1, g.n + 1))
     gamma = 0
     for ideal in ideals:
@@ -216,7 +291,7 @@ def char_ideal_profile(g):
 
 def _invariants_by_evaluation(g, point):
     n = g.n
-    pres = _pruned_presentation(g)
+    pres = _presentation(g)
     factors = []
     prev = 1
     for k in range(1, n + 1):
@@ -307,7 +382,7 @@ def all_k_minors_in_ideal(g, k, ideal):
     mod m, and det commutes with evaluation, so the whole check is m
     dividing the gcd of the k-minors of the integer matrix aI - A(g), i.e.
     the product of its first k invariant factors.  Other ideals fall back
-    to reducing every distinct minor of the pruned presentation.
+    to reducing every generator `_minors` takes from the presentation.
     """
     _check_index(g, k)
     basis = ideal.basis
@@ -320,4 +395,4 @@ def all_k_minors_in_ideal(g, k, ideal):
         mat = [[(a if i == j else 0) - (g.adj[i] >> j & 1) for j in range(g.n)]
                for i in range(g.n)]
         return prod(snf_diagonal(IntMatrix(mat)).factors[:k]) % mod == 0
-    return not any(reduce(p, basis) for p in _minors(_pruned_presentation(g), k))
+    return not any(reduce(p, basis) for p in _minors(_presentation(g), k))

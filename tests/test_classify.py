@@ -173,6 +173,13 @@ def test_cross_check_n1():
     assert all(res.family_counts[f] == 1 for f in res.family_counts)
 
 
+def test_cross_check_rejects_max_n_below_1():
+    # a run over no graphs would report graphs_checked 0 as a pass
+    for max_n in (0, -1):
+        with pytest.raises(ValueError, match="max_n >= 1"):
+            cross_check(max_n)
+
+
 def test_cross_check_parallel_matches_sequential():
     seq = cross_check(4)
     par = cross_check(4, workers=2)

@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from charideals import canonical_form, lookup, parse_graph6, to_graph6
-from charideals.catalog import FORBIDDEN_S4
+from charideals import (BlowupSpec, IdealZt, ZPoly, adjacency_matrix, blowup, canonical_form,
+                        lookup, parse_graph6, snf_diagonal, to_graph6)
+from charideals.catalog import FORBIDDEN_S4, cycle_graph, star_graph
 from charideals.cli import main
 
 
@@ -61,6 +62,36 @@ def test_ideal_all_diamond(capsys):
     assert env["payload"]["gamma"] == 2
     basis3 = env["payload"]["ideals"][2]["ideal"]["basis"]
     assert basis3 == [["2"], ["0", "1"]]
+
+
+# I_1 .. I_7 of the 16-vertex clique blow-ups of C4 and K1,3, as
+# coefficient tuples low degree first, computed by the unsplit engine
+CHAIN_HEADS = {
+    "c4": [((1,),), ((1,),), ((1,),), ((3,), (1, 1)), ((3, 3), (-2, -1, 1)),
+           ((3, 6, 3), (-2, -3, 0, 1)), ((3, 9, 9, 3), (-2, -5, -3, 1, 1))],
+    "k13": [((1,),), ((1,),), ((1,),), ((2,), (1, 1)), ((2, 2), (-1, 0, 1)),
+            ((2, 4, 2), (-1, -1, 1, 1)), ((2, 6, 6, 2), (-3, -8, -6, 0, 1))],
+}
+
+
+@pytest.mark.parametrize("base", sorted(CHAIN_HEADS))
+def test_ideal_all_on_16_vertex_clique_blowups(capsys, base):
+    g = blowup(BlowupSpec({"c4": cycle_graph(4), "k13": star_graph(4)}[base], (-4,) * 4))
+    code, out, _ = run(capsys, "ideal", "--graph", to_graph6(g), "--all")
+    assert code == 0
+    payload = envelopes(out)[0]["payload"]
+    assert payload["gamma"] == 3
+    ideals = [IdealZt(basis=[ZPoly(int(c) for c in p) for p in e["ideal"]["basis"]])
+              for e in payload["ideals"]]
+    assert [e["k"] for e in payload["ideals"]] == list(range(1, 17))
+    for smaller, larger in zip(ideals[1:], ideals):
+        assert smaller.subset_of(larger)
+    factors = snf_diagonal(adjacency_matrix(g)).factors
+    at0 = 1
+    for k, ideal in enumerate(ideals):
+        at0 *= factors[k]
+        assert ideal.evaluate(0) == abs(at0), k + 1
+    assert [tuple(map(tuple, i.basis)) for i in ideals[:7]] == CHAIN_HEADS[base]
 
 
 def test_ideal_single_k_pretty(capsys):
@@ -230,6 +261,14 @@ def test_crosscheck(capsys):
     env = envelopes(out)[0]
     assert env["payload"]["graphs_checked"] == 10
     assert env["payload"]["violations"] == []
+
+
+@pytest.mark.parametrize("max_n", ["0", "-1"])
+def test_crosscheck_of_no_graphs_exits_1(capsys, max_n):
+    code, out, err = run(capsys, "crosscheck", "--max-n", max_n)
+    assert code == 1
+    assert out == ""
+    assert "max_n >= 1" in err
 
 
 def test_bad_graph6_exits_1_with_offset(capsys):

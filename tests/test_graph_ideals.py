@@ -12,8 +12,8 @@ from charideals import (BlowupSpec, IdealZt, IntMatrix, ZPoly, adjacency_matrix,
                         snf_diagonal)
 from charideals.catalog import (complete_graph, complete_multipartite_graph,
                                 cycle_graph, path_graph, prism_graph, star_graph)
-from charideals.graph_ideals import (_char_matrix, _corank_bound, _minors, _principal_minor,
-                                     _pruned_presentation)
+from charideals.graph_ideals import (_char_matrix, _corank_bound, _minors, _presentation,
+                                     _principal_minor)
 from charideals.graphs import Graph
 from charideals.intlinalg import det_int
 from charideals.mining import enumerate_connected
@@ -154,6 +154,21 @@ def test_multipartite_closed_form_matches_direct_computation():
                 assert direct.subset_of(closed) and closed.subset_of(direct)
 
 
+def test_multipartite_closed_form_on_larger_part_sizes():
+    # each part is a class of false twins, so m parts leave a 2m x 2m matrix
+    # before pivots however large the parts are
+    rng = random.Random(131)
+    seeded = [tuple(rng.randint(2, 24 // m) for _ in range(m))
+              for m in (rng.randint(2, 5) for _ in range(8))]
+    for parts in seeded + [(12, 12), (8, 8, 8), (5, 5, 5, 5, 4)]:
+        m = len(parts)
+        g = complete_multipartite_graph(parts)
+        mat, r, _ = _presentation(g)
+        assert len(mat) + r == 2 * m, parts
+        for j in range(1, g.n + 1):
+            assert characteristic_ideal(g, j) == multipartite_closed_form(parts, j), (parts, j)
+
+
 def test_chain_property():
     rng = random.Random(59)
     for _ in range(40):
@@ -258,6 +273,57 @@ def test_engine_matches_minor_walk_without_unit_pivots():
             _assert_engine_matches_oracle(g, range(1, g.n + 1))
 
 
+def _mixed_twin_blowup(rng):
+    """A seeded blow-up on at most 10 vertices with a clique class and a
+    stable class of 3-4 vertices each, so that both split factors occur."""
+    while True:
+        base = oracles.random_connected_graph(rng, rng.randint(2, 4))
+        sizes = [-rng.randint(3, 4), rng.randint(3, 4)]
+        sizes += [rng.choice((-1, 1)) * rng.randint(1, 2) for _ in range(base.n - 2)]
+        if sum(map(abs, sizes)) <= 10:
+            return blowup(BlowupSpec(base, tuple(sizes)))
+
+
+def test_twin_split_matches_minor_walk_on_mixed_blowups():
+    # the ideals take the membership fallback, which reduces every generator
+    ideals = [IdealZt((P(0, 1),)), IdealZt((P(1, 1),)), IdealZt((P(0, 1, 1),)),
+              IdealZt((P(2), P(0, 0, 1)))]
+    rng = random.Random(113)
+    for _ in range(10):
+        g = _mixed_twin_blowup(rng)
+        assert all(_presentation(g)[2]), g
+        bases = [_oracle_basis(g, k) for k in range(1, g.n + 1)]
+        for k, want in enumerate(bases, 1):
+            assert characteristic_ideal(g, k).basis == want, (g, k)
+            for ideal in ideals:
+                assert all_k_minors_in_ideal(g, k, ideal) == \
+                    IdealZt(basis=want).subset_of(ideal), (g, k, ideal)
+        trivial = [b == (ONE,) for b in bases]
+        assert algebraic_corank(g) == (trivial.index(False) if False in trivial else g.n), g
+
+
+def test_twin_split_keeps_the_determinant():
+    # det(tI - A) = +-det(M) t^of_t (t+1)^of_t1, with the pivots' units dropped
+    rng = random.Random(127)
+    for _ in range(30):
+        g = _mixed_twin_blowup(rng)
+        mat, _, (of_t, of_t1) = _presentation(g)
+        got = det_int(mat) if mat else ONE
+        for c in [P(0, 1)] * of_t + [P(1, 1)] * of_t1:
+            got = got * c
+        want = _principal_minor(g, g.n)
+        assert got in (want, -want), g
+
+
+def test_twin_split_of_the_cycle_clique_blowup():
+    # four classes of four true twins: each keeps two vertices and splits off
+    # two factors t + 1, leaving an 8 x 8 matrix before the unit pivots
+    g = blowup(BlowupSpec(cycle_graph(4), (-4, -4, -4, -4)))
+    mat, r, split = _presentation(g)
+    assert split == (0, 8)
+    assert len(mat) + r == 8
+
+
 def test_all_k_minors_rejects_out_of_range_k():
     # <3, t + 1> takes the Smith-form shortcut, <t^2> the minor reduction
     for ideal in (IdealZt((P(3), P(1, 1))), IdealZt((P(0, 0, 1),)), IdealZt.unit()):
@@ -284,7 +350,7 @@ def test_unit_pivots_bound_corank():
     graphs = [oracles.random_graph(rng, rng.randint(1, 7)) for _ in range(60)]
     graphs.append(lookup("petersen"))
     for g in graphs:
-        _, r = _pruned_presentation(g)
+        _, r, _ = _presentation(g)
         assert algebraic_corank(g) >= r
         if r:
             assert characteristic_ideal(g, r).is_trivial()
@@ -317,7 +383,7 @@ def test_corank_between_bounds_on_larger_graphs():
     rng = random.Random(109)
     for _ in range(40):
         g = oracles.random_connected_graph(rng, rng.randint(8, 9), rng.choice((0.3, 0.5, 0.7)))
-        pres = _pruned_presentation(g)
+        pres = _presentation(g)
         gamma = algebraic_corank(g)
         assert pres[1] <= gamma <= _corank_bound(pres), g
         for a in (0, 1, -1, 2, -2):

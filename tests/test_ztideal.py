@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from charideals.graph_ideals import _ideal_rows, _minors, _pruned_presentation
+from charideals.graph_ideals import _ideal_rows, _minors, _presentation
 from charideals.mining import enumerate_connected
 from charideals.zpoly import ONE, ZPoly
 from charideals.ztideal import (GroebnerBuilder, IdealZt, _canonicalize, _lattice, reduce,
@@ -294,7 +294,7 @@ def test_one_pass_kernels_match_oracle_on_characteristic_ideals_up_to_6():
     shift = ZPoly((3, 1))
     for n in range(1, 7):
         for g in enumerate_connected(n):
-            pres = _pruned_presentation(g)
+            pres = _presentation(g)
             for k in range(1, n + 1):
                 minors = list(_minors(pres, k))[:4]
                 probes = minors + [m * shift + ONE for m in minors]

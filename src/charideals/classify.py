@@ -20,12 +20,11 @@ from dataclasses import dataclass
 
 from .catalog import (FAMILY_F, FORBIDDEN_S4, complete_graph, complete_minus_edge,
                       cycle_graph, path_graph, paw_graph, prism_graph, star_graph)
-from .graphs import (adjacency_matrix, laplacian_matrix, parse_graph6,
-                     to_graph6, true_twin_quotient)
+from .graphs import adjacency_matrix, laplacian_matrix, parse_graph6, true_twin_quotient
 from .graph_ideals import algebraic_corank
 from .intlinalg import ConsistencyError, snf_diagonal
 from .isomorphism import canonical_form, find_induced, is_isomorphic
-from .mining import enumerate_connected
+from .mining import _level
 
 
 class RouteDisagreement(ConsistencyError):
@@ -311,14 +310,15 @@ class CrossCheckResult:
         }
 
 
-def _check_one(g6):
+def _check_line(g6):
+    """(report as a JSON dict, None) for a graph6 string that classifies,
+    (None, message) for one that does not."""
     try:
-        rep = classify(parse_graph6(g6))
-    except ConsistencyError as exc:
-        return {"graph6": g6, "error": str(exc)}
+        return classify(parse_graph6(g6)).to_json_dict(), None
+    except (ValueError, ConsistencyError) as exc:
+        return None, str(exc)
     except Exception as exc:  # one failing graph must not end the run
-        return {"graph6": g6, "error": f"{type(exc).__name__}: {exc}"}
-    return {"graph6": rep.graph6, "memberships": rep.memberships}
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def imap_workers(fn, items, workers, chunksize=1):
@@ -339,22 +339,20 @@ def cross_check(max_n, workers=1):
     the parent either way."""
     if max_n < 1:
         raise ValueError(f"crosscheck needs max_n >= 1, got {max_n}")
-    todo = []
-    for n in range(1, max_n + 1):
-        todo.extend(to_graph6(g) for g in enumerate_connected(n))
+    todo = [g6 for n in range(1, max_n + 1) for g6 in _level(n)]
     counts = {}
     violations = []
-    for res in imap_workers(_check_one, todo, workers, chunksize=16):
-        if "error" in res:
-            violations.append({"graph6": res["graph6"], "detail": res["error"]})
+    for g6, (rep, error) in zip(todo, imap_workers(_check_line, todo, workers, chunksize=16)):
+        if error is not None:
+            violations.append({"graph6": g6, "detail": error})
             continue
-        m = res["memberships"]
+        m = rep["memberships"]
         for fam, member in m.items():
             counts[fam] = counts.get(fam, 0) + bool(member)
         for small, big in _NESTING:
             if m.get(small) and big in m and not m[big]:
                 violations.append({
-                    "graph6": res["graph6"],
+                    "graph6": rep["graph6"],
                     "detail": f"nesting violated: in {small} but not {big}",
                 })
     return CrossCheckResult(max_n, len(todo), counts, violations)

@@ -15,7 +15,7 @@ import sys
 
 from . import __version__
 from .catalog import UnknownGraphError, collection, lookup, names
-from .classify import classify, cross_check, imap_workers
+from .classify import _check_line, classify, cross_check, imap_workers
 from .graphs import (adjacency_matrix, format_edge_list, laplacian_matrix,
                      parse_edge_list, parse_graph6, to_graph6)
 from .graph_ideals import algebraic_corank, char_ideal_profile, characteristic_ideal
@@ -122,19 +122,12 @@ def _cmd_ideal(args):
     return 0
 
 
-def _classify_one(g6):
-    return classify(parse_graph6(g6)).to_json_dict()
-
-
 def _classify_line(numbered):
     """(line number, line, report, None) for a good stdin line,
     (line number, line, None, message) for a bad one."""
     lineno, line = numbered
     line = line.strip()
-    try:
-        return lineno, line, _classify_one(line), None
-    except (ValueError, ConsistencyError) as exc:
-        return lineno, line, None, str(exc)
+    return (lineno, line, *_check_line(line))
 
 
 def _emit_stream(results):
@@ -154,7 +147,7 @@ def _emit_stream(results):
 
 def _cmd_classify(args):
     if args.graph != "-":
-        rep = _classify_one(args.graph)
+        rep = classify(parse_graph6(args.graph)).to_json_dict()
         _emit("classify", rep["graph6"], rep)
         return 0
     numbered = ((no, ln) for no, ln in enumerate(sys.stdin, start=1) if ln.strip())

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 from math import prod
 
-from .graphs import Graph, bits
+from .graphs import Graph, bits, twin_classes
 from .intlinalg import ConsistencyError, IntMatrix, InvariantFactors, det_int, snf_diagonal
 from .zpoly import ONE, T, ZERO, ZPoly
 from .ztideal import IdealZt, _canonicalize, _lattice, reduce
@@ -61,13 +61,7 @@ def _twin_classes(g):
     """(tau, vertices) for each class of at least three vertices with equal
     open neighbourhoods (false twins, tau = 0) or equal closed ones (true
     twins, tau = 1); a vertex lies in at most one of them."""
-    out = []
-    for tau in (0, 1):
-        groups = {}
-        for v in range(g.n):
-            groups.setdefault(g.adj[v] | tau << v, []).append(v)
-        out.extend((tau, vs) for vs in groups.values() if len(vs) >= 3)
-    return out
+    return [(tau, vs) for tau in (0, 1) for vs in twin_classes(g.adj, tau) if len(vs) >= 3]
 
 
 def _presentation(g):

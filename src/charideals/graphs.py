@@ -1,8 +1,10 @@
 """Simple undirected graphs on vertex sets {0..n-1}, adjacency as row bitsets.
 
 Includes the graph6 codec (single-byte sizes, n <= 62), the edge-list text
-format, blow-ups, and twin-class machinery.  Graphs are immutable after
-construction and safe to share between threads.
+format, blow-ups, reachability within a vertex mask (`reach`, behind
+connectivity, components and cut vertices), and twin classes of equal open
+or equal closed neighbourhoods (`twin_classes`).  Graphs are immutable
+after construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -18,6 +20,19 @@ def bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def reach(adj, seen, within):
+    """The vertices of the mask `within` reachable from the mask `seen`
+    (a subset of `within`) along edges inside `within`, as a mask."""
+    frontier = seen
+    while frontier:
+        nxt = 0
+        for v in bits(frontier):
+            nxt |= adj[v]
+        frontier = nxt & within & ~seen
+        seen |= frontier
+    return seen
 
 
 class Graph:
@@ -77,34 +92,14 @@ class Graph:
         return tuple(a.bit_count() for a in self.adj)
 
     def is_connected(self):
-        if self.n <= 1:
-            return True
         full = (1 << self.n) - 1
-        seen = 1
-        frontier = 1
-        adj = self.adj
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= adj[v]
-            frontier = nxt & ~seen
-            seen |= frontier
-        return seen == full
+        return self.n <= 1 or reach(self.adj, 1, full) == full
 
     def components(self):
         out = []
         left = (1 << self.n) - 1
-        adj = self.adj
         while left:
-            start = (left & -left).bit_length() - 1
-            seen = 1 << start
-            frontier = seen
-            while frontier:
-                nxt = 0
-                for v in bits(frontier):
-                    nxt |= adj[v]
-                frontier = nxt & ~seen
-                seen |= frontier
+            seen = reach(self.adj, left & -left, left)
             out.append(list(bits(seen)))
             left &= ~seen
         return out
@@ -328,11 +323,14 @@ def blowup(spec):
     return Graph(total, edges)
 
 
-def closed_twin_classes(g):
-    """Maximal classes of true twins (equal closed neighbourhoods)."""
+def twin_classes(adj, closed):
+    """Maximal classes of vertices with equal open (closed = 0) or equal
+    closed (closed = 1) neighbourhoods in the graph with adjacency bitmasks
+    adj: false or true twins.  Each class is in increasing order, and the
+    classes come in order of their first vertex."""
     groups = {}
-    for v in range(g.n):
-        groups.setdefault(g.adj[v] | 1 << v, []).append(v)
+    for v, a in enumerate(adj):
+        groups.setdefault(a | closed << v, []).append(v)
     return list(groups.values())
 
 
@@ -343,6 +341,5 @@ def true_twin_quotient(g):
     returned sizes is isomorphic to g.  Used to recognise clique blow-ups
     of small underlying graphs.
     """
-    classes = sorted(closed_twin_classes(g), key=lambda c: c[0])
-    reps = [cls[0] for cls in classes]
-    return g.subgraph(reps), tuple(len(cls) for cls in classes)
+    classes = twin_classes(g.adj, 1)
+    return g.subgraph([cls[0] for cls in classes]), tuple(map(len, classes))

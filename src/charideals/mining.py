@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import takewhile
 
-from .graphs import Graph, adjacency_matrix, bits, laplacian_matrix, parse_graph6, to_graph6
+from .graphs import Graph, adjacency_matrix, laplacian_matrix, parse_graph6, reach, to_graph6
 from .graph_ideals import algebraic_corank, characteristic_ideal
 from .intlinalg import (ConsistencyError, delta_sequence, invariant_factors_from_deltas,
                         snf_diagonal)
@@ -82,14 +82,7 @@ def _mask_orbits(m, perms):
 
 def _is_cut_vertex(adj, v):
     rest = ((1 << len(adj)) - 1) ^ 1 << v
-    seen = frontier = rest & -rest
-    while frontier:
-        reach = 0
-        for u in bits(frontier):
-            reach |= adj[u]
-        frontier = reach & rest & ~seen
-        seen |= frontier
-    return seen != rest
+    return reach(adj, rest & -rest, rest) != rest
 
 
 def _children(g6):
@@ -210,7 +203,7 @@ def _independent_value(g6, statistic):
     return gamma
 
 
-def _grow(max_vertices, limit, stat, values):
+def _grow(max_vertices, limit, fn, values):
     """Minimal forbidden graphs as (size, graph6, Graph), and the members,
     of a statistic that deleting a vertex never raises."""
     level = {canonical_form(Graph(1))}  # K_1: phiA and gammaA are 0 on it
@@ -221,7 +214,7 @@ def _grow(max_vertices, limit, stat, values):
         for s in sorted(level):
             for c in _children(s):
                 g = parse_graph6(c)
-                val = values[c] = stat(g, c)
+                val = values[c] = fn(g)
                 if val < limit:
                     grown.add(c)
                 elif all(canonical_form(h) in level
@@ -232,15 +225,15 @@ def _grow(max_vertices, limit, stat, values):
     return minimal, members
 
 
-def _scan(max_vertices, limit, stat, values):
+def _scan(max_vertices, limit, fn, values):
     """The same for any statistic: every connected graph is evaluated, and
     each forbidden one is searched for every smaller forbidden one."""
     members = set()
     forbidden = []  # (size, graph6, Graph)
     for size in range(2, max_vertices + 1):
-        for g in enumerate_connected(size):
-            g6 = to_graph6(g)  # enumeration yields canonically labelled graphs
-            val = stat(g, g6)
+        for g6 in _level(size):
+            g = parse_graph6(g6)
+            val = fn(g)
             if val is not None:
                 values[g6] = val
             if val is None or val < limit:
@@ -261,18 +254,9 @@ def mine(task):
         raise TypeError("mine expects a MiningTask")
     fn = STATISTICS[task.statistic]
     limit = task.k + 1
-    # statistic values memoized by canonical form for the whole run
-    cache = {}
-
-    def stat(g, g6=None):
-        key = g6 if g6 is not None else canonical_form(g)
-        if key not in cache:
-            cache[key] = fn(g)
-        return cache[key]
-
     values = {}
     route = _grow if task.statistic in _HEREDITARY else _scan
-    minimal, members = route(task.max_vertices, limit, stat, values)
+    minimal, members = route(task.max_vertices, limit, fn, values)
     for size, g6, g in minimal:
         recheck = _independent_value(g6, task.statistic)
         if recheck != values[g6]:
@@ -282,7 +266,9 @@ def mine(task):
             h = g.delete_vertex(v)
             if not h.is_connected():
                 continue
-            val = stat(h)
+            # a miss is K_1, or under phiL a graph that is not regular
+            key = canonical_form(h)
+            val = values[key] if key in values else fn(h)
             if val is not None and val >= limit:
                 raise ConsistencyError(
                     f"{g6} is not minimal: deleting vertex {v} keeps the statistic at {val}")

@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import os
@@ -163,6 +164,34 @@ def test_classify_stream_keeps_valid_lines_around_bad_ones(capsys, monkeypatch, 
         assert single_code == 1
         assert env["command"] == "classify" and env["input"] == g6
         assert env["payload"] == {"error": err.strip()[len("error: "):], "line": lineno}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_classify_stream_survives_an_unexpected_failure(capsys, monkeypatch, threads):
+    # the package's `classify` attribute is the function, not the module
+    classify_mod = importlib.import_module("charideals.classify")
+    real = classify_mod.classify
+    target = canonical_form(parse_graph6("Dhc"))
+
+    def flaky(g):
+        if canonical_form(g) == target:
+            raise RuntimeError("boom")
+        return real(g)
+
+    # whichever binding the stream calls through
+    monkeypatch.setattr(classify_mod, "classify", flaky)
+    monkeypatch.setattr("charideals.cli.classify", flaky)
+    monkeypatch.setenv("GRAPHTOOL_THREADS", threads)
+    monkeypatch.setattr("sys.stdin", io.StringIO("C^\nDhc\nC~\n"))
+    code, out, _ = run(capsys, "classify", "-")
+    assert code == 1
+    envs = envelopes(out)
+    assert len(envs) == 3
+    assert envs[1]["input"] == "Dhc"
+    assert envs[1]["payload"] == {"error": "RuntimeError: boom", "line": 2}
+    for env, g6 in ((envs[0], "C^"), (envs[2], "C~")):
+        rep = json.loads(json.dumps(real(parse_graph6(g6)).to_json_dict()))
+        assert env["input"] == rep["graph6"] and env["payload"] == rep
 
 
 def test_workers_clamped_to_usable_cpus(monkeypatch):

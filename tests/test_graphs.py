@@ -7,7 +7,8 @@ from charideals import (BlowupSpec, Graph, Graph6Error, adjacency_matrix, blowup
                         parse_graph6, to_graph6)
 from charideals.catalog import (complete_graph, complete_multipartite_graph,
                                 cycle_graph, path_graph, star_graph)
-from charideals.graphs import closed_twin_classes, format_edge_list, true_twin_quotient
+from charideals.graphs import format_edge_list, true_twin_quotient, twin_classes
+from charideals.mining import _is_cut_vertex
 
 import oracles
 
@@ -99,12 +100,53 @@ def test_edge_list_round_trip():
         parse_edge_list("0 1 2")
 
 
+def _components_by_union_find(n, edges):
+    parent = list(range(n))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in edges:
+        parent[root(u)] = root(v)
+    groups = {}
+    for v in range(n):
+        groups.setdefault(root(v), []).append(v)
+    return sorted(groups.values())
+
+
 def test_connectivity_and_components():
     assert cycle_graph(4).is_connected()
     g = Graph(4, [(0, 1), (2, 3)])
     assert not g.is_connected()
     assert g.components() == [[0, 1], [2, 3]]
     assert Graph(1).is_connected()
+    # every labelled graph on at most 5 vertices, then seeded random ones on
+    # 0..10 vertices, many of them disconnected
+    cases = []
+    for n in range(6):
+        pairs = [(i, j) for j in range(n) for i in range(j)]
+        cases.extend((n, [p for b, p in enumerate(pairs) if m >> b & 1])
+                     for m in range(1 << len(pairs)))
+    rng = random.Random(23)
+    for _ in range(300):
+        n = rng.randint(0, 10)
+        p = rng.choice((0.1, 0.2, 0.35, 0.6))
+        cases.append((n, [(i, j) for j in range(n) for i in range(j) if rng.random() < p]))
+    disconnected = set()  # vertex counts of the disconnected inputs
+    for n, edges in cases:
+        g = Graph(n, edges)
+        want = _components_by_union_find(n, edges)
+        assert g.components() == want
+        assert g.is_connected() == (len(want) <= 1)
+        if len(want) > 1:
+            disconnected.add(n)
+        for v in range(n):
+            rest = [(a - (a > v), b - (b > v)) for a, b in edges if v not in (a, b)]
+            split = len(_components_by_union_find(n - 1, rest)) > 1
+            assert _is_cut_vertex(g.adj, v) == split
+    assert disconnected == set(range(2, 11))
 
 
 def test_regular_degree():
@@ -147,9 +189,27 @@ def test_blowup_clique_classes():
 
 def test_twin_classes():
     km = complete_multipartite_graph((2, 2))
-    assert sorted(map(len, closed_twin_classes(km))) == [1, 1, 1, 1]
+    assert sorted(map(len, twin_classes(km.adj, 1))) == [1, 1, 1, 1]
     k3 = complete_graph(3)
-    assert sorted(map(len, closed_twin_classes(k3))) == [3]
+    assert sorted(map(len, twin_classes(k3.adj, 1))) == [3]
+    assert twin_classes(complete_multipartite_graph((2, 3)).adj, 0) == [[0, 1], [2, 3, 4]]
+    # a stable pair, a clique pair and a single vertex along a path: vertex 4
+    # is a false twin of the pair, and the classes come by first vertex
+    both = blowup(BlowupSpec(path_graph(3), (2, -2, 1)))
+    assert twin_classes(both.adj, 0) == [[0, 1, 4], [2], [3]]
+    assert twin_classes(both.adj, 1) == [[0], [1], [2, 3], [4]]
+    rng = random.Random(29)
+    for _ in range(40):
+        n = rng.randint(1, 9)
+        g = Graph(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < 0.5])
+        for closed in (0, 1):
+            classes = twin_classes(g.adj, closed)
+            assert sorted(v for c in classes for v in c) == list(range(n))
+            assert [c[0] for c in classes] == sorted(c[0] for c in classes)
+            assert all(c == sorted(c) for c in classes)
+            for c in classes:
+                assert len({g.adj[v] | closed << v for v in c}) == 1
+            assert len({g.adj[c[0]] | closed << c[0] for c in classes}) == len(classes)
 
 
 def test_true_twin_quotient():
@@ -157,3 +217,9 @@ def test_true_twin_quotient():
     q, sizes = true_twin_quotient(big)
     assert is_isomorphic(q, cycle_graph(4))
     assert sorted(sizes) == [1, 1, 2, 3]
+    # classes by first vertex of the shuffled labelling: (0, 4), (1), (2, 3, 5), (6, 7)
+    order = list(range(8))
+    random.Random(5).shuffle(order)
+    shuffled = blowup(BlowupSpec(cycle_graph(4), (-3, -1, -2, -2))).relabelled(order)
+    assert true_twin_quotient(shuffled) == (Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)]),
+                                            (2, 1, 3, 2))

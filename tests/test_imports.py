@@ -55,6 +55,51 @@ def test_scan_sees_unread_names():
     assert _unread_imports(tree) == ["line 1: os", "line 5: g"]
 
 
+def _unreferenced_privates(trees):
+    """(module, name) for each private module-level function, class or
+    constant of the modules in `trees` (name -> AST) that no other
+    top-level statement of any of them reads, imports or names as an
+    attribute; a definition's own body does not count."""
+    defined, used = [], {}
+    for mod, tree in trees.items():
+        for i, node in enumerate(tree.body):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+            else:
+                names = []
+            defined.extend((mod, i, name) for name in names
+                           if name.startswith("_") and not name.startswith("__"))
+            for n in ast.walk(node):
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                    name = n.id
+                elif isinstance(n, ast.Attribute):
+                    name = n.attr
+                elif isinstance(n, ast.alias):
+                    name = n.name
+                else:
+                    continue
+                used.setdefault(name, set()).add((mod, i))
+    return sorted((mod, name) for mod, i, name in defined
+                  if not used.get(name, set()) - {(mod, i)})
+
+
+def test_no_unreferenced_private_names_in_src():
+    trees = {str(path.relative_to(ROOT)): ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src").rglob("*.py"))}
+    assert _unreferenced_privates(trees) == []
+
+
+def test_private_scan_sees_unreferenced_names():
+    trees = {"a": ast.parse("_A = 1\n_B = 2\ndef _f():\n    return _f()\n"
+                            "class _C:\n    pass\ndef g(x):\n    return _A + x._D\n"
+                            "_D = 3\n"),
+             "b": ast.parse("from a import _C\n")}
+    assert _unreferenced_privates(trees) == [("a", "_B"), ("a", "_f")]
+
 
 def test_oracles_import_no_kernel_they_check():
     # the reference routes stay independent of the Smith form and the

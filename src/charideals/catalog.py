@@ -103,22 +103,6 @@ FAMILY_F = {
     "k1,1,1,1,4": complete_multipartite_graph((4, 1, 1, 1, 1)),
 }
 
-# Join-form alternative names for the members that are joins (used as a
-# cross-check on the edge lists above).
-FAMILY_F_JOINS = {
-    "dart": lambda: complete_graph(1).join(path_graph(3).disjoint_union(complete_graph(1))),
-    "3-fan": lambda: path_graph(4).join(complete_graph(1)),
-    "s6+e": lambda: complete_graph(1).join(
-        complete_graph(2).disjoint_union(Graph(3))),
-    "co-diamond-k2": lambda: Graph(2).join(
-        complete_graph(2).disjoint_union(Graph(2))),
-    "k33+e": lambda: Graph(3).join(complete_graph(2).disjoint_union(Graph(1))),
-    "co-p3-cop3": lambda: path_graph(3).join(
-        complete_graph(2).disjoint_union(Graph(1))),
-    "k1,1,1,2,2": lambda: complete_graph(3).join(cycle_graph(4)),
-    "k1,1,1,1,4": lambda: complete_graph(4).join(Graph(4)),
-}
-
 # Caption strings of the figure listing the minimal forbidden graphs for the
 # family with at most four unit invariant factors of the adjacency matrix.
 FORBIDDEN_S4 = (
@@ -142,6 +126,17 @@ _FIXED = {
                                    (5, 7), (7, 9), (9, 6), (6, 8), (8, 5)]),
 }
 
+# name shown by `names`, pattern and builder of each parametric family;
+# the builder takes the pattern's comma-separated numbers
+_PARAMETRIC = (
+    ("p<n>", r"p(\d+)", path_graph),
+    ("c<n>", r"c(\d+)", cycle_graph),
+    ("k<n>", r"k(\d+)", complete_graph),
+    ("k<n>-e", r"k(\d+)-e", complete_minus_edge),
+    ("s<n>", r"s(\d+)", star_graph),
+    ("k<a>,<b>,...", r"k(\d+(?:,\d+)+)", lambda *parts: complete_multipartite_graph(parts)),
+)
+
 _COLLECTIONS = {
     "family-f": lambda: [FAMILY_F[k] for k in sorted(FAMILY_F)],
     "forbidden-s4": lambda: [parse_graph6(s) for s in FORBIDDEN_S4],
@@ -156,7 +151,7 @@ def collection(name):
 
 
 def names():
-    dynamic = ["p<n>", "c<n>", "k<n>", "k<n>-e", "s<n>", "k<a>,<b>,..."]
+    dynamic = [name for name, _, _ in _PARAMETRIC]
     return sorted(_FIXED) + sorted(FAMILY_F) + dynamic + sorted(_COLLECTIONS)
 
 
@@ -166,23 +161,9 @@ def lookup(name):
         return _FIXED[key]()
     if key in FAMILY_F:
         return FAMILY_F[key]
-    m = re.fullmatch(r"p(\d+)", key)
-    if m:
-        return path_graph(int(m.group(1)))
-    m = re.fullmatch(r"c(\d+)", key)
-    if m:
-        return cycle_graph(int(m.group(1)))
-    m = re.fullmatch(r"k(\d+)", key)
-    if m:
-        return complete_graph(int(m.group(1)))
-    m = re.fullmatch(r"k(\d+)-e", key)
-    if m:
-        return complete_minus_edge(int(m.group(1)))
-    m = re.fullmatch(r"s(\d+)", key)
-    if m:
-        return star_graph(int(m.group(1)))
-    m = re.fullmatch(r"k(\d+(?:,\d+)+)", key)
-    if m:
-        return complete_multipartite_graph(tuple(int(p) for p in m.group(1).split(",")))
+    for _, pattern, build in _PARAMETRIC:
+        m = re.fullmatch(pattern, key)
+        if m:
+            return build(*map(int, m.group(1).split(",")))
     pool = list(_FIXED) + list(FAMILY_F)  # only names lookup resolves
     raise UnknownGraphError(name, get_close_matches(key, pool, n=3))

@@ -1,17 +1,19 @@
-"""Family membership for connected graphs, by three independent routes.
+"""Family membership for connected graphs, cross-checked between routes.
 
-Three hereditary families are decided:
+Four families are decided:
 
-* at most k unit invariant factors of the adjacency matrix (k = 1..4),
-* at most k trivial characteristic ideals (k = 1..3),
-* for regular graphs, at most k unit invariant factors of the Laplacian
-  (k = 1..3).
+* S<=k: at most k unit invariant factors of the adjacency matrix (k = 1..4),
+* C<=k: at most k trivial characteristic ideals (k = 1..3),
+* K<=k: for regular graphs, at most k unit invariant factors of the
+  Laplacian (k = 1..3).
 
-Each membership is decided by direct computation, by a forbidden induced
-subgraph list, and by structural recognition; any disagreement raises,
-naming the graph.  The k = 4 adjacency family has no completeness theorem,
-so only the count route plus a screen against the known 43 minimal
-forbidden graphs runs there, and the certificate marks the route partial.
+The directly computed count decides each membership, and every other route
+must agree with it; any disagreement raises, naming the graph.  S<=k and
+C<=k for k <= 3 have two more routes, a forbidden induced subgraph list and
+structural recognition.  K<=k has one, the closed list of regular members.
+S<=4 has no completeness theorem, so the count is only screened against the
+known 43 minimal forbidden graphs: a witness in a counted member is a
+disagreement, and the certificate marks the route partial.
 """
 
 from __future__ import annotations
@@ -129,52 +131,53 @@ def _check_connected(g):
         raise ValueError("disconnected graph: the families are defined for connected graphs")
 
 
-def _routes_agree(g, family, member_by_count, forbidden_hit, structural):
-    by_forb = forbidden_hit is None
-    by_struct = structural is not None
-    if member_by_count != by_forb or member_by_count != by_struct:
-        raise RouteDisagreement(canonical_form(g), family, {
-            "count": member_by_count,
-            "forbidden-free": by_forb,
-            "structural": by_struct,
-        })
-
-
-def _certificate(member, structural, forbidden_hit, counts):
-    cert = dict(counts)
+def _decide(g, family, member, routes, cert, structural=None, hit=None):
+    """(family, member, certificate) for a membership the count decided.
+    `routes` maps every other route to its answer: True or False, or the
+    name of a forbidden witness, which answers False.  Any answer that
+    differs from the count raises.  The certificate is `cert` (the counts)
+    plus the structural form of a member or the forbidden hit of a
+    non-member."""
+    if any((answer is True) != member for answer in routes.values()):
+        raise RouteDisagreement(canonical_form(g), family, {"count": member, **routes})
     if member:
-        cert.update(structural)
-    else:
-        name, emb = forbidden_hit
-        cert["forbidden"] = name
-        cert["embedding"] = list(emb)
-    return cert
+        cert.update(structural or {})
+    elif hit is not None:
+        cert["forbidden"] = hit[0]
+        cert["embedding"] = list(hit[1])
+    return family, member, cert
 
 
-def is_S_leq(g, k, _phi=None):
+def _s_leq(g, k, phi):
+    hit = _first_hit(g, _S_FORBIDDEN[k])
+    structural = _structural_s(g, k)
+    return _decide(g, f"S<={k}", phi <= k,
+                   {"forbidden-free": hit is None, "structural": structural is not None},
+                   {"phi_adjacency": phi}, structural, hit)
+
+
+def is_S_leq(g, k):
     """Membership in the family with at most k unit adjacency invariant factors."""
     if k not in (1, 2, 3):
         raise ValueError("structural characterisations exist for k in {1, 2, 3}")
     _check_connected(g)
-    phi = snf_diagonal(adjacency_matrix(g)).ones if _phi is None else _phi
-    member = phi <= k
-    hit = _first_hit(g, _S_FORBIDDEN[k])
-    structural = _structural_s(g, k)
-    _routes_agree(g, f"S<={k}", member, hit, structural)
-    return member, _certificate(member, structural, hit, {"phi_adjacency": phi})
+    return _s_leq(g, k, snf_diagonal(adjacency_matrix(g)).ones)[1:]
 
 
-def is_C_leq(g, k, _gamma=None):
+def _c_leq(g, k, gamma):
+    hit = _first_hit(g, _C_FORBIDDEN[k])
+    structural = _structural_c(g, k)
+    return _decide(g, f"C<={k}", gamma <= k,
+                   {"forbidden-free": hit is None, "structural": structural is not None},
+                   {"corank": gamma}, structural, hit)
+
+
+def is_C_leq(g, k):
     """Membership in the family with at most k trivial characteristic ideals."""
     if k not in (1, 2, 3):
         raise ValueError("characterisations exist for k in {1, 2, 3}")
     _check_connected(g)
-    gamma = algebraic_corank(g) if _gamma is None else _gamma
-    member = gamma <= k
-    hit = _first_hit(g, _C_FORBIDDEN[k])
-    structural = _structural_c(g, k)
-    _routes_agree(g, f"C<={k}", member, hit, structural)
-    return member, _certificate(member, structural, hit, {"corank": gamma})
+    return _c_leq(g, k, algebraic_corank(g))[1:]
 
 
 def _k_regular_structural(g, k):
@@ -197,7 +200,13 @@ def _k_regular_structural(g, k):
     return None
 
 
-def is_K_leq_regular(g, k, _phi_l=None):
+def _k_leq(g, k, phi_l):
+    structural = _k_regular_structural(g, k)
+    return _decide(g, f"K<={k}", phi_l <= k, {"structural": structural is not None},
+                   {"phi_laplacian": phi_l}, structural)
+
+
+def is_K_leq_regular(g, k):
     """Membership, for regular g, in the family with at most k unit Laplacian
     invariant factors; matched against the closed list and cross-checked
     against the directly computed count."""
@@ -206,32 +215,16 @@ def is_K_leq_regular(g, k, _phi_l=None):
     _check_connected(g)
     if g.regular_degree() is None:
         raise ValueError(f"graph is not regular: degrees {sorted(set(g.degrees()))}")
-    phi_l = snf_diagonal(laplacian_matrix(g)).ones if _phi_l is None else _phi_l
-    member = phi_l <= k
-    structural = _k_regular_structural(g, k)
-    by_struct = structural is not None
-    if member != by_struct:
-        raise RouteDisagreement(canonical_form(g), f"K<={k}", {
-            "count": member, "structural": by_struct})
-    cert = {"phi_laplacian": phi_l}
-    if member:
-        cert.update(structural)
-    return member, cert
+    return _k_leq(g, k, snf_diagonal(laplacian_matrix(g)).ones)[1:]
 
 
 def _s4_partial(g, snf):
-    phi = snf.ones
-    member = phi <= 4
-    cert = {"phi_adjacency": phi, "route": "partial",
-            "invariant_factors": list(snf.factors)}
+    # no completeness theorem: a witness rules a graph out, its absence
+    # proves nothing
     hit = _first_hit(g, _S4_FORBIDDEN)
-    if hit is not None:
-        if member:
-            raise RouteDisagreement(canonical_form(g), "S<=4", {
-                "count": member, "forbidden-witness": hit[0]})
-        cert["forbidden"] = hit[0]
-        cert["embedding"] = list(hit[1])
-    return member, cert
+    return _decide(g, "S<=4", snf.ones <= 4, {"forbidden-witness": hit[0]} if hit else {},
+                   {"phi_adjacency": snf.ones, "route": "partial",
+                    "invariant_factors": list(snf.factors)}, hit=hit)
 
 
 @dataclass
@@ -262,26 +255,12 @@ def classify(g):
     snf = snf_diagonal(adjacency_matrix(g))
     phi_a = snf.ones
     gamma = algebraic_corank(g)
-    rdeg = g.regular_degree()
-    phi_l = snf_diagonal(laplacian_matrix(g)).ones if rdeg is not None else None
-    memberships = {}
-    certificates = {}
-    for k in (1, 2, 3):
-        member, cert = is_S_leq(g, k, _phi=phi_a)
-        memberships[f"S<={k}"] = member
-        certificates[f"S<={k}"] = cert
-    member, cert = _s4_partial(g, snf)
-    memberships["S<=4"] = member
-    certificates["S<=4"] = cert
-    for k in (1, 2, 3):
-        member, cert = is_C_leq(g, k, _gamma=gamma)
-        memberships[f"C<={k}"] = member
-        certificates[f"C<={k}"] = cert
-    if rdeg is not None:
-        for k in (1, 2, 3):
-            member, cert = is_K_leq_regular(g, k, _phi_l=phi_l)
-            memberships[f"K<={k}"] = member
-            certificates[f"K<={k}"] = cert
+    phi_l = snf_diagonal(laplacian_matrix(g)).ones if g.regular_degree() is not None else None
+    decided = [*(_s_leq(g, k, phi_a) for k in (1, 2, 3)), _s4_partial(g, snf),
+               *(_c_leq(g, k, gamma) for k in (1, 2, 3)),
+               *(_k_leq(g, k, phi_l) for k in (1, 2, 3) if phi_l is not None)]
+    memberships = {family: member for family, member, _ in decided}
+    certificates = {family: cert for family, _, cert in decided}
     return ClassificationReport(g6, phi_a, phi_l, gamma, memberships, certificates)
 
 

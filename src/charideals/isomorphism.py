@@ -184,38 +184,22 @@ def is_isomorphic(g, h):
     return canonical_form(g) == canonical_form(h)
 
 
-def _pattern_order(p):
-    n = p.n
-    degs = p.degrees()
-    order = []
-    placed = 0
-    for _ in range(n):
-        bestv = -1
-        bestkey = None
-        for v in range(n):
-            if placed >> v & 1:
-                continue
-            key = ((p.adj[v] & placed).bit_count(), degs[v], -v)
-            if bestkey is None or key > bestkey:
-                bestkey = key
-                bestv = v
-        order.append(bestv)
-        placed |= 1 << bestv
-    return order
-
-
 @lru_cache(maxsize=512)
 def _search_plan(pattern):
     """How find_induced places the pattern: its vertices in search order
     and, per step, the earlier steps adjacent and non-adjacent to that
-    vertex and its degree."""
-    order = _pattern_order(pattern)
-    degs = pattern.degrees()
-    steps = []
-    for i, v in enumerate(order):
-        earlier = [(j, pattern.adj[v] >> order[j] & 1) for j in range(i)]
-        steps.append((tuple(j for j, e in earlier if e),
-                      tuple(j for j, e in earlier if not e), degs[v]))
+    vertex and its degree.  Each step takes the unplaced vertex with the
+    most placed neighbours, then the highest degree, then the lowest index."""
+    adj, degs = pattern.adj, pattern.degrees()
+    order, steps = [], []
+    placed = 0
+    for _ in range(pattern.n):
+        v = max((u for u in range(pattern.n) if not placed >> u & 1),
+                key=lambda u: ((adj[u] & placed).bit_count(), degs[u], -u))
+        steps.append((tuple(j for j, w in enumerate(order) if adj[v] >> w & 1),
+                      tuple(j for j, w in enumerate(order) if not adj[v] >> w & 1), degs[v]))
+        order.append(v)
+        placed |= 1 << v
     return tuple(order), tuple(steps)
 
 

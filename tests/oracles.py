@@ -28,7 +28,7 @@ from itertools import combinations, permutations
 from math import gcd
 
 from charideals.graphs import Graph, bits, parse_graph6, to_graph6
-from charideals.isomorphism import _pattern_order
+from charideals.isomorphism import _search_plan
 from charideals.zpoly import ONE, ZPoly
 
 
@@ -293,7 +293,7 @@ def find_induced(host, pattern):
     hadj = host.adj
     hdeg = host.degrees()
     pdeg = pattern.degrees()
-    order = _pattern_order(pattern)
+    order = _search_plan(pattern)[0]
     # for each step: masks of earlier pattern vertices split by adjacency
     steps = []
     for i, v in enumerate(order):

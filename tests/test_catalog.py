@@ -1,12 +1,13 @@
 import pytest
 
 from charideals import is_isomorphic, parse_graph6
-from charideals.catalog import (FAMILY_F, FAMILY_F_JOINS, FORBIDDEN_S4,
+from charideals.catalog import (FAMILY_F, FORBIDDEN_S4,
                                 UnknownGraphError, collection, complete_graph,
                                 complete_minus_edge, complete_multipartite_graph,
                                 cycle_graph, diamond_graph, house_graph, lookup,
                                 names, path_graph, paw_graph, prism_graph,
                                 star_graph)
+from charideals.graphs import Graph
 
 
 def test_dynamic_names():
@@ -48,6 +49,23 @@ def test_family_f_inventory():
     sizes = sorted(g.n for g in FAMILY_F.values())
     assert sizes == [5] * 8 + [6] * 4 + [7, 8]
     assert is_isomorphic(FAMILY_F["p5"], path_graph(5))
+
+
+# Join-form alternative names for the members that are joins (used as a
+# cross-check on the edge lists of FAMILY_F).
+FAMILY_F_JOINS = {
+    "dart": lambda: complete_graph(1).join(path_graph(3).disjoint_union(complete_graph(1))),
+    "3-fan": lambda: path_graph(4).join(complete_graph(1)),
+    "s6+e": lambda: complete_graph(1).join(
+        complete_graph(2).disjoint_union(Graph(3))),
+    "co-diamond-k2": lambda: Graph(2).join(
+        complete_graph(2).disjoint_union(Graph(2))),
+    "k33+e": lambda: Graph(3).join(complete_graph(2).disjoint_union(Graph(1))),
+    "co-p3-cop3": lambda: path_graph(3).join(
+        complete_graph(2).disjoint_union(Graph(1))),
+    "k1,1,1,2,2": lambda: complete_graph(3).join(cycle_graph(4)),
+    "k1,1,1,1,4": lambda: complete_graph(4).join(Graph(4)),
+}
 
 
 def test_family_f_join_forms():

@@ -1,16 +1,18 @@
 import importlib
 import random
+import sys
 
 import pytest
 
-from charideals import (BlowupSpec, adjacency_matrix, algebraic_corank, blowup,
-                        canonical_form, classify, cross_check,
+from charideals import (BlowupSpec, InvariantFactors, adjacency_matrix,
+                        algebraic_corank, blowup, canonical_form, classify, cross_check,
                         invariant_factors_from_deltas, delta_sequence, is_C_leq,
                         is_K_leq_regular, is_S_leq, laplacian_matrix, lookup,
-                        snf_diagonal)
+                        parse_graph6, snf_diagonal)
 from charideals.catalog import (complete_graph, complete_multipartite_graph,
                                 cycle_graph, path_graph, prism_graph, star_graph)
-from charideals.classify import complete_multipartite_parts
+from charideals.classify import (RouteDisagreement, _s4_partial,
+                                 complete_multipartite_parts)
 from charideals.graphs import Graph
 
 import oracles
@@ -252,3 +254,39 @@ def test_blowup_stability_of_s4():
         assert small_nz == big_nz
         assert big_snf.ones <= 4
         cases += 1
+
+
+_ONE_UNIT = InvariantFactors((1, 0, 0))
+_FOUR_UNITS = InvariantFactors((1, 1, 1, 1, 0))
+
+
+@pytest.mark.parametrize("graph, attr, fake, check, message, routes", [
+    ("fork", "algebraic_corank", lambda g: 3, lambda g: is_C_leq(g, 3),
+     "routes disagree on C<=3 for DC[: count=True, forbidden-free=False, structural=False",
+     {"count": True, "forbidden-free": False, "structural": False}),
+    ("p3", "snf_diagonal", lambda m: _ONE_UNIT, lambda g: is_S_leq(g, 1),
+     "routes disagree on S<=1 for BW: count=True, forbidden-free=False, structural=False",
+     {"count": True, "forbidden-free": False, "structural": False}),
+    # the Laplacian is the matrix with a nonzero diagonal
+    ("c5", "snf_diagonal", lambda m: _FOUR_UNITS if m.data[0][0] else snf_diagonal(m),
+     lambda g: is_K_leq_regular(g, 3),
+     "routes disagree on K<=3 for DqK: count=False, structural=True",
+     {"count": False, "structural": True}),
+])
+def test_route_disagreement_names_graph_family_and_routes(graph, attr, fake, check,
+                                                         message, routes, monkeypatch):
+    # the package's `classify` attribute is the function, not the module
+    monkeypatch.setattr(sys.modules["charideals.classify"], attr, fake)
+    for run in (classify, check):
+        with pytest.raises(RouteDisagreement) as info:
+            run(lookup(graph))
+        assert str(info.value) == message
+        assert info.value.routes == routes
+
+
+def test_s4_screen_disagreement_names_the_witness():
+    g = parse_graph6("Edo_")
+    with pytest.raises(RouteDisagreement) as info:
+        _s4_partial(g, InvariantFactors((1, 1, 2, 2, 0)))
+    assert str(info.value) == "routes disagree on S<=4 for EgCw: count=True, forbidden-witness=Edo_"
+    assert info.value.routes == {"count": True, "forbidden-witness": "Edo_"}

@@ -101,6 +101,34 @@ def test_private_scan_sees_unreferenced_names():
     assert _unreferenced_privates(trees) == [("a", "_B"), ("a", "_f")]
 
 
+def _underscore_parameters(tree):
+    """function.parameter for each parameter of a function or lambda in
+    `tree` whose name starts with an underscore: a hidden knob that only
+    some callers set."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            for arg in [*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs,
+                        args.kwarg]:
+                if arg is not None and arg.arg.startswith("_"):
+                    found.append(f"{getattr(node, 'name', '<lambda>')}.{arg.arg}")
+    return sorted(found)
+
+
+def test_no_underscore_parameters_in_src():
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        found += _underscore_parameters(ast.parse(path.read_text(encoding="utf-8")))
+    assert found == []
+
+
+def test_parameter_scan_sees_underscore_names():
+    tree = ast.parse("def f(a, _b=None, *_c, d, **_e):\n    return lambda _x, y: y\n"
+                     "class K:\n    def m(self, /, _p, q):\n        pass\n")
+    assert _underscore_parameters(tree) == ["<lambda>._x", "f._b", "f._c", "f._e", "m._p"]
+
+
 def test_oracles_import_no_kernel_they_check():
     # the reference routes stay independent of the Smith form and the
     # ideal routines they are compared with

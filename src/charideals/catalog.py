@@ -8,7 +8,7 @@ from __future__ import annotations
 import re
 from difflib import get_close_matches
 
-from .graphs import Graph, parse_graph6
+from .graphs import BlowupSpec, Graph, blowup, parse_graph6
 
 
 class UnknownGraphError(KeyError):
@@ -48,20 +48,11 @@ def star_graph(n):
 
 
 def complete_multipartite_graph(parts):
+    """K(p1, ..., pm): the blow-up of K_m by stable sets of the part sizes."""
     parts = tuple(int(p) for p in parts)
-    if any(p < 1 for p in parts):
+    if any(p < 1 for p in parts):  # a negative size would blow up to a clique
         raise ValueError("part sizes must be positive")
-    n = sum(parts)
-    edges = []
-    start = 0
-    blocks = []
-    for p in parts:
-        blocks.append(range(start, start + p))
-        start += p
-    for a in range(len(parts)):
-        for b in range(a + 1, len(parts)):
-            edges.extend((u, v) for u in blocks[a] for v in blocks[b])
-    return Graph(n, edges)
+    return blowup(BlowupSpec(complete_graph(len(parts)), parts))
 
 
 def prism_graph():
@@ -143,8 +134,12 @@ _COLLECTIONS = {
 }
 
 
+def _key(name):  # the one normalisation of catalog names
+    return name.strip().lower()
+
+
 def collection(name):
-    key = name.lower()
+    key = _key(name)
     if key not in _COLLECTIONS:
         raise UnknownGraphError(name, get_close_matches(key, _COLLECTIONS, n=3))
     return _COLLECTIONS[key]()
@@ -156,7 +151,7 @@ def names():
 
 
 def lookup(name):
-    key = name.strip().lower()
+    key = _key(name)
     if key in _FIXED:
         return _FIXED[key]()
     if key in FAMILY_F:

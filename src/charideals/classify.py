@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catalog import (FAMILY_F, FORBIDDEN_S4, complete_graph, complete_minus_edge,
-                      cycle_graph, path_graph, paw_graph, prism_graph, star_graph)
-from .graphs import adjacency_matrix, laplacian_matrix, parse_graph6, true_twin_quotient
+from .catalog import FAMILY_F, FORBIDDEN_S4, lookup
+from .graphs import (adjacency_matrix, laplacian_matrix, parse_graph6, true_twin_quotient,
+                     twin_classes)
 from .graph_ideals import algebraic_corank
 from .intlinalg import ConsistencyError, snf_diagonal
 from .isomorphism import canonical_form, find_induced, is_isomorphic
@@ -38,15 +38,9 @@ class RouteDisagreement(ConsistencyError):
         self.routes = routes
 
 
-_PATTERNS = {
-    "p2": path_graph(2),
-    "p3": path_graph(3),
-    "p4": path_graph(4),
-    "paw": paw_graph(),
-    "k4": complete_graph(4),
-    "k5": complete_graph(5),
-    "k5-e": complete_minus_edge(5),
-}
+# every pattern and fixed graph the routes below match against
+_PATTERNS = {name: lookup(name) for name in
+             ("p2", "p3", "p4", "paw", "k4", "k5", "k5-e", "c4", "c5", "s4", "prism")}
 
 
 def _named(*names):
@@ -71,18 +65,13 @@ def _first_hit(g, patterns):
 
 
 def complete_multipartite_parts(g):
-    """Part sizes (descending) if g is complete multipartite, else None."""
-    comp = g.complement()
-    parts = comp.components()
-    for part in parts:
-        mask = 0
-        for v in part:
-            mask |= 1 << v
-        want = len(part) - 1
-        for v in part:
-            if (comp.adj[v] & mask).bit_count() != want:
-                return None
-    return tuple(sorted((len(p) for p in parts), reverse=True))
+    """Part sizes (descending) if g is complete multipartite, else None: the
+    parts are the classes of false twins, each adjacent to all outside it."""
+    classes = twin_classes(g.adj, 0)
+    full = (1 << g.n) - 1
+    if any(g.adj[c[0]] != full ^ sum(1 << v for v in c) for c in classes):
+        return None
+    return tuple(sorted(map(len, classes), reverse=True))
 
 
 def _clique_blowup_form(g):
@@ -91,9 +80,9 @@ def _clique_blowup_form(g):
     q, sizes = true_twin_quotient(g)
     if q.n > 4:
         return None
-    if find_induced(cycle_graph(4), q) is not None:
+    if find_induced(_PATTERNS["c4"], q) is not None:
         return {"form": "clique-blowup-of-4-cycle", "class_sizes": list(sizes)}
-    if find_induced(star_graph(4), q) is not None:
+    if find_induced(_PATTERNS["s4"], q) is not None:
         return {"form": "clique-blowup-of-4-star", "class_sizes": list(sizes)}
     return None
 
@@ -117,9 +106,9 @@ def _structural_c(g, k):
         return {"form": "complete-multipartite", "parts": list(parts)}
     if k == 2:
         return None
-    if g.n <= 5 and find_induced(cycle_graph(5), g) is not None:
+    if g.n <= 5 and find_induced(_PATTERNS["c5"], g) is not None:
         return {"form": "induced-in-5-cycle"}
-    if g.n <= 6 and find_induced(prism_graph(), g) is not None:
+    if g.n <= 6 and find_induced(_PATTERNS["prism"], g) is not None:
         return {"form": "induced-in-prism"}
     return _clique_blowup_form(g)
 
@@ -190,12 +179,12 @@ def _k_regular_structural(g, k):
         if k >= 3 and len(parts) == 4 and len(set(parts)) == 1:
             return {"form": "balanced-complete-multipartite", "parts": list(parts)}
     if k >= 3:
-        if is_isomorphic(g, cycle_graph(5)):
+        if is_isomorphic(g, _PATTERNS["c5"]):
             return {"form": "5-cycle"}
-        if is_isomorphic(g, prism_graph()):
+        if is_isomorphic(g, _PATTERNS["prism"]):
             return {"form": "triangular-prism"}
         q, sizes = true_twin_quotient(g)
-        if q.n == 4 and len(set(sizes)) == 1 and is_isomorphic(q, cycle_graph(4)):
+        if q.n == 4 and len(set(sizes)) == 1 and is_isomorphic(q, _PATTERNS["c4"]):
             return {"form": "balanced-clique-blowup-of-4-cycle", "class_sizes": list(sizes)}
     return None
 

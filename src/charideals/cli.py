@@ -92,14 +92,14 @@ def _cmd_gamma(args):
 
 def _cmd_ideal(args):
     g = _load_graph(args.graph, args.edge_list)
+    if (args.k is not None) == args.all:
+        print("error: provide either --k or --all", file=sys.stderr)
+        return 2
     if args.all:
         profile = char_ideal_profile(g)
         entries = list(enumerate(profile.ideals, start=1))
         gamma = profile.gamma
     else:
-        if args.k is None:
-            print("error: provide --k or --all", file=sys.stderr)
-            return 2
         entries = [(args.k, characteristic_ideal(g, args.k))]
         gamma = None
     payload = {

@@ -39,11 +39,11 @@ trivial ideal and none needs a nontrivial basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, takewhile
 from math import prod
 
 from .graphs import Graph, bits, twin_classes
-from .intlinalg import ConsistencyError, IntMatrix, InvariantFactors, det_int, snf_diagonal
+from .intlinalg import IntMatrix, det_int, invariant_factors_from_deltas, snf_diagonal
 from .zpoly import ONE, T, ZERO, ZPoly
 from .ztideal import IdealZt, _canonicalize, _lattice, reduce
 
@@ -284,21 +284,13 @@ def char_ideal_profile(g):
 
 
 def _invariants_by_evaluation(g, point):
-    n = g.n
+    # t -> point is a ring map Z[t] -> Z and det commutes with it, so I_k at
+    # t = point is generated by the k-minors of point*I - A: its evaluation
+    # is their gcd Delta_k.  Past the first Delta_k = 0 every minor vanishes.
     pres = _presentation(g)
-    factors = []
-    prev = 1
-    for k in range(1, n + 1):
-        cur = IdealZt(basis=_basis(g, pres, k)).evaluate(point)
-        if cur == 0:
-            factors.extend([0] * (n - len(factors)))
-            break
-        if cur % prev:
-            raise ConsistencyError(
-                f"ideal evaluations at t={point} violate divisibility: {prev}, {cur}")
-        factors.append(cur // prev)
-        prev = cur
-    return InvariantFactors(tuple(factors))
+    evals = (IdealZt(basis=_basis(g, pres, k)).evaluate(point) for k in range(1, g.n + 1))
+    deltas = [1, *takewhile(bool, evals)]
+    return invariant_factors_from_deltas(deltas + [0] * (g.n + 1 - len(deltas)))
 
 
 def smith_invariants_via_ideals(g):

@@ -30,7 +30,8 @@ defined on regular graphs only, which deletion does not keep, so for it
 every connected graph is evaluated and each forbidden one is searched for
 every smaller forbidden one.  Either way each minimal graph is then
 rechecked: its value by a second route, and its minimality by deleting
-each vertex.
+each vertex.  That route takes phi from minor gcds and the co-rank bottom-up
+from char_ideal_profile, without the Smith form or the evaluation bound.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 from itertools import takewhile
 
 from .graphs import Graph, adjacency_matrix, laplacian_matrix, parse_graph6, reach, to_graph6
-from .graph_ideals import algebraic_corank, characteristic_ideal
+from .graph_ideals import algebraic_corank, char_ideal_profile
 from .intlinalg import (ConsistencyError, delta_sequence, invariant_factors_from_deltas,
                         snf_diagonal)
 from .isomorphism import _label, _orbit, canonical_form, find_induced
@@ -187,20 +188,14 @@ class MiningResult:
 
 
 def _independent_value(g6, statistic):
-    # recomputation on the canonically relabelled copy; phi goes through the
-    # minor-gcd route rather than the SNF elimination it was mined with; the
-    # co-rank counts trivial ideals bottom-up without the evaluation bound
+    # the second route, on the canonically relabelled copy
     g = parse_graph6(g6)
-    if statistic == "phiA":
-        return invariant_factors_from_deltas(delta_sequence(adjacency_matrix(g))).ones
-    if statistic == "phiL":
-        if g.regular_degree() is None:
-            return None
-        return invariant_factors_from_deltas(delta_sequence(laplacian_matrix(g))).ones
-    gamma = 0
-    while gamma < g.n and characteristic_ideal(g, gamma + 1).is_trivial():
-        gamma += 1
-    return gamma
+    if statistic == "gammaA":
+        return char_ideal_profile(g).gamma
+    if statistic == "phiL" and g.regular_degree() is None:
+        return None
+    mat = adjacency_matrix(g) if statistic == "phiA" else laplacian_matrix(g)
+    return invariant_factors_from_deltas(delta_sequence(mat)).ones
 
 
 def _grow(max_vertices, limit, fn, values):

@@ -18,7 +18,9 @@ each forbidden one for every smaller one, for the growth of the
 hereditary family that replaced it; and Buchberger completion of ideals
 of Z[t] by S- and gcd-polynomials, for the lattice that replaced it, with
 its own copies of the general reduction and interreduction it runs on
-unreduced bases.
+unreduced bases; and complete multipartite graphs built from an edge list
+and recognised by the cliques among the complement's components, for the
+stable-set blow-up of K_m and the false-twin classes that replaced them.
 Those copies are also the references for the package's one-pass
 reduction, which only takes reduced bases, and for its reading of the
 reduced basis off the lattice rows.
@@ -166,6 +168,40 @@ def random_connected_graph(rng, n, p=0.5):
         g = random_graph(rng, n, p)
         if g.is_connected():
             return g
+
+
+# -- complete multipartite graphs by edge list and by complement --------------
+
+def complete_multipartite_graph(parts):
+    parts = tuple(int(p) for p in parts)
+    if any(p < 1 for p in parts):
+        raise ValueError("part sizes must be positive")
+    n = sum(parts)
+    edges = []
+    start = 0
+    blocks = []
+    for p in parts:
+        blocks.append(range(start, start + p))
+        start += p
+    for a in range(len(parts)):
+        for b in range(a + 1, len(parts)):
+            edges.extend((u, v) for u in blocks[a] for v in blocks[b])
+    return Graph(n, edges)
+
+
+def complete_multipartite_parts(g):
+    """Part sizes (descending) if g is complete multipartite, else None."""
+    comp = g.complement()
+    parts = comp.components()
+    for part in parts:
+        mask = 0
+        for v in part:
+            mask |= 1 << v
+        want = len(part) - 1
+        for v in part:
+            if (comp.adj[v] & mask).bit_count() != want:
+                return None
+    return tuple(sorted((len(p) for p in parts), reverse=True))
 
 
 # -- the full minor walk over tI - A ------------------------------------------

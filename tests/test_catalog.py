@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from charideals import is_isomorphic, parse_graph6
@@ -8,6 +10,8 @@ from charideals.catalog import (FAMILY_F, FORBIDDEN_S4,
                                 names, path_graph, paw_graph, prism_graph,
                                 star_graph)
 from charideals.graphs import Graph
+
+import oracles
 
 
 def test_dynamic_names():
@@ -121,3 +125,13 @@ def test_lookup_suggests_only_names_it_resolves():
     assert "family-f" not in err.value.suggestions
     for suggestion in err.value.suggestions:
         lookup(suggestion)
+
+
+def test_complete_multipartite_graph_matches_the_edge_list_builder():
+    tuples = [parts for m in range(6) for parts in product(range(1, 5), repeat=m)]
+    assert len(tuples) == 1365
+    for parts in tuples:
+        assert complete_multipartite_graph(parts) == oracles.complete_multipartite_graph(parts)
+    for bad in ((2, 0), (3, -1)):
+        with pytest.raises(ValueError, match="part sizes must be positive"):
+            complete_multipartite_graph(bad)

@@ -1,4 +1,6 @@
+import hashlib
 import importlib
+import json
 import random
 import sys
 
@@ -9,11 +11,13 @@ from charideals import (BlowupSpec, InvariantFactors, adjacency_matrix,
                         invariant_factors_from_deltas, delta_sequence, is_C_leq,
                         is_K_leq_regular, is_S_leq, laplacian_matrix, lookup,
                         parse_graph6, snf_diagonal)
-from charideals.catalog import (complete_graph, complete_multipartite_graph,
-                                cycle_graph, path_graph, prism_graph, star_graph)
+from charideals.catalog import (FAMILY_F, FORBIDDEN_S4, complete_graph,
+                                complete_multipartite_graph, cycle_graph, path_graph,
+                                prism_graph, star_graph)
 from charideals.classify import (RouteDisagreement, _s4_partial,
                                  complete_multipartite_parts)
 from charideals.graphs import Graph
+from charideals.mining import enumerate_connected
 
 import oracles
 
@@ -148,6 +152,21 @@ def test_complete_multipartite_recognition():
     assert complete_multipartite_parts(complete_graph(4)) == (1, 1, 1, 1)
     assert complete_multipartite_parts(path_graph(4)) is None
     assert complete_multipartite_parts(cycle_graph(4)) == (2, 2)
+
+
+def test_complete_multipartite_parts_match_the_complement_route():
+    rng = random.Random(151)
+    graphs = [g for n in range(1, 8) for g in enumerate_connected(n)]
+    graphs += [oracles.random_graph(rng, n, p) for n in range(12) for p in (0.3, 0.6, 0.9)
+               for _ in range(20)]
+    graphs += [blowup(BlowupSpec(complete_graph(m), [rng.randint(1, 4) for _ in range(m)]))
+               for m in range(1, 7) for _ in range(20)]
+    found = 0
+    for g in graphs:
+        parts = complete_multipartite_parts(g)
+        assert parts == oracles.complete_multipartite_parts(g), g
+        found += parts is not None
+    assert found > 150 and any(not g.is_connected() for g in graphs)
 
 
 def test_s4_screen_finds_witness():
@@ -290,3 +309,30 @@ def test_s4_screen_disagreement_names_the_witness():
         _s4_partial(g, InvariantFactors((1, 1, 2, 2, 0)))
     assert str(info.value) == "routes disagree on S<=4 for EgCw: count=True, forbidden-witness=Edo_"
     assert info.value.routes == {"count": True, "forbidden-witness": "Edo_"}
+
+
+def certificate_lines():
+    """One JSON line of classify per graph: every connected graph on at most
+    6 vertices, FAMILY_F by name, then the 43 S<=4 forbidden graphs."""
+    graphs = [g for n in range(1, 7) for g in enumerate_connected(n)]
+    graphs += [FAMILY_F[name] for name in sorted(FAMILY_F)]
+    graphs += [parse_graph6(s) for s in FORBIDDEN_S4]
+    return [json.dumps(classify(g).to_json_dict()) for g in graphs]
+
+
+# sha256 of certificate_lines() joined by newlines
+CERTIFICATES_SHA256 = "67d89340631b16772bf24fc3f2c8c84626a123bad47ef34d1df24292a1aa41cf"
+
+
+def test_classify_certificates_are_byte_identical():
+    lines = certificate_lines()
+    assert len(lines) == 143 + 14 + 43
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == CERTIFICATES_SHA256, (
+        "classify output changed; to see which graph changed, run "
+        "`PYTHONPATH=src python tests/test_classify.py > new.txt` here and at the "
+        "last commit that passed, and diff the two files")
+
+
+if __name__ == "__main__":
+    print("\n".join(certificate_lines()))

@@ -14,7 +14,7 @@ import pytest
 
 from charideals import (BlowupSpec, IdealZt, ZPoly, adjacency_matrix, blowup, canonical_form,
                         lookup, parse_graph6, snf_diagonal, to_graph6)
-from charideals.catalog import FORBIDDEN_S4, cycle_graph, star_graph
+from charideals.catalog import FORBIDDEN_S4, cycle_graph, names, star_graph
 from charideals.cli import main
 
 
@@ -102,8 +102,11 @@ def test_ideal_single_k_pretty(capsys):
 
 
 def test_ideal_requires_k_or_all(capsys):
-    code, out, err = run(capsys, "ideal", "--graph", "C^")
-    assert code == 2
+    # exactly one of the two: neither flag and both flags are usage errors
+    for flags in ((), ("--k", "2", "--all")):
+        code, out, err = run(capsys, "ideal", "--graph", "C^", *flags)
+        assert (code, out) == (2, ""), flags
+        assert "--k or --all" in err
 
 
 def test_g6_decode(capsys):
@@ -238,6 +241,17 @@ def test_catalog_list_and_emit(capsys):
     assert out.strip() == "C^"
     code, out, _ = run(capsys, "catalog", "emit", "forbidden-s4")
     assert out.split() == list(FORBIDDEN_S4)
+
+
+def test_catalog_names_are_normalised_one_way(capsys):
+    # the collections too: they once went through their own normalisation
+    listed = [name for name in names() if "<" not in name]
+    assert {"family-f", "forbidden-s4", "diamond"} <= set(listed)
+    for name in listed:
+        code, bare, _ = run(capsys, "catalog", "emit", name)
+        assert code == 0 and bare
+        code, padded, _ = run(capsys, "catalog", "emit", f"  {name.upper()} ")
+        assert (code, padded) == (0, bare), name
 
 
 class _ClosedPipe(io.StringIO):

@@ -65,9 +65,10 @@ def _matrix_of(g, which):
 
 def _cmd_snf(args):
     g = _load_graph(args.graph, args.edge_list)
+    echo = canonical_form(g)
     mat = _matrix_of(g, args.matrix)
     inv = snf_diagonal(mat)
-    _emit("snf", canonical_form(g), {
+    _emit("snf", echo, {
         "matrix": args.matrix,
         "entries": mat.to_lists(),
         "invariant_factors": list(inv.factors),
@@ -79,8 +80,9 @@ def _cmd_snf(args):
 
 def _cmd_phi(args):
     g = _load_graph(args.graph, args.edge_list)
+    echo = canonical_form(g)
     inv = snf_diagonal(_matrix_of(g, args.matrix))
-    _emit("phi", canonical_form(g), {"matrix": args.matrix, "phi": inv.ones})
+    _emit("phi", echo, {"matrix": args.matrix, "phi": inv.ones})
     return 0
 
 
@@ -95,6 +97,8 @@ def _cmd_ideal(args):
     if (args.k is not None) == args.all:
         print("error: provide either --k or --all", file=sys.stderr)
         return 2
+    # echoed before the work, so a graph past graph6's 62 vertices fails at once
+    echo = None if args.pretty else canonical_form(g)
     if args.all:
         profile = char_ideal_profile(g)
         entries = list(enumerate(profile.ideals, start=1))
@@ -118,7 +122,7 @@ def _cmd_ideal(args):
         if gamma is not None:
             print(f"gamma = {gamma}")
     else:
-        _emit("ideal", canonical_form(g), payload)
+        _emit("ideal", echo, payload)
     return 0
 
 

@@ -22,14 +22,12 @@ its row and column are dropped.  Unit pivots leave the Fitting ideals
 unchanged while shifting k by one, so after r pivots I_k(M') =
 I_(k-r)(M) for the remaining matrix M, and I_k(tI - A) is the unit ideal
 for every k <= r.  Third, the minors of M are taken with
-intlinalg.det_int, the determinant the integer minors use too,
+intlinalg.det_int, the one determinant the integer minors use too,
 deduplicated first by submatrix content and then up to sign, and
 multiplied by the products of split factors.  Fourth, they go into the
 lattice that serves every ideal of Z[t] (ztideal): the part of I_k of
-degree at most k, in Hermite normal form keyed by degree.  A principal
-k-minor f of the unsplit tI - A is a characteristic polynomial, monic of
-degree k and in I_k; fed first, it is the degree-k row, and every
-generator and every t-multiple of a row is reduced mod f on the way in.
+degree at most k, in Hermite normal form keyed by degree.  No minor has
+degree above k, and closure under t supplies the rows up to degree k.
 The form stops as soon as it holds 1, and otherwise gives the reduced
 Groebner basis.  The co-rank is found top-down from an upper bound read
 off integer Smith forms of the presentation, so most graphs need one
@@ -39,10 +37,10 @@ trivial ideal and none needs a nontrivial basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, takewhile
+from itertools import combinations, takewhile
 from math import prod
 
-from .graphs import Graph, bits, twin_classes
+from .graphs import Graph, twin_classes
 from .intlinalg import IntMatrix, det_int, invariant_factors_from_deltas, snf_diagonal
 from .zpoly import ONE, T, ZERO, ZPoly
 from .ztideal import IdealZt, _canonicalize, _lattice, reduce
@@ -178,38 +176,9 @@ def _distinct_minors(mat, size):
                 yield p
 
 
-def _principal_minor(g, k):
-    """det(tI - A) over the first k vertices of g, by Faddeev-LeVerrier:
-    with M_1 = I, c_(k-i) = -tr(A M_i) / i and M_(i+1) = A M_i + c_(k-i) I.
-    The coefficients are integers, so each division is exact."""
-    nbrs = [list(bits(g.adj[v] & ((1 << k) - 1))) for v in range(k)]
-    coeffs = [0] * k + [1]
-    m = [[int(i == j) for j in range(k)] for i in range(k)]
-    for i in range(1, k + 1):
-        m = [[sum(col) for col in zip(*(m[w] for w in nb))] if nb else [0] * k
-             for nb in nbrs]
-        c = -sum(m[v][v] for v in range(k)) // i
-        coeffs[k - i] = c
-        for v in range(k):
-            m[v][v] += c
-    return ZPoly(coeffs)
-
-
-def _ideal_rows(g, pres, k):
-    """HNF rows of the k-th characteristic ideal cut down to degree k
-    (ztideal._lattice); rows[0] == [1] when it is the unit ideal.
-
-    The first generator is a principal k-minor f, monic of degree k, so it
-    is the degree-k row and reduces every minor and t-multiple mod f.
-    """
-    if k <= pres[1]:
-        return [[1]]
-    return _lattice(chain((_principal_minor(g, k),), _minors(pres, k)), k)
-
-
-def _basis(g, pres, k):
+def _basis(pres, k):
     """Reduced strong Groebner basis of the k-th characteristic ideal."""
-    return _canonicalize(_ideal_rows(g, pres, k))
+    return _canonicalize(_lattice(_minors(pres, k), k))
 
 
 def _check_index(g, k):
@@ -220,7 +189,7 @@ def _check_index(g, k):
 def characteristic_ideal(g, k):
     """Reduced Groebner basis of the ideal of all k-minors of tI - A(g)."""
     _check_index(g, k)
-    return IdealZt(basis=_basis(g, _presentation(g), k))
+    return IdealZt(basis=_basis(_presentation(g), k))
 
 
 _BOUND_POINTS = (0, 1, -1, 2, -2)
@@ -260,7 +229,7 @@ def algebraic_corank(g):
     pres = _presentation(g)
     r = pres[1]
     for k in range(_corank_bound(pres), r, -1):
-        if _ideal_rows(g, pres, k)[0] == [1]:
+        if _lattice(_minors(pres, k), k)[0] == [1]:
             return k
     return r
 
@@ -274,7 +243,7 @@ class CharIdealProfile:
 
 def char_ideal_profile(g):
     pres = _presentation(g)
-    ideals = tuple(IdealZt(basis=_basis(g, pres, k)) for k in range(1, g.n + 1))
+    ideals = tuple(IdealZt(basis=_basis(pres, k)) for k in range(1, g.n + 1))
     gamma = 0
     for ideal in ideals:
         if not ideal.is_trivial():
@@ -288,7 +257,7 @@ def _invariants_by_evaluation(g, point):
     # t = point is generated by the k-minors of point*I - A: its evaluation
     # is their gcd Delta_k.  Past the first Delta_k = 0 every minor vanishes.
     pres = _presentation(g)
-    evals = (IdealZt(basis=_basis(g, pres, k)).evaluate(point) for k in range(1, g.n + 1))
+    evals = (IdealZt(basis=_basis(pres, k)).evaluate(point) for k in range(1, g.n + 1))
     deltas = [1, *takewhile(bool, evals)]
     return invariant_factors_from_deltas(deltas + [0] * (g.n + 1 - len(deltas)))
 

@@ -129,10 +129,6 @@ def _stat_phi_adjacency(g):
     return snf_diagonal(adjacency_matrix(g)).ones
 
 
-def _stat_corank(g):
-    return algebraic_corank(g)
-
-
 def _stat_phi_laplacian(g):
     if g.regular_degree() is None:
         return None
@@ -141,7 +137,7 @@ def _stat_phi_laplacian(g):
 
 STATISTICS = {
     "phiA": _stat_phi_adjacency,
-    "gammaA": _stat_corank,
+    "gammaA": algebraic_corank,
     "phiL": _stat_phi_laplacian,
 }
 

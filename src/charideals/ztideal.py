@@ -6,12 +6,13 @@ looks like a staircase g_1, ..., g_s with strictly increasing degrees and
 positive leading coefficients c_1, c_2 | c_1, ..., each properly dividing
 the previous one.
 
-Every basis comes from one lattice.  Let D be the largest degree of the
-generators of an ideal I, and L the smallest lattice in Z^(D+1) (the
-coefficients of 1, t, ..., t^D) that holds the generators and holds t*r
-for each of its elements r of degree below D.  L lies in I, and I is the
-Z[t]-span of L.  Let h be the row of degree D of the Hermite normal form
-of L (a generator has degree D).  Closure puts t*L into L + Z*t*h, so
+Every basis comes from one lattice.  Let D be any degree at or above the
+largest degree of the generators of an ideal I, and L the smallest
+lattice in Z^(D+1) (the coefficients of 1, t, ..., t^D) that holds the
+generators and holds t*r for each of its elements r of degree below D.
+L lies in I, and I is the Z[t]-span of L.  Let h be the row of degree D
+of the Hermite normal form of L (a generator times a power of t has
+degree D).  Closure puts t*L into L + Z*t*h, so
 I = L + Z*t*h + Z*t^2*h + ..., and a nonzero element of the second part
 has degree above D.  Hence L is I cut down to degree D, the leading
 coefficients of I in degree d > D are the multiples of the leading
@@ -23,7 +24,8 @@ the lattice queues t*r for every row it created or replaced; the other
 rows keep their multiples.  It stops once the degree-0 row is 1, and
 once the rank is full it keeps entries modulo the determinant, since the
 lattice then contains that multiple of Z^(D+1).  Characteristic ideals
-(graph_ideals) use the same routine with a monic generator of degree D.
+(graph_ideals) use the same routine with D = k for the k-minors, which
+may lie above their top degree.
 
 The leading coefficients of the rows weakly fall with the degree, as t*r
 is in L, so `_canonicalize` reads the reduced basis straight off them:

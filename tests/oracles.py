@@ -21,6 +21,9 @@ its own copies of the general reduction and interreduction it runs on
 unreduced bases; and complete multipartite graphs built from an edge list
 and recognised by the cliques among the complement's components, for the
 stable-set blow-up of K_m and the false-twin classes that replaced them.
+The Faddeev-LeVerrier characteristic polynomial that once seeded each
+characteristic ideal with a monic generator is kept as a determinant of
+tI - A fast enough for blow-ups, independent of the minor engine.
 Those copies are also the references for the package's one-pass
 reduction, which only takes reduced bases, and for its reading of the
 reduced basis off the lattice rows.
@@ -202,6 +205,25 @@ def complete_multipartite_parts(g):
             if (comp.adj[v] & mask).bit_count() != want:
                 return None
     return tuple(sorted((len(p) for p in parts), reverse=True))
+
+
+# -- the characteristic polynomial by Faddeev-LeVerrier ----------------------
+
+def char_poly(g, k):
+    """det(tI - A) over the first k vertices of g, by Faddeev-LeVerrier:
+    with M_1 = I, c_(k-i) = -tr(A M_i) / i and M_(i+1) = A M_i + c_(k-i) I.
+    The coefficients are integers, so each division is exact."""
+    nbrs = [list(bits(g.adj[v] & ((1 << k) - 1))) for v in range(k)]
+    coeffs = [0] * k + [1]
+    m = [[int(i == j) for j in range(k)] for i in range(k)]
+    for i in range(1, k + 1):
+        m = [[sum(col) for col in zip(*(m[w] for w in nb))] if nb else [0] * k
+             for nb in nbrs]
+        c = -sum(m[v][v] for v in range(k)) // i
+        coeffs[k - i] = c
+        for v in range(k):
+            m[v][v] += c
+    return ZPoly(coeffs)
 
 
 # -- the full minor walk over tI - A ------------------------------------------

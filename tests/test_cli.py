@@ -334,6 +334,35 @@ def test_edge_list_input(tmp_path, capsys):
     assert envelopes(out)[0]["payload"]["invariant_factors"] == [1, 1, 2, 0]
 
 
+def _path_63(tmp_path):
+    """Edge-list file of the path on 63 vertices, one past graph6's limit."""
+    path = tmp_path / "p63.txt"
+    path.write_text("".join(f"{v} {v + 1}\n" for v in range(62)))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [("snf",), ("phi",), ("ideal", "--all"), ("ideal", "--k", "2")])
+def test_graph_past_graph6_fails_before_the_work(tmp_path, capsys, monkeypatch, argv):
+    path = _path_63(tmp_path)
+
+    def refuse(*args):
+        raise AssertionError("computed before the echo")
+
+    for name in ("snf_diagonal", "char_ideal_profile", "characteristic_ideal"):
+        monkeypatch.setattr(f"charideals.cli.{name}", refuse)
+    command, *rest = argv
+    where = ["--graph", path] if command == "ideal" else [path]
+    code, out, err = run(capsys, command, *where, "--edge-list", *rest)
+    assert (code, out) == (1, "")
+    assert err == "error: graph6 output limited to n <= 62\n"
+
+
+def test_ideal_pretty_needs_no_echo(tmp_path, capsys):
+    code, out, _ = run(capsys, "ideal", "--graph", _path_63(tmp_path), "--edge-list",
+                       "--k", "62", "--pretty")
+    assert (code, out) == (0, "k=62: ⟨1⟩\n")
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

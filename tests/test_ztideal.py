@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from charideals.graph_ideals import _ideal_rows, _minors, _presentation
+from charideals.graph_ideals import _minors, _presentation
 from charideals.mining import enumerate_connected
 from charideals.zpoly import ONE, ZPoly
 from charideals.ztideal import (GroebnerBuilder, IdealZt, _canonicalize, _lattice, reduce,
@@ -274,8 +274,8 @@ def _assert_one_pass_matches_oracle(rows, probes):
 
 
 def test_one_pass_kernels_match_oracle_on_random_lattices():
-    rng = random.Random(59)
-    for _ in range(1500):
+    rng, extra = random.Random(59), random.Random(61)
+    for i in range(1500):
         gens = [ZPoly([rng.randint(-20, 20) for _ in range(rng.randint(1, 8))])
                 for _ in range(rng.randint(1, 4))]
         if rng.random() < 0.3:
@@ -287,7 +287,16 @@ def test_one_pass_kernels_match_oracle_on_random_lattices():
         probes = [ZPoly([rng.randint(-50, 50) for _ in range(rng.randint(0, 10))])
                   for _ in range(3)]
         probes.append(gens[0] * ZPoly((rng.randint(-3, 3), 1)))
-        _assert_one_pass_matches_oracle(_lattice(gens, max(map(len, gens)) - 1), probes)
+        top = max(map(len, gens)) - 1
+        rows = _lattice(gens, top)
+        _assert_one_pass_matches_oracle(rows, probes)
+        # any degree at or above the generators' top one gives the same
+        # basis, as the characteristic ideals' degree k does; Buchberger
+        # takes about 50 ms a case here, so every 25th case is checked by it
+        basis = _canonicalize(_lattice(gens, top + extra.randint(0, 3)))
+        assert basis == _canonicalize(rows), gens
+        if i % 25 == 0:
+            assert basis == oracles.strong_groebner(gens), gens
 
 
 def test_one_pass_kernels_match_oracle_on_characteristic_ideals_up_to_6():
@@ -298,4 +307,4 @@ def test_one_pass_kernels_match_oracle_on_characteristic_ideals_up_to_6():
             for k in range(1, n + 1):
                 minors = list(_minors(pres, k))[:4]
                 probes = minors + [m * shift + ONE for m in minors]
-                _assert_one_pass_matches_oracle(_ideal_rows(g, pres, k), probes)
+                _assert_one_pass_matches_oracle(_lattice(_minors(pres, k), k), probes)

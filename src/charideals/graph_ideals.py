@@ -16,9 +16,12 @@ vertices of S.  The k-minor ideal is a Fitting ideal, and for a
 direct sum I_k(M' (+) D) = sum_j I_j(D) I_(k-j)(M').  D is diagonal, so
 I_j(D) is generated by every product t^x (t+1)^y with x + y = j that D
 has factors for; a fixed j of them would not do, as <t, t+1> is the unit
-ideal.  Second, while some entry of M' is the constant +1 or -1, the
-first such entry in row-major order is eliminated (Schur complement) and
-its row and column are dropped.  Unit pivots leave the Fitting ideals
+ideal.  Only the rows of the kept vertices are built, straight from the
+adjacency bitmasks.  Second, while some entry of M' is the constant +1 or
+-1, the first such entry in row-major order is eliminated (Schur
+complement) and its row and column are dropped, on entries held as the
+integers p(2^w), with w wide enough that each, up to sign a minor of M',
+unpacks uniquely.  Unit pivots leave the Fitting ideals
 unchanged while shifting k by one, so after r pivots I_k(M') =
 I_(k-r)(M) for the remaining matrix M, and I_k(tI - A) is the unit ideal
 for every k <= r.  Third, the minors of M are taken with
@@ -37,6 +40,7 @@ trivial ideal and none needs a nontrivial basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, takewhile
 from math import prod
 
@@ -44,15 +48,6 @@ from .graphs import Graph, twin_classes
 from .intlinalg import IntMatrix, det_int, invariant_factors_from_deltas, snf_diagonal
 from .zpoly import ONE, T, ZERO, ZPoly
 from .ztideal import IdealZt, _canonicalize, _lattice, reduce
-
-_UNITS = (ONE, -ONE)
-
-
-def _char_matrix(g):
-    """tI - A(g) as a list of rows of ZPoly."""
-    entries = (ZERO, -ONE)
-    return [[T if i == j else entries[g.adj[i] >> j & 1] for j in range(g.n)]
-            for i in range(g.n)]
 
 
 def _twin_classes(g):
@@ -67,66 +62,73 @@ def _presentation(g):
     D is diagonal with split[0] factors t and split[1] factors t + 1.
 
     Each twin class S = {v0, v1, ...} of s twins, with c = t + tau, is split
-    off in turn: v0 and v1 stay, and the rest of S goes with its s - 2
-    factors c.  Entry (v0, v0) becomes t - (s-1)tau and (v0, v1) becomes
-    -tau, row v1 becomes c on its diagonal and zero elsewhere, and column v0
-    of each row outside S is multiplied by s; the rows of another class
-    change alike, so it stays a class of twins.  Then the unit pivots are
-    taken, leaving `mat` as a list of rows of ZPoly.
+    off: v0 and v1 stay, and the rest of S goes with its s - 2 factors c.
+    Only the kept rows are built.  Off the diagonal an entry is -1 for an
+    edge, or -s in the column of v0, and row v1 is zero; the diagonal is t
+    plus -(s-1)tau at v0, tau at v1 and 0 elsewhere.  Each entry p is held
+    as the integer p(2^w), so a Schur update is one integer product.  The
+    pivot block has determinant +-1, so every entry ever held is +- a minor
+    of the kept matrix, whose coefficients are at most L, the product of the
+    kept rows' l1 sums (permanent bound; each sum is at least 1).  With
+    2^(w-1) > L the packing is injective, and the tests for 0 and +-1 are
+    exact.  The unit pivots are the first +-1 in row-major order.
     """
-    n = g.n
-    mat = _char_matrix(g)
-    split = [0, 0]
-    dropped = set()
+    const, mult, silent, split, dropped = [0] * g.n, [1] * g.n, 0, [0, 0], set()
     for tau, (v0, v1, *rest) in _twin_classes(g):
         s = len(rest) + 2
-        inside = {v0, v1, *rest}
-        for w in range(n):
-            if w not in inside and mat[w][v0]:
-                mat[w][v0] = mat[w][v0] * s
-        mat[v0][v0] = ZPoly((-(s - 1) * tau, 1))
-        mat[v0][v1] = ZPoly.const(-tau)
-        mat[v1] = [ZERO] * n
-        mat[v1][v1] = ZPoly((tau, 1))
+        const[v0], const[v1], mult[v0] = -(s - 1) * tau, tau, s
+        silent |= 1 << v1
         split[tau] += s - 2
         dropped.update(rest)
-    keep = [v for v in range(n) if v not in dropped]
-    mat = [[mat[i][j] for j in keep] for i in keep]
+    keep = [v for v in range(g.n) if v not in dropped]
+    mat, bound = [], 1
+    for v in keep:
+        row = [0 if silent >> v & 1 else -mult[j] * (g.adj[v] >> j & 1) for j in keep]
+        bound *= 1 + abs(const[v]) - sum(row)
+        mat.append(row)
+    w = bound.bit_length() + 1
+    for i, v in enumerate(keep):
+        mat[i][i] = (1 << w) + const[v]
     r = 0
     while True:
-        pivot = next(((i, j) for i, row in enumerate(mat)
-                      for j, e in enumerate(row) if e in _UNITS), None)
-        if pivot is None:
-            return mat, r, tuple(split)
-        i, j = pivot
+        i = next((i for i, row in enumerate(mat) if 1 in row or -1 in row), None)
+        if i is None:
+            return [[_unpack(e, w) for e in row] for row in mat], r, tuple(split)
         prow = mat.pop(i)
-        u = prow.pop(j)[0]  # its own inverse
+        j = min(prow.index(u) for u in (1, -1) if u in prow)
+        u = prow.pop(j)  # its own inverse
         live = [(b, p) for b, p in enumerate(prow) if p]
         for row in mat:
-            f = row.pop(j)
+            f = row.pop(j) * u
             if f:
-                f = -f if u < 0 else f
                 for b, p in live:
-                    row[b] = _sub_mul(row[b], f, p)
+                    row[b] -= f * p
         r += 1
 
 
-def _sub_mul(e, f, p):
-    """e - f * p for polynomials e, f, p."""
-    out = list(e)
-    out += [0] * (len(f) + len(p) - 1 - len(out))
-    for a, c in enumerate(f):
-        if c:
-            for b, d in enumerate(p):
-                out[a + b] -= c * d
-    return ZPoly(out)
+def _unpack(x, w):
+    """The ZPoly p with p(2^w) = x whose coefficients lie in [-2^(w-1), 2^(w-1))."""
+    coeffs, half = [], 1 << w - 1
+    while x:
+        c = (x + half) % (2 * half) - half
+        coeffs.append(c)
+        x = (x - c) >> w
+    return tuple.__new__(ZPoly, coeffs)  # the last digit taken is nonzero
 
 
-def _minors(pres, k):
+@lru_cache
+def _split_products(of_t, of_t1, j):
+    """The products t^x (t+1)^(j-x) that of_t factors t and of_t1 t + 1 allow."""
+    return tuple(prod([T] * x + [T + 1] * (j - x), start=ONE)
+                 for x in range(max(0, j - of_t1), min(j, of_t) + 1))
+
+
+def _minors(pres, k, minors=None):
     """Nonzero generators of the k-th characteristic ideal, leading
     coefficient positive, from the presentation `pres`: each product
     t^x (t+1)^y of j split factors times each distinct (k - j - r)-minor of
-    the pivoted matrix.  Yields ONE alone when k is at most r.
+    the pivoted matrix, taken by `minors(size)` (default _distinct_minors).
+    Yields ONE alone when k is at most r.
     """
     mat, r, (of_t, of_t1) = pres
     if k <= r:
@@ -136,11 +138,26 @@ def _minors(pres, k):
         size = k - j - r
         if size > len(mat):
             continue
-        factors = [prod([T] * x + [T + 1] * (j - x), start=ONE)
-                   for x in range(max(0, j - of_t1), min(j, of_t) + 1)]
-        for m in _distinct_minors(mat, size):
+        factors = _split_products(of_t, of_t1, j)
+        for m in minors(size) if minors else _distinct_minors(mat, size):
             for f in factors:
                 yield f * m if j else m
+
+
+def _shared_minors(mat):
+    """size -> the distinct size-minors of `mat`, each size taken once and
+    lazily, as far as a caller reads it, and replayed to later callers."""
+    taken = {}
+
+    def minors(size):
+        if size not in taken:
+            taken[size] = [], _distinct_minors(mat, size)
+        done, rest = taken[size]
+        yield from done
+        for p in rest:
+            done.append(p)
+            yield p
+    return minors
 
 
 def _distinct_minors(mat, size):
@@ -176,9 +193,9 @@ def _distinct_minors(mat, size):
                 yield p
 
 
-def _basis(pres, k):
+def _basis(pres, k, minors=None):
     """Reduced strong Groebner basis of the k-th characteristic ideal."""
-    return _canonicalize(_lattice(_minors(pres, k), k))
+    return _canonicalize(_lattice(_minors(pres, k, minors), k))
 
 
 def _check_index(g, k):
@@ -243,7 +260,8 @@ class CharIdealProfile:
 
 def char_ideal_profile(g):
     pres = _presentation(g)
-    ideals = tuple(IdealZt(basis=_basis(pres, k)) for k in range(1, g.n + 1))
+    minors = _shared_minors(pres[0])
+    ideals = tuple(IdealZt(basis=_basis(pres, k, minors)) for k in range(1, g.n + 1))
     gamma = 0
     for ideal in ideals:
         if not ideal.is_trivial():
@@ -257,7 +275,8 @@ def _invariants_by_evaluation(g, point):
     # t = point is generated by the k-minors of point*I - A: its evaluation
     # is their gcd Delta_k.  Past the first Delta_k = 0 every minor vanishes.
     pres = _presentation(g)
-    evals = (IdealZt(basis=_basis(pres, k)).evaluate(point) for k in range(1, g.n + 1))
+    minors = _shared_minors(pres[0])
+    evals = (IdealZt(basis=_basis(pres, k, minors)).evaluate(point) for k in range(1, g.n + 1))
     deltas = [1, *takewhile(bool, evals)]
     return invariant_factors_from_deltas(deltas + [0] * (g.n + 1 - len(deltas)))
 

@@ -24,6 +24,9 @@ stable-set blow-up of K_m and the false-twin classes that replaced them.
 The Faddeev-LeVerrier characteristic polynomial that once seeded each
 characteristic ideal with a monic generator is kept as a determinant of
 tI - A fast enough for blow-ups, independent of the minor engine.
+The twin-split presentation that rescaled the whole ZPoly matrix and took
+its unit pivots by polynomial row operations is the reference for the one
+built from the kept rows and pivoted on packed integers.
 Those copies are also the references for the package's one-pass
 reduction, which only takes reduced bases, and for its reading of the
 reduced basis off the lattice rows.
@@ -32,9 +35,10 @@ reduced basis off the lattice rows.
 from itertools import combinations, permutations
 from math import gcd
 
+from charideals.graph_ideals import _twin_classes
 from charideals.graphs import Graph, bits, parse_graph6, to_graph6
 from charideals.isomorphism import _search_plan
-from charideals.zpoly import ONE, ZPoly
+from charideals.zpoly import ONE, T, ZERO, ZPoly
 
 
 def perm_sign(perm):
@@ -646,3 +650,75 @@ def mine_by_scan(max_vertices, value, limit):
     for size, _ in minimal:
         counts[size] = counts.get(size, 0) + 1
     return [s for _, s in minimal], counts, [s for _, s, _ in forbidden]
+
+
+# -- the twin-split presentation by row operations on ZPoly entries ----------
+
+_UNITS = (ONE, -ONE)
+
+
+def char_matrix(g):
+    """tI - A(g) as a list of rows of ZPoly."""
+    entries = (ZERO, -ONE)
+    return [[T if i == j else entries[g.adj[i] >> j & 1] for j in range(g.n)]
+            for i in range(g.n)]
+
+
+def presentation_by_row_ops(g):
+    """(mat, r, split): tI - A(g) is equivalent to I_r (+) mat (+) D, where
+    D is diagonal with split[0] factors t and split[1] factors t + 1.
+
+    Each twin class S = {v0, v1, ...} of s twins, with c = t + tau, is split
+    off in turn: v0 and v1 stay, and the rest of S goes with its s - 2
+    factors c.  Entry (v0, v0) becomes t - (s-1)tau and (v0, v1) becomes
+    -tau, row v1 becomes c on its diagonal and zero elsewhere, and column v0
+    of each row outside S is multiplied by s; the rows of another class
+    change alike, so it stays a class of twins.  Then the unit pivots are
+    taken, leaving `mat` as a list of rows of ZPoly.
+    """
+    n = g.n
+    mat = char_matrix(g)
+    split = [0, 0]
+    dropped = set()
+    for tau, (v0, v1, *rest) in _twin_classes(g):
+        s = len(rest) + 2
+        inside = {v0, v1, *rest}
+        for w in range(n):
+            if w not in inside and mat[w][v0]:
+                mat[w][v0] = mat[w][v0] * s
+        mat[v0][v0] = ZPoly((-(s - 1) * tau, 1))
+        mat[v0][v1] = ZPoly.const(-tau)
+        mat[v1] = [ZERO] * n
+        mat[v1][v1] = ZPoly((tau, 1))
+        split[tau] += s - 2
+        dropped.update(rest)
+    keep = [v for v in range(n) if v not in dropped]
+    mat = [[mat[i][j] for j in keep] for i in keep]
+    r = 0
+    while True:
+        pivot = next(((i, j) for i, row in enumerate(mat)
+                      for j, e in enumerate(row) if e in _UNITS), None)
+        if pivot is None:
+            return mat, r, tuple(split)
+        i, j = pivot
+        prow = mat.pop(i)
+        u = prow.pop(j)[0]  # its own inverse
+        live = [(b, p) for b, p in enumerate(prow) if p]
+        for row in mat:
+            f = row.pop(j)
+            if f:
+                f = -f if u < 0 else f
+                for b, p in live:
+                    row[b] = _sub_mul(row[b], f, p)
+        r += 1
+
+
+def _sub_mul(e, f, p):
+    """e - f * p for polynomials e, f, p."""
+    out = list(e)
+    out += [0] * (len(f) + len(p) - 1 - len(out))
+    for a, c in enumerate(f):
+        if c:
+            for b, d in enumerate(p):
+                out[a + b] -= c * d
+    return ZPoly(out)

@@ -21,13 +21,13 @@ adjacency bitmasks.  Second, while some entry of M' is the constant +1 or
 -1, the first such entry in row-major order is eliminated (Schur
 complement) and its row and column are dropped, on entries held as the
 integers p(2^w), with w wide enough that each, up to sign a minor of M',
-unpacks uniquely.  Unit pivots leave the Fitting ideals
-unchanged while shifting k by one, so after r pivots I_k(M') =
-I_(k-r)(M) for the remaining matrix M, and I_k(tI - A) is the unit ideal
-for every k <= r.  Third, the minors of M are taken with
-intlinalg.det_int, the one determinant the integer minors use too,
-deduplicated first by submatrix content and then up to sign, and
-multiplied by the products of split factors.  Fourth, they go into the
+unpacks uniquely.  Unit pivots leave the Fitting ideals unchanged while
+shifting k by one, so after r pivots I_k(M') = I_(k-r)(M) for the
+remaining matrix M, and I_k(tI - A) is the unit ideal for every k <= r.
+Third, the minors of M are taken with intlinalg.det_int, the one
+determinant the integer minors use too, deduplicated by submatrix content
+and then up to sign, each size once per call and as far as it is read,
+and multiplied by split-factor products.  Fourth, they go into the
 lattice that serves every ideal of Z[t] (ztideal): the part of I_k of
 degree at most k, in Hermite normal form keyed by degree.  No minor has
 degree above k, and closure under t supplies the rows up to degree k.
@@ -123,11 +123,11 @@ def _split_products(of_t, of_t1, j):
                  for x in range(max(0, j - of_t1), min(j, of_t) + 1))
 
 
-def _minors(pres, k, minors=None):
+def _minors(pres, k, minors):
     """Nonzero generators of the k-th characteristic ideal, leading
     coefficient positive, from the presentation `pres`: each product
     t^x (t+1)^y of j split factors times each distinct (k - j - r)-minor of
-    the pivoted matrix, taken by `minors(size)` (default _distinct_minors).
+    the pivoted matrix, taken by `minors(size)` from `_shared_minors`.
     Yields ONE alone when k is at most r.
     """
     mat, r, (of_t, of_t1) = pres
@@ -139,7 +139,7 @@ def _minors(pres, k, minors=None):
         if size > len(mat):
             continue
         factors = _split_products(of_t, of_t1, j)
-        for m in minors(size) if minors else _distinct_minors(mat, size):
+        for m in minors(size):
             for f in factors:
                 yield f * m if j else m
 
@@ -193,7 +193,7 @@ def _distinct_minors(mat, size):
                 yield p
 
 
-def _basis(pres, k, minors=None):
+def _basis(pres, k, minors):
     """Reduced strong Groebner basis of the k-th characteristic ideal."""
     return _canonicalize(_lattice(_minors(pres, k, minors), k))
 
@@ -206,7 +206,8 @@ def _check_index(g, k):
 def characteristic_ideal(g, k):
     """Reduced Groebner basis of the ideal of all k-minors of tI - A(g)."""
     _check_index(g, k)
-    return IdealZt(basis=_basis(_presentation(g), k))
+    pres = _presentation(g)
+    return IdealZt(basis=_basis(pres, k, _shared_minors(pres[0])))
 
 
 _BOUND_POINTS = (0, 1, -1, 2, -2)
@@ -241,12 +242,12 @@ def algebraic_corank(g):
     evaluation bound u caps the co-rank, and the ideals form a descending
     chain, so the first trivial one from k = u down to r + 1 is the answer.
     Only the trivial test is run, which stops at the unit ideal; no
-    nontrivial ideal is completed to a basis.
+    nontrivial ideal is completed to a basis, and the k share minor sizes.
     """
     pres = _presentation(g)
-    r = pres[1]
+    r, minors = pres[1], _shared_minors(pres[0])
     for k in range(_corank_bound(pres), r, -1):
-        if _lattice(_minors(pres, k), k)[0] == [1]:
+        if _lattice(_minors(pres, k, minors), k)[0] == [1]:
             return k
     return r
 
@@ -262,11 +263,7 @@ def char_ideal_profile(g):
     pres = _presentation(g)
     minors = _shared_minors(pres[0])
     ideals = tuple(IdealZt(basis=_basis(pres, k, minors)) for k in range(1, g.n + 1))
-    gamma = 0
-    for ideal in ideals:
-        if not ideal.is_trivial():
-            break
-        gamma += 1
+    gamma = len(list(takewhile(IdealZt.is_trivial, ideals)))
     return CharIdealProfile(g, ideals, gamma)
 
 
@@ -369,4 +366,5 @@ def all_k_minors_in_ideal(g, k, ideal):
         mat = [[(a if i == j else 0) - (g.adj[i] >> j & 1) for j in range(g.n)]
                for i in range(g.n)]
         return prod(snf_diagonal(IntMatrix(mat)).factors[:k]) % mod == 0
-    return not any(reduce(p, basis) for p in _minors(_presentation(g), k))
+    pres = _presentation(g)
+    return not any(reduce(p, basis) for p in _minors(pres, k, _shared_minors(pres[0])))

@@ -35,8 +35,7 @@ reduced basis off the lattice rows.
 from itertools import combinations, permutations
 from math import gcd
 
-from charideals.graph_ideals import _twin_classes
-from charideals.graphs import Graph, bits, parse_graph6, to_graph6
+from charideals.graphs import Graph, bits, parse_graph6, to_graph6, twin_classes
 from charideals.isomorphism import _search_plan
 from charideals.zpoly import ONE, T, ZERO, ZPoly
 
@@ -680,7 +679,8 @@ def presentation_by_row_ops(g):
     mat = char_matrix(g)
     split = [0, 0]
     dropped = set()
-    for tau, (v0, v1, *rest) in _twin_classes(g):
+    classes = [(tau, vs) for tau in (0, 1) for vs in twin_classes(g.adj, tau) if len(vs) >= 3]
+    for tau, (v0, v1, *rest) in classes:
         s = len(rest) + 2
         inside = {v0, v1, *rest}
         for w in range(n):

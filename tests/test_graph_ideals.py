@@ -12,7 +12,7 @@ from charideals import (BlowupSpec, IdealZt, IntMatrix, ZPoly, adjacency_matrix,
                         snf_diagonal)
 from charideals.catalog import (complete_graph, complete_multipartite_graph,
                                 cycle_graph, path_graph, prism_graph, star_graph)
-from charideals.graph_ideals import _corank_bound, _minors, _presentation
+from charideals.graph_ideals import _corank_bound, _minors, _presentation, _shared_minors
 from charideals.graphs import Graph
 from charideals.intlinalg import det_int
 from charideals.mining import enumerate_connected
@@ -389,9 +389,10 @@ def test_corank_between_bounds_on_larger_graphs():
             mat = [[(a if i == j else 0) - g.has_edge(i, j) for j in range(g.n)]
                    for i in range(g.n)]
             assert gamma <= snf_diagonal(IntMatrix(mat)).ones, (g, a)
-        assert oracles.strong_groebner(_minors(pres, gamma)) == (ONE,), g
+        minors = _shared_minors(pres[0])
+        assert oracles.strong_groebner(_minors(pres, gamma, minors)) == (ONE,), g
         if gamma < g.n:
-            assert oracles.strong_groebner(_minors(pres, gamma + 1)) != (ONE,), g
+            assert oracles.strong_groebner(_minors(pres, gamma + 1, minors)) != (ONE,), g
 
 
 def test_principal_minor_is_the_characteristic_polynomial():

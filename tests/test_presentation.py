@@ -112,7 +112,7 @@ def _count_minor_sizes(monkeypatch):
     return calls
 
 
-def test_profile_takes_each_minor_size_once(monkeypatch):
+def test_each_call_takes_each_minor_size_once(monkeypatch):
     rng = random.Random(229)
     graphs = [complete_multipartite_graph((5, 5, 5, 5, 4))]
     graphs += [_mixed_blowup(rng, 4) for _ in range(8)]
@@ -120,13 +120,13 @@ def test_profile_takes_each_minor_size_once(monkeypatch):
     calls = _count_minor_sizes(monkeypatch)
     for g in graphs:
         want = [characteristic_ideal(g, k) for k in range(1, g.n + 1)]
-        for run in (char_ideal_profile, smith_invariants_via_ideals):
+        for run in (char_ideal_profile, smith_invariants_via_ideals, algebraic_corank):
             calls.clear()
             run(g)
             assert len(calls) == len(set(calls)), (to_graph6(g), run.__name__, calls)
         calls.clear()
         assert char_ideal_profile(g).ideals == tuple(want), to_graph6(g)
-    # the counter does see repeats: per-k calls share nothing, so the co-rank stays lazy
+    # the counter does see repeats: separate calls share nothing
     calls.clear()
     characteristic_ideal(graphs[0], 10)
     characteristic_ideal(graphs[0], 11)

@@ -24,17 +24,19 @@ integers p(2^w), with w wide enough that each, up to sign a minor of M',
 unpacks uniquely.  Unit pivots leave the Fitting ideals unchanged while
 shifting k by one, so after r pivots I_k(M') = I_(k-r)(M) for the
 remaining matrix M, and I_k(tI - A) is the unit ideal for every k <= r.
-Third, the minors of M are taken with intlinalg.det_int, the one
-determinant the integer minors use too, deduplicated by submatrix content
-and then up to sign, each size once per call and as far as it is read,
-and multiplied by split-factor products.  Fourth, they go into the
-lattice that serves every ideal of Z[t] (ztideal): the part of I_k of
-degree at most k, in Hermite normal form keyed by degree.  No minor has
-degree above k, and closure under t supplies the rows up to degree k.
-The form stops as soon as it holds 1, and otherwise gives the reduced
-Groebner basis.  The co-rank is found top-down from an upper bound read
-off integer Smith forms of the presentation, so most graphs need one
-trivial ideal and none needs a nontrivial basis.
+Third, the minors of M are integer determinants (intlinalg.det_int) of
+its packed entries, deduplicated by submatrix content and then up to sign
+by absolute value, as a packed value has the sign of its leading
+coefficient; each distinct one is unpacked once, each size is taken once
+per call and as far as it is read, and the minors are multiplied by
+split-factor products.  Fourth, they go into the lattice that serves
+every ideal of Z[t] (ztideal): the part of I_k of degree at most k, in
+Hermite normal form keyed by degree.  No minor has degree above k, and
+closure under t supplies the rows up to degree k.  The form stops as
+soon as it holds 1, and otherwise gives the reduced Groebner basis.  The
+co-rank is found top-down from an upper bound read off integer Smith
+forms of the presentation, so most graphs need one trivial ideal and
+none needs a nontrivial basis.
 """
 
 from __future__ import annotations
@@ -46,35 +48,32 @@ from math import prod
 
 from .graphs import Graph, twin_classes
 from .intlinalg import IntMatrix, det_int, invariant_factors_from_deltas, snf_diagonal
-from .zpoly import ONE, T, ZERO, ZPoly
+from .zpoly import ONE, T, ZPoly
 from .ztideal import IdealZt, _canonicalize, _lattice, reduce
 
 
-def _twin_classes(g):
-    """(tau, vertices) for each class of at least three vertices with equal
-    open neighbourhoods (false twins, tau = 0) or equal closed ones (true
-    twins, tau = 1); a vertex lies in at most one of them."""
-    return [(tau, vs) for tau in (0, 1) for vs in twin_classes(g.adj, tau) if len(vs) >= 3]
-
-
 def _presentation(g):
-    """(mat, r, split): tI - A(g) is equivalent to I_r (+) mat (+) D, where
-    D is diagonal with split[0] factors t and split[1] factors t + 1.
+    """(mat, w, r, split): tI - A(g) is equivalent to I_r (+) mat (+) D, where
+    D is diagonal with split[0] factors t and split[1] factors t + 1, and
+    each entry p of mat is held as the integer p(2^w).
 
-    Each twin class S = {v0, v1, ...} of s twins, with c = t + tau, is split
-    off: v0 and v1 stay, and the rest of S goes with its s - 2 factors c.
-    Only the kept rows are built.  Off the diagonal an entry is -1 for an
-    edge, or -s in the column of v0, and row v1 is zero; the diagonal is t
-    plus -(s-1)tau at v0, tau at v1 and 0 elsewhere.  Each entry p is held
-    as the integer p(2^w), so a Schur update is one integer product.  The
-    pivot block has determinant +-1, so every entry ever held is +- a minor
-    of the kept matrix, whose coefficients are at most L, the product of the
-    kept rows' l1 sums (permanent bound; each sum is at least 1).  With
-    2^(w-1) > L the packing is injective, and the tests for 0 and +-1 are
-    exact.  The unit pivots are the first +-1 in row-major order.
+    A twin class S = {v0, v1, ...} is s >= 3 vertices with equal open
+    neighbourhoods (tau = 0) or equal closed ones (tau = 1); a vertex lies
+    in at most one.  With c = t + tau, v0 and v1 stay, and the rest of S
+    goes with its s - 2 factors c.  Only the kept rows are built.  Off the
+    diagonal an entry is -1 for an edge, or -s in the column of v0, and row
+    v1 is zero; the diagonal is t plus -(s-1)tau at v0, tau at v1 and 0
+    elsewhere.  A Schur update is one integer product.  The pivot block has
+    determinant +-1, so every entry ever held, and every minor of mat, is
+    +- a minor of the kept matrix, whose coefficients are at most L, the
+    product of the kept rows' l1 sums (permanent bound; each sum is at
+    least 1).  With 2^(w-1) > L the packing is injective, so tests for 0 and
+    +-1 and exact divisions carry over to the packed integers.  The unit
+    pivots are the first +-1 in row-major order.
     """
     const, mult, silent, split, dropped = [0] * g.n, [1] * g.n, 0, [0, 0], set()
-    for tau, (v0, v1, *rest) in _twin_classes(g):
+    classes = [(tau, vs) for tau in (0, 1) for vs in twin_classes(g.adj, tau) if len(vs) >= 3]
+    for tau, (v0, v1, *rest) in classes:
         s = len(rest) + 2
         const[v0], const[v1], mult[v0] = -(s - 1) * tau, tau, s
         silent |= 1 << v1
@@ -93,7 +92,7 @@ def _presentation(g):
     while True:
         i = next((i for i, row in enumerate(mat) if 1 in row or -1 in row), None)
         if i is None:
-            return [[_unpack(e, w) for e in row] for row in mat], r, tuple(split)
+            return mat, w, r, tuple(split)
         prow = mat.pop(i)
         j = min(prow.index(u) for u in (1, -1) if u in prow)
         u = prow.pop(j)  # its own inverse
@@ -107,7 +106,8 @@ def _presentation(g):
 
 
 def _unpack(x, w):
-    """The ZPoly p with p(2^w) = x whose coefficients lie in [-2^(w-1), 2^(w-1))."""
+    """The ZPoly p with p(2^w) = x whose coefficients lie in [-2^(w-1), 2^(w-1));
+    a nonzero x has the sign of p's leading coefficient."""
     coeffs, half = [], 1 << w - 1
     while x:
         c = (x + half) % (2 * half) - half
@@ -130,7 +130,7 @@ def _minors(pres, k, minors):
     the pivoted matrix, taken by `minors(size)` from `_shared_minors`.
     Yields ONE alone when k is at most r.
     """
-    mat, r, (of_t, of_t1) = pres
+    mat, _, r, (of_t, of_t1) = pres
     if k <= r:
         yield ONE
         return
@@ -144,14 +144,16 @@ def _minors(pres, k, minors):
                 yield f * m if j else m
 
 
-def _shared_minors(mat):
-    """size -> the distinct size-minors of `mat`, each size taken once and
-    lazily, as far as a caller reads it, and replayed to later callers."""
+def _shared_minors(pres):
+    """size -> the distinct size-minors of the presentation's pivoted
+    matrix, each size taken once and lazily, as far as a caller reads it,
+    and replayed to later callers."""
+    mat, w, *_ = pres
     taken = {}
 
     def minors(size):
         if size not in taken:
-            taken[size] = [], _distinct_minors(mat, size)
+            taken[size] = [], _distinct_minors(mat, w, size)
         done, rest = taken[size]
         yield from done
         for p in rest:
@@ -160,21 +162,21 @@ def _shared_minors(mat):
     return minors
 
 
-def _distinct_minors(mat, size):
-    """The distinct nonzero size-minors of `mat` up to sign, leading
-    coefficient positive; ONE alone when size <= 0.
+def _distinct_minors(mat, w, size):
+    """The distinct nonzero size-minors of `mat`, packed at width w, up to
+    sign, leading coefficient positive; ONE alone when size <= 0.
 
-    Columns of each row set are keyed by the ids of their entries in those
+    Columns of each row set are keyed by their packed entries in those
     rows: a zero column is never chosen, and a submatrix already seen is
-    skipped.
+    skipped.  A packed value has the sign of its leading coefficient, so
+    abs takes each determinant up to sign, and it is unpacked once.
     """
     if size <= 0:
         yield ONE
         return
-    ids = {ZERO: 0}
-    cols = [[ids.setdefault(e, len(ids)) for e in col] for col in zip(*mat)]
+    cols = list(zip(*mat))
     seen = set()
-    polys = set()
+    values = set()
     for rows in combinations(range(len(mat)), size):
         keys = [tuple(col[i] for i in rows) for col in cols]
         live = [c for c, key in enumerate(keys) if any(key)]
@@ -183,14 +185,10 @@ def _distinct_minors(mat, size):
             if key in seen:
                 continue
             seen.add(key)
-            p = det_int([[mat[i][c] for c in chosen] for i in rows])
-            if not p:
-                continue
-            if p[-1] < 0:
-                p = -p
-            if p not in polys:
-                polys.add(p)
-                yield p
+            x = abs(det_int([list(col) for col in key]))  # transposed: same det
+            if x and x not in values:
+                values.add(x)
+                yield _unpack(x, w)
 
 
 def _basis(pres, k, minors):
@@ -207,7 +205,7 @@ def characteristic_ideal(g, k):
     """Reduced Groebner basis of the ideal of all k-minors of tI - A(g)."""
     _check_index(g, k)
     pres = _presentation(g)
-    return IdealZt(basis=_basis(pres, k, _shared_minors(pres[0])))
+    return IdealZt(basis=_basis(pres, k, _shared_minors(pres)))
 
 
 _BOUND_POINTS = (0, 1, -1, 2, -2)
@@ -223,11 +221,12 @@ def _corank_bound(pres):
     whole sum: diag(2) (+) diag(3) has a unit invariant factor though
     neither block has one.  u is r plus the fewest over the points a.
     """
-    mat, r, (of_t, of_t1) = pres
+    mat, w, r, (of_t, of_t1) = pres
+    polys = [[_unpack(e, w) for e in row] for row in mat]
 
     def unit_factors(a):
         diag = [a] * of_t + [a + 1] * of_t1
-        rows = [[e(a) for e in row] + [0] * len(diag) for row in mat]
+        rows = [[p(a) for p in row] + [0] * len(diag) for row in polys]
         rows += [[0] * len(mat) + [c if i == j else 0 for j in range(len(diag))]
                  for i, c in enumerate(diag)]
         return snf_diagonal(IntMatrix(rows)).ones
@@ -245,7 +244,7 @@ def algebraic_corank(g):
     nontrivial ideal is completed to a basis, and the k share minor sizes.
     """
     pres = _presentation(g)
-    r, minors = pres[1], _shared_minors(pres[0])
+    r, minors = pres[2], _shared_minors(pres)
     for k in range(_corank_bound(pres), r, -1):
         if _lattice(_minors(pres, k, minors), k)[0] == [1]:
             return k
@@ -261,7 +260,7 @@ class CharIdealProfile:
 
 def char_ideal_profile(g):
     pres = _presentation(g)
-    minors = _shared_minors(pres[0])
+    minors = _shared_minors(pres)
     ideals = tuple(IdealZt(basis=_basis(pres, k, minors)) for k in range(1, g.n + 1))
     gamma = len(list(takewhile(IdealZt.is_trivial, ideals)))
     return CharIdealProfile(g, ideals, gamma)
@@ -272,7 +271,7 @@ def _invariants_by_evaluation(g, point):
     # t = point is generated by the k-minors of point*I - A: its evaluation
     # is their gcd Delta_k.  Past the first Delta_k = 0 every minor vanishes.
     pres = _presentation(g)
-    minors = _shared_minors(pres[0])
+    minors = _shared_minors(pres)
     evals = (IdealZt(basis=_basis(pres, k, minors)).evaluate(point) for k in range(1, g.n + 1))
     deltas = [1, *takewhile(bool, evals)]
     return invariant_factors_from_deltas(deltas + [0] * (g.n + 1 - len(deltas)))
@@ -367,4 +366,4 @@ def all_k_minors_in_ideal(g, k, ideal):
                for i in range(g.n)]
         return prod(snf_diagonal(IntMatrix(mat)).factors[:k]) % mod == 0
     pres = _presentation(g)
-    return not any(reduce(p, basis) for p in _minors(pres, k, _shared_minors(pres[0])))
+    return not any(reduce(p, basis) for p in _minors(pres, k, _shared_minors(pres)))

@@ -1,5 +1,5 @@
 """Exact integer matrices: Smith normal form, minor gcds, invariant factors,
-and det_int, the one determinant for minors over Z and over Z[t] (ZPoly).
+and det_int, the one determinant, also of graph_ideals' packed minors.
 
 The Smith form is one pivot loop followed by a gcd/lcm pass over the
 recorded pivots; the minor gcds enumerate minors directly and are the
@@ -109,9 +109,8 @@ class DeltaSequence:
 
 
 def det_int(mat):
-    """Determinant of a square list-of-lists over Z or Z[t]; the argument is
-    consumed.  Bareiss divides exactly in either ring, and a singular matrix
-    gives the zero of its entries' ring."""
+    """Determinant of a square integer list-of-lists, by Bareiss's exact
+    divisions; the argument is consumed."""
     n = len(mat)
     if n == 0:
         return 1
@@ -133,7 +132,7 @@ def det_int(mat):
                     sign = -sign
                     break
             else:
-                return mat[k][k]
+                return 0
         pk = mat[k][k]
         for i in range(k + 1, n):
             ri, rk = mat[i], mat[k]

@@ -94,34 +94,6 @@ class ZPoly(tuple):
             out = out * x + c
         return out
 
-    def __floordiv__(self, other):
-        """Quotient self/other by a polynomial or an int, which must be exact
-        (Bareiss divides by the previous pivot, starting from 1)."""
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        if isinstance(other, int):
-            other = (other,)
-        if not self:
-            return ZERO
-        rem = list(self)
-        dq = len(self) - len(other)
-        if dq < 0:
-            raise ValueError("inexact polynomial division")
-        lo = other[-1]
-        out = [0] * (dq + 1)
-        for k in range(dq, -1, -1):
-            c = rem[k + len(other) - 1]
-            if c % lo:
-                raise ValueError("inexact polynomial division")
-            q = c // lo
-            out[k] = q
-            if q:
-                for i, b in enumerate(other):
-                    rem[k + i] -= q * b
-        if any(rem):
-            raise ValueError("inexact polynomial division")
-        return ZPoly(out)
-
     def pretty(self):
         """Render like the usual hand-written form, e.g. ``t^2 + t - 1``."""
         if not self:

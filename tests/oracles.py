@@ -6,8 +6,8 @@ with the package paths they check.  The later sections keep former
 package routes as references for what replaced them: every k-minor
 position of tI - A walked and deduplicated by submatrix content, for the
 unit-pivot engine, with its own copy of the integer Bareiss determinant,
-since the package's determinant also evaluates the engine's polynomial
-minors; the induced-subgraph search before its plan was cached,
+since the package's determinant also takes the engine's minors on packed
+entries; the induced-subgraph search before its plan was cached,
 which shares the pattern order with its replacement, so the two must
 return the same embedding; canonical labelling by refinement on colour
 tuples with only twins pruned, whose forms the automorphism-pruned search
@@ -26,7 +26,8 @@ characteristic ideal with a monic generator is kept as a determinant of
 tI - A fast enough for blow-ups, independent of the minor engine.
 The twin-split presentation that rescaled the whole ZPoly matrix and took
 its unit pivots by polynomial row operations is the reference for the one
-built from the kept rows and pivoted on packed integers.
+built from the kept rows and pivoted on packed integers, and, expanded
+over permutations, for the minors taken on those packed integers.
 Those copies are also the references for the package's one-pass
 reduction, which only takes reduced bases, and for its reading of the
 reduced basis off the lattice rows.

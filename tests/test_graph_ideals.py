@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import prod
 
 import pytest
 
@@ -12,7 +13,8 @@ from charideals import (BlowupSpec, IdealZt, IntMatrix, ZPoly, adjacency_matrix,
                         snf_diagonal)
 from charideals.catalog import (complete_graph, complete_multipartite_graph,
                                 cycle_graph, path_graph, prism_graph, star_graph)
-from charideals.graph_ideals import _corank_bound, _minors, _presentation, _shared_minors
+from charideals.graph_ideals import (_corank_bound, _minors, _presentation, _shared_minors,
+                                     _unpack)
 from charideals.graphs import Graph
 from charideals.intlinalg import det_int
 from charideals.mining import enumerate_connected
@@ -162,7 +164,7 @@ def test_multipartite_closed_form_on_larger_part_sizes():
     for parts in seeded + [(12, 12), (8, 8, 8), (5, 5, 5, 5, 4)]:
         m = len(parts)
         g = complete_multipartite_graph(parts)
-        mat, r, _ = _presentation(g)
+        mat, _, r, _ = _presentation(g)
         assert len(mat) + r == 2 * m, parts
         for j in range(1, g.n + 1):
             assert characteristic_ideal(g, j) == multipartite_closed_form(parts, j), (parts, j)
@@ -290,7 +292,7 @@ def test_twin_split_matches_minor_walk_on_mixed_blowups():
     rng = random.Random(113)
     for _ in range(10):
         g = _mixed_twin_blowup(rng)
-        assert all(_presentation(g)[2]), g
+        assert all(_presentation(g)[3]), g
         bases = [_oracle_basis(g, k) for k in range(1, g.n + 1)]
         for k, want in enumerate(bases, 1):
             assert characteristic_ideal(g, k).basis == want, (g, k)
@@ -306,8 +308,8 @@ def test_twin_split_keeps_the_determinant():
     rng = random.Random(127)
     for _ in range(30):
         g = _mixed_twin_blowup(rng)
-        mat, _, (of_t, of_t1) = _presentation(g)
-        got = det_int(mat) if mat else ONE
+        mat, w, _, (of_t, of_t1) = _presentation(g)
+        got = _unpack(det_int(mat), w)
         for c in [P(0, 1)] * of_t + [P(1, 1)] * of_t1:
             got = got * c
         want = oracles.char_poly(g, g.n)
@@ -318,7 +320,7 @@ def test_twin_split_of_the_cycle_clique_blowup():
     # four classes of four true twins: each keeps two vertices and splits off
     # two factors t + 1, leaving an 8 x 8 matrix before the unit pivots
     g = blowup(BlowupSpec(cycle_graph(4), (-4, -4, -4, -4)))
-    mat, r, split = _presentation(g)
+    mat, _, r, split = _presentation(g)
     assert split == (0, 8)
     assert len(mat) + r == 8
 
@@ -349,7 +351,7 @@ def test_unit_pivots_bound_corank():
     graphs = [oracles.random_graph(rng, rng.randint(1, 7)) for _ in range(60)]
     graphs.append(lookup("petersen"))
     for g in graphs:
-        _, r, _ = _presentation(g)
+        r = _presentation(g)[2]
         assert algebraic_corank(g) >= r
         if r:
             assert characteristic_ideal(g, r).is_trivial()
@@ -384,12 +386,12 @@ def test_corank_between_bounds_on_larger_graphs():
         g = oracles.random_connected_graph(rng, rng.randint(8, 9), rng.choice((0.3, 0.5, 0.7)))
         pres = _presentation(g)
         gamma = algebraic_corank(g)
-        assert pres[1] <= gamma <= _corank_bound(pres), g
+        assert pres[2] <= gamma <= _corank_bound(pres), g
         for a in (0, 1, -1, 2, -2):
             mat = [[(a if i == j else 0) - g.has_edge(i, j) for j in range(g.n)]
                    for i in range(g.n)]
             assert gamma <= snf_diagonal(IntMatrix(mat)).ones, (g, a)
-        minors = _shared_minors(pres[0])
+        minors = _shared_minors(pres)
         assert oracles.strong_groebner(_minors(pres, gamma, minors)) == (ONE,), g
         if gamma < g.n:
             assert oracles.strong_groebner(_minors(pres, gamma + 1, minors)) != (ONE,), g
@@ -405,7 +407,7 @@ def test_principal_minor_is_the_characteristic_polynomial():
 
 
 def _minor(mat, rows, cols):
-    return det_int([[mat[i][j] for j in cols] for i in rows])
+    return ZPoly(oracles.poly_perm_det([[mat[i][j] for j in cols] for i in rows]))
 
 
 def test_minor_stream_matches_generic_poly_matrix():
@@ -413,7 +415,7 @@ def test_minor_stream_matches_generic_poly_matrix():
     for _ in range(40):
         g = oracles.random_graph(rng, rng.randint(1, 5))
         k = rng.randint(1, g.n)
-        pm = oracles.char_matrix(g)
+        pm = oracles.char_matrix_lists(g)
         want = set()
         for rows in combinations(range(g.n), k):
             for cols in combinations(range(g.n), k):
@@ -427,14 +429,26 @@ def test_minor_stream_matches_generic_poly_matrix():
         assert got == want
 
 
+def _packed(rows):
+    # (entries p(2^w), w) for a matrix of coefficient lists, with 2^(w-1)
+    # past the permanent bound, so every minor unpacks uniquely
+    bound = prod(max(1, sum(abs(c) for e in row for c in e)) for row in rows)
+    w = bound.bit_length() + 1
+    return [[ZPoly(e)(1 << w) for e in row] for row in rows], w
+
+
+def _packed_det(rows):
+    mat, w = _packed(rows)
+    return _unpack(det_int(mat), w)
+
+
 def test_poly_matrix_det_against_oracle():
     rng = random.Random(83)
     for _ in range(60):
         n = rng.randint(1, 5)
         rows = [[[rng.randint(-2, 2) for _ in range(rng.randint(0, 2))]
                  for _ in range(n)] for _ in range(n)]
-        mat = [[ZPoly(e) for e in row] for row in rows]
-        assert tuple(det_int(mat)) == tuple(ZPoly(oracles.poly_perm_det(rows)))
+        assert _packed_det(rows) == ZPoly(oracles.poly_perm_det(rows)), rows
 
 
 def _random_poly_rows(rng, n):
@@ -443,7 +457,7 @@ def _random_poly_rows(rng, n):
 
 
 def test_poly_det_of_singular_matrix_is_the_zero_polynomial():
-    # a zero column leaves Bareiss no pivot: the result is ZERO, not the int 0
+    # a zero column leaves Bareiss no pivot: the packed result is the int 0
     rng = random.Random(89)
     for _ in range(40):
         n = rng.randint(1, 6)
@@ -451,8 +465,9 @@ def test_poly_det_of_singular_matrix_is_the_zero_polynomial():
         zero_col = rng.randrange(n)
         for row in rows:
             row[zero_col] = []
-        d = det_int([[ZPoly(e) for e in row] for row in rows])
-        assert isinstance(d, ZPoly) and d == ZERO, (rows, d)
+        mat, w = _packed(rows)
+        d = det_int(mat)
+        assert type(d) is int and d == 0 and _unpack(d, w) == ZERO, (rows, d)
 
 
 def test_poly_det_with_row_swaps_against_oracle():
@@ -463,8 +478,7 @@ def test_poly_det_with_row_swaps_against_oracle():
         rows = _random_poly_rows(rng, n)
         rows[0][0] = []
         rows[rng.randrange(1, n)][0] = [rng.choice((-1, 1)), rng.randint(-2, 2)]
-        mat = [[ZPoly(e) for e in row] for row in rows]
-        assert tuple(det_int(mat)) == tuple(ZPoly(oracles.poly_perm_det(rows))), rows
+        assert _packed_det(rows) == ZPoly(oracles.poly_perm_det(rows)), rows
 
 
 def test_char_matrix_block_form_of_cycle_blowup():

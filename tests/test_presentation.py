@@ -2,14 +2,17 @@
 
 `_presentation` builds only the kept rows and takes its unit pivots on the
 integers p(2^w); `oracles.presentation_by_row_ops` is the former route on
-ZPoly entries, and the two must give the same (mat, r, split).  The
-profile shares each minor size across its ideals, and a digest pins the
-ideal engine's output.
+ZPoly entries, and the two must give the same (mat, r, split) once the
+packed matrix is unpacked.  The minors, integer determinants of packed
+entries, must be the ones a permutation expansion takes of the oracle's
+ZPoly matrix.  The profile shares each minor size across its ideals, and
+a digest pins the ideal engine's output.
 """
 
 import hashlib
 import json
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -30,7 +33,9 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 def _assert_matches_row_ops(graphs):
     for g in graphs:
-        assert _presentation(g) == oracles.presentation_by_row_ops(g), to_graph6(g)
+        mat, w, r, split = _presentation(g)
+        got = [[_unpack(e, w) for e in row] for row in mat], r, split
+        assert got == oracles.presentation_by_row_ops(g), to_graph6(g)
 
 
 def _chain_graphs(monkeypatch, seed):
@@ -60,7 +65,7 @@ def test_presentation_matches_row_ops_on_mixed_blowups():
     rng = random.Random(211)
     graphs = [_mixed_blowup(rng, 30) for _ in range(60)]
     assert max(g.n for g in graphs) >= 60
-    assert any(all(_presentation(g)[2]) for g in graphs)
+    assert any(all(_presentation(g)[3]) for g in graphs)
     _assert_matches_row_ops(graphs)
 
 
@@ -99,15 +104,43 @@ def test_unpack_inverts_packing_up_to_the_width():
             assert not q or q[-1], (w, q)
             assert (x == 0) == (not p), (w, p)
             assert (x in (1, -1)) == (p in (ZPoly((1,)), ZPoly((-1,)))), (w, p)
+            assert not x or (x > 0) == (p[-1] > 0), (w, p)
+
+
+def _minors_by_expansion(mat, size):
+    # the nonzero size-minors of a ZPoly matrix up to sign, leading
+    # coefficient positive, each by permutation expansion
+    out = set()
+    for rows in combinations(range(len(mat)), size):
+        for cols in combinations(range(len(mat)), size):
+            m = ZPoly(oracles.poly_perm_det([[mat[i][j] for j in cols] for i in rows]))
+            if m:
+                out.add(m if m.lead > 0 else -m)
+    return out
+
+
+def test_packed_minors_match_expansion_of_row_ops_matrix():
+    graphs = [g for n in range(1, 7) for g in enumerate_connected(n)]
+    assert len(graphs) == 143
+    rng = random.Random(233)
+    graphs += [_mixed_blowup(rng, 30) for _ in range(40)]
+    for g in graphs:
+        mat, w, _, _ = _presentation(g)
+        want = oracles.presentation_by_row_ops(g)[0]
+        for size in range(1, len(mat) + 1):
+            got = list(graph_ideals._distinct_minors(mat, w, size))
+            assert all(type(m) is ZPoly for m in got), to_graph6(g)
+            assert len(got) == len(set(got)), (to_graph6(g), size)
+            assert set(got) == _minors_by_expansion(want, size), (to_graph6(g), size)
 
 
 def _count_minor_sizes(monkeypatch):
     calls = []
     take = graph_ideals._distinct_minors
 
-    def counted(mat, size):
+    def counted(mat, w, size):
         calls.append(size)
-        return take(mat, size)
+        return take(mat, w, size)
     monkeypatch.setattr(graph_ideals, "_distinct_minors", counted)
     return calls
 

@@ -60,28 +60,6 @@ def test_evaluation_horner():
     assert ZERO(10) == 0
 
 
-def test_exact_div():
-    a = P(-1, 0, 1)  # t^2 - 1
-    b = P(1, 1)
-    assert a // b == (-1, 1)
-    assert (a * b) // a == tuple(b)
-    try:
-        P(1, 1) // P(2)
-        assert False, "expected inexact division to raise"
-    except ValueError:
-        pass
-    # an int divisor, as Bareiss's first pivot is 1
-    assert P(4, -6, 2) // 2 == (2, -3, 1)
-    assert P(4, -6, 2) // 1 == (4, -6, 2)
-    assert P() // 3 == P()
-    for bad, exc in ((3, ValueError), (0, ZeroDivisionError), (P(), ZeroDivisionError)):
-        try:
-            P(4, -6, 2) // bad
-            assert False, f"expected {exc.__name__} from division by {bad!r}"
-        except exc:
-            pass
-
-
 def test_pretty():
     assert P(0, -4, -5, 0, 1).pretty() == "t^4 - 5t^2 - 4t"
     assert P(-1, 1, 1).pretty() == "t^2 + t - 1"

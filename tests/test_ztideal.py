@@ -304,7 +304,7 @@ def test_one_pass_kernels_match_oracle_on_characteristic_ideals_up_to_6():
     for n in range(1, 7):
         for g in enumerate_connected(n):
             pres = _presentation(g)
-            shared = _shared_minors(pres[0])
+            shared = _shared_minors(pres)
             for k in range(1, n + 1):
                 minors = list(_minors(pres, k, shared))[:4]
                 probes = minors + [m * shift + ONE for m in minors]

@@ -47,7 +47,8 @@ from itertools import combinations, takewhile
 from math import prod
 
 from .graphs import Graph, twin_classes
-from .intlinalg import IntMatrix, det_int, invariant_factors_from_deltas, snf_diagonal
+from .intlinalg import (IntMatrix, det_int, invariant_factors_from_deltas, snf_diagonal,
+                        unit_pivots)
 from .zpoly import ONE, T, ZPoly
 from .ztideal import IdealZt, _canonicalize, _lattice, reduce
 
@@ -68,8 +69,9 @@ def _presentation(g):
     +- a minor of the kept matrix, whose coefficients are at most L, the
     product of the kept rows' l1 sums (permanent bound; each sum is at
     least 1).  With 2^(w-1) > L the packing is injective, so tests for 0 and
-    +-1 and exact divisions carry over to the packed integers.  The unit
-    pivots are the first +-1 in row-major order.
+    +-1 and exact divisions carry over to the packed integers, and the unit
+    pivots are taken on them by intlinalg.unit_pivots, the loop that also
+    starts the integer Smith form: the first +-1 in row-major order each.
     """
     const, mult, silent, split, dropped = [0] * g.n, [1] * g.n, 0, [0, 0], set()
     classes = [(tau, vs) for tau in (0, 1) for vs in twin_classes(g.adj, tau) if len(vs) >= 3]
@@ -88,21 +90,8 @@ def _presentation(g):
     w = bound.bit_length() + 1
     for i, v in enumerate(keep):
         mat[i][i] = (1 << w) + const[v]
-    r = 0
-    while True:
-        i = next((i for i, row in enumerate(mat) if 1 in row or -1 in row), None)
-        if i is None:
-            return mat, w, r, tuple(split)
-        prow = mat.pop(i)
-        j = min(prow.index(u) for u in (1, -1) if u in prow)
-        u = prow.pop(j)  # its own inverse
-        live = [(b, p) for b, p in enumerate(prow) if p]
-        for row in mat:
-            f = row.pop(j) * u
-            if f:
-                for b, p in live:
-                    row[b] -= f * p
-        r += 1
+    r = unit_pivots(mat)  # mat is now what the pivots leave
+    return mat, w, r, tuple(split)
 
 
 def _unpack(x, w):

@@ -123,13 +123,18 @@ class Graph:
                 raise ValueError(f"vertex {v} out of range")
         if len(set(vs)) != len(vs):
             raise ValueError("repeated vertex in induced set")
-        pos = {v: i for i, v in enumerate(vs)}
-        adj = [0] * len(vs)
+        place = [0] * self.n  # vertex -> its bit in the subgraph
         for i, v in enumerate(vs):
-            m = self.adj[v]
-            for w in vs:
-                if m >> w & 1:
-                    adj[i] |= 1 << pos[w]
+            place[v] = 1 << i
+        chosen = sum(1 << v for v in vs)
+        adj = []
+        for v in vs:
+            a, row = self.adj[v] & chosen, 0
+            while a:
+                low = a & -a
+                a ^= low
+                row |= place[low.bit_length() - 1]
+            adj.append(row)
         return Graph.from_adj(adj)
 
     def relabelled(self, order):

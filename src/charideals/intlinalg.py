@@ -1,9 +1,10 @@
 """Exact integer matrices: Smith normal form, minor gcds, invariant factors,
 and det_int, the one determinant, also of graph_ideals' packed minors.
 
-The Smith form is one pivot loop followed by a gcd/lcm pass over the
-recorded pivots; the minor gcds enumerate minors directly and are the
-independent route it is checked against.
+The Smith form is the unit-pivot loop graph_ideals also runs, then one
+least-entry pivot loop and a gcd/lcm pass over the recorded pivots; the
+minor gcds enumerate minors directly and are the independent route it is
+checked against.
 
 Everything runs on Python's arbitrary-precision integers, so coefficient
 growth can cost time and memory but never correctness.
@@ -26,7 +27,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows):
-        data = tuple(tuple(int(v) for v in row) for row in rows)
+        data = tuple(tuple(map(int, row)) for row in rows)
         self.rows = len(data)
         self.cols = len(data[0]) if data else 0
         if any(len(r) != self.cols for r in data):
@@ -143,18 +144,41 @@ def det_int(mat):
     return sign * mat[n - 1][n - 1]
 
 
+def unit_pivots(mat):
+    """r, the number of pivots taken: while some entry of the list-of-lists
+    mat is +-1, the first in row-major order is eliminated in place by a
+    Schur update, one integer product per entry, and its row and column are
+    dropped.  The matrix was equivalent to I_r (+) what is left."""
+    r = 0
+    while True:
+        i = next((i for i, row in enumerate(mat) if 1 in row or -1 in row), None)
+        if i is None:
+            return r
+        prow = mat.pop(i)
+        j = min(prow.index(u) for u in (1, -1) if u in prow)
+        u = prow.pop(j)  # its own inverse
+        live = [(b, p) for b, p in enumerate(prow) if p]
+        for row in mat:
+            f = row.pop(j) * u
+            if f:
+                for b, p in live:
+                    row[b] -= f * p
+        r += 1
+
+
 def snf_diagonal(m):
     """Diagonal of the Smith normal form, zero-padded to min(rows, cols).
 
-    One loop: the nonzero entry of least absolute value is the pivot, and
-    its column and its row are floor-reduced by it.  When both are clear,
-    |pivot| is recorded and its row and column are deleted; otherwise a
-    nonzero remainder is a smaller pivot for the next pass.  Least pivots
-    keep coefficient growth tame on the dense +-1 matrices this project
-    feeds it.  A gcd/lcm pass puts the recorded pivots in divisibility
-    order, since diag(a, b) and diag(gcd, lcm) have the same Smith form.
+    Each unit pivot is an invariant factor 1.  On what is left the nonzero
+    entry of least absolute value is the pivot, and its column and its row
+    are floor-reduced by it.  When both are clear, |pivot| is recorded and
+    its row and column are deleted; otherwise a nonzero remainder is a
+    smaller pivot for the next pass.  Least pivots keep coefficient growth
+    tame.  A gcd/lcm pass puts the recorded pivots in divisibility order,
+    since diag(a, b) and diag(gcd, lcm) have the same Smith form.
     """
     a = m.to_lists()
+    ones = unit_pivots(a)
     diag = []
     while True:
         best = 0
@@ -186,6 +210,7 @@ def snf_diagonal(m):
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
             diag[i], diag[j] = gcd(diag[i], diag[j]), lcm(diag[i], diag[j])
+    diag = [1] * ones + diag
     diag.extend([0] * (min(m.rows, m.cols) - len(diag)))
     return InvariantFactors(tuple(diag))
 

@@ -16,7 +16,7 @@ sibling onto it, and a leaf that matches the first or the best leaf sends
 the search back to the branch point the two paths share.  Every leaf left
 out has the encoding of one explored, so the least encoding is that of the
 whole tree; the automorphisms found generate the automorphism group.
-Induced-subgraph search is a backtracking embedding with degree pruning.
+Induced-subgraph search is a backtracking embedding, pruned by degree and twins.
 """
 
 from __future__ import annotations
@@ -206,7 +206,8 @@ def _search_plan(pattern):
 def find_induced(host, pattern):
     """An injective map pattern-vertex -> host-vertex preserving adjacency and
     non-adjacency, or None.  Backtracking with degree pruning; host vertices
-    are tried in increasing order at every step."""
+    are tried in increasing order at every step, and a host vertex that
+    fails at a step takes its host twins with it."""
     pn, hn = pattern.n, host.n
     if pn > hn:
         return None
@@ -224,6 +225,13 @@ def find_induced(host, pattern):
         below[d + 1] |= below[d]
     slack = hn - pn + 1
     fit = [below[d + slack] & ~below[d] for d in range(pn)]
+    # twins[v]: host vertices with v's open or closed neighbourhood; no N(v)
+    # is an N[u] (u in N(v) puts v in N[u]), so one table holds both kinds
+    same = {}
+    for hv, a in enumerate(hadj):
+        for key in (a, a | 1 << hv):
+            same[key] = same.get(key, 0) | 1 << hv
+    twins = [same[a] | same[a | 1 << hv] for hv, a in enumerate(hadj)]
     assigned = [0] * pn
     cands = [0] * pn
     cands[0] = fit[steps[0][2]]
@@ -237,6 +245,8 @@ def find_induced(host, pattern):
                 return None
             i -= 1
             used ^= 1 << assigned[i]
+            # swapping twins fixes the earlier images, so they fail alike
+            cands[i] &= ~twins[assigned[i]]
             continue
         low = cand & -cand
         cands[i] = cand ^ low

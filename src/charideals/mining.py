@@ -25,7 +25,9 @@ statistic is evaluated on those children only.  A forbidden child G is
 minimal iff each connected G - v is a member.  Checking these is enough:
 G is connected, so a connected proper induced subgraph H of G grows, one
 neighbouring vertex at a time, to a connected induced subgraph G - v on
-n - 1 vertices that contains H; H is a member when G - v is.  phiL is
+n - 1 vertices that contains H; H is a member when G - v is.  Deletions in
+one automorphism orbit are isomorphic, so one v per orbit is checked, and
+none in the orbit of the new vertex: that deletion is the parent.  phiL is
 defined on regular graphs only, which deletion does not keep, so for it
 every connected graph is evaluated and each forbidden one is searched for
 every smaller forbidden one.  Either way each minimal graph is then
@@ -87,8 +89,10 @@ def _is_cut_vertex(adj, v):
 
 
 def _children(g6):
-    """The canonical graph6 of each connected class, on one vertex more,
-    whose canonical deletion leaves the class of g6; each class once."""
+    """Each connected class on one vertex more whose canonical deletion
+    leaves the class of g6, once, as (canonical graph6, canonically
+    relabelled Graph, its vertex order and automorphism generators in the
+    labelling before, where the new vertex is the last one)."""
     adj = parse_graph6(g6).adj
     new = len(adj)
     for mask in _mask_orbits(new, _label(adj)[1]):
@@ -102,7 +106,8 @@ def _children(g6):
         w = next(u for u in order if child[u].bit_count() == degree
                  and not _is_cut_vertex(child, u))
         if w == new or _orbit(perms, 1 << w) >> new & 1:
-            yield to_graph6(Graph.from_adj(child).relabelled(order))
+            g = Graph.from_adj(child).relabelled(order)
+            yield to_graph6(g), g, order, perms
 
 
 def _level(n):
@@ -113,7 +118,7 @@ def _level(n):
     if n == 1:
         out = (canonical_form(Graph(1)),)
     else:
-        out = tuple(sorted(c for s in _level(n - 1) for c in _children(s)))
+        out = tuple(sorted(c for s in _level(n - 1) for c, *_ in _children(s)))
     _LEVELS[n] = out
     return out
 
@@ -194,6 +199,18 @@ def _independent_value(g6, statistic):
     return invariant_factors_from_deltas(delta_sequence(mat)).ones
 
 
+def _deletions(g, order, perms):
+    """One connected g - v per automorphism orbit but the new vertex's, whose
+    deletion is the parent; order and perms as _children yields them."""
+    place = {u: i for i, u in enumerate(order)}
+    done = _orbit(perms, 1 << g.n - 1)
+    for u in range(g.n):
+        if not done >> u & 1:
+            done |= _orbit(perms, 1 << u)
+            if not _is_cut_vertex(g.adj, place[u]):
+                yield g.delete_vertex(place[u])
+
+
 def _grow(max_vertices, limit, fn, values):
     """Minimal forbidden graphs as (size, graph6, Graph), and the members,
     of a statistic that deleting a vertex never raises."""
@@ -203,13 +220,11 @@ def _grow(max_vertices, limit, fn, values):
     for size in range(2, max_vertices + 1):
         grown = set()
         for s in sorted(level):
-            for c in _children(s):
-                g = parse_graph6(c)
+            for c, g, order, perms in _children(s):
                 val = values[c] = fn(g)
                 if val < limit:
                     grown.add(c)
-                elif all(canonical_form(h) in level
-                         for h in map(g.delete_vertex, range(size)) if h.is_connected()):
+                elif all(canonical_form(h) in level for h in _deletions(g, order, perms)):
                     minimal.append((size, c, g))
         members |= grown
         level = grown

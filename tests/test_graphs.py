@@ -91,6 +91,23 @@ def test_induced_subgraph_examples():
         k5.subgraph([0, 9])
 
 
+def test_induced_subgraph_matches_pairwise_definition():
+    rng = random.Random(223)
+    for _ in range(300):
+        n = rng.randint(0, 20)
+        g = oracles.random_graph(rng, n, rng.random())
+        vs = rng.sample(range(n), rng.randint(0, n))
+        h = g.subgraph(vs)
+        assert h.n == len(vs)
+        assert all(h.has_edge(i, j) == g.has_edge(v, w)
+                   for i, v in enumerate(vs) for j, w in enumerate(vs) if i != j), (g, vs)
+        if n:
+            with pytest.raises(ValueError, match="out of range"):
+                g.subgraph(vs + [rng.choice((n, n + 3, -1))])
+            with pytest.raises(ValueError, match="repeated"):
+                g.subgraph(vs + [vs[-1]] if vs else [0, 0])
+
+
 def test_edge_list_round_trip():
     g = cycle_graph(5)
     assert parse_edge_list(format_edge_list(g)) == g

@@ -4,8 +4,8 @@ from itertools import permutations
 import pytest
 
 from charideals import (ConsistencyError, DeltaSequence, IntMatrix, adjacency_matrix,
-                        delta_sequence, gcd_of_k_minors,
-                        invariant_factors_from_deltas, lookup, snf_diagonal)
+                        delta_sequence, gcd_of_k_minors, invariant_factors_from_deltas,
+                        laplacian_matrix, lookup, snf_diagonal)
 from charideals.catalog import complete_graph, path_graph
 from charideals.intlinalg import InvariantFactors
 from charideals.mining import enumerate_connected
@@ -213,3 +213,30 @@ def test_snf_of_shifted_adjacency_matches_minor_gcds_up_to_6():
                 _assert_snf_matches_minor_gcds(
                     [[(a if i == j else 0) - (g.adj[i] >> j & 1) for j in range(n)]
                      for i in range(n)])
+
+
+def _assert_snf_matches_deltas(m):
+    assert snf_diagonal(m) == invariant_factors_from_deltas(delta_sequence(m)), m
+
+
+def test_snf_after_unit_pivots_matches_minor_gcds():
+    # few unit entries, so most of the work is the least-entry loop after
+    # the unit pivots, on rectangular shapes down to no rows and no columns
+    rng = random.Random(211)
+    values = (0, 0, 2, -2, 3, -3, 4, -4, 6, -6)
+    for _ in range(600):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[rng.choice((1, -1)) if rng.random() < 0.08 else rng.choice(values)
+                 for _ in range(c)] for _ in range(r)]
+        _assert_snf_matches_deltas(IntMatrix(rows))
+    for m in (IntMatrix([]), IntMatrix([[]]), IntMatrix([[], [], []])):
+        assert snf_diagonal(m) == () == invariant_factors_from_deltas(delta_sequence(m))
+    assert snf_diagonal(IntMatrix([[1, 0, 0], [0, 1, 0]])) == (1, 1)
+    assert snf_diagonal(IntMatrix([[0, 1], [1, 0], [2, 2]])) == (1, 1)
+    assert snf_diagonal(IntMatrix([[1, 2], [3, 4], [5, 6]])) == (1, 2)
+
+
+def test_snf_of_laplacians_matches_minor_gcds_up_to_6():
+    for n in range(1, 7):
+        for g in enumerate_connected(n):
+            _assert_snf_matches_deltas(laplacian_matrix(g))

@@ -1,7 +1,7 @@
 import random
 
-from charideals import (FAMILY_F, FORBIDDEN_S4, Graph, canonical_form, find_induced,
-                        is_isomorphic, parse_graph6)
+from charideals import (FAMILY_F, FORBIDDEN_S4, BlowupSpec, Graph, blowup, canonical_form,
+                        find_induced, is_isomorphic, parse_graph6)
 from charideals.catalog import (complete_graph, complete_minus_edge, cycle_graph,
                                 path_graph, paw_graph, star_graph)
 from charideals.classify import _PATTERNS
@@ -128,18 +128,20 @@ def test_is_isomorphic():
 
 def test_find_induced_returns_what_the_former_search_returned():
     # same pattern order and host vertices in increasing order, so the
-    # embeddings the certificates print must not change
+    # embeddings the certificates print must not change; twins of a host
+    # vertex that failed at a step are skipped there
     patterns = (list(_PATTERNS.values()) + [parse_graph6(s) for s in FORBIDDEN_S4]
                 + [FAMILY_F[name] for name in sorted(FAMILY_F)])
     rng = random.Random(131)
     hosts = [oracles.random_connected_graph(rng, rng.randint(5, 9), rng.choice((0.3, 0.5, 0.7)))
              for _ in range(40)]
     hosts += [p for p in patterns if p.n >= 5]
-    relabelled = []
-    for g in hosts:
-        order = list(range(g.n))
-        rng.shuffle(order)
-        relabelled.append(g.relabelled(order))
+    relabelled = [_shuffled(g, rng) for g in hosts]
+    # twin-rich hosts: clique and stable blow-ups, classes of 2-4 vertices
+    for base in map(parse_graph6, oracles._level(4)):
+        for _ in range(3):
+            d = [rng.choice((2, 3, 4)) * rng.choice((1, -1)) for _ in range(4)]
+            relabelled.append(_shuffled(blowup(BlowupSpec(base, d)), rng))
     hits = misses = 0
     for host in hosts + relabelled:
         for pattern in patterns:

@@ -208,6 +208,17 @@ def test_growth_runs_no_induced_search(monkeypatch):
     assert len(mine(MiningTask(7, "gammaA", 3)).minimal) == 13
 
 
+def test_minimality_labels_one_deletion_per_orbit(monkeypatch):
+    # one connected deletion per automorphism orbit of a forbidden child,
+    # none for the orbit of its new vertex; one per vertex took 761 here
+    labelled = []
+    monkeypatch.setattr(mining, "canonical_form",
+                        lambda h: labelled.append(h) or canonical_form(h))
+    minimal, _ = mining._grow(7, 5, STATISTICS["phiA"], {})
+    assert len(minimal) == 43
+    assert len(labelled) == 1 + 547  # K_1, then the deletions
+
+
 def test_growth_evaluates_only_children_of_members(monkeypatch):
     calls = []
     fn = STATISTICS["gammaA"]
@@ -219,6 +230,6 @@ def test_growth_evaluates_only_children_of_members(monkeypatch):
     monkeypatch.setitem(STATISTICS, "gammaA", counted)
     result = mine(MiningTask(7, "gammaA", 3))
     parents = [canonical_form(Graph(1))] + [s for s in result.members if parse_graph6(s).n < 7]
-    children = sorted(c for s in parents for c in _children(s))
+    children = sorted(c for s in parents for c, *_ in _children(s))
     assert sorted(calls) == children == sorted(result.values)
     assert len(children) < sum(CONNECTED_COUNTS[1:7])

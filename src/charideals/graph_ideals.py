@@ -46,7 +46,7 @@ from functools import lru_cache
 from itertools import combinations, takewhile
 from math import prod
 
-from .graphs import Graph, twin_classes
+from .graphs import Graph
 from .intlinalg import (IntMatrix, det_int, invariant_factors_from_deltas, snf_diagonal,
                         unit_pivots)
 from .zpoly import ONE, T, ZPoly
@@ -74,7 +74,12 @@ def _presentation(g):
     starts the integer Smith form: the first +-1 in row-major order each.
     """
     const, mult, silent, split, dropped = [0] * g.n, [1] * g.n, 0, [0, 0], set()
-    classes = [(tau, vs) for tau in (0, 1) for vs in twin_classes(g.adj, tau) if len(vs) >= 3]
+    by_open, by_closed = {}, {}  # both twin kinds in one pass, as graphs.twin_classes
+    for v, a in enumerate(g.adj):
+        by_open.setdefault(a, []).append(v)
+        by_closed.setdefault(a | 1 << v, []).append(v)
+    classes = [(tau, vs) for tau, by in ((0, by_open), (1, by_closed))
+               for vs in by.values() if len(vs) >= 3]
     for tau, (v0, v1, *rest) in classes:
         s = len(rest) + 2
         const[v0], const[v1], mult[v0] = -(s - 1) * tau, tau, s
@@ -208,7 +213,9 @@ def _corank_bound(pres):
     matrix M and the split factors D, so a trivial I_k needs k - r unit
     invariant factors of M(a) (+) D(a).  The Smith form is taken of the
     whole sum: diag(2) (+) diag(3) has a unit invariant factor though
-    neither block has one.  u is r plus the fewest over the points a.
+    neither block has one.  u is r plus the fewest over the points a; no
+    count is below 0, so the points after the first that has none are
+    skipped.
     """
     mat, w, r, (of_t, of_t1) = pres
     polys = [[_unpack(e, w) for e in row] for row in mat]
@@ -220,7 +227,12 @@ def _corank_bound(pres):
                  for i, c in enumerate(diag)]
         return snf_diagonal(IntMatrix(rows)).ones
 
-    return r + min(unit_factors(a) for a in _BOUND_POINTS)
+    least = len(mat) + of_t + of_t1
+    for a in _BOUND_POINTS:
+        least = min(least, unit_factors(a))
+        if not least:
+            break
+    return r + least
 
 
 def algebraic_corank(g):

@@ -16,7 +16,9 @@ sibling onto it, and a leaf that matches the first or the best leaf sends
 the search back to the branch point the two paths share.  Every leaf left
 out has the encoding of one explored, so the least encoding is that of the
 whole tree; the automorphisms found generate the automorphism group.
-Induced-subgraph search is a backtracking embedding, pruned by degree and twins.
+Induced-subgraph search is a backtracking embedding, pruned by degree and
+twins, after a cut that matches the two degree sequences; the host's
+tables are built once per host and reused by every pattern matched in it.
 """
 
 from __future__ import annotations
@@ -186,10 +188,11 @@ def is_isomorphic(g, h):
 
 @lru_cache(maxsize=512)
 def _search_plan(pattern):
-    """How find_induced places the pattern: its vertices in search order
-    and, per step, the earlier steps adjacent and non-adjacent to that
-    vertex and its degree.  Each step takes the unplaced vertex with the
-    most placed neighbours, then the highest degree, then the lowest index."""
+    """How find_induced places the pattern: its vertices in search order;
+    per step, the earlier steps adjacent and non-adjacent to that vertex
+    and its degree; and the pattern's degrees in increasing order.  Each
+    step takes the unplaced vertex with the most placed neighbours, then
+    the highest degree, then the lowest index."""
     adj, degs = pattern.adj, pattern.degrees()
     order, steps = [], []
     placed = 0
@@ -200,38 +203,73 @@ def _search_plan(pattern):
                       tuple(j for j, w in enumerate(order) if not adj[v] >> w & 1), degs[v]))
         order.append(v)
         placed |= 1 << v
-    return tuple(order), tuple(steps)
+    return tuple(order), tuple(steps), tuple(sorted(degs))
+
+
+@lru_cache(maxsize=256)
+def _host_plan(adj):
+    """What find_induced reads of a host with adjacency bitmasks adj, for
+    any pattern: below[d], the host vertices of degree below d; twins[v],
+    the host vertices with v's open or closed neighbourhood; and the host's
+    degrees in increasing order."""
+    hn = len(adj)
+    degs = [a.bit_count() for a in adj]
+    below = [0] * (hn + 1)
+    for hv, d in enumerate(degs):
+        below[d + 1] |= 1 << hv
+    for d in range(hn):
+        below[d + 1] |= below[d]
+    # no N(v) is an N[u] (u in N(v) puts v in N[u]), so one table holds both kinds
+    same = {}
+    for hv, a in enumerate(adj):
+        for key in (a, a | 1 << hv):
+            same[key] = same.get(key, 0) | 1 << hv
+    twins = tuple(same[a] | same[a | 1 << hv] for hv, a in enumerate(adj))
+    return tuple(below), twins, tuple(sorted(degs))
+
+
+def _degrees_match(pdegs, hdegs, slack):
+    """Whether each pattern degree d (pdegs, increasing) can take its own
+    host degree (hdegs, increasing) in d .. d + slack.  The intervals all
+    have one length, so they end in the order they start, and the greedy
+    pass giving each the least free host degree in it is exact."""
+    j, hn = 0, len(hdegs)
+    for d in pdegs:
+        while j < hn and hdegs[j] < d:
+            j += 1
+        if j == hn or hdegs[j] > d + slack:
+            return False
+        j += 1
+    return True
 
 
 def find_induced(host, pattern):
     """An injective map pattern-vertex -> host-vertex preserving adjacency and
-    non-adjacency, or None.  Backtracking with degree pruning; host vertices
+    non-adjacency, or None.
+
+    With pn pattern and hn host vertices, a pattern vertex of degree d maps
+    to a host vertex of degree d .. d + hn - pn, to keep its neighbours and
+    its non-neighbours.  When the sorted degree sequences admit no
+    injective such assignment, there is no map and no search runs.
+    Otherwise the search backtracks over those candidates; host vertices
     are tried in increasing order at every step, and a host vertex that
-    fails at a step takes its host twins with it."""
+    fails at a step takes its host twins with it.  The pattern's search
+    plan and the host's degree masks and twin table are cached, the latter
+    keyed by the host alone, as classify matches one host against every
+    pattern list."""
     pn, hn = pattern.n, host.n
     if pn > hn:
         return None
     if pn == 0:
         return ()
-    order, steps = _search_plan(pattern)
+    order, steps, pdegs = _search_plan(pattern)
     hadj = host.adj
-    # below[d]: host vertices of degree below d.  A pattern vertex of degree
-    # d maps to one of degree d .. d + hn - pn, to keep its neighbours and
-    # its non-neighbours; fit[d] holds those.
-    below = [0] * (hn + 1)
-    for hv, a in enumerate(hadj):
-        below[a.bit_count() + 1] |= 1 << hv
-    for d in range(hn):
-        below[d + 1] |= below[d]
+    below, twins, hdegs = _host_plan(hadj)
+    if not _degrees_match(pdegs, hdegs, hn - pn):
+        return None
+    # fit[d]: the host vertices a pattern vertex of degree d can map to
     slack = hn - pn + 1
     fit = [below[d + slack] & ~below[d] for d in range(pn)]
-    # twins[v]: host vertices with v's open or closed neighbourhood; no N(v)
-    # is an N[u] (u in N(v) puts v in N[u]), so one table holds both kinds
-    same = {}
-    for hv, a in enumerate(hadj):
-        for key in (a, a | 1 << hv):
-            same[key] = same.get(key, 0) | 1 << hv
-    twins = [same[a] | same[a | 1 << hv] for hv, a in enumerate(hadj)]
     assigned = [0] * pn
     cands = [0] * pn
     cands[0] = fit[steps[0][2]]

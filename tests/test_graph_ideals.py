@@ -11,6 +11,7 @@ from charideals import (BlowupSpec, IdealZt, IntMatrix, ZPoly, adjacency_matrix,
                         laplacian_matrix, lookup,
                         multipartite_closed_form, smith_invariants_via_ideals,
                         snf_diagonal)
+from charideals import graph_ideals
 from charideals.catalog import (complete_graph, complete_multipartite_graph,
                                 cycle_graph, path_graph, prism_graph, star_graph)
 from charideals.graph_ideals import (_corank_bound, _minors, _presentation, _shared_minors,
@@ -395,6 +396,62 @@ def test_corank_between_bounds_on_larger_graphs():
         assert oracles.strong_groebner(_minors(pres, gamma, minors)) == (ONE,), g
         if gamma < g.n:
             assert oracles.strong_groebner(_minors(pres, gamma + 1, minors)) != (ONE,), g
+
+
+_BOUND_POINTS = (0, 1, -1, 2, -2)
+
+
+def _unit_factors_at(g, a):
+    # aI - A is I_r (+) M(a) (+) D(a) evaluated, so this is r plus the count
+    # the bound takes of the pivoted presentation at a
+    mat = [[(a if i == j else 0) - g.has_edge(i, j) for j in range(g.n)] for i in range(g.n)]
+    return snf_diagonal(IntMatrix(mat)).ones
+
+
+def _bound_graphs():
+    rng = random.Random(113)
+    graphs = [g for n in range(1, 8) for g in enumerate_connected(n)]
+    for base in (path_graph(4), star_graph(4), cycle_graph(4), lookup("paw"),
+                 lookup("diamond"), complete_graph(4)):
+        for _ in range(4):
+            sizes = tuple(rng.choice((-1, 1)) * rng.randint(1, 4) for _ in range(4))
+            graphs.append(blowup(BlowupSpec(base, sizes)))
+    return graphs
+
+
+def test_corank_bound_is_the_least_unit_count_over_the_points():
+    split = 0
+    for g in _bound_graphs():
+        pres = _presentation(g)
+        split += any(pres[3])
+        assert _corank_bound(pres) == min(_unit_factors_at(g, a) for a in _BOUND_POINTS), g
+    assert split > 20
+
+
+def test_corank_bound_stops_at_the_first_point_without_units(monkeypatch):
+    # no count is below 0: after the first point where M(a) (+) D(a) has no
+    # unit invariant factor, no Smith form is taken
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return snf_diagonal(m)
+    monkeypatch.setattr(graph_ideals, "snf_diagonal", counted)
+    p3 = path_graph(3)
+    assert _unit_factors_at(p3, 0) == _presentation(p3)[2] == 2
+    assert _corank_bound(_presentation(p3)) == 2
+    assert len(calls) == 1
+    stopped = 0
+    for g in _bound_graphs():
+        pres = _presentation(g)
+        r = pres[2]
+        counts = [_unit_factors_at(g, a) for a in _BOUND_POINTS]
+        want = counts.index(r) + 1 if r in counts else len(counts)
+        calls.clear()
+        _corank_bound(pres)
+        assert len(calls) == want, g
+        stopped += want < len(counts)
+    assert stopped > 100
 
 
 def test_principal_minor_is_the_characteristic_polynomial():

@@ -5,7 +5,7 @@ from charideals import (FAMILY_F, FORBIDDEN_S4, BlowupSpec, Graph, blowup, canon
 from charideals.catalog import (complete_graph, complete_minus_edge, cycle_graph,
                                 path_graph, paw_graph, star_graph)
 from charideals.classify import _PATTERNS
-from charideals.isomorphism import _label, _orbit
+from charideals.isomorphism import _degrees_match, _host_plan, _label, _orbit
 
 import oracles
 
@@ -150,6 +150,56 @@ def test_find_induced_returns_what_the_former_search_returned():
             hits += got is not None
             misses += got is None
     assert hits > 500 and misses > 500
+
+
+def test_find_induced_matches_the_oracle_on_all_connected_hosts_5_to_7():
+    # pn = hn and pn = hn - 1 are where the degree cut decides most pairs.
+    # Host by host first, so each plan is reused across the patterns, then
+    # the classify patterns one by one over far more hosts than the plan
+    # cache holds, so every plan is evicted and built again before it is read
+    patterns = (list(_PATTERNS.values()) + [parse_graph6(s) for s in FORBIDDEN_S4]
+                + [FAMILY_F[name] for name in sorted(FAMILY_F)])
+    rng = random.Random(137)
+    hosts = [parse_graph6(s) for n in range(5, 8) for s in oracles._level(n)]
+    hosts += [_shuffled(g, rng) for g in hosts[::3]]
+    assert len(set(hosts)) > 2 * _host_plan.cache_info().maxsize
+    want = {}
+    for host in hosts:
+        for pattern in patterns:
+            got = want[host, pattern] = find_induced(host, pattern)
+            assert got == oracles.find_induced(host, pattern), (host, pattern)
+    assert sum(e is not None for e in want.values()) > 10000
+    assert sum(e is None and p.n == h.n for (h, p), e in want.items()) > 5000
+    before = _host_plan.cache_info()
+    for pattern in _PATTERNS.values():
+        for host in hosts:
+            assert find_induced(host, pattern) == want[host, pattern], (host, pattern)
+    rebuilt = _host_plan.cache_info().misses - before.misses
+    assert rebuilt >= len(_PATTERNS) * len(hosts) // 2
+
+
+def _assignable(pdegs, hdegs, slack):
+    # an injective map of the pattern degrees to host degrees within
+    # d .. d + slack, by trying every choice
+    def place(i, free):
+        return i == len(pdegs) or any(
+            pdegs[i] <= hdegs[j] <= pdegs[i] + slack and place(i + 1, free - {j})
+            for j in free)
+    return place(0, frozenset(range(len(hdegs))))
+
+
+def test_degree_cut_is_exactly_the_injective_assignment():
+    rng = random.Random(139)
+    cuts = 0
+    for _ in range(3000):
+        hn = rng.randint(1, 7)
+        pn = rng.randint(1, hn)
+        hdegs = tuple(sorted(rng.randint(0, hn - 1) for _ in range(hn)))
+        pdegs = tuple(sorted(rng.randint(0, pn - 1) for _ in range(pn)))
+        want = _assignable(pdegs, hdegs, hn - pn)
+        assert _degrees_match(pdegs, hdegs, hn - pn) == want, (pdegs, hdegs)
+        cuts += not want
+    assert 500 < cuts < 2500
 
 
 def test_canonical_form_matches_former_search_on_all_connected_graphs_to_7():

@@ -21,12 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .catalog import FAMILY_F, FORBIDDEN_S4, lookup
-from .graphs import (adjacency_matrix, laplacian_matrix, parse_graph6, true_twin_quotient,
-                     twin_classes)
+from .graphs import adjacency_matrix, parse_graph6, true_twin_quotient, twin_classes
 from .graph_ideals import algebraic_corank
 from .intlinalg import ConsistencyError, snf_diagonal
 from .isomorphism import canonical_form, find_induced, is_isomorphic
-from .mining import _level
+from .mining import STATISTICS, _level
 
 
 class RouteDisagreement(ConsistencyError):
@@ -202,9 +201,10 @@ def is_K_leq_regular(g, k):
     if k not in (1, 2, 3):
         raise ValueError("the closed lists cover k in {1, 2, 3}")
     _check_connected(g)
-    if g.regular_degree() is None:
+    phi_l = STATISTICS["phiL"](g)  # None off regular graphs
+    if phi_l is None:
         raise ValueError(f"graph is not regular: degrees {sorted(set(g.degrees()))}")
-    return _k_leq(g, k, snf_diagonal(laplacian_matrix(g)).ones)[1:]
+    return _k_leq(g, k, phi_l)[1:]
 
 
 def _s4_partial(g, snf):
@@ -244,7 +244,7 @@ def classify(g):
     snf = snf_diagonal(adjacency_matrix(g))
     phi_a = snf.ones
     gamma = algebraic_corank(g)
-    phi_l = snf_diagonal(laplacian_matrix(g)).ones if g.regular_degree() is not None else None
+    phi_l = STATISTICS["phiL"](g)
     decided = [*(_s_leq(g, k, phi_a) for k in (1, 2, 3)), _s4_partial(g, snf),
                *(_c_leq(g, k, gamma) for k in (1, 2, 3)),
                *(_k_leq(g, k, phi_l) for k in (1, 2, 3) if phi_l is not None)]

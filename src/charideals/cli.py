@@ -93,10 +93,10 @@ def _cmd_gamma(args):
 
 
 def _cmd_ideal(args):
-    g = _load_graph(args.graph, args.edge_list)
     if (args.k is not None) == args.all:
         print("error: provide either --k or --all", file=sys.stderr)
         return 2
+    g = _load_graph(args.graph, args.edge_list)
     # echoed before the work, so a graph past graph6's 62 vertices fails at once
     echo = None if args.pretty else canonical_form(g)
     if args.all:
@@ -106,6 +106,12 @@ def _cmd_ideal(args):
     else:
         entries = [(args.k, characteristic_ideal(g, args.k))]
         gamma = None
+    if args.pretty:
+        for k, ideal in entries:
+            print(f"k={k}: {ideal.pretty()}")
+        if gamma is not None:
+            print(f"gamma = {gamma}")
+        return 0
     payload = {
         "ideals": [{
             "k": k,
@@ -116,13 +122,7 @@ def _cmd_ideal(args):
     }
     if gamma is not None:
         payload["gamma"] = gamma
-    if args.pretty:
-        for k, ideal in entries:
-            print(f"k={k}: {ideal.pretty()}")
-        if gamma is not None:
-            print(f"gamma = {gamma}")
-    else:
-        _emit("ideal", echo, payload)
+    _emit("ideal", echo, payload)
     return 0
 
 

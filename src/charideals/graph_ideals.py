@@ -7,36 +7,37 @@ of ideals at t = 0 recovers the invariant factors of the adjacency matrix,
 and at t = r those of the Laplacian when G is r-regular.
 
 Every characteristic ideal here comes from one engine in four steps, on
-one presentation.  First twin classes are split off.  The rows of a class
-S of s >= 3 false twins (equal open neighbourhoods) differ by t times
-e_u - e_v, and those of true twins (equal closed ones) by t + 1 times it,
-so unimodular row and column operations inside S turn tI - A into
-M' (+) diag(c, ..., c): s - 2 copies of c = t or t + 1, and M' keeps two
-vertices of S.  The k-minor ideal is a Fitting ideal, and for a
-direct sum I_k(M' (+) D) = sum_j I_j(D) I_(k-j)(M').  D is diagonal, so
-I_j(D) is generated by every product t^x (t+1)^y with x + y = j that D
-has factors for; a fixed j of them would not do, as <t, t+1> is the unit
-ideal.  Only the rows of the kept vertices are built, straight from the
-adjacency bitmasks.  Second, while some entry of M' is the constant +1 or
--1, the first such entry in row-major order is eliminated (Schur
-complement) and its row and column are dropped, on entries held as the
-integers p(2^w), with w wide enough that each, up to sign a minor of M',
-unpacks uniquely.  Unit pivots leave the Fitting ideals unchanged while
-shifting k by one, so after r pivots I_k(M') = I_(k-r)(M) for the
-remaining matrix M, and I_k(tI - A) is the unit ideal for every k <= r.
-Third, the minors of M are integer determinants (intlinalg.det_int) of
-its packed entries, deduplicated by submatrix content and then up to sign
-by absolute value, as a packed value has the sign of its leading
-coefficient; each distinct one is unpacked once, each size is taken once
-per call and as far as it is read, and the minors are multiplied by
-split-factor products.  Fourth, they go into the lattice that serves
-every ideal of Z[t] (ztideal): the part of I_k of degree at most k, in
-Hermite normal form keyed by degree.  No minor has degree above k, and
-closure under t supplies the rows up to degree k.  The form stops as
-soon as it holds 1, and otherwise gives the reduced Groebner basis.  The
-co-rank is found top-down from an upper bound read off integer Smith
-forms of the presentation, so most graphs need one trivial ideal and
-none needs a nontrivial basis.
+one presentation.  First the twin classes of graphs.twin_classes are
+split off.  The rows of a class S of s >= 3 false twins (equal open
+neighbourhoods) differ by t times e_u - e_v, and those of true twins
+(equal closed ones) by t + 1 times it, so unimodular row and column
+operations inside S turn tI - A into M' (+) diag(c, ..., c): s - 2 copies
+of c = t or t + 1, and M' keeps two vertices of S.  The k-minor ideal is
+a Fitting ideal, and for a direct sum
+I_k(M' (+) D) = sum_j I_j(D) I_(k-j)(M').  D is diagonal, so I_j(D) is
+generated by every product t^x (t+1)^y with x + y = j that D has factors
+for; a fixed j of them would not do, as <t, t+1> is the unit ideal.  Only
+the rows of the kept vertices are built, straight from the adjacency
+bitmasks.  Second, while some entry of M' is the constant +1 or -1, the
+first such entry in row-major order is eliminated (Schur complement) and
+its row and column are dropped, on entries held as the integers p(2^w),
+with w wide enough that each, up to sign a minor of M', unpacks uniquely.
+Unit pivots leave the Fitting ideals unchanged while shifting k by one,
+so after r pivots I_k(M') = I_(k-r)(M) for the remaining matrix M, and
+I_k(tI - A) is the unit ideal for every k <= r.  Third, the minors of M
+are integer determinants (intlinalg.det_int) of its packed entries,
+deduplicated by submatrix content and then up to sign by absolute value,
+as a packed value has the sign of its leading coefficient; each distinct
+one is unpacked once, and the minors are multiplied by split-factor
+products.  One source, _generators, yields them to every caller and k,
+taking each size once per call, as far as it is read.  Fourth, they go
+into the lattice that serves every ideal of Z[t] (ztideal): the part of
+I_k of degree at most k, in Hermite normal form keyed by degree.  No
+minor has degree above k, and closure under t supplies the rows up to
+degree k.  The form stops as soon as it holds 1, and otherwise gives the
+reduced Groebner basis.  The co-rank is found top-down from an upper
+bound read off integer Smith forms of the presentation, so most graphs
+need one trivial ideal and none needs a nontrivial basis.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from functools import lru_cache
 from itertools import combinations, takewhile
 from math import prod
 
-from .graphs import Graph
+from .graphs import Graph, twin_classes
 from .intlinalg import (IntMatrix, det_int, invariant_factors_from_deltas, snf_diagonal,
                         unit_pivots)
 from .zpoly import ONE, T, ZPoly
@@ -74,12 +75,8 @@ def _presentation(g):
     starts the integer Smith form: the first +-1 in row-major order each.
     """
     const, mult, silent, split, dropped = [0] * g.n, [1] * g.n, 0, [0, 0], set()
-    by_open, by_closed = {}, {}  # both twin kinds in one pass, as graphs.twin_classes
-    for v, a in enumerate(g.adj):
-        by_open.setdefault(a, []).append(v)
-        by_closed.setdefault(a | 1 << v, []).append(v)
-    classes = [(tau, vs) for tau, by in ((0, by_open), (1, by_closed))
-               for vs in by.values() if len(vs) >= 3]
+    # graphs.twin_classes is the one grouping by neighbourhood; false twins first
+    classes = [(tau, vs) for tau in (0, 1) for vs in twin_classes(g.adj, tau) if len(vs) >= 3]
     for tau, (v0, v1, *rest) in classes:
         s = len(rest) + 2
         const[v0], const[v1], mult[v0] = -(s - 1) * tau, tau, s
@@ -117,32 +114,14 @@ def _split_products(of_t, of_t1, j):
                  for x in range(max(0, j - of_t1), min(j, of_t) + 1))
 
 
-def _minors(pres, k, minors):
-    """Nonzero generators of the k-th characteristic ideal, leading
+def _generators(pres):
+    """k -> the nonzero generators of the k-th characteristic ideal, leading
     coefficient positive, from the presentation `pres`: each product
     t^x (t+1)^y of j split factors times each distinct (k - j - r)-minor of
-    the pivoted matrix, taken by `minors(size)` from `_shared_minors`.
-    Yields ONE alone when k is at most r.
-    """
-    mat, _, r, (of_t, of_t1) = pres
-    if k <= r:
-        yield ONE
-        return
-    for j in range(min(k, of_t + of_t1) + 1):
-        size = k - j - r
-        if size > len(mat):
-            continue
-        factors = _split_products(of_t, of_t1, j)
-        for m in minors(size):
-            for f in factors:
-                yield f * m if j else m
-
-
-def _shared_minors(pres):
-    """size -> the distinct size-minors of the presentation's pivoted
-    matrix, each size taken once and lazily, as far as a caller reads it,
-    and replayed to later callers."""
-    mat, w, *_ = pres
+    the pivoted matrix; ONE alone when k is at most r.  Each minor size is
+    taken once and lazily, as far as a caller reads it, and replayed to
+    later calls."""
+    mat, w, r, (of_t, of_t1) = pres
     taken = {}
 
     def minors(size):
@@ -153,7 +132,17 @@ def _shared_minors(pres):
         for p in rest:
             done.append(p)
             yield p
-    return minors
+
+    def gens(k):
+        if k <= r:
+            yield ONE
+            return
+        for j in range(max(0, k - r - len(mat)), min(k, of_t + of_t1) + 1):
+            factors = _split_products(of_t, of_t1, j)
+            for m in minors(k - j - r):  # of at most len(mat) rows
+                for f in factors:
+                    yield f * m if j else m
+    return gens
 
 
 def _distinct_minors(mat, w, size):
@@ -185,9 +174,10 @@ def _distinct_minors(mat, w, size):
                 yield _unpack(x, w)
 
 
-def _basis(pres, k, minors):
-    """Reduced strong Groebner basis of the k-th characteristic ideal."""
-    return _canonicalize(_lattice(_minors(pres, k, minors), k))
+def _basis(gens, k):
+    """Reduced strong Groebner basis of the k-th characteristic ideal, from
+    the generators `_generators` gives."""
+    return _canonicalize(_lattice(gens(k), k))
 
 
 def _check_index(g, k):
@@ -198,8 +188,7 @@ def _check_index(g, k):
 def characteristic_ideal(g, k):
     """Reduced Groebner basis of the ideal of all k-minors of tI - A(g)."""
     _check_index(g, k)
-    pres = _presentation(g)
-    return IdealZt(basis=_basis(pres, k, _shared_minors(pres)))
+    return IdealZt(basis=_basis(_generators(_presentation(g)), k))
 
 
 _BOUND_POINTS = (0, 1, -1, 2, -2)
@@ -245,11 +234,11 @@ def algebraic_corank(g):
     nontrivial ideal is completed to a basis, and the k share minor sizes.
     """
     pres = _presentation(g)
-    r, minors = pres[2], _shared_minors(pres)
-    for k in range(_corank_bound(pres), r, -1):
-        if _lattice(_minors(pres, k, minors), k)[0] == [1]:
+    gens = _generators(pres)
+    for k in range(_corank_bound(pres), pres[2], -1):
+        if _lattice(gens(k), k)[0] == [1]:
             return k
-    return r
+    return pres[2]
 
 
 @dataclass(frozen=True)
@@ -260,9 +249,8 @@ class CharIdealProfile:
 
 
 def char_ideal_profile(g):
-    pres = _presentation(g)
-    minors = _shared_minors(pres)
-    ideals = tuple(IdealZt(basis=_basis(pres, k, minors)) for k in range(1, g.n + 1))
+    gens = _generators(_presentation(g))
+    ideals = tuple(IdealZt(basis=_basis(gens, k)) for k in range(1, g.n + 1))
     gamma = len(list(takewhile(IdealZt.is_trivial, ideals)))
     return CharIdealProfile(g, ideals, gamma)
 
@@ -271,9 +259,8 @@ def _invariants_by_evaluation(g, point):
     # t -> point is a ring map Z[t] -> Z and det commutes with it, so I_k at
     # t = point is generated by the k-minors of point*I - A: its evaluation
     # is their gcd Delta_k.  Past the first Delta_k = 0 every minor vanishes.
-    pres = _presentation(g)
-    minors = _shared_minors(pres)
-    evals = (IdealZt(basis=_basis(pres, k, minors)).evaluate(point) for k in range(1, g.n + 1))
+    gens = _generators(_presentation(g))
+    evals = (IdealZt(basis=_basis(gens, k)).evaluate(point) for k in range(1, g.n + 1))
     deltas = [1, *takewhile(bool, evals)]
     return invariant_factors_from_deltas(deltas + [0] * (g.n + 1 - len(deltas)))
 
@@ -353,7 +340,7 @@ def all_k_minors_in_ideal(g, k, ideal):
     mod m, and det commutes with evaluation, so the whole check is m
     dividing the gcd of the k-minors of the integer matrix aI - A(g), i.e.
     the product of its first k invariant factors.  Other ideals fall back
-    to reducing every generator `_minors` takes from the presentation.
+    to reducing every generator `_generators` takes from the presentation.
     """
     _check_index(g, k)
     basis = ideal.basis
@@ -366,5 +353,4 @@ def all_k_minors_in_ideal(g, k, ideal):
         mat = [[(a if i == j else 0) - (g.adj[i] >> j & 1) for j in range(g.n)]
                for i in range(g.n)]
         return prod(snf_diagonal(IntMatrix(mat)).factors[:k]) % mod == 0
-    pres = _presentation(g)
-    return not any(reduce(p, basis) for p in _minors(pres, k, _shared_minors(pres)))
+    return not any(reduce(p, basis) for p in _generators(_presentation(g))(k))

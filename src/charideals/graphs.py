@@ -3,8 +3,9 @@
 Includes the graph6 codec (single-byte sizes, n <= 62), the edge-list text
 format, blow-ups, reachability within a vertex mask (`reach`, behind
 connectivity, components and cut vertices), and twin classes of equal open
-or equal closed neighbourhoods (`twin_classes`).  Graphs are immutable
-after construction and safe to share between threads.
+or equal closed neighbourhoods (`twin_classes`): the one grouping by
+neighbourhood, for the twin split, labelling and induced search.  Graphs
+are immutable after construction and safe to share between threads.
 """
 
 from __future__ import annotations

@@ -19,13 +19,14 @@ whole tree; the automorphisms found generate the automorphism group.
 Induced-subgraph search is a backtracking embedding, pruned by degree and
 twins, after a cut that matches the two degree sequences; the host's
 tables are built once per host and reused by every pattern matched in it.
+Both read their twins off graphs.twin_classes.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .graphs import bits, to_graph6
+from .graphs import bits, to_graph6, twin_classes
 
 
 def _refine(adj, cells):
@@ -111,17 +112,13 @@ def _label(adj):
         return tuple(range(n)), []
     full = (1 << n) - 1
     gens = []  # (images, mask of fixed points)
-    # swaps of consecutive twins, false (closed = 0) and true (closed = 1):
+    # swaps of consecutive twins in each class, false then true twins:
     # those fixing the vertices on a path still generate their stabiliser
-    for closed in (0, 1):
-        last_with = {}
-        for v, a in enumerate(adj):
-            u = last_with.get(a | closed << v)
-            last_with[a | closed << v] = v
-            if u is not None:
-                images = list(range(n))
-                images[u], images[v] = v, u
-                gens.append((tuple(images), full ^ (1 << u | 1 << v)))
+    for vs in twin_classes(adj, 0) + twin_classes(adj, 1):
+        for u, v in zip(vs, vs[1:]):
+            images = list(range(n))
+            images[u], images[v] = v, u
+            gens.append((tuple(images), full ^ (1 << u | 1 << v)))
     first = best = None  # (key, order, path)
 
     def dfs(cells, path, fixed):
@@ -219,13 +216,12 @@ def _host_plan(adj):
         below[d + 1] |= 1 << hv
     for d in range(hn):
         below[d + 1] |= below[d]
-    # no N(v) is an N[u] (u in N(v) puts v in N[u]), so one table holds both kinds
-    same = {}
-    for hv, a in enumerate(adj):
-        for key in (a, a | 1 << hv):
-            same[key] = same.get(key, 0) | 1 << hv
-    twins = tuple(same[a] | same[a | 1 << hv] for hv, a in enumerate(adj))
-    return tuple(below), twins, tuple(sorted(degs))
+    twins = [0] * hn
+    for vs in twin_classes(adj, 0) + twin_classes(adj, 1):
+        mask = sum(1 << hv for hv in vs)
+        for hv in vs:
+            twins[hv] |= mask
+    return tuple(below), tuple(twins), tuple(sorted(degs))
 
 
 def _degrees_match(pdegs, hdegs, slack):

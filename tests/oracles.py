@@ -25,18 +25,18 @@ The Faddeev-LeVerrier characteristic polynomial that once seeded each
 characteristic ideal with a monic generator is kept as a determinant of
 tI - A fast enough for blow-ups, independent of the minor engine.
 The twin-split presentation that rescaled the whole ZPoly matrix and took
-its unit pivots by polynomial row operations is the reference for the one
-built from the kept rows and pivoted on packed integers, and, expanded
-over permutations, for the minors taken on those packed integers.
-Those copies are also the references for the package's one-pass
-reduction, which only takes reduced bases, and for its reading of the
-reduced basis off the lattice rows.
+its unit pivots by polynomial row operations, grouping twins pair by
+pair, is the reference for the one built from the kept rows and pivoted
+on packed integers, and, expanded over permutations, for the minors taken
+on those packed integers.  Those copies are also the references for the
+package's one-pass reduction, which only takes reduced bases, and for its
+reading of the reduced basis off the lattice rows.
 """
 
 from itertools import combinations, permutations
 from math import gcd
 
-from charideals.graphs import Graph, bits, parse_graph6, to_graph6, twin_classes
+from charideals.graphs import Graph, bits, parse_graph6, to_graph6
 from charideals.isomorphism import _search_plan
 from charideals.zpoly import ONE, T, ZERO, ZPoly
 
@@ -664,6 +664,20 @@ def char_matrix(g):
             for i in range(g.n)]
 
 
+def _twin_classes_pairwise(g, tau):
+    """Classes of false (tau = 0) or true (tau = 1) twins, compared pair by
+    pair: u and v are false twins when adj[u] == adj[v] and true twins
+    when their closed neighbourhoods are equal.  Each class is increasing,
+    and the classes come in order of their first vertex."""
+    classes, placed = [], set()
+    for u in range(g.n):
+        if u not in placed:
+            cls = [v for v in range(u, g.n) if g.adj[u] | tau << u == g.adj[v] | tau << v]
+            placed.update(cls)
+            classes.append(cls)
+    return classes
+
+
 def presentation_by_row_ops(g):
     """(mat, r, split): tI - A(g) is equivalent to I_r (+) mat (+) D, where
     D is diagonal with split[0] factors t and split[1] factors t + 1.
@@ -680,7 +694,8 @@ def presentation_by_row_ops(g):
     mat = char_matrix(g)
     split = [0, 0]
     dropped = set()
-    classes = [(tau, vs) for tau in (0, 1) for vs in twin_classes(g.adj, tau) if len(vs) >= 3]
+    classes = [(tau, vs) for tau in (0, 1) for vs in _twin_classes_pairwise(g, tau)
+               if len(vs) >= 3]
     for tau, (v0, v1, *rest) in classes:
         s = len(rest) + 2
         inside = {v0, v1, *rest}

@@ -294,8 +294,10 @@ _FOUR_UNITS = InvariantFactors((1, 1, 1, 1, 0))
 ])
 def test_route_disagreement_names_graph_family_and_routes(graph, attr, fake, check,
                                                          message, routes, monkeypatch):
-    # the package's `classify` attribute is the function, not the module
-    monkeypatch.setattr(sys.modules["charideals.classify"], attr, fake)
+    # the package's `classify` attribute is the function, not the module;
+    # the Laplacian count is mining's STATISTICS["phiL"], so mining's too
+    for module in ("charideals.classify", "charideals.mining"):
+        monkeypatch.setattr(sys.modules[module], attr, fake)
     for run in (classify, check):
         with pytest.raises(RouteDisagreement) as info:
             run(lookup(graph))

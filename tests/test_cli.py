@@ -109,6 +109,19 @@ def test_ideal_requires_k_or_all(capsys):
         assert "--k or --all" in err
 
 
+def test_ideal_flags_are_checked_before_the_graph_is_read(capsys, monkeypatch):
+    # both flags are a usage error even for a bad graph, and stdin is not read
+    class Unread:
+        def read(self, *args):
+            raise AssertionError("stdin read before the flags were checked")
+
+    monkeypatch.setattr("sys.stdin", Unread())
+    for graph in ("C^x", "-"):
+        code, out, err = run(capsys, "ideal", "--graph", graph, "--k", "2", "--all")
+        assert (code, out) == (2, ""), graph
+        assert err == "error: provide either --k or --all\n", graph
+
+
 def test_g6_decode(capsys):
     code, out, _ = run(capsys, "g6", "decode", "@")
     assert code == 0

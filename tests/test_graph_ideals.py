@@ -14,8 +14,7 @@ from charideals import (BlowupSpec, IdealZt, IntMatrix, ZPoly, adjacency_matrix,
 from charideals import graph_ideals
 from charideals.catalog import (complete_graph, complete_multipartite_graph,
                                 cycle_graph, path_graph, prism_graph, star_graph)
-from charideals.graph_ideals import (_corank_bound, _minors, _presentation, _shared_minors,
-                                     _unpack)
+from charideals.graph_ideals import _corank_bound, _generators, _presentation, _unpack
 from charideals.graphs import Graph
 from charideals.intlinalg import det_int
 from charideals.mining import enumerate_connected
@@ -392,10 +391,10 @@ def test_corank_between_bounds_on_larger_graphs():
             mat = [[(a if i == j else 0) - g.has_edge(i, j) for j in range(g.n)]
                    for i in range(g.n)]
             assert gamma <= snf_diagonal(IntMatrix(mat)).ones, (g, a)
-        minors = _shared_minors(pres)
-        assert oracles.strong_groebner(_minors(pres, gamma, minors)) == (ONE,), g
+        gens = _generators(pres)
+        assert oracles.strong_groebner(gens(gamma)) == (ONE,), g
         if gamma < g.n:
-            assert oracles.strong_groebner(_minors(pres, gamma + 1, minors)) != (ONE,), g
+            assert oracles.strong_groebner(gens(gamma + 1)) != (ONE,), g
 
 
 _BOUND_POINTS = (0, 1, -1, 2, -2)

@@ -130,8 +130,8 @@ def test_parameter_scan_sees_underscore_names():
 
 
 def test_oracles_import_no_kernel_they_check():
-    # the reference routes stay independent of the Smith form and the
-    # ideal routines they are compared with
+    # the reference routes stay independent of the Smith form, the ideal
+    # routines and the twin grouping they are compared with
     tree = ast.parse((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))
     modules, names = set(), set()
     for node in ast.walk(tree):
@@ -144,3 +144,4 @@ def test_oracles_import_no_kernel_they_check():
     assert not [m for m in modules | names
                 if m.startswith(("charideals.ztideal", "charideals.graph_ideals"))]
     assert not [n for n in names if n.endswith((".snf_diagonal", ".det_int"))]
+    assert "charideals.graphs.twin_classes" not in names

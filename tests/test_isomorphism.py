@@ -178,6 +178,28 @@ def test_find_induced_matches_the_oracle_on_all_connected_hosts_5_to_7():
     assert rebuilt >= len(_PATTERNS) * len(hosts) // 2
 
 
+def test_host_twin_table_is_the_open_and_closed_twins():
+    # twins[v] is every u with N(u) = N(v) or N[u] = N[v], v included, on
+    # every connected graph with n <= 6 and shuffled blow-ups with classes
+    # of up to 5 vertices
+    rng = random.Random(151)
+    hosts = [parse_graph6(s) for n in range(1, 7) for s in oracles._level(n)]
+    bases = [parse_graph6(s) for n in (3, 4) for s in oracles._level(n)]
+    for _ in range(30):
+        base = rng.choice(bases)
+        d = [rng.randint(1, 5) * rng.choice((1, -1)) for _ in range(base.n)]
+        hosts.append(_shuffled(blowup(BlowupSpec(base, d)), rng))
+    big = 0
+    for g in hosts:
+        adj, twins = g.adj, _host_plan(g.adj)[1]
+        for v in range(g.n):
+            want = sum(1 << u for u in range(g.n)
+                       if adj[u] == adj[v] or adj[u] | 1 << u == adj[v] | 1 << v)
+            assert twins[v] == want, (g, v)
+            big += want.bit_count() >= 4
+    assert len(hosts) == 173 and big > 100
+
+
 def _assignable(pdegs, hdegs, slack):
     # an injective map of the pattern degrees to host degrees within
     # d .. d + slack, by trying every choice

@@ -14,9 +14,8 @@ from .graph_ideals import (CharIdealProfile, algebraic_corank, all_k_minors_in_i
                            smith_invariants_via_ideals)
 from .graphs import (BlowupSpec, Graph, Graph6Error, adjacency_matrix, blowup,
                      laplacian_matrix, parse_edge_list, parse_graph6, to_graph6)
-from .intlinalg import (ConsistencyError, DeltaSequence, IntMatrix,
-                        InvariantFactors, delta_sequence, gcd_of_k_minors,
-                        invariant_factors_from_deltas, snf_diagonal)
+from .intlinalg import (ConsistencyError, InvariantFactors, delta_sequence,
+                        gcd_of_k_minors, invariant_factors_from_deltas, snf_diagonal)
 from .isomorphism import canonical_form, find_induced, is_isomorphic
 from .mining import MiningResult, MiningTask, enumerate_connected, mine
 from .zpoly import ZPoly
@@ -24,8 +23,8 @@ from .ztideal import GroebnerBuilder, IdealZt, strong_groebner
 
 __all__ = [
     "BlowupSpec", "CharIdealProfile", "ClassificationReport", "ConsistencyError",
-    "CrossCheckResult", "DeltaSequence", "FAMILY_F", "FORBIDDEN_S4", "Graph",
-    "Graph6Error", "GroebnerBuilder", "IdealZt", "IntMatrix", "InvariantFactors",
+    "CrossCheckResult", "FAMILY_F", "FORBIDDEN_S4", "Graph",
+    "Graph6Error", "GroebnerBuilder", "IdealZt", "InvariantFactors",
     "MiningResult", "MiningTask", "ZPoly", "adjacency_matrix",
     "algebraic_corank", "all_k_minors_in_ideal", "blowup", "canonical_form",
     "char_ideal_profile", "characteristic_ideal", "classify",

@@ -25,7 +25,7 @@ from .graphs import adjacency_matrix, parse_graph6, true_twin_quotient, twin_cla
 from .graph_ideals import algebraic_corank
 from .intlinalg import ConsistencyError, snf_diagonal
 from .isomorphism import canonical_form, find_induced, is_isomorphic
-from .mining import STATISTICS, _level
+from .mining import CONNECTED_COUNTS, STATISTICS, _level
 
 
 class RouteDisagreement(ConsistencyError):
@@ -149,7 +149,7 @@ def is_S_leq(g, k):
     if k not in (1, 2, 3):
         raise ValueError("structural characterisations exist for k in {1, 2, 3}")
     _check_connected(g)
-    return _s_leq(g, k, snf_diagonal(adjacency_matrix(g)).ones)[1:]
+    return _s_leq(g, k, STATISTICS["phiA"](g))[1:]
 
 
 def _c_leq(g, k, gamma):
@@ -307,6 +307,9 @@ def cross_check(max_n, workers=1):
     the parent either way."""
     if max_n < 1:
         raise ValueError(f"crosscheck needs max_n >= 1, got {max_n}")
+    if max_n > len(CONNECTED_COUNTS):
+        # every level up to max_n is built in memory before the first graph
+        raise ValueError(f"crosscheck supports max_n <= {len(CONNECTED_COUNTS)}, got {max_n}")
     todo = [g6 for n in range(1, max_n + 1) for g6 in _level(n)]
     counts = {}
     violations = []

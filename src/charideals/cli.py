@@ -70,7 +70,7 @@ def _cmd_snf(args):
     inv = snf_diagonal(mat)
     _emit("snf", echo, {
         "matrix": args.matrix,
-        "entries": mat.to_lists(),
+        "entries": mat,
         "invariant_factors": list(inv.factors),
         "rank": inv.rank,
         "phi": inv.ones,

@@ -48,8 +48,7 @@ from itertools import combinations, takewhile
 from math import prod
 
 from .graphs import Graph, twin_classes
-from .intlinalg import (IntMatrix, det_int, invariant_factors_from_deltas, snf_diagonal,
-                        unit_pivots)
+from .intlinalg import det_int, invariant_factors_from_deltas, snf_diagonal, unit_pivots
 from .zpoly import ONE, T, ZPoly
 from .ztideal import IdealZt, _canonicalize, _lattice, reduce
 
@@ -214,7 +213,7 @@ def _corank_bound(pres):
         rows = [[p(a) for p in row] + [0] * len(diag) for row in polys]
         rows += [[0] * len(mat) + [c if i == j else 0 for j in range(len(diag))]
                  for i, c in enumerate(diag)]
-        return snf_diagonal(IntMatrix(rows)).ones
+        return snf_diagonal(rows).ones
 
     least = len(mat) + of_t + of_t1
     for a in _BOUND_POINTS:
@@ -352,5 +351,5 @@ def all_k_minors_in_ideal(g, k, ideal):
         a = -basis[1][0]
         mat = [[(a if i == j else 0) - (g.adj[i] >> j & 1) for j in range(g.n)]
                for i in range(g.n)]
-        return prod(snf_diagonal(IntMatrix(mat)).factors[:k]) % mod == 0
+        return prod(snf_diagonal(mat).factors[:k]) % mod == 0
     return not any(reduce(p, basis) for p in _generators(_presentation(g))(k))

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intlinalg import IntMatrix
-
 
 def bits(mask):
     """Yield set bit positions of mask in increasing order."""
@@ -164,7 +162,7 @@ class Graph:
 
 
 def adjacency_matrix(g):
-    return IntMatrix([[g.adj[i] >> j & 1 for j in range(g.n)] for i in range(g.n)])
+    return [[g.adj[i] >> j & 1 for j in range(g.n)] for i in range(g.n)]
 
 
 def laplacian_matrix(g):
@@ -173,7 +171,7 @@ def laplacian_matrix(g):
         row = [-(g.adj[i] >> j & 1) for j in range(g.n)]
         row[i] = g.degree(i)
         rows.append(row)
-    return IntMatrix(rows)
+    return rows
 
 
 # -- graph6 codec ------------------------------------------------------------

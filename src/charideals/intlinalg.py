@@ -1,6 +1,10 @@
 """Exact integer matrices: Smith normal form, minor gcds, invariant factors,
 and det_int, the one determinant, also of graph_ideals' packed minors.
 
+A matrix is a sequence of equal-length integer rows.  The Smith form and
+the minor gcds read it through one list copy and never consume the caller's
+rows; det_int and unit_pivots work in place on a list of lists.
+
 The Smith form is the unit-pivot loop graph_ideals also runs, then one
 least-entry pivot loop and a gcd/lcm pass over the recorded pivots; the
 minor gcds enumerate minors directly and are the independent route it is
@@ -19,36 +23,6 @@ from math import gcd, lcm
 
 class ConsistencyError(RuntimeError):
     """An internal invariant failed; indicates a bug upstream, not bad input."""
-
-
-class IntMatrix:
-    """Dense integer matrix; rows are tuples, the matrix is immutable."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, rows):
-        data = tuple(tuple(map(int, row)) for row in rows)
-        self.rows = len(data)
-        self.cols = len(data[0]) if data else 0
-        if any(len(r) != self.cols for r in data):
-            raise ValueError("ragged rows")
-        self.data = data
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
-
-    def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.data == other.data
-
-    def __hash__(self):
-        return hash(self.data)
-
-    def __repr__(self):
-        return f"IntMatrix({[list(r) for r in self.data]!r})"
-
-    def to_lists(self):
-        return [list(r) for r in self.data]
 
 
 @dataclass(frozen=True)
@@ -91,22 +65,13 @@ class InvariantFactors:
         return hash(self.factors)
 
 
-@dataclass(frozen=True)
-class DeltaSequence:
-    """Gcds of k-minors: Delta_0 = 1, Delta_1, ..., zeros once the rank is passed."""
-
-    deltas: tuple
-
-    def __post_init__(self):
-        d = tuple(int(v) for v in self.deltas)
-        object.__setattr__(self, "deltas", d)
-        if not d or d[0] != 1:
-            raise ConsistencyError("Delta_0 must be 1")
-        if any(v < 0 for v in d):
-            raise ConsistencyError("negative minor gcd")
-
-    def __iter__(self):
-        return iter(self.deltas)
+def _rows(m):
+    """A list copy of the integer rows of m, and its column count."""
+    a = [list(map(int, row)) for row in m]
+    cols = len(a[0]) if a else 0
+    if any(len(row) != cols for row in a):
+        raise ValueError("ragged rows")
+    return a, cols
 
 
 def det_int(mat):
@@ -167,7 +132,8 @@ def unit_pivots(mat):
 
 
 def snf_diagonal(m):
-    """Diagonal of the Smith normal form, zero-padded to min(rows, cols).
+    """Diagonal of the Smith normal form of the integer rows m, zero-padded
+    to min(rows, cols).
 
     Each unit pivot is an invariant factor 1.  On what is left the nonzero
     entry of least absolute value is the pivot, and its column and its row
@@ -177,7 +143,8 @@ def snf_diagonal(m):
     tame.  A gcd/lcm pass puts the recorded pivots in divisibility order,
     since diag(a, b) and diag(gcd, lcm) have the same Smith form.
     """
-    a = m.to_lists()
+    a, cols = _rows(m)
+    size = min(len(a), cols)
     ones = unit_pivots(a)
     diag = []
     while True:
@@ -211,26 +178,25 @@ def snf_diagonal(m):
         for j in range(i + 1, len(diag)):
             diag[i], diag[j] = gcd(diag[i], diag[j]), lcm(diag[i], diag[j])
     diag = [1] * ones + diag
-    diag.extend([0] * (min(m.rows, m.cols) - len(diag)))
+    diag.extend([0] * (size - len(diag)))
     return InvariantFactors(tuple(diag))
 
 
 def gcd_of_k_minors(m, k):
-    """Delta_k: gcd of the absolute values of all k x k minors (0 if all vanish).
+    """Delta_k: gcd of the absolute values of all k x k minors of m (0 if all vanish).
 
     Enumerates minors directly with an early exit once the running gcd hits 1;
     this is the independent oracle the SNF route is checked against.
     """
-    if k < 0 or k > min(m.rows, m.cols):
-        raise ValueError(f"minor order {k} out of range for {m.rows}x{m.cols} matrix")
+    a, cols = _rows(m)
+    if k < 0 or k > min(len(a), cols):
+        raise ValueError(f"minor order {k} out of range for {len(a)}x{cols} matrix")
     if k == 0:
         return 1
-    data = m.data
     g = 0
-    for rows in combinations(range(m.rows), k):
-        for cols in combinations(range(m.cols), k):
-            sub = [[data[i][j] for j in cols] for i in rows]
-            g = gcd(g, det_int(sub))
+    for rows in combinations(a, k):
+        for js in combinations(range(cols), k):
+            g = gcd(g, det_int([[row[j] for j in js] for row in rows]))
             if g == 1:
                 return 1
     return g
@@ -238,9 +204,11 @@ def gcd_of_k_minors(m, k):
 
 def invariant_factors_from_deltas(deltas):
     """Recover d_k = Delta_k / Delta_{k-1} from a minor-gcd sequence."""
-    if not isinstance(deltas, DeltaSequence):
-        deltas = DeltaSequence(tuple(deltas))
-    seq = deltas.deltas
+    seq = tuple(int(v) for v in deltas)
+    if not seq or seq[0] != 1:
+        raise ConsistencyError("Delta_0 must be 1")
+    if any(v < 0 for v in seq):
+        raise ConsistencyError("negative minor gcd")
     out = []
     for prev, cur in zip(seq, seq[1:]):
         if prev == 0:
@@ -255,5 +223,7 @@ def invariant_factors_from_deltas(deltas):
 
 
 def delta_sequence(m):
-    """All of Delta_0 .. Delta_min(rows, cols) by direct minor enumeration."""
-    return DeltaSequence(tuple(gcd_of_k_minors(m, k) for k in range(min(m.rows, m.cols) + 1)))
+    """The tuple Delta_0 = 1, Delta_1 .. Delta_min(rows, cols) of m by direct
+    minor enumeration, zeros once the rank is passed."""
+    a, cols = _rows(m)
+    return tuple(gcd_of_k_minors(a, k) for k in range(min(len(a), cols) + 1))

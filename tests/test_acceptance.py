@@ -13,7 +13,7 @@ from charideals import (BlowupSpec, IdealZt, ZPoly, adjacency_matrix,
                         invariant_factors_from_deltas,
                         is_K_leq_regular, laplacian_matrix, lookup, mine,
                         multipartite_closed_form, parse_graph6, snf_diagonal,
-                        to_graph6, IntMatrix, MiningTask)
+                        to_graph6, MiningTask)
 from charideals.catalog import (FORBIDDEN_S4, complete_multipartite_graph,
                                 cycle_graph, prism_graph, star_graph)
 from charideals.ztideal import reduce as zt_reduce, strong_groebner
@@ -164,7 +164,7 @@ def test_criterion_8a_snf_vs_minor_gcd_oracle():
     for _ in range(1000):
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
-        m = IntMatrix([[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)])
+        m = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
         assert snf_diagonal(m) == invariant_factors_from_deltas(delta_sequence(m))
         cases += 1
     assert cases >= 500

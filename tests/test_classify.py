@@ -287,7 +287,7 @@ _FOUR_UNITS = InvariantFactors((1, 1, 1, 1, 0))
      "routes disagree on S<=1 for BW: count=True, forbidden-free=False, structural=False",
      {"count": True, "forbidden-free": False, "structural": False}),
     # the Laplacian is the matrix with a nonzero diagonal
-    ("c5", "snf_diagonal", lambda m: _FOUR_UNITS if m.data[0][0] else snf_diagonal(m),
+    ("c5", "snf_diagonal", lambda m: _FOUR_UNITS if m[0][0] else snf_diagonal(m),
      lambda g: is_K_leq_regular(g, 3),
      "routes disagree on K<=3 for DqK: count=False, structural=True",
      {"count": False, "structural": True}),
@@ -295,7 +295,7 @@ _FOUR_UNITS = InvariantFactors((1, 1, 1, 1, 0))
 def test_route_disagreement_names_graph_family_and_routes(graph, attr, fake, check,
                                                          message, routes, monkeypatch):
     # the package's `classify` attribute is the function, not the module;
-    # the Laplacian count is mining's STATISTICS["phiL"], so mining's too
+    # is_S_leq and the Laplacian count read mining's STATISTICS, so mining's too
     for module in ("charideals.classify", "charideals.mining"):
         monkeypatch.setattr(sys.modules[module], attr, fake)
     for run in (classify, check):

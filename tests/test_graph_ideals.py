@@ -4,7 +4,7 @@ from math import prod
 
 import pytest
 
-from charideals import (BlowupSpec, IdealZt, IntMatrix, ZPoly, adjacency_matrix,
+from charideals import (BlowupSpec, IdealZt, ZPoly, adjacency_matrix,
                         algebraic_corank, all_k_minors_in_ideal, blowup,
                         char_ideal_profile, characteristic_ideal,
                         critical_invariants_regular,
@@ -390,7 +390,7 @@ def test_corank_between_bounds_on_larger_graphs():
         for a in (0, 1, -1, 2, -2):
             mat = [[(a if i == j else 0) - g.has_edge(i, j) for j in range(g.n)]
                    for i in range(g.n)]
-            assert gamma <= snf_diagonal(IntMatrix(mat)).ones, (g, a)
+            assert gamma <= snf_diagonal(mat).ones, (g, a)
         gens = _generators(pres)
         assert oracles.strong_groebner(gens(gamma)) == (ONE,), g
         if gamma < g.n:
@@ -404,7 +404,7 @@ def _unit_factors_at(g, a):
     # aI - A is I_r (+) M(a) (+) D(a) evaluated, so this is r plus the count
     # the bound takes of the pivoted presentation at a
     mat = [[(a if i == j else 0) - g.has_edge(i, j) for j in range(g.n)] for i in range(g.n)]
-    return snf_diagonal(IntMatrix(mat)).ones
+    return snf_diagonal(mat).ones
 
 
 def _bound_graphs():

@@ -69,15 +69,15 @@ def test_to_graph6_rejects_large():
 
 def test_adjacency_matrix_diamond():
     a = adjacency_matrix(parse_graph6("C^"))
-    assert a.to_lists() == [[0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]
+    assert a == [[0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]
 
 
 def test_adjacency_and_laplacian_k1_k3():
     k1 = complete_graph(1)
-    assert adjacency_matrix(k1).to_lists() == [[0]]
-    assert laplacian_matrix(k1).to_lists() == [[0]]
+    assert adjacency_matrix(k1) == [[0]]
+    assert laplacian_matrix(k1) == [[0]]
     lap = laplacian_matrix(complete_graph(3))
-    assert all(sum(row) == 0 for row in lap.to_lists())
+    assert all(sum(row) == 0 for row in lap)
 
 
 def test_induced_subgraph_examples():

@@ -145,3 +145,27 @@ def test_oracles_import_no_kernel_they_check():
                 if m.startswith(("charideals.ztideal", "charideals.graph_ideals"))]
     assert not [n for n in names if n.endswith((".snf_diagonal", ".det_int"))]
     assert "charideals.graphs.twin_classes" not in names
+
+
+# the public API, sorted; a name added or dropped is a deliberate change here
+PUBLIC_NAMES = [
+    "BlowupSpec", "CharIdealProfile", "ClassificationReport", "ConsistencyError",
+    "CrossCheckResult", "FAMILY_F", "FORBIDDEN_S4", "Graph", "Graph6Error",
+    "GroebnerBuilder", "IdealZt", "InvariantFactors", "MiningResult", "MiningTask",
+    "ZPoly", "adjacency_matrix", "algebraic_corank", "all_k_minors_in_ideal", "blowup",
+    "canonical_form", "char_ideal_profile", "characteristic_ideal", "classify",
+    "critical_invariants_regular", "cross_check", "delta_sequence", "enumerate_connected",
+    "find_induced", "gcd_of_k_minors", "invariant_factors_from_deltas", "is_C_leq",
+    "is_K_leq_regular", "is_S_leq", "is_isomorphic", "laplacian_matrix", "lookup", "mine",
+    "multipartite_closed_form", "parse_edge_list", "parse_graph6",
+    "smith_invariants_via_ideals", "snf_diagonal", "strong_groebner", "to_graph6",
+]
+
+
+def test_public_api_is_the_pinned_names():
+    import charideals
+    assert len(PUBLIC_NAMES) == 44
+    assert sorted(charideals.__all__) == PUBLIC_NAMES
+    assert len(set(charideals.__all__)) == len(charideals.__all__)
+    for name in PUBLIC_NAMES:
+        assert getattr(charideals, name) is not None, name

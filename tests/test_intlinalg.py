@@ -1,11 +1,11 @@
+import copy
 import random
 from itertools import permutations
 
 import pytest
 
-from charideals import (ConsistencyError, DeltaSequence, IntMatrix, adjacency_matrix,
-                        delta_sequence, gcd_of_k_minors, invariant_factors_from_deltas,
-                        laplacian_matrix, lookup, snf_diagonal)
+from charideals import (ConsistencyError, adjacency_matrix, delta_sequence, gcd_of_k_minors,
+                        invariant_factors_from_deltas, laplacian_matrix, lookup, snf_diagonal)
 from charideals.catalog import complete_graph, path_graph
 from charideals.intlinalg import InvariantFactors
 from charideals.mining import enumerate_connected
@@ -19,7 +19,7 @@ def A(name):
 
 def test_snf_examples():
     assert snf_diagonal(A("diamond")) == (1, 1, 2, 0)
-    assert snf_diagonal(IntMatrix([[0, 0, 0]] * 3)) == (0, 0, 0)
+    assert snf_diagonal([[0, 0, 0]] * 3) == (0, 0, 0)
     assert snf_diagonal(A("k4")) == (1, 1, 1, 3)
     assert snf_diagonal(A("k5")) == (1, 1, 1, 1, 4)
 
@@ -30,9 +30,9 @@ def test_snf_paw_and_p4():
 
 
 def test_snf_nonsquare_and_rank_deficient():
-    assert snf_diagonal(IntMatrix([[2, 4, 6]])) == (2,)
-    assert snf_diagonal(IntMatrix([[1], [2], [3]])) == (1,)
-    assert snf_diagonal(IntMatrix([[1, 2], [2, 4], [3, 6]])) == (1, 0)
+    assert snf_diagonal([[2, 4, 6]]) == (2,)
+    assert snf_diagonal([[1], [2], [3]]) == (1,)
+    assert snf_diagonal([[1, 2], [2, 4], [3, 6]]) == (1, 0)
 
 
 def test_count_unit_factors_examples():
@@ -46,7 +46,7 @@ def test_gcd_of_k_minors_examples():
     assert gcd_of_k_minors(A("diamond"), 0) == 1
     k5 = A("k5")
     assert gcd_of_k_minors(k5, 5) == 4
-    assert abs(oracles.perm_det(k5.to_lists())) == 4
+    assert abs(oracles.perm_det(k5)) == 4
     with pytest.raises(ValueError):
         gcd_of_k_minors(k5, 6)
 
@@ -55,7 +55,7 @@ def test_invariant_factors_from_deltas_examples():
     assert invariant_factors_from_deltas((1, 1, 1, 2)) == (1, 1, 2)
     assert invariant_factors_from_deltas((1, 5)) == (5,)
     k4 = A("k4")
-    deltas = tuple(oracles.brute_minor_gcd(k4.to_lists(), k) for k in range(5))
+    deltas = tuple(oracles.brute_minor_gcd(k4, k) for k in range(5))
     assert deltas == (1, 1, 1, 1, 3)
     assert invariant_factors_from_deltas(deltas) == (1, 1, 1, 3)
 
@@ -65,8 +65,12 @@ def test_delta_chain_violation_raises():
         invariant_factors_from_deltas((1, 2, 3))
     with pytest.raises(ConsistencyError):
         invariant_factors_from_deltas((1, 0, 2))
-    with pytest.raises(ConsistencyError):
-        DeltaSequence((2, 4))
+    with pytest.raises(ConsistencyError, match="Delta_0 must be 1"):
+        invariant_factors_from_deltas((2, 4))
+    with pytest.raises(ConsistencyError, match="Delta_0 must be 1"):
+        invariant_factors_from_deltas(())
+    with pytest.raises(ConsistencyError, match="negative minor gcd"):
+        invariant_factors_from_deltas((1, -2))
 
 
 def test_oracle_equivalence_randomised():
@@ -75,7 +79,7 @@ def test_oracle_equivalence_randomised():
     for _ in range(1000):
         r = rng.randint(1, 6)
         c = rng.randint(1, 6)
-        m = IntMatrix([[rng.randint(-2, 2) for _ in range(c)] for _ in range(r)])
+        m = [[rng.randint(-2, 2) for _ in range(c)] for _ in range(r)]
         via_deltas = invariant_factors_from_deltas(delta_sequence(m))
         assert snf_diagonal(m) == via_deltas
 
@@ -84,7 +88,7 @@ def test_product_law():
     rng = random.Random(101)
     for _ in range(200):
         n = rng.randint(1, 5)
-        m = IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
         snf = snf_diagonal(m)
         prod = 1
         for k, d in enumerate(snf.factors, start=1):
@@ -130,9 +134,9 @@ def test_invariance_under_elementary_operations():
         r = rng.randint(1, 5)
         c = rng.randint(1, 5)
         base = [[rng.randint(-3, 3) for _ in range(c)] for _ in range(r)]
-        expected = snf_diagonal(IntMatrix(base))
+        expected = snf_diagonal(base)
         mutated = _random_unimodular_ops(rng, [row[:] for row in base])
-        assert snf_diagonal(IntMatrix(mutated)) == expected
+        assert snf_diagonal(mutated) == expected
 
 
 def test_phi_monotone_under_induced_subgraphs():
@@ -184,7 +188,7 @@ def test_invariant_factors_compare_with_other_types():
 
 
 def _assert_snf_matches_minor_gcds(rows):
-    factors = snf_diagonal(IntMatrix(rows)).factors
+    factors = snf_diagonal(rows).factors
     delta = 1
     for k, d in enumerate(factors, start=1):
         delta *= d
@@ -193,9 +197,9 @@ def _assert_snf_matches_minor_gcds(rows):
 
 def test_snf_gcd_lcm_pass_on_diagonals():
     # pivots that come out of the loop without dividing each other
-    assert snf_diagonal(IntMatrix([[4, 0], [0, 6]])) == (2, 12)
-    assert snf_diagonal(IntMatrix([[2, 0, 0], [0, 3, 0], [0, 0, 5]])) == (1, 1, 30)
-    assert snf_diagonal(IntMatrix([[6, 0, 0], [0, 10, 0], [0, 0, 15]])) == (1, 30, 30)
+    assert snf_diagonal([[4, 0], [0, 6]]) == (2, 12)
+    assert snf_diagonal([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == (1, 1, 30)
+    assert snf_diagonal([[6, 0, 0], [0, 10, 0], [0, 0, 15]]) == (1, 30, 30)
     for diag in ((4, 6), (2, 3, 5), (6, 10, 15), (12, 8, 0, 9)):
         n = len(diag)
         for rp in permutations(range(n)):
@@ -228,15 +232,48 @@ def test_snf_after_unit_pivots_matches_minor_gcds():
         r, c = rng.randint(1, 6), rng.randint(1, 6)
         rows = [[rng.choice((1, -1)) if rng.random() < 0.08 else rng.choice(values)
                  for _ in range(c)] for _ in range(r)]
-        _assert_snf_matches_deltas(IntMatrix(rows))
-    for m in (IntMatrix([]), IntMatrix([[]]), IntMatrix([[], [], []])):
+        _assert_snf_matches_deltas(rows)
+    for m in ([], [[]], [[], [], []]):
         assert snf_diagonal(m) == () == invariant_factors_from_deltas(delta_sequence(m))
-    assert snf_diagonal(IntMatrix([[1, 0, 0], [0, 1, 0]])) == (1, 1)
-    assert snf_diagonal(IntMatrix([[0, 1], [1, 0], [2, 2]])) == (1, 1)
-    assert snf_diagonal(IntMatrix([[1, 2], [3, 4], [5, 6]])) == (1, 2)
+    assert snf_diagonal([[1, 0, 0], [0, 1, 0]]) == (1, 1)
+    assert snf_diagonal([[0, 1], [1, 0], [2, 2]]) == (1, 1)
+    assert snf_diagonal([[1, 2], [3, 4], [5, 6]]) == (1, 2)
 
 
 def test_snf_of_laplacians_matches_minor_gcds_up_to_6():
     for n in range(1, 7):
         for g in enumerate_connected(n):
             _assert_snf_matches_deltas(laplacian_matrix(g))
+
+
+def test_ragged_rows_are_rejected():
+    for rows in ([[1, 2], [3]], [[1], [2, 3]], [[], [0]], ((1, 0), (0,))):
+        for call in (snf_diagonal, delta_sequence, lambda m: gcd_of_k_minors(m, 1)):
+            with pytest.raises(ValueError, match="ragged rows"):
+                call(rows)
+
+
+def test_callers_rows_are_never_consumed():
+    # unit entries make the Smith form pivot rows out of its working copy
+    rng = random.Random(223)
+    cases = [A("paw"), laplacian_matrix(lookup("house")), [[1, 2], [3, 4], [5, 6]],
+             [[0, 1], [1, 0], [2, 2]], [[-1, 0, 2]], [[2], [1]], [[]], []]
+    cases += [[[rng.randint(-2, 2) for _ in range(rng.randint(1, 5))]] * rng.randint(1, 5)
+              for _ in range(20)]
+    cases += [[[rng.choice((0, 1, -1, 2, 3)) for _ in range(c)] for _ in range(r)]
+              for r, c in ((3, 3), (4, 2), (2, 5), (5, 5))]
+    for rows in cases:
+        before = copy.deepcopy(rows)
+        for call in (snf_diagonal, delta_sequence,
+                     lambda m: gcd_of_k_minors(m, min(len(m), len(m[0]) if m else 0))):
+            call(rows)
+            assert rows == before, call
+
+
+def test_matrices_are_any_sequence_of_integer_rows():
+    rows = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+    for m in (rows, tuple(map(tuple, rows)), [range(0, 2), (True, False)]):
+        assert snf_diagonal(m) == invariant_factors_from_deltas(delta_sequence(m))
+    assert snf_diagonal(tuple(map(tuple, rows))) == (1, 1, 2)
+    assert delta_sequence(rows) == (1, 1, 1, 2)
+    assert type(delta_sequence(rows)) is tuple

@@ -6,9 +6,14 @@ the 43 minimal forbidden graphs for the four-unit-invariant Smith family.
 from __future__ import annotations
 
 import re
-from difflib import get_close_matches
 
 from .graphs import BlowupSpec, Graph, blowup, parse_graph6
+
+
+def _close_matches(key, pool):
+    # difflib loads only on this error path, to keep it out of start-up
+    from difflib import get_close_matches
+    return get_close_matches(key, pool, n=3)
 
 
 class UnknownGraphError(KeyError):
@@ -141,7 +146,7 @@ def _key(name):  # the one normalisation of catalog names
 def collection(name):
     key = _key(name)
     if key not in _COLLECTIONS:
-        raise UnknownGraphError(name, get_close_matches(key, _COLLECTIONS, n=3))
+        raise UnknownGraphError(name, _close_matches(key, _COLLECTIONS))
     return _COLLECTIONS[key]()
 
 
@@ -161,4 +166,4 @@ def lookup(name):
         if m:
             return build(*map(int, m.group(1).split(",")))
     pool = list(_FIXED) + list(FAMILY_F)  # only names lookup resolves
-    raise UnknownGraphError(name, get_close_matches(key, pool, n=3))
+    raise UnknownGraphError(name, _close_matches(key, pool))

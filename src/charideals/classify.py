@@ -18,8 +18,6 @@ disagreement, and the certificate marks the route partial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .catalog import FAMILY_F, FORBIDDEN_S4, lookup
 from .graphs import adjacency_matrix, parse_graph6, true_twin_quotient, twin_classes
 from .graph_ideals import algebraic_corank
@@ -216,14 +214,18 @@ def _s4_partial(g, snf):
                     "invariant_factors": list(snf.factors)}, hit=hit)
 
 
-@dataclass
 class ClassificationReport:
-    graph6: str
-    phi_adjacency: int
-    phi_laplacian: int | None
-    corank: int
-    memberships: dict
-    certificates: dict
+    __slots__ = ("graph6", "phi_adjacency", "phi_laplacian", "corank", "memberships",
+                 "certificates")
+
+    def __init__(self, graph6, phi_adjacency, phi_laplacian, corank, memberships,
+                 certificates):
+        self.graph6 = graph6
+        self.phi_adjacency = phi_adjacency
+        self.phi_laplacian = phi_laplacian  # None on a graph that is not regular
+        self.corank = corank
+        self.memberships = memberships
+        self.certificates = certificates
 
     def to_json_dict(self):
         return {
@@ -262,12 +264,14 @@ _NESTING = (
 )
 
 
-@dataclass
 class CrossCheckResult:
-    max_n: int
-    graphs_checked: int
-    family_counts: dict
-    violations: list
+    __slots__ = ("max_n", "graphs_checked", "family_counts", "violations")
+
+    def __init__(self, max_n, graphs_checked, family_counts, violations):
+        self.max_n = max_n
+        self.graphs_checked = graphs_checked
+        self.family_counts = family_counts
+        self.violations = violations
 
     def to_json_dict(self):
         return {

@@ -42,12 +42,11 @@ need one trivial ideal and none needs a nontrivial basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, takewhile
 from math import prod
 
-from .graphs import Graph, twin_classes
+from .graphs import twin_classes
 from .intlinalg import det_int, invariant_factors_from_deltas, snf_diagonal, unit_pivots
 from .zpoly import ONE, T, ZPoly
 from .ztideal import IdealZt, _canonicalize, _lattice, reduce
@@ -240,11 +239,13 @@ def algebraic_corank(g):
     return pres[2]
 
 
-@dataclass(frozen=True)
 class CharIdealProfile:
-    graph: Graph
-    ideals: tuple  # 1-st .. n-th characteristic ideal
-    gamma: int
+    __slots__ = ("graph", "ideals", "gamma")
+
+    def __init__(self, graph, ideals, gamma):
+        self.graph = graph
+        self.ideals = ideals  # 1-st .. n-th characteristic ideal
+        self.gamma = gamma
 
 
 def char_ideal_profile(g):

@@ -10,8 +10,6 @@ are immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 def bits(mask):
     """Yield set bit positions of mask in increasing order."""
@@ -27,8 +25,10 @@ def reach(adj, seen, within):
     frontier = seen
     while frontier:
         nxt = 0
-        for v in bits(frontier):
-            nxt |= adj[v]
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            nxt |= adj[low.bit_length() - 1]
         frontier = nxt & within & ~seen
         seen |= frontier
     return seen
@@ -282,21 +282,20 @@ def format_edge_list(g):
 
 # -- blow-ups and twins ------------------------------------------------------
 
-@dataclass(frozen=True)
 class BlowupSpec:
     """Replace each vertex u by a clique of size -d[u] (d[u] < 0) or a stable
     set of size d[u] (d[u] > 0), joining classes completely along edges."""
 
-    underlying: Graph
-    d: tuple
+    __slots__ = ("underlying", "d")
 
-    def __post_init__(self):
-        d = tuple(int(v) for v in self.d)
-        object.__setattr__(self, "d", d)
-        if len(d) != self.underlying.n:
+    def __init__(self, underlying, d):
+        d = tuple(int(v) for v in d)
+        if len(d) != underlying.n:
             raise ValueError("one multiplicity per underlying vertex required")
         if any(v == 0 for v in d):
             raise ValueError("zero blow-up multiplicity")
+        self.underlying = underlying
+        self.d = d
 
     @property
     def size(self):

@@ -16,7 +16,6 @@ growth can cost time and memory but never correctness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, lcm
 
@@ -25,15 +24,13 @@ class ConsistencyError(RuntimeError):
     """An internal invariant failed; indicates a bug upstream, not bad input."""
 
 
-@dataclass(frozen=True)
 class InvariantFactors:
     """SNF diagonal d_1 | d_2 | ... padded with trailing zeros."""
 
-    factors: tuple
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        f = tuple(int(v) for v in self.factors)
-        object.__setattr__(self, "factors", f)
+    def __init__(self, factors):
+        f = tuple(int(v) for v in factors)
         if any(v < 0 for v in f):
             raise ConsistencyError("negative invariant factor")
         nz = [v for v in f if v]
@@ -42,6 +39,7 @@ class InvariantFactors:
         for a, b in zip(nz, nz[1:]):
             if b % a:
                 raise ConsistencyError(f"divisibility chain broken: {a} | {b}")
+        self.factors = f
 
     @property
     def rank(self):

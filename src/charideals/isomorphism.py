@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .graphs import bits, to_graph6, twin_classes
+from .graphs import to_graph6, twin_classes
 
 
 def _refine(adj, cells):
@@ -85,8 +85,11 @@ def _orbit(perms, mask):
     while frontier:
         grown = 0
         for p in perms:
-            for v in bits(frontier):
-                grown |= 1 << p[v]
+            rest = frontier
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                grown |= 1 << p[low.bit_length() - 1]
         frontier = grown & ~mask
         mask |= frontier
     return mask

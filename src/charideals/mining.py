@@ -18,6 +18,9 @@ as an induced subgraph.  phiA and gammaA never grow when a vertex is
 deleted, so the connected graphs at or below k (the members) form a
 hereditary family, and the miner grows it level by level: only the members
 on n - 1 vertices are augmented, as in the PRUNE hook of nauty's geng.
+Each member carries the automorphism generators its labelling as a child
+found, conjugated to its canonical order, to its own augmentation, so no
+member is labelled twice.
 This reaches every member and every minimal forbidden graph on n vertices,
 because the canonical deletion of either leaves a member on n - 1
 vertices: by heredity for a member, by minimality for a minimal one.  The
@@ -38,7 +41,6 @@ from char_ideal_profile, without the Smith form or the evaluation bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import takewhile
 
 from .graphs import Graph, adjacency_matrix, laplacian_matrix, parse_graph6, reach, to_graph6
@@ -88,14 +90,15 @@ def _is_cut_vertex(adj, v):
     return reach(adj, rest & -rest, rest) != rest
 
 
-def _children(g6):
+def _children(g6, gens):
     """Each connected class on one vertex more whose canonical deletion
     leaves the class of g6, once, as (canonical graph6, canonically
     relabelled Graph, its vertex order and automorphism generators in the
-    labelling before, where the new vertex is the last one)."""
+    labelling before, where the new vertex is the last one).  gens
+    generate the automorphism group of g6's graph."""
     adj = parse_graph6(g6).adj
     new = len(adj)
-    for mask in _mask_orbits(new, _label(adj)[1]):
+    for mask in _mask_orbits(new, gens):
         child = [a | (mask >> u & 1) << new for u, a in enumerate(adj)] + [mask]
         degree = mask.bit_count()
         # the deletion vertex is a non-cut vertex of largest degree
@@ -110,6 +113,15 @@ def _children(g6):
             yield to_graph6(g), g, order, perms
 
 
+def _conjugate(perms, order):
+    """The permutations perms of a graph, moved to its relabelling that
+    lists the vertices in order: q[i] = place[p[order[i]]]."""
+    place = [0] * len(order)
+    for i, u in enumerate(order):
+        place[u] = i
+    return [tuple([place[p[u]] for u in order]) for p in perms]
+
+
 def _level(n):
     if n in _LEVELS:
         return _LEVELS[n]
@@ -118,7 +130,8 @@ def _level(n):
     if n == 1:
         out = (canonical_form(Graph(1)),)
     else:
-        out = tuple(sorted(c for s in _level(n - 1) for c, *_ in _children(s)))
+        out = tuple(sorted(c for s in _level(n - 1)
+                           for c, *_ in _children(s, _label(parse_graph6(s).adj)[1])))
     _LEVELS[n] = out
     return out
 
@@ -151,33 +164,38 @@ STATISTICS = {
 _HEREDITARY = frozenset({"phiA", "gammaA"})
 
 
-@dataclass(frozen=True)
 class MiningTask:
-    max_vertices: int
-    statistic: str
-    k: int
+    __slots__ = ("max_vertices", "statistic", "k")
 
-    def __post_init__(self):
-        if self.max_vertices < 2:
+    def __init__(self, max_vertices, statistic, k):
+        if max_vertices < 2:
             raise ValueError("mining needs max_vertices >= 2")
-        if self.max_vertices > len(CONNECTED_COUNTS):
+        if max_vertices > len(CONNECTED_COUNTS):
             # forbidden_total counts the graphs growth never visits
-            raise ValueError(f"mining supports max_vertices <= {len(CONNECTED_COUNTS)}")
-        if self.k < 0:
+            raise ValueError(f"mining supports max_vertices <= {len(CONNECTED_COUNTS)}, "
+                             f"got {max_vertices}")
+        if k < 0:
             raise ValueError("threshold k must be nonnegative")
-        if self.statistic not in STATISTICS:
-            raise ValueError(f"unknown statistic {self.statistic!r}; "
+        if statistic not in STATISTICS:
+            raise ValueError(f"unknown statistic {statistic!r}; "
                              f"choose from {sorted(STATISTICS)}")
+        self.max_vertices = max_vertices
+        self.statistic = statistic
+        self.k = k
 
 
-@dataclass(frozen=True)
 class MiningResult:
-    task: MiningTask
-    minimal: tuple          # canonical graph6, sorted by (size, string)
-    members: frozenset      # canonical graph6 of the graphs on 2..N vertices not forbidden
-    forbidden_total: int    # connected graphs on 2..N vertices not in members
-    values: dict            # canonical graph6 -> statistic value, per graph evaluated
-    counts_by_size: dict    # vertex count -> number of minimal graphs
+    __slots__ = ("task", "minimal", "members", "forbidden_total", "values", "counts_by_size")
+
+    def __init__(self, task, minimal, members, forbidden_total, values, counts_by_size):
+        self.task = task
+        self.minimal = minimal  # canonical graph6, sorted by (size, string)
+        # canonical graph6 of the graphs on 2..N vertices not forbidden
+        self.members = members
+        # connected graphs on 2..N vertices not in members
+        self.forbidden_total = forbidden_total
+        self.values = values  # canonical graph6 -> statistic value, per graph evaluated
+        self.counts_by_size = counts_by_size  # vertex count -> number of minimal graphs
 
     def forbidden(self):
         """Every forbidden graph, as canonical graph6 sorted by (size,
@@ -214,19 +232,22 @@ def _deletions(g, order, perms):
 def _grow(max_vertices, limit, fn, values):
     """Minimal forbidden graphs as (size, graph6, Graph), and the members,
     of a statistic that deleting a vertex never raises."""
-    level = {canonical_form(Graph(1))}  # K_1: phiA and gammaA are 0 on it
+    # member -> its automorphism generators in its canonical labelling, as
+    # its labelling as a child found them; K_1, with phiA and gammaA 0 on
+    # it, has none
+    level = {canonical_form(Graph(1)): []}
     members = set()
     minimal = []
     for size in range(2, max_vertices + 1):
-        grown = set()
+        grown = {}
         for s in sorted(level):
-            for c, g, order, perms in _children(s):
+            for c, g, order, perms in _children(s, level[s]):
                 val = values[c] = fn(g)
                 if val < limit:
-                    grown.add(c)
+                    grown[c] = _conjugate(perms, order)
                 elif all(canonical_form(h) in level for h in _deletions(g, order, perms)):
                     minimal.append((size, c, g))
-        members |= grown
+        members.update(grown)
         level = grown
     return minimal, members
 

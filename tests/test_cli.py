@@ -337,6 +337,12 @@ def test_crosscheck_past_the_known_counts_exits_1_before_enumerating(capsys, mon
     assert err == "error: crosscheck supports max_n <= 10, got 11\n"
 
 
+def test_mine_past_the_known_counts_exits_1_with_the_value(capsys):
+    code, out, err = run(capsys, "mine", "--stat", "phiA", "--k", "4", "--max-n", "11")
+    assert (code, out) == (1, "")
+    assert err == "error: mining supports max_vertices <= 10, got 11\n"
+
+
 def test_bad_graph6_exits_1_with_offset(capsys):
     code, out, err = run(capsys, "snf", "C^^")
     assert code == 1

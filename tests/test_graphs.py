@@ -179,8 +179,21 @@ def test_blowup_identity_and_size():
     big = blowup(BlowupSpec(g, (-4, -4, -4, -4)))
     assert big.n == 16
     assert big.regular_degree() == 11
-    with pytest.raises(ValueError):
+
+
+def test_blowup_spec_validation():
+    g = cycle_graph(4)
+    with pytest.raises(ValueError, match=r"^one multiplicity per underlying vertex required$"):
+        BlowupSpec(g, (1, 1, 1))
+    with pytest.raises(ValueError, match=r"^zero blow-up multiplicity$"):
         BlowupSpec(g, (1, 0, 1, 1))
+    # any sequence of integral values becomes a tuple of ints
+    for seq in ([1, -2, 3, 4], range(1, 5), (True, -2.0, 3, 4)):
+        d = BlowupSpec(g, seq).d
+        assert d == tuple(int(v) for v in seq) and type(d) is tuple
+        assert all(type(v) is int for v in d)
+    spec = BlowupSpec(underlying=g, d=(-1, 2, 1, 1))
+    assert spec.underlying is g and spec.size == 5
 
 
 def test_blowup_star_figure():

@@ -2,6 +2,8 @@
 scope that imports it; a name listed in a module's __all__ counts as read."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,6 +49,16 @@ def test_no_unread_imports():
         if names:
             unread[str(path.relative_to(ROOT))] = names
     assert unread == {}
+
+
+def test_cli_start_up_loads_no_dataclasses_inspect_or_difflib():
+    # every command is a fresh process; dataclasses (which loads inspect)
+    # and difflib took over half of the import of charideals.cli
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import charideals.cli; "
+            "print(sorted(m for m in ('dataclasses', 'inspect', 'difflib') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_scan_sees_unread_names():

@@ -162,10 +162,16 @@ def test_det_int_against_permanuation_expansion():
 
 
 def test_invariant_factor_validation():
-    with pytest.raises(ConsistencyError):
-        InvariantFactors((2, 3))
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError, match=r"^negative invariant factor$"):
+        InvariantFactors((1, -2))
+    with pytest.raises(ConsistencyError, match=r"^zero before a nonzero invariant factor$"):
         InvariantFactors((1, 0, 2))
+    with pytest.raises(ConsistencyError, match=r"^divisibility chain broken: 2 \| 3$"):
+        InvariantFactors((2, 3))
+    # any sequence of integral values becomes a tuple of ints
+    for seq, want in (([1, 2, 0], (1, 2, 0)), (range(1, 3), (1, 2)), ((True, 2.0, 0), (1, 2, 0))):
+        f = InvariantFactors(seq).factors
+        assert f == want and type(f) is tuple and all(type(v) is int for v in f)
 
 
 def test_snf_of_path_and_complete_sequences():

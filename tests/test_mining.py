@@ -10,7 +10,8 @@ from charideals.catalog import FAMILY_F, FORBIDDEN_S4
 from charideals.classify import is_C_leq
 from charideals.graphs import Graph
 from charideals.isomorphism import _label
-from charideals.mining import CONNECTED_COUNTS, STATISTICS, _children, _level, _mask_orbits
+from charideals.mining import (CONNECTED_COUNTS, STATISTICS, _children, _conjugate, _level,
+                               _mask_orbits)
 
 import oracles
 
@@ -50,14 +51,19 @@ def test_enumeration_all_connected():
 
 
 def test_task_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^mining needs max_vertices >= 2$"):
         MiningTask(1, "phiA", 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^mining supports max_vertices <= 10, got 11$"):
+        MiningTask(11, "phiA", 2)
+    with pytest.raises(ValueError, match=r"^threshold k must be nonnegative$"):
         MiningTask(5, "phiA", -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown statistic 'phiZ'; "
+                                         r"choose from \['gammaA', 'phiA', 'phiL'\]$"):
         MiningTask(5, "phiZ", 2)
     with pytest.raises(TypeError):
         mine("not a task")
+    task = MiningTask(max_vertices=5, statistic="phiA", k=0)
+    assert (task.max_vertices, task.statistic, task.k) == (5, "phiA", 0)
 
 
 def test_connected_counts_bound_the_task():
@@ -219,6 +225,30 @@ def test_minimality_labels_one_deletion_per_orbit(monkeypatch):
     assert len(labelled) == 1 + 547  # K_1, then the deletions
 
 
+def test_growth_labels_each_child_once(monkeypatch):
+    # a member's automorphism generators come down from its labelling as a
+    # child; labelling each parent again as well took 907 here
+    labelled = []
+    monkeypatch.setattr(mining, "_label", lambda adj: labelled.append(adj) or _label(adj))
+    minimal, _ = mining._grow(7, 5, STATISTICS["phiA"], {})
+    assert len(minimal) == 43
+    assert len(labelled) == 807
+
+
+def test_carried_generators_give_the_orbits_of_a_fresh_labelling():
+    # generators conjugated from a child's labelling to its canonical order
+    # generate the group a fresh labelling of the canonical graph finds
+    checked = 0
+    for n in range(1, 6):
+        for s in _level(n):
+            for c, g, order, perms in _children(s, _label(parse_graph6(s).adj)[1]):
+                carried = _conjugate(perms, order)
+                assert list(_mask_orbits(g.n, carried)) == list(
+                    _mask_orbits(g.n, _label(g.adj)[1])), c
+                checked += 1
+    assert checked == sum(CONNECTED_COUNTS[1:6])  # every class on 2..6 vertices
+
+
 def test_growth_evaluates_only_children_of_members(monkeypatch):
     calls = []
     fn = STATISTICS["gammaA"]
@@ -230,6 +260,7 @@ def test_growth_evaluates_only_children_of_members(monkeypatch):
     monkeypatch.setitem(STATISTICS, "gammaA", counted)
     result = mine(MiningTask(7, "gammaA", 3))
     parents = [canonical_form(Graph(1))] + [s for s in result.members if parse_graph6(s).n < 7]
-    children = sorted(c for s in parents for c, *_ in _children(s))
+    children = sorted(c for s in parents
+                      for c, *_ in _children(s, _label(parse_graph6(s).adj)[1]))
     assert sorted(calls) == children == sorted(result.values)
     assert len(children) < sum(CONNECTED_COUNTS[1:7])

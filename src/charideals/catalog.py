@@ -164,6 +164,11 @@ def lookup(name):
     for _, pattern, build in _PARAMETRIC:
         m = re.fullmatch(pattern, key)
         if m:
-            return build(*map(int, m.group(1).split(",")))
+            sizes = [int(x) for x in m.group(1).split(",")]
+            # before the build: k<n> alone would list n(n - 1)/2 edges
+            if sum(sizes) > 62:
+                raise ValueError(f"catalog graph {name!r} has {sum(sizes)} vertices; "
+                                 "graph6 allows at most 62")
+            return build(*sizes)
     pool = list(_FIXED) + list(FAMILY_F)  # only names lookup resolves
     raise UnknownGraphError(name, _close_matches(key, pool))

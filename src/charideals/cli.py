@@ -280,6 +280,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "catalog" and args.action == "emit" and not args.name:
         parser.error("catalog emit requires a name")
+    if args.command == "catalog" and args.action == "list" and args.name is not None:
+        parser.error("catalog list takes no name")
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a reader that left shows here, not at exit

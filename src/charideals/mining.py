@@ -18,9 +18,9 @@ as an induced subgraph.  phiA and gammaA never grow when a vertex is
 deleted, so the connected graphs at or below k (the members) form a
 hereditary family, and the miner grows it level by level: only the members
 on n - 1 vertices are augmented, as in the PRUNE hook of nauty's geng.
-Each member carries the automorphism generators its labelling as a child
-found, conjugated to its canonical order, to its own augmentation, so no
-member is labelled twice.
+A child comes in its canonical labelling, with its new vertex's index and
+the automorphism generators its labelling found, and hands them to its own
+augmentation, in mining and enumeration alike: no parent is labelled twice.
 This reaches every member and every minimal forbidden graph on n vertices,
 because the canonical deletion of either leaves a member on n - 1
 vertices: by heredity for a member, by minimality for a minimal one.  The
@@ -52,7 +52,7 @@ from .isomorphism import _label, _orbit, canonical_form, find_induced
 # connected graphs up to isomorphism on 1, 2, 3, ... vertices (OEIS A001349)
 CONNECTED_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117, 261080, 11716571)
 
-_LEVELS = {}
+_LEVELS = {1: (to_graph6(Graph(1)),)}  # vertex count -> _level(n)
 
 
 def _mask_orbits(m, perms):
@@ -93,13 +93,13 @@ def _is_cut_vertex(adj, v):
 def _children(g6, gens):
     """Each connected class on one vertex more whose canonical deletion
     leaves the class of g6, once, as (canonical graph6, canonically
-    relabelled Graph, its vertex order and automorphism generators in the
-    labelling before, where the new vertex is the last one).  gens
-    generate the automorphism group of g6's graph."""
+    relabelled Graph, the new vertex's index in it, generators of its
+    automorphism group in that labelling).  gens generate the automorphism
+    group of g6's graph."""
     adj = parse_graph6(g6).adj
-    new = len(adj)
-    for mask in _mask_orbits(new, gens):
-        child = [a | (mask >> u & 1) << new for u, a in enumerate(adj)] + [mask]
+    n = len(adj)
+    for mask in _mask_orbits(n, gens):
+        child = [a | (mask >> u & 1) << n for u, a in enumerate(adj)] + [mask]
         degree = mask.bit_count()
         # the deletion vertex is a non-cut vertex of largest degree
         if any(a.bit_count() > degree and not _is_cut_vertex(child, u)
@@ -108,32 +108,25 @@ def _children(g6, gens):
         order, perms = _label(child)
         w = next(u for u in order if child[u].bit_count() == degree
                  and not _is_cut_vertex(child, u))
-        if w == new or _orbit(perms, 1 << w) >> new & 1:
+        if w == n or _orbit(perms, 1 << w) >> n & 1:
+            place = sorted(range(n + 1), key=order.__getitem__)  # inverse of order
             g = Graph.from_adj(child).relabelled(order)
-            yield to_graph6(g), g, order, perms
-
-
-def _conjugate(perms, order):
-    """The permutations perms of a graph, moved to its relabelling that
-    lists the vertices in order: q[i] = place[p[order[i]]]."""
-    place = [0] * len(order)
-    for i, u in enumerate(order):
-        place[u] = i
-    return [tuple([place[p[u]] for u in order]) for p in perms]
+            yield (to_graph6(g), g, place[n],
+                   tuple(tuple([place[p[u]] for u in order]) for p in perms))
 
 
 def _level(n):
-    if n in _LEVELS:
-        return _LEVELS[n]
+    """The canonical graph6 of the connected graphs on n vertices, sorted."""
     if n < 1:
         raise ValueError("need at least one vertex")
-    if n == 1:
-        out = (canonical_form(Graph(1)),)
-    else:
-        out = tuple(sorted(c for s in _level(n - 1)
-                           for c, *_ in _children(s, _label(parse_graph6(s).adj)[1])))
-    _LEVELS[n] = out
-    return out
+    top = max(_LEVELS)
+    if n > top:
+        # only a level finished earlier is labelled again; K_1 has no generators
+        level = {s: _label(parse_graph6(s).adj)[1] if top > 1 else () for s in _LEVELS[top]}
+        for size in range(top + 1, n + 1):
+            level = {c: gens for s in level for c, _, _, gens in _children(s, level[s])}
+            _LEVELS[size] = tuple(sorted(level))
+    return _LEVELS[n]
 
 
 def enumerate_connected(n):
@@ -217,35 +210,34 @@ def _independent_value(g6, statistic):
     return invariant_factors_from_deltas(delta_sequence(mat)).ones
 
 
-def _deletions(g, order, perms):
-    """One connected g - v per automorphism orbit but the new vertex's, whose
-    deletion is the parent; order and perms as _children yields them."""
-    place = {u: i for i, u in enumerate(order)}
-    done = _orbit(perms, 1 << g.n - 1)
-    for u in range(g.n):
+def _deletions(g, new, gens):
+    """One connected g - v per automorphism orbit but that of the new
+    vertex, whose deletion is the parent, highest index first; new and
+    gens as _children yields them."""
+    done = _orbit(gens, 1 << new)
+    for u in range(g.n - 1, -1, -1):
         if not done >> u & 1:
-            done |= _orbit(perms, 1 << u)
-            if not _is_cut_vertex(g.adj, place[u]):
-                yield g.delete_vertex(place[u])
+            done |= _orbit(gens, 1 << u)
+            if not _is_cut_vertex(g.adj, u):
+                yield g.delete_vertex(u)
 
 
 def _grow(max_vertices, limit, fn, values):
     """Minimal forbidden graphs as (size, graph6, Graph), and the members,
     of a statistic that deleting a vertex never raises."""
-    # member -> its automorphism generators in its canonical labelling, as
-    # its labelling as a child found them; K_1, with phiA and gammaA 0 on
-    # it, has none
-    level = {canonical_form(Graph(1)): []}
+    # member -> its automorphism generators, as its labelling as a child
+    # found them; K_1, with phiA and gammaA 0 on it, has none
+    level = {to_graph6(Graph(1)): ()}
     members = set()
     minimal = []
     for size in range(2, max_vertices + 1):
         grown = {}
         for s in sorted(level):
-            for c, g, order, perms in _children(s, level[s]):
+            for c, g, new, gens in _children(s, level[s]):
                 val = values[c] = fn(g)
                 if val < limit:
-                    grown[c] = _conjugate(perms, order)
-                elif all(canonical_form(h) in level for h in _deletions(g, order, perms)):
+                    grown[c] = gens
+                elif all(canonical_form(h) in level for h in _deletions(g, new, gens)):
                     minimal.append((size, c, g))
         members.update(grown)
         level = grown

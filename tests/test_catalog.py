@@ -23,6 +23,15 @@ def test_dynamic_names():
     assert lookup("k2,2,2") == complete_multipartite_graph((2, 2, 2))
 
 
+def test_parametric_names_past_graph6_fail_before_the_build():
+    assert lookup("k62").n == lookup("k31,31").n == 62
+    for name, count in (("k63", 63), ("k40,40", 80)):
+        with pytest.raises(ValueError) as err:
+            lookup(name)
+        assert str(err.value) == (f"catalog graph {name!r} has {count} vertices; "
+                                  "graph6 allows at most 62")
+
+
 def test_fixed_names():
     assert lookup("diamond") == diamond_graph()
     assert lookup("paw") == paw_graph()

@@ -305,6 +305,34 @@ def test_reader_closing_the_pipe_first_is_not_an_error():
     assert err == b""
 
 
+def test_catalog_list_takes_no_name(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["catalog", "list", "extra"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert "catalog list takes no name" in out.err
+
+
+@pytest.mark.parametrize("name,count", [("k100000", 100000), ("p1000000000", 1000000000)])
+def test_huge_catalog_size_fails_before_the_build(name, count):
+    # the child's address space is capped, so a build that runs anyway
+    # fails with MemoryError instead of exhausting the machine
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "charideals", "catalog", "emit", name],
+                          capture_output=True, env=env, preexec_fn=cap, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr.decode() == (f"error: catalog graph {name!r} has {count} vertices; "
+                                    "graph6 allows at most 62\n")
+
+
 def test_catalog_unknown_name(capsys):
     code, out, err = run(capsys, "catalog", "emit", "diamnod")
     assert code == 1

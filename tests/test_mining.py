@@ -10,8 +10,7 @@ from charideals.catalog import FAMILY_F, FORBIDDEN_S4
 from charideals.classify import is_C_leq
 from charideals.graphs import Graph
 from charideals.isomorphism import _label
-from charideals.mining import (CONNECTED_COUNTS, STATISTICS, _children, _conjugate, _level,
-                               _mask_orbits)
+from charideals.mining import CONNECTED_COUNTS, STATISTICS, _children, _level, _mask_orbits
 
 import oracles
 
@@ -216,13 +215,14 @@ def test_growth_runs_no_induced_search(monkeypatch):
 
 def test_minimality_labels_one_deletion_per_orbit(monkeypatch):
     # one connected deletion per automorphism orbit of a forbidden child,
-    # none for the orbit of its new vertex; one per vertex took 761 here
+    # none for the orbit of its new vertex; one per vertex took 761 here,
+    # and the lowest canonical index first 585
     labelled = []
     monkeypatch.setattr(mining, "canonical_form",
                         lambda h: labelled.append(h) or canonical_form(h))
     minimal, _ = mining._grow(7, 5, STATISTICS["phiA"], {})
     assert len(minimal) == 43
-    assert len(labelled) == 1 + 547  # K_1, then the deletions
+    assert len(labelled) == 540
 
 
 def test_growth_labels_each_child_once(monkeypatch):
@@ -236,17 +236,54 @@ def test_growth_labels_each_child_once(monkeypatch):
 
 
 def test_carried_generators_give_the_orbits_of_a_fresh_labelling():
-    # generators conjugated from a child's labelling to its canonical order
-    # generate the group a fresh labelling of the canonical graph finds
+    # the generators a child carries generate the group a fresh labelling
+    # of its canonical graph finds
     checked = 0
     for n in range(1, 6):
         for s in _level(n):
-            for c, g, order, perms in _children(s, _label(parse_graph6(s).adj)[1]):
-                carried = _conjugate(perms, order)
-                assert list(_mask_orbits(g.n, carried)) == list(
+            for c, g, _, gens in _children(s, _label(parse_graph6(s).adj)[1]):
+                assert list(_mask_orbits(g.n, gens)) == list(
                     _mask_orbits(g.n, _label(g.adj)[1])), c
                 checked += 1
     assert checked == sum(CONNECTED_COUNTS[1:6])  # every class on 2..6 vertices
+
+
+def test_children_come_in_their_canonical_labelling():
+    # new is the new vertex's canonical index, and each carried generator
+    # is an automorphism of the canonical graph
+    checked = 0
+    for n in range(1, 6):
+        for s in _level(n):
+            for c, g, new, gens in _children(s, _label(parse_graph6(s).adj)[1]):
+                assert c == to_graph6(g) == canonical_form(g)
+                assert canonical_form(g.delete_vertex(new)) == s, c
+                assert type(gens) is tuple and all(type(p) is tuple for p in gens)
+                for p in gens:
+                    assert sorted(p) == list(range(g.n))
+                    assert [sum(1 << p[v] for v in range(g.n) if a >> v & 1)
+                            for a in g.adj] == [g.adj[p[u]] for u in range(g.n)], c
+                checked += 1
+    assert checked == sum(CONNECTED_COUNTS[1:6])  # every class on 2..6 vertices
+
+
+def test_levels_are_built_without_labelling_a_parent(monkeypatch):
+    # each child hands its generators to the next level; labelling every
+    # parent again as well took 1,467 here
+    labelled = []
+    monkeypatch.setattr(mining, "_label", lambda adj: labelled.append(adj) or _label(adj))
+    monkeypatch.setattr(mining, "_LEVELS", {1: (to_graph6(Graph(1)),)})
+    assert _level(7) == oracles._level(7)
+    assert len(labelled) == 1324
+    assert all(type(v) is tuple and all(type(s) is str for s in v)
+               for v in mining._LEVELS.values())
+
+
+def test_a_finished_level_extends_to_the_next(monkeypatch):
+    monkeypatch.setattr(mining, "_LEVELS", {1: (to_graph6(Graph(1)),)})
+    assert _level(6) == oracles._level(6)
+    assert sorted(mining._LEVELS) == list(range(1, 7))
+    assert _level(7) == oracles._level(7)
+    assert _level(3) == oracles._level(3)
 
 
 def test_growth_evaluates_only_children_of_members(monkeypatch):

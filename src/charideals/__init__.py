@@ -10,8 +10,7 @@ from .classify import (ClassificationReport, CrossCheckResult, classify,
                        cross_check, is_C_leq, is_K_leq_regular, is_S_leq)
 from .graph_ideals import (CharIdealProfile, algebraic_corank, all_k_minors_in_ideal,
                            char_ideal_profile, characteristic_ideal,
-                           critical_invariants_regular, multipartite_closed_form,
-                           smith_invariants_via_ideals)
+                           multipartite_closed_form)
 from .graphs import (BlowupSpec, Graph, Graph6Error, adjacency_matrix, blowup,
                      laplacian_matrix, parse_edge_list, parse_graph6, to_graph6)
 from .intlinalg import (ConsistencyError, InvariantFactors, delta_sequence,
@@ -27,12 +26,10 @@ __all__ = [
     "Graph6Error", "GroebnerBuilder", "IdealZt", "InvariantFactors",
     "MiningResult", "MiningTask", "ZPoly", "adjacency_matrix",
     "algebraic_corank", "all_k_minors_in_ideal", "blowup", "canonical_form",
-    "char_ideal_profile", "characteristic_ideal", "classify",
-    "critical_invariants_regular", "cross_check",
+    "char_ideal_profile", "characteristic_ideal", "classify", "cross_check",
     "delta_sequence", "enumerate_connected", "find_induced",
     "gcd_of_k_minors", "invariant_factors_from_deltas", "is_C_leq",
     "is_K_leq_regular", "is_S_leq", "is_isomorphic",
     "laplacian_matrix", "lookup", "mine", "multipartite_closed_form",
-    "parse_edge_list", "parse_graph6", "smith_invariants_via_ideals",
-    "snf_diagonal", "strong_groebner", "to_graph6",
+    "parse_edge_list", "parse_graph6", "snf_diagonal", "strong_groebner", "to_graph6",
 ]

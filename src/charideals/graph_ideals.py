@@ -47,7 +47,7 @@ from itertools import combinations, takewhile
 from math import prod
 
 from .graphs import twin_classes
-from .intlinalg import det_int, invariant_factors_from_deltas, snf_diagonal, unit_pivots
+from .intlinalg import det_int, snf_diagonal, unit_pivots
 from .zpoly import ONE, T, ZPoly
 from .ztideal import IdealZt, _canonicalize, _lattice, reduce
 
@@ -253,29 +253,6 @@ def char_ideal_profile(g):
     ideals = tuple(IdealZt(basis=_basis(gens, k)) for k in range(1, g.n + 1))
     gamma = len(list(takewhile(IdealZt.is_trivial, ideals)))
     return CharIdealProfile(g, ideals, gamma)
-
-
-def _invariants_by_evaluation(g, point):
-    # t -> point is a ring map Z[t] -> Z and det commutes with it, so I_k at
-    # t = point is generated by the k-minors of point*I - A: its evaluation
-    # is their gcd Delta_k.  Past the first Delta_k = 0 every minor vanishes.
-    gens = _generators(_presentation(g))
-    evals = (IdealZt(basis=_basis(gens, k)).evaluate(point) for k in range(1, g.n + 1))
-    deltas = [1, *takewhile(bool, evals)]
-    return invariant_factors_from_deltas(deltas + [0] * (g.n + 1 - len(deltas)))
-
-
-def smith_invariants_via_ideals(g):
-    """Adjacency invariant factors read off the ideal chain at t = 0."""
-    return _invariants_by_evaluation(g, 0)
-
-
-def critical_invariants_regular(g):
-    """Laplacian invariant factors of a regular graph via evaluation at the degree."""
-    r = g.regular_degree()
-    if r is None:
-        raise ValueError(f"graph is not regular: degrees {sorted(set(g.degrees()))}")
-    return _invariants_by_evaluation(g, r)
 
 
 def _elem_sym(values):

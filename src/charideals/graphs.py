@@ -2,10 +2,10 @@
 
 Includes the graph6 codec (single-byte sizes, n <= 62), the edge-list text
 format, blow-ups, reachability within a vertex mask (`reach`, behind
-connectivity, components and cut vertices), and twin classes of equal open
-or equal closed neighbourhoods (`twin_classes`): the one grouping by
-neighbourhood, for the twin split, labelling and induced search.  Graphs
-are immutable after construction and safe to share between threads.
+connectivity and cut vertices), and twin classes of equal open or equal
+closed neighbourhoods (`twin_classes`): the one grouping by neighbourhood,
+for the twin split, labelling and induced search.  Graphs are immutable
+after construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -67,9 +67,6 @@ class Graph:
     def __repr__(self):
         return f"Graph({self.n}, {sorted(self.edges())!r})"
 
-    def has_edge(self, u, v):
-        return bool(self.adj[u] >> v & 1)
-
     def edges(self):
         for u in range(self.n):
             m = self.adj[u] >> (u + 1)
@@ -79,10 +76,6 @@ class Graph:
                     yield (u, v)
                 m >>= 1
                 v += 1
-
-    @property
-    def edge_count(self):
-        return sum(a.bit_count() for a in self.adj) // 2
 
     def degree(self, v):
         return self.adj[v].bit_count()
@@ -94,25 +87,12 @@ class Graph:
         full = (1 << self.n) - 1
         return self.n <= 1 or reach(self.adj, 1, full) == full
 
-    def components(self):
-        out = []
-        left = (1 << self.n) - 1
-        while left:
-            seen = reach(self.adj, left & -left, left)
-            out.append(list(bits(seen)))
-            left &= ~seen
-        return out
-
     def regular_degree(self):
         """Common degree if the graph is regular, else None."""
         degs = set(self.degrees())
         if len(degs) == 1:
             return degs.pop()
         return None
-
-    def complement(self):
-        full = (1 << self.n) - 1
-        return Graph.from_adj(tuple(~a & full & ~(1 << v) for v, a in enumerate(self.adj)))
 
     def subgraph(self, vertices):
         """Induced subgraph, relabelled 0..len-1 preserving the given order."""
@@ -143,22 +123,6 @@ class Graph:
 
     def delete_vertex(self, v):
         return self.subgraph([u for u in range(self.n) if u != v])
-
-    def disjoint_union(self, other):
-        off = self.n
-        adj = list(self.adj) + [a << off for a in other.adj]
-        return Graph.from_adj(adj)
-
-    def join(self, other):
-        g = self.disjoint_union(other)
-        left = (1 << self.n) - 1
-        right = ((1 << other.n) - 1) << self.n
-        adj = list(g.adj)
-        for v in range(self.n):
-            adj[v] |= right
-        for v in range(self.n, g.n):
-            adj[v] |= left
-        return Graph.from_adj(adj)
 
 
 def adjacency_matrix(g):
@@ -296,10 +260,6 @@ class BlowupSpec:
             raise ValueError("zero blow-up multiplicity")
         self.underlying = underlying
         self.d = d
-
-    @property
-    def size(self):
-        return sum(abs(v) for v in self.d)
 
 
 def blowup(spec):

@@ -183,7 +183,8 @@ def canonical_form(g):
 def is_isomorphic(g, h):
     if g.n != h.n or sorted(g.degrees()) != sorted(h.degrees()):
         return False
-    return canonical_form(g) == canonical_form(h)
+    # the relabelled graphs, not their graph6, which stops at 62 vertices
+    return g.relabelled(_label(g.adj)[0]) == h.relabelled(_label(h.adj)[0])
 
 
 @lru_cache(maxsize=512)

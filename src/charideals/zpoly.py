@@ -33,16 +33,6 @@ class ZPoly(tuple):
             return ZERO
         return tuple.__new__(cls, (0,) * power + (c,))
 
-    @property
-    def degree(self):
-        """Degree; the zero polynomial gets the -inf sentinel."""
-        return len(self) - 1 if self else float("-inf")
-
-    @property
-    def lead(self):
-        """Leading coefficient, 0 for the zero polynomial."""
-        return self[-1] if self else 0
-
     def __neg__(self):
         return tuple.__new__(ZPoly, tuple(-c for c in self))
 
@@ -81,12 +71,6 @@ class ZPoly(tuple):
         return ZPoly(out)
 
     __rmul__ = __mul__
-
-    def shifted(self, k):
-        """Multiply by t^k."""
-        if not self:
-            return ZERO
-        return tuple.__new__(ZPoly, (0,) * k + tuple(self))
 
     def __call__(self, x):
         out = 0

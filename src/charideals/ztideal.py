@@ -190,10 +190,6 @@ class GroebnerBuilder:
     def basis(self):
         return self._basis
 
-    @property
-    def is_unit(self):
-        return self._basis == (ONE,)
-
     def add(self, p):
         if not reduce(p, self._basis):
             return False
@@ -227,18 +223,8 @@ class IdealZt:
     def unit(cls):
         return cls(basis=(ONE,))
 
-    @classmethod
-    def zero(cls):
-        return cls(basis=())
-
     def is_trivial(self):
         return self.basis == (ONE,)
-
-    def contains(self, p):
-        return not reduce(p, self.basis)
-
-    def subset_of(self, other):
-        return all(other.contains(g) for g in self.basis)
 
     def evaluate(self, c):
         """Nonnegative generator of {p(c) : p in the ideal} as an ideal of Z."""

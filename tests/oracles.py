@@ -30,7 +30,9 @@ pair, is the reference for the one built from the kept rows and pivoted
 on packed integers, and, expanded over permutations, for the minors taken
 on those packed integers.  Those copies are also the references for the
 package's one-pass reduction, which only takes reduced bases, and for its
-reading of the reduced basis off the lattice rows.
+reading of the reduced basis off the lattice rows.  The first section
+builds test graphs from edge lists: adjacency tests, complements,
+components, disjoint unions and joins, none of which the package keeps.
 """
 
 from itertools import combinations, permutations
@@ -39,6 +41,46 @@ from math import gcd
 from charideals.graphs import Graph, bits, parse_graph6, to_graph6
 from charideals.isomorphism import _search_plan
 from charideals.zpoly import ONE, T, ZERO, ZPoly
+
+
+def has_edge(g, u, v):
+    return bool(g.adj[u] >> v & 1)
+
+
+def complement(g):
+    return Graph(g.n, [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                       if not has_edge(g, u, v)])
+
+
+def components(g):
+    """Vertex lists of the connected components, each increasing, in order
+    of their least vertex; by depth-first search over vertex pairs."""
+    out, seen = [], set()
+    for start in range(g.n):
+        if start in seen:
+            continue
+        seen.add(start)
+        part, stack = [], [start]
+        while stack:
+            u = stack.pop()
+            part.append(u)
+            for v in range(g.n):
+                if v not in seen and has_edge(g, u, v):
+                    seen.add(v)
+                    stack.append(v)
+        out.append(sorted(part))
+    return out
+
+
+def disjoint_union(g, h):
+    """g, then h on the vertices after g's."""
+    return Graph(g.n + h.n, [*g.edges(), *((u + g.n, v + g.n) for u, v in h.edges())])
+
+
+def join(g, h):
+    """The disjoint union with every vertex of g adjacent to every vertex of h."""
+    return Graph(g.n + h.n, [*disjoint_union(g, h).edges(),
+                             *((u, g.n + v) for u in range(g.n) for v in range(h.n))])
 
 
 def perm_sign(perm):
@@ -122,7 +164,7 @@ def char_matrix_lists(graph):
         for j in range(n):
             if i == j:
                 row.append([0, 1])
-            elif graph.has_edge(i, j):
+            elif has_edge(graph, i, j):
                 row.append([-1])
             else:
                 row.append([])
@@ -152,7 +194,7 @@ def brute_has_induced(host, pattern):
         return False
     for subset in combinations(range(hn), pn):
         for perm in permutations(subset):
-            if all(host.has_edge(perm[i], perm[j]) == pattern.has_edge(i, j)
+            if all(has_edge(host, perm[i], perm[j]) == has_edge(pattern, i, j)
                    for i in range(pn) for j in range(i + 1, pn)):
                 return True
     return False
@@ -198,8 +240,8 @@ def complete_multipartite_graph(parts):
 
 def complete_multipartite_parts(g):
     """Part sizes (descending) if g is complete multipartite, else None."""
-    comp = g.complement()
-    parts = comp.components()
+    comp = complement(g)
+    parts = components(comp)
     for part in parts:
         mask = 0
         for v in part:
@@ -363,7 +405,7 @@ def find_induced(host, pattern):
         nonnbrs = []
         for j in range(i):
             w = order[j]
-            (nbrs if pattern.has_edge(v, w) else nonnbrs).append(j)
+            (nbrs if has_edge(pattern, v, w) else nonnbrs).append(j)
         steps.append((v, nbrs, nonnbrs))
     full = (1 << hn) - 1
     assigned = [0] * pn
@@ -588,7 +630,7 @@ def _pair_candidates(f, g):
         f, g = g, f
     cf, cg = f[-1], g[-1]
     s = len(f) - len(g)
-    gs = g.shifted(s)
+    gs = ZPoly((0,) * s + tuple(g))
     if cf % cg == 0:
         yield f - gs * (cf // cg)
     elif cg % cf == 0:

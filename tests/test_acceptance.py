@@ -179,7 +179,7 @@ def test_criterion_8b_ideal_chain():
         g = oracles.random_graph(rng, rng.randint(2, 6))
         profile = char_ideal_profile(g)
         for upper, lower in zip(profile.ideals[1:], profile.ideals):
-            assert upper.subset_of(lower)
+            assert not any(zt_reduce(p, lower.basis) for p in upper.basis)
             cases += 1
     _report("8b descending ideal chain", t0, f"{cases} cases")
 
@@ -196,7 +196,7 @@ def test_criterion_8c_induced_subgraph_containment():
         inner = characteristic_ideal(h, k)
         outer = characteristic_ideal(g, k)
         for gen in inner.basis:
-            assert outer.contains(gen)
+            assert not zt_reduce(gen, outer.basis)
         cases += 1
     _report("8c induced-subgraph ideal containment", t0, f"{cases} cases")
 
@@ -255,8 +255,7 @@ def test_criterion_8f_multipartite_closed_form():
             for j in range(1, n + 1):
                 direct = characteristic_ideal(g, j)
                 closed = multipartite_closed_form(parts, j)
-                assert direct.subset_of(closed) and closed.subset_of(direct), (parts, j)
-                assert direct == closed
+                assert direct == closed, (parts, j)
                 equality_cases += 1
                 for _ in range(6):
                     c = rng.randint(-10, 10)
@@ -276,7 +275,7 @@ def test_criterion_8g_groebner_closure():
         if len(f) < len(g):
             f, g = g, f
         cf, cg = f[-1], g[-1]
-        shifted = g.shifted(len(f) - len(g))
+        shifted = ZPoly((0,) * (len(f) - len(g)) + tuple(g))
         l = cf // gcd(cf, cg) * cg
         yield f * (l // cf) - shifted * (l // cg)
         a, b, oa, ob = 0, 1, 1, 0

@@ -12,6 +12,7 @@ from charideals.catalog import (FAMILY_F, FORBIDDEN_S4,
 from charideals.graphs import Graph
 
 import oracles
+from oracles import complement, disjoint_union, join
 
 
 def test_dynamic_names():
@@ -67,17 +68,14 @@ def test_family_f_inventory():
 # Join-form alternative names for the members that are joins (used as a
 # cross-check on the edge lists of FAMILY_F).
 FAMILY_F_JOINS = {
-    "dart": lambda: complete_graph(1).join(path_graph(3).disjoint_union(complete_graph(1))),
-    "3-fan": lambda: path_graph(4).join(complete_graph(1)),
-    "s6+e": lambda: complete_graph(1).join(
-        complete_graph(2).disjoint_union(Graph(3))),
-    "co-diamond-k2": lambda: Graph(2).join(
-        complete_graph(2).disjoint_union(Graph(2))),
-    "k33+e": lambda: Graph(3).join(complete_graph(2).disjoint_union(Graph(1))),
-    "co-p3-cop3": lambda: path_graph(3).join(
-        complete_graph(2).disjoint_union(Graph(1))),
-    "k1,1,1,2,2": lambda: complete_graph(3).join(cycle_graph(4)),
-    "k1,1,1,1,4": lambda: complete_graph(4).join(Graph(4)),
+    "dart": lambda: join(complete_graph(1), disjoint_union(path_graph(3), complete_graph(1))),
+    "3-fan": lambda: join(path_graph(4), complete_graph(1)),
+    "s6+e": lambda: join(complete_graph(1), disjoint_union(complete_graph(2), Graph(3))),
+    "co-diamond-k2": lambda: join(Graph(2), disjoint_union(complete_graph(2), Graph(2))),
+    "k33+e": lambda: join(Graph(3), disjoint_union(complete_graph(2), Graph(1))),
+    "co-p3-cop3": lambda: join(path_graph(3), disjoint_union(complete_graph(2), Graph(1))),
+    "k1,1,1,2,2": lambda: join(complete_graph(3), cycle_graph(4)),
+    "k1,1,1,1,4": lambda: join(complete_graph(4), Graph(4)),
 }
 
 
@@ -89,11 +87,11 @@ def test_family_f_join_forms():
 
 def test_family_f_complements():
     # the two complement-named members really are complements
-    diamond_k2 = diamond_graph().disjoint_union(complete_graph(2))
-    assert is_isomorphic(FAMILY_F["co-diamond-k2"], diamond_k2.complement())
-    p3_cop3 = path_graph(3).disjoint_union(path_graph(3).complement())
-    assert is_isomorphic(FAMILY_F["co-p3-cop3"], p3_cop3.complement())
-    assert is_isomorphic(FAMILY_F["co-4-pan"], FAMILY_F["4-pan"].complement())
+    diamond_k2 = disjoint_union(diamond_graph(), complete_graph(2))
+    assert is_isomorphic(FAMILY_F["co-diamond-k2"], complement(diamond_k2))
+    p3_cop3 = disjoint_union(path_graph(3), complement(path_graph(3)))
+    assert is_isomorphic(FAMILY_F["co-p3-cop3"], complement(p3_cop3))
+    assert is_isomorphic(FAMILY_F["co-4-pan"], complement(FAMILY_F["4-pan"]))
 
 
 def test_forbidden_s4_strings():

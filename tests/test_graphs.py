@@ -21,7 +21,7 @@ def test_parse_diamond():
 
 def test_parse_k1():
     g = parse_graph6("@")
-    assert g.n == 1 and g.edge_count == 0
+    assert g.n == 1 and g.adj == (0,)
 
 
 def test_parse_edo():
@@ -99,7 +99,7 @@ def test_induced_subgraph_matches_pairwise_definition():
         vs = rng.sample(range(n), rng.randint(0, n))
         h = g.subgraph(vs)
         assert h.n == len(vs)
-        assert all(h.has_edge(i, j) == g.has_edge(v, w)
+        assert all(h.adj[i] >> j & 1 == g.adj[v] >> w & 1
                    for i, v in enumerate(vs) for j, w in enumerate(vs) if i != j), (g, vs)
         if n:
             with pytest.raises(ValueError, match="out of range"):
@@ -137,7 +137,7 @@ def test_connectivity_and_components():
     assert cycle_graph(4).is_connected()
     g = Graph(4, [(0, 1), (2, 3)])
     assert not g.is_connected()
-    assert g.components() == [[0, 1], [2, 3]]
+    assert oracles.components(g) == [[0, 1], [2, 3]]
     assert Graph(1).is_connected()
     # every labelled graph on at most 5 vertices, then seeded random ones on
     # 0..10 vertices, many of them disconnected
@@ -155,7 +155,7 @@ def test_connectivity_and_components():
     for n, edges in cases:
         g = Graph(n, edges)
         want = _components_by_union_find(n, edges)
-        assert g.components() == want
+        assert oracles.components(g) == want
         assert g.is_connected() == (len(want) <= 1)
         if len(want) > 1:
             disconnected.add(n)
@@ -193,7 +193,7 @@ def test_blowup_spec_validation():
         assert d == tuple(int(v) for v in seq) and type(d) is tuple
         assert all(type(v) is int for v in d)
     spec = BlowupSpec(underlying=g, d=(-1, 2, 1, 1))
-    assert spec.underlying is g and spec.size == 5
+    assert spec.underlying is g and blowup(spec).n == 5
 
 
 def test_blowup_star_figure():
@@ -203,8 +203,8 @@ def test_blowup_star_figure():
                       (4, 5), (0, 5), (0, 3), (1, 3), (1, 4), (0, 6)])
     assert got.n == 7
     # apex class is a 2-element stable set adjacent to all other vertices
-    assert not got.has_edge(0, 1)
-    assert all(got.has_edge(0, v) and got.has_edge(1, v) for v in range(2, 7))
+    assert not got.adj[0] >> 1 & 1
+    assert all(got.adj[0] >> v & got.adj[1] >> v & 1 for v in range(2, 7))
     assert is_isomorphic(got, drawn)
 
 
@@ -212,9 +212,9 @@ def test_blowup_clique_classes():
     g = blowup(BlowupSpec(path_graph(2), (-2, 3)))
     # one clique pair fully joined to a stable triple
     assert g.n == 5
-    assert g.has_edge(0, 1)
-    assert not g.has_edge(2, 3)
-    assert all(g.has_edge(u, v) for u in (0, 1) for v in (2, 3, 4))
+    assert g.adj[0] >> 1 & 1
+    assert not g.adj[2] >> 3 & 1
+    assert all(g.adj[u] >> v & 1 for u in (0, 1) for v in (2, 3, 4))
 
 
 def test_twin_classes():

@@ -113,6 +113,70 @@ def test_private_scan_sees_unreferenced_names():
     assert _unreferenced_privates(trees) == [("a", "_B"), ("a", "_f")]
 
 
+def _unreached_publics(trees, readers):
+    """(module, name) for each public module-level function or class of the
+    modules in `trees` (name -> AST), and each public method or property of
+    a class among them, that the `__all__` of none of them exports and that
+    no code of `trees` or `readers` (more modules, which only count as
+    readers) reads as a name, an attribute or an import outside the
+    definition itself.  Dunders are exempt.
+
+    Matching is by name, so a method whose name is also read elsewhere is
+    not seen: `Graph.join` passed on `str.join`, `ZPoly.degree` on
+    `Graph.degree(v)` and `BlowupSpec.size` on a local variable `size`."""
+    exported, defined, reads = set(), [], {}
+
+    def walk(node, inside):
+        # inside: the ids of the definitions enclosing node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {id(node)}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.setdefault(node.id, []).append(inside)
+        elif isinstance(node, ast.Attribute):
+            reads.setdefault(node.attr, []).append(inside)
+        elif isinstance(node, ast.alias):
+            reads.setdefault(node.name, []).append(inside)
+        for child in ast.iter_child_nodes(node):
+            walk(child, inside)
+
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                exported.update(e.value for e in node.value.elts)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((mod, node.name, node))
+                if isinstance(node, ast.ClassDef):
+                    defined.extend((mod, f"{node.name}.{item.name}", item)
+                                   for item in node.body
+                                   if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    for tree in [*trees.values(), *readers.values()]:
+        walk(tree, frozenset())
+    return sorted((mod, qualname) for mod, qualname, node in defined
+                  if not node.name.startswith("_") and qualname not in exported
+                  and all(id(node) in inside for inside in reads.get(node.name, ())))
+
+
+def test_no_unreached_public_names_in_src():
+    def parse(folder):
+        return {str(path.relative_to(ROOT)): ast.parse(path.read_text(encoding="utf-8"))
+                for path in sorted((ROOT / folder).rglob("*.py"))}
+    assert _unreached_publics(parse("src"), parse("perfbench")) == []
+
+
+def test_public_scan_sees_unreached_names():
+    trees = {"a": ast.parse("__all__ = ['f']\ndef f():\n    return g()\n"
+                            "def g():\n    pass\ndef h():\n    return h()\n"
+                            "class K:\n    def used(self):\n        return 1\n"
+                            "    def unused(self):\n        return self.unused()\n"
+                            "    @property\n    def bench(self):\n        pass\n"
+                            "    def __len__(self):\n        return 0\n"),
+             "b": ast.parse("from a import K\nK().used()\n")}
+    perfbench = {"run": ast.parse("def run(k):\n    return k.bench\n")}
+    assert _unreached_publics(trees, perfbench) == [("a", "K.unused"), ("a", "h")]
+    assert _unreached_publics(trees, {}) == [("a", "K.bench"), ("a", "K.unused"), ("a", "h")]
+
+
 def _underscore_parameters(tree):
     """function.parameter for each parameter of a function or lambda in
     `tree` whose name starts with an underscore: a hidden knob that only
@@ -167,17 +231,17 @@ PUBLIC_NAMES = [
     "GroebnerBuilder", "IdealZt", "InvariantFactors", "MiningResult", "MiningTask",
     "ZPoly", "adjacency_matrix", "algebraic_corank", "all_k_minors_in_ideal", "blowup",
     "canonical_form", "char_ideal_profile", "characteristic_ideal", "classify",
-    "critical_invariants_regular", "cross_check", "delta_sequence", "enumerate_connected",
-    "find_induced", "gcd_of_k_minors", "invariant_factors_from_deltas", "is_C_leq",
-    "is_K_leq_regular", "is_S_leq", "is_isomorphic", "laplacian_matrix", "lookup", "mine",
-    "multipartite_closed_form", "parse_edge_list", "parse_graph6",
-    "smith_invariants_via_ideals", "snf_diagonal", "strong_groebner", "to_graph6",
+    "cross_check", "delta_sequence", "enumerate_connected", "find_induced",
+    "gcd_of_k_minors", "invariant_factors_from_deltas", "is_C_leq", "is_K_leq_regular",
+    "is_S_leq", "is_isomorphic", "laplacian_matrix", "lookup", "mine",
+    "multipartite_closed_form", "parse_edge_list", "parse_graph6", "snf_diagonal",
+    "strong_groebner", "to_graph6",
 ]
 
 
 def test_public_api_is_the_pinned_names():
     import charideals
-    assert len(PUBLIC_NAMES) == 44
+    assert len(PUBLIC_NAMES) == 42
     assert sorted(charideals.__all__) == PUBLIC_NAMES
     assert len(set(charideals.__all__)) == len(charideals.__all__)
     for name in PUBLIC_NAMES:

@@ -16,14 +16,6 @@ def test_trailing_zeros_stripped():
     assert ZPoly((0, 1)) == T
 
 
-def test_degree_and_lead():
-    assert P(1, 2, 3).degree == 2
-    assert P(5).degree == 0
-    assert ZERO.degree == float("-inf")
-    assert P(1, 2, 3).lead == 3
-    assert ZERO.lead == 0
-
-
 def test_arithmetic_matches_oracle():
     rng = random.Random(7)
     for _ in range(300):
@@ -46,7 +38,6 @@ def test_int_mixing():
 
 
 def test_shift_and_monomial():
-    assert T.shifted(2) == (0, 0, 0, 1)
     assert ZPoly.monomial(3, 2) == (0, 0, 3)
     assert ZPoly.monomial(0, 5) == ()
     assert ZPoly.const(-2) == (-2,)

@@ -94,17 +94,18 @@ def test_reduce_balanced_convention():
 def test_is_trivial():
     assert IdealZt((P(1, -1, -1), P(0, 1, 1))).is_trivial()
     assert not IdealZt((P(2), P(0, 1))).is_trivial()
-    assert not IdealZt.zero().is_trivial()
+    assert not IdealZt().is_trivial()
 
 
 def test_contains_and_subset():
     i = IdealZt((P(2), P(0, 1)))
-    assert i.contains(P(0, -4, 0, -5, 1))  # t^4 - 5t^2 - 4t
+    assert not reduce(P(0, -4, 0, -5, 1), i.basis)  # t^4 - 5t^2 - 4t
     a, b = IdealZt((P(1, 1), P(3))), IdealZt((P(3), P(-2, 1)))
-    assert a.subset_of(b) and b.subset_of(a)
-    assert not IdealZt.unit().subset_of(i)
-    assert i.subset_of(IdealZt.unit())
-    assert IdealZt.zero().subset_of(i)
+    assert not any(reduce(p, b.basis) for p in a.basis)
+    assert not any(reduce(p, a.basis) for p in b.basis)
+    assert reduce(ONE, i.basis)  # the unit ideal is not inside i
+    assert not any(reduce(p, IdealZt.unit().basis) for p in i.basis)
+    assert IdealZt().basis == ()  # the zero ideal is inside every ideal
 
 
 def test_membership_brute_force_low_degree():
@@ -112,7 +113,7 @@ def test_membership_brute_force_low_degree():
     i = IdealZt((P(2), P(0, 1)))
     residue = reduce(P(1, 1), i.basis)
     diff = P(1, 1) - ZPoly(residue)
-    assert i.contains(diff)
+    assert not reduce(diff, i.basis)
     found = False
     for a in range(-3, 4):
         for b in range(-3, 4):
@@ -125,11 +126,11 @@ def test_evaluate_ideal():
     assert IdealZt((P(2), P(0, 1))).evaluate(0) == 2
     assert IdealZt.unit().evaluate(12345) == 1
     assert IdealZt((P(1, 1), P(3))).evaluate(3 * 4 - 1) == 3
-    assert IdealZt.zero().evaluate(5) == 0
+    assert IdealZt().evaluate(5) == 0
 
 
 def test_basis_argument_must_be_a_staircase():
-    assert IdealZt(basis=(P(2), P(0, 1))).contains(P(0, 1))
+    assert not reduce(P(0, 1), IdealZt(basis=(P(2), P(0, 1))).basis)
     for bad in ((P(0, 1), P(2)), (P(2), P(1, 3)), (P(-2),), (P(3), P(0, 2)), (P(2), P(0, 2)),
                 (P(),)):
         with pytest.raises(ValueError):
@@ -144,7 +145,7 @@ def test_generator_normalisation():
 def test_canonical_sorting_and_signs():
     i = IdealZt((P(0, 1, 0, -1), P(6), P(-4)))
     for g in i.basis:
-        assert g.lead > 0
+        assert g[-1] > 0
     degs = [len(g) for g in i.basis]
     assert degs == sorted(degs)
 
@@ -163,9 +164,9 @@ def test_builder_incremental_matches_batch():
 def test_builder_unit_early_flag():
     builder = GroebnerBuilder()
     builder.add(P(1, -1, -1))
-    assert not builder.is_unit
+    assert builder.basis != (ONE,)
     builder.add(P(0, 1, 1))
-    assert builder.is_unit
+    assert builder.basis == (ONE,)
     assert builder.add(P(5, 7)) is False  # everything already inside
 
 
@@ -174,7 +175,7 @@ def _spair_gpair(f, g):
         f, g = g, f
     cf, cg = f[-1], g[-1]
     s = len(f) - len(g)
-    shifted = g.shifted(s)
+    shifted = ZPoly((0,) * s + tuple(g))
     l = cf // gcd(cf, cg) * cg
     yield f * (l // cf) - shifted * (l // cg)
     # Bezout combination for the coefficient gcd
@@ -218,7 +219,8 @@ def test_equal_ideals_identical_bases():
             a, b = rng.choice(gens), rng.choice(gens)
             mixed.append(a * ZPoly((rng.randint(-2, 2), rng.randint(-2, 2))) + b)
         j = IdealZt(mixed)
-        assert i.subset_of(j) and j.subset_of(i)
+        assert not any(reduce(p, j.basis) for p in i.basis)
+        assert not any(reduce(p, i.basis) for p in j.basis)
         assert i.basis == j.basis
 
 
@@ -244,7 +246,7 @@ def test_evaluation_divides_members():
         p = ZPoly(())
         for g in gens:
             p = p + g * ZPoly([rng.randint(-3, 3) for _ in range(rng.randint(0, 3))])
-        assert i.contains(p)
+        assert not reduce(p, i.basis)
         c = rng.randint(-8, 8)
         ev = i.evaluate(c)
         if ev:
@@ -262,7 +264,7 @@ def test_json_round_trip():
 
 def test_pretty():
     assert IdealZt((P(2), P(0, 1))).pretty() == "⟨2, t⟩"
-    assert IdealZt.zero().pretty() == "⟨0⟩"
+    assert IdealZt().pretty() == "⟨0⟩"
     assert IdealZt.unit().pretty() == "⟨1⟩"
 
 

@@ -96,6 +96,14 @@ def test_smith_invariants_via_ideals():
         assert _invariants_at(g, 0) == snf_diagonal(adjacency_matrix(g)), g
 
 
+def test_smith_invariants_match_direct_snf():
+    # random graphs, disconnected ones among them, which enumerate_connected skips
+    rng = random.Random(53)
+    for _ in range(60):
+        g = oracles.random_graph(rng, rng.randint(1, 6))
+        assert _invariants_at(g, 0) == snf_diagonal(adjacency_matrix(g)), g
+
+
 def test_critical_invariants_regular():
     # and at t = r that of the Laplacian of an r-regular graph
     graphs = [g for n in range(1, 9) for g in enumerate_connected(n)

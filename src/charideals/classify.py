@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .catalog import FAMILY_F, FORBIDDEN_S4, lookup
 from .graphs import adjacency_matrix, parse_graph6, true_twin_quotient, twin_classes
-from .graph_ideals import algebraic_corank
+from .graph_ideals import _corank, algebraic_corank
 from .intlinalg import ConsistencyError, snf_diagonal
 from .isomorphism import canonical_form, find_induced, is_isomorphic
 from .mining import CONNECTED_COUNTS, STATISTICS, _level
@@ -245,7 +245,7 @@ def classify(g):
     g6 = canonical_form(g)
     snf = snf_diagonal(adjacency_matrix(g))
     phi_a = snf.ones
-    gamma = algebraic_corank(g)
+    gamma = _corank(g, phi_a)
     phi_l = STATISTICS["phiL"](g)
     decided = [*(_s_leq(g, k, phi_a) for k in (1, 2, 3)), _s4_partial(g, snf),
                *(_c_leq(g, k, gamma) for k in (1, 2, 3)),

@@ -24,18 +24,22 @@ its row and column are dropped, on entries held as the integers p(2^w),
 with w wide enough that each, up to sign a minor of M', unpacks uniquely.
 Unit pivots leave the Fitting ideals unchanged while shifting k by one,
 so after r pivots I_k(M') = I_(k-r)(M) for the remaining matrix M, and
-I_k(tI - A) is the unit ideal for every k <= r.  Third, the minors of M
-are integer determinants (intlinalg.det_int) of its packed entries,
-deduplicated by submatrix content and then up to sign by absolute value,
-as a packed value has the sign of its leading coefficient; each distinct
-one is unpacked once, and the minors are multiplied by split-factor
-products.  One source, _generators, yields them to every caller and k,
-taking each size once per call, as far as it is read.  Fourth, they go
-into the lattice that serves every ideal of Z[t] (ztideal): the part of
-I_k of degree at most k, in Hermite normal form keyed by degree.  No
-minor has degree above k, and closure under t supplies the rows up to
-degree k.  The form stops as soon as it holds 1, and otherwise gives the
-reduced Groebner basis.  The co-rank is found top-down from an upper
+I_k(tI - A) is the unit ideal for every k <= r.  Third, the 1-minors of
+M are its packed entries, and the larger minors integer determinants
+(intlinalg.det_int) of them, deduplicated by submatrix content; all are
+deduplicated up to sign by absolute value, as a packed value has the sign
+of its leading coefficient, and each distinct one is unpacked once.  The
+(k - j - r)-minors are multiplied by the products of j split factors, for
+j from k - r down: a product of more factors is a multiple of one of
+k - r, beside which the minor is already 1.  One source, _generators,
+yields them to every caller and k, taking each size once per call, as far
+as it is read.  Fourth, they go into the lattice that serves every ideal
+of Z[t] (ztideal): the part of I_k of degree at most
+D = min(k, max over j of j + (k - j - r)e), in Hermite normal form keyed
+by degree, where e is the largest degree of an entry of M.  No generator
+has degree above D, and closure under t supplies the rows up to degree D.
+The form stops as soon as it holds 1, and otherwise gives the reduced
+Groebner basis.  The co-rank is found top-down from an upper
 bound read off integer Smith forms of the presentation, so most graphs
 need one trivial ideal and none needs a nontrivial basis.
 """
@@ -112,13 +116,23 @@ def _split_products(of_t, of_t1, j):
                  for x in range(max(0, j - of_t1), min(j, of_t) + 1))
 
 
+def _factor_counts(pres, k):
+    """The numbers j of split factors in the generators of I_k, from k - r
+    down: a product of more than k - r factors is a multiple of one of
+    k - r, whose minor is already ONE, and no minor has more than
+    len(mat) rows."""
+    mat, _, r, (of_t, of_t1) = pres
+    return range(min(k - r, of_t + of_t1), max(0, k - r - len(mat)) - 1, -1)
+
+
 def _generators(pres):
     """k -> the nonzero generators of the k-th characteristic ideal, leading
     coefficient positive, from the presentation `pres`: each product
     t^x (t+1)^y of j split factors times each distinct (k - j - r)-minor of
-    the pivoted matrix; ONE alone when k is at most r.  Each minor size is
-    taken once and lazily, as far as a caller reads it, and replayed to
-    later calls."""
+    the pivoted matrix, for j in _factor_counts, so the products beside
+    the smallest minors come first; ONE alone when k is at most r.
+    Each minor size is taken once and lazily, as far as a caller reads it,
+    and replayed to later calls."""
     mat, w, r, (of_t, of_t1) = pres
     taken = {}
 
@@ -135,29 +149,54 @@ def _generators(pres):
         if k <= r:
             yield ONE
             return
-        for j in range(max(0, k - r - len(mat)), min(k, of_t + of_t1) + 1):
+        for j in _factor_counts(pres, k):
             factors = _split_products(of_t, of_t1, j)
-            for m in minors(k - j - r):  # of at most len(mat) rows
+            for m in minors(k - j - r):
                 for f in factors:
                     yield f * m if j else m
     return gens
+
+
+def _lattice_degree(pres, k):
+    """D, a degree at or above that of every generator of I_k from
+    _generators: j split factors have degree j, and a (k - j - r)-minor of
+    the pivoted matrix at most k - j - r times its largest entry degree e,
+    or k - j, as it is up to sign a (k - j)-minor of the kept matrix."""
+    mat, w, r, _ = pres
+    # A packed entry x = p(2^w) with p of degree d has |x|.bit_length() // w
+    # == d.  Each coefficient of p is at most L < 2^(w-1) in size (see
+    # _presentation), so |x| <= (2^(w-1) - 1)(2^(w(d+1)) - 1)/(2^w - 1)
+    # < 2^(w(d+1) - 1), while the terms below t^d sum to less than
+    # (2^(wd) - 1)/2 in size and the leading one is at least 2^(wd), so
+    # |x| > 2^(wd - 1).  Hence wd <= |x|.bit_length() < w(d + 1), and the
+    # largest |x| has the largest degree.
+    e = max((abs(x) for row in mat for x in row), default=0).bit_length() // w
+    return min(k, max((j + (k - j - r) * e for j in _factor_counts(pres, k)), default=0))
 
 
 def _distinct_minors(mat, w, size):
     """The distinct nonzero size-minors of `mat`, packed at width w, up to
     sign, leading coefficient positive; ONE alone when size <= 0.
 
-    Columns of each row set are keyed by their packed entries in those
+    The 1-minors are the entries, in row-major order.  For larger sizes,
+    columns of each row set are keyed by their packed entries in those
     rows: a zero column is never chosen, and a submatrix already seen is
     skipped.  A packed value has the sign of its leading coefficient, so
-    abs takes each determinant up to sign, and it is unpacked once.
+    abs takes each minor up to sign, and it is unpacked once.
     """
     if size <= 0:
         yield ONE
         return
+    values = {0}
+    if size == 1:
+        for row in mat:
+            for x in map(abs, row):
+                if x not in values:
+                    values.add(x)
+                    yield _unpack(x, w)
+        return
     cols = list(zip(*mat))
     seen = set()
-    values = set()
     for rows in combinations(range(len(mat)), size):
         keys = [tuple(col[i] for i in rows) for col in cols]
         live = [c for c, key in enumerate(keys) if any(key)]
@@ -167,15 +206,15 @@ def _distinct_minors(mat, w, size):
                 continue
             seen.add(key)
             x = abs(det_int([list(col) for col in key]))  # transposed: same det
-            if x and x not in values:
+            if x not in values:
                 values.add(x)
                 yield _unpack(x, w)
 
 
-def _basis(gens, k):
+def _basis(pres, gens, k):
     """Reduced strong Groebner basis of the k-th characteristic ideal, from
-    the generators `_generators` gives."""
-    return _canonicalize(_lattice(gens(k), k))
+    the generators `_generators(pres)` gives."""
+    return _canonicalize(_lattice(gens(k), _lattice_degree(pres, k)))
 
 
 def _check_index(g, k):
@@ -186,13 +225,14 @@ def _check_index(g, k):
 def characteristic_ideal(g, k):
     """Reduced Groebner basis of the ideal of all k-minors of tI - A(g)."""
     _check_index(g, k)
-    return IdealZt(basis=_basis(_generators(_presentation(g)), k))
+    pres = _presentation(g)
+    return IdealZt(basis=_basis(pres, _generators(pres), k))
 
 
 _BOUND_POINTS = (0, 1, -1, 2, -2)
 
 
-def _corank_bound(pres):
+def _corank_bound(pres, phi=None):
     """u >= the co-rank, from the presentation.
 
     I_k evaluated at t = a is the ideal of Z generated by the k-minors of
@@ -202,12 +242,15 @@ def _corank_bound(pres):
     whole sum: diag(2) (+) diag(3) has a unit invariant factor though
     neither block has one.  u is r plus the fewest over the points a; no
     count is below 0, so the points after the first that has none are
-    skipped.
+    skipped.  At a = 0 the sum is equivalent to -A up to the r units, so
+    when phi, the unit count of A, is given the count there is phi - r.
     """
     mat, w, r, (of_t, of_t1) = pres
     polys = [[_unpack(e, w) for e in row] for row in mat]
 
     def unit_factors(a):
+        if a == 0 and phi is not None:
+            return phi - r
         diag = [a] * of_t + [a + 1] * of_t1
         rows = [[p(a) for p in row] + [0] * len(diag) for row in polys]
         rows += [[0] * len(mat) + [c if i == j else 0 for j in range(len(diag))]
@@ -231,10 +274,16 @@ def algebraic_corank(g):
     Only the trivial test is run, which stops at the unit ideal; no
     nontrivial ideal is completed to a basis, and the k share minor sizes.
     """
+    return _corank(g)
+
+
+def _corank(g, phi=None):
+    """algebraic_corank(g); a caller that holds phi, the number of unit
+    invariant factors of A(g), passes it on to the bound."""
     pres = _presentation(g)
     gens = _generators(pres)
-    for k in range(_corank_bound(pres), pres[2], -1):
-        if _lattice(gens(k), k)[0] == [1]:
+    for k in range(_corank_bound(pres, phi), pres[2], -1):
+        if _lattice(gens(k), _lattice_degree(pres, k))[0] == [1]:
             return k
     return pres[2]
 
@@ -249,8 +298,9 @@ class CharIdealProfile:
 
 
 def char_ideal_profile(g):
-    gens = _generators(_presentation(g))
-    ideals = tuple(IdealZt(basis=_basis(gens, k)) for k in range(1, g.n + 1))
+    pres = _presentation(g)
+    gens = _generators(pres)
+    ideals = tuple(IdealZt(basis=_basis(pres, gens, k)) for k in range(1, g.n + 1))
     gamma = len(list(takewhile(IdealZt.is_trivial, ideals)))
     return CharIdealProfile(g, ideals, gamma)
 

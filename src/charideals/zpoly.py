@@ -37,8 +37,12 @@ class ZPoly(tuple):
         return tuple.__new__(ZPoly, tuple(-c for c in self))
 
     def __add__(self, other):
+        # polynomials and integers only: tuple + ZPoly then concatenates, as
+        # for any tuples, and ZPoly + tuple raises TypeError
         if isinstance(other, int):
             other = ZPoly.const(other)
+        elif not isinstance(other, ZPoly):
+            return NotImplemented
         if len(self) < len(other):
             self, other = other, self
         out = list(self)

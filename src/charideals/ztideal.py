@@ -24,8 +24,8 @@ the lattice queues t*r for every row it created or replaced; the other
 rows keep their multiples.  It stops once the degree-0 row is 1, and
 once the rank is full it keeps entries modulo the determinant, since the
 lattice then contains that multiple of Z^(D+1).  Characteristic ideals
-(graph_ideals) use the same routine with D = k for the k-minors, which
-may lie above their top degree.
+(graph_ideals) use the same routine with D the most their generators'
+degrees can be, which is at most k and may lie above the top one.
 
 The leading coefficients of the rows weakly fall with the degree, as t*r
 is in L, so `_canonicalize` reads the reduced basis straight off them:

@@ -630,7 +630,7 @@ def _pair_candidates(f, g):
         f, g = g, f
     cf, cg = f[-1], g[-1]
     s = len(f) - len(g)
-    gs = ZPoly((0,) * s + tuple(g))
+    gs = ZPoly((0,) * s + g)
     if cf % cg == 0:
         yield f - gs * (cf // cg)
     elif cg % cf == 0:

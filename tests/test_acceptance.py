@@ -275,9 +275,12 @@ def test_criterion_8g_groebner_closure():
         if len(f) < len(g):
             f, g = g, f
         cf, cg = f[-1], g[-1]
-        shifted = ZPoly((0,) * (len(f) - len(g)) + tuple(g))
+        shifted = ZPoly((0,) * (len(f) - len(g)) + g)
         l = cf // gcd(cf, cg) * cg
-        yield f * (l // cf) - shifted * (l // cg)
+        spoly = f * (l // cf) - shifted * (l // cg)
+        # the leading terms cancel only when g is shifted up to f's degree
+        assert len(spoly) < len(f), (f, g)
+        yield spoly
         a, b, oa, ob = 0, 1, 1, 0
         x, y = cf, cg
         while y:
@@ -285,7 +288,9 @@ def test_criterion_8g_groebner_closure():
             x, y = y, x - q * y
             oa, a = a, oa - q * a
             ob, b = b, ob - q * b
-        yield f * oa + shifted * ob
+        gpoly = f * oa + shifted * ob
+        assert len(gpoly) == len(f) and gpoly[-1] == gcd(cf, cg), (f, g)
+        yield gpoly
 
     while cases < 500:
         gens = [ZPoly([rng.randint(-9, 9) for _ in range(rng.randint(0, 5))])

@@ -96,7 +96,8 @@ def test_mine_corank_recheck_catches_a_low_bound(monkeypatch):
     # a co-rank bound one too low makes the top-down route undercount; the
     # bottom-up recheck of each minimal graph never reads that bound
     bound = graph_ideals._corank_bound
-    monkeypatch.setattr(graph_ideals, "_corank_bound", lambda pres: bound(pres) - 1)
+    monkeypatch.setattr(graph_ideals, "_corank_bound",
+                        lambda pres, phi=None: bound(pres, phi) - 1)
     with pytest.raises(ConsistencyError):
         mine(MiningTask(6, "gammaA", 2))
 

@@ -11,7 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from charideals import ztideal
+from charideals import char_ideal_profile, lookup, ztideal
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -27,11 +27,26 @@ def test_ideal_chain_round_traced_and_untraced(monkeypatch):
     assert out["traced"]["errors"] == []
     records = out["trace"]["records"]
     assert records["graph_ideals.characteristic_ideal"][0] > 0
-    # the engine's minors go through det_int, so its metric counts them
-    assert records["graph_ideals.det_int"][0] > 0
+    # the tracer binds det_int, though this round takes no minor of two or
+    # more rows, so it makes no call
+    assert "graph_ideals.det_int" in records
     # patched and restored, though the lattice engine makes no call to it
     assert "ztideal.GroebnerBuilder.add" in records
     assert ztideal.GroebnerBuilder.add is add
+
+
+def test_traced_profile_counts_the_engine_determinants(monkeypatch):
+    # minors of two or more rows are integer determinants, which the
+    # graph_ideals.det_int metric counts
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        char_ideal_profile(lookup("petersen"))
+    finally:
+        tr.uninstall()
+    assert tr.records["graph_ideals.det_int"][0] > 0
 
 
 def test_traced_cli_lists_the_wrapped_functions():

@@ -134,6 +134,42 @@ def test_packed_minors_match_expansion_of_row_ops_matrix():
             assert set(got) == _minors_by_expansion(want, size), (to_graph6(g), size)
 
 
+def test_generators_lie_within_the_lattice_degree_and_k_minus_r_factors(monkeypatch):
+    # gens(k) takes products of j split factors from j = k - r down (one of
+    # more factors is a multiple of one of k - r, whose minor is ONE), and
+    # the lattice may stop at _lattice_degree only if no generator lies
+    # above it; a bound one lower fails somewhere in each set
+    counts = []
+    take = graph_ideals._split_products
+
+    def counted(of_t, of_t1, j):
+        counts.append(j)
+        return take(of_t, of_t1, j)
+    monkeypatch.setattr(graph_ideals, "_split_products", counted)
+    rng = random.Random(211)  # the mixed blow-ups of the row-operation check
+    small = [g for n in range(1, 8) for g in enumerate_connected(n)]
+    for graphs, pairs in ((small, 6781), ([_mixed_blowup(rng, 30) for _ in range(60)], 1651)):
+        checked = tight = below_k = split = 0
+        for g in graphs:
+            pres = _presentation(g)
+            mat, _, r, (of_t, of_t1) = pres
+            split += of_t + of_t1 > 0
+            gens = graph_ideals._generators(pres)
+            for k in range(1, g.n + 1):
+                counts.clear()
+                deg = graph_ideals._lattice_degree(pres, k)
+                top = max(len(p) - 1 for p in gens(k))
+                assert top <= deg <= k, (to_graph6(g), k)
+                if k > r:
+                    assert counts == list(range(min(k - r, of_t + of_t1),
+                                                max(0, k - r - len(mat)) - 1, -1))
+                checked += 1
+                tight += top == deg
+                below_k += deg < k
+        assert checked == pairs
+        assert tight and below_k and split, (checked, tight, below_k, split)
+
+
 def _count_minor_sizes(monkeypatch):
     calls = []
     take = graph_ideals._distinct_minors

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from charideals.zpoly import ONE, T, ZERO, ZPoly
 
 import oracles
@@ -35,6 +37,20 @@ def test_int_mixing():
     assert 3 * T == (0, 3)
     assert P(1, 1) - 1 == (0, 1)
     assert 1 - P(1, 1) == (0, -1)
+
+
+def test_addition_takes_only_polynomials_and_integers():
+    # a tuple on the left concatenates, as tuples do, instead of adding
+    assert (0, 0) + P(1, 2) == (0, 0, 1, 2)
+    assert type((0, 0) + P(1, 2)) is tuple
+    for other in ((1,), [1], 1.5, "t"):
+        with pytest.raises(TypeError):
+            P(1, 2) + other
+    for p in (1 + P(1, 2), P(1, 2) + 1, sum([P(1, 2), P(0, 1), T])):
+        assert type(p) is ZPoly
+    assert 1 + P(1, 2) == P(1, 2) + 1 == (2, 2)
+    assert sum([P(1, 2), P(0, 1), T]) == (1, 4)
+    assert sum([P(1, 2), P(-1, -2)]) == ZERO
 
 
 def test_shift_and_monomial():

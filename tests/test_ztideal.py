@@ -175,7 +175,7 @@ def _spair_gpair(f, g):
         f, g = g, f
     cf, cg = f[-1], g[-1]
     s = len(f) - len(g)
-    shifted = ZPoly((0,) * s + tuple(g))
+    shifted = ZPoly((0,) * s + g)
     l = cf // gcd(cf, cg) * cg
     yield f * (l // cf) - shifted * (l // cg)
     # Bezout combination for the coefficient gcd

@@ -18,6 +18,8 @@ disagreement, and the certificate marks the route partial.
 
 from __future__ import annotations
 
+import os
+
 from .catalog import FAMILY_F, FORBIDDEN_S4, lookup
 from .graphs import adjacency_matrix, parse_graph6, true_twin_quotient, twin_classes
 from .graph_ideals import _corank, algebraic_corank
@@ -294,20 +296,22 @@ def _check_line(g6):
 
 
 def imap_workers(fn, items, workers, chunksize=1):
-    """fn over items, lazily and in order; over a pool of `workers`
-    processes when workers > 1, handing each `chunksize` items at a time."""
-    if workers <= 1:
-        yield from map(fn, items)
-        return
-    import multiprocessing
-    with multiprocessing.Pool(workers) as pool:
-        yield from pool.imap(fn, items, chunksize)
+    """fn over items, lazily and in order: over `workers` forked processes
+    when workers > 1 and os.fork exists, `chunksize` items at a time, and
+    sequentially otherwise.  Every worker is forked before any thread
+    starts.  An exception fn raises is raised here, a worker that dies
+    raises ChildProcessError, and however the iterator ends, closed early
+    included, every worker is killed and reaped."""
+    if workers <= 1 or not hasattr(os, "fork"):
+        return map(fn, items)
+    from ._forked import imap_forked  # loaded only by runs with workers
+    return imap_forked(fn, items, workers, chunksize)
 
 
 def cross_check(max_n, workers=1):
     """Classify every connected graph up to isomorphism with at most max_n
     vertices, recording route disagreements and nesting violations.  Graphs
-    are distributed over a process pool when workers > 1; counters merge in
+    are distributed over forked workers when workers > 1; counters merge in
     the parent either way."""
     if max_n < 1:
         raise ValueError(f"crosscheck needs max_n >= 1, got {max_n}")

@@ -1,7 +1,10 @@
 import hashlib
 import importlib
 import json
+import os
 import random
+import signal
+import subprocess
 import sys
 from pathlib import Path
 
@@ -16,11 +19,13 @@ from charideals.catalog import (FAMILY_F, FORBIDDEN_S4, complete_graph,
                                 complete_multipartite_graph, cycle_graph, path_graph,
                                 prism_graph, star_graph)
 from charideals.classify import (RouteDisagreement, _s4_partial,
-                                 complete_multipartite_parts)
+                                 complete_multipartite_parts, imap_workers)
 from charideals.graphs import Graph
 from charideals.mining import enumerate_connected
 
 import oracles
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def test_classify_rejects_disconnected_and_empty():
@@ -210,6 +215,119 @@ def test_cross_check_parallel_matches_sequential():
     assert not par.violations
 
 
+def _recorded_forks(monkeypatch):
+    """The pids of the children os.fork makes from here on."""
+    pids = []
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def _reaped(pid):
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _uneven(x):
+    # items cost from nothing to a few ms, so workers finish out of order
+    return x, sum(range((x * 7919) % 13 * 20000))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 5])  # 5: usually more workers than cores
+@pytest.mark.parametrize("chunksize", [1, 16])
+def test_imap_workers_matches_map(monkeypatch, workers, chunksize):
+    forks = _recorded_forks(monkeypatch)
+    items = list(range(53))
+    assert list(imap_workers(_uneven, items, workers, chunksize)) == list(map(_uneven, items))
+    assert len(forks) == (0 if workers == 1 else workers)
+    assert all(_reaped(pid) for pid in forks)
+
+
+def _fails_on_21(x):
+    if x == 21:
+        raise KeyError(f"no item {x}")
+    return x
+
+
+@pytest.mark.parametrize("chunksize", [1, 16])
+def test_imap_workers_raises_what_fn_raises(monkeypatch, chunksize):
+    forks = _recorded_forks(monkeypatch)
+    with pytest.raises(KeyError, match="no item 21"):
+        list(imap_workers(_fails_on_21, range(40), 2, chunksize))
+    assert len(forks) == 2 and all(_reaped(pid) for pid in forks)
+
+
+def _disagrees(x):
+    raise RouteDisagreement("C^", "S<=1", {"count": x})
+
+
+def test_imap_workers_names_an_exception_it_cannot_rebuild():
+    # RouteDisagreement needs three arguments, so unpickling it would fail
+    with pytest.raises(RuntimeError, match="^RouteDisagreement: routes disagree on S<=1 "
+                                           "for C\\^: count=3$"):
+        list(imap_workers(_disagrees, [3], 2))
+
+
+def test_imap_workers_closed_early_reaps_its_workers(monkeypatch):
+    forks = _recorded_forks(monkeypatch)
+    results = imap_workers(_uneven, iter(range(10**9)), 2)
+    assert next(results) == _uneven(0)
+    results.close()
+    assert len(forks) == 2 and all(_reaped(pid) for pid in forks)
+
+
+_DEAD_WORKER = """
+import os
+from charideals.classify import imap_workers
+
+def fn(x):
+    if x == 5:
+        os._exit(7)
+    return x
+
+try:
+    list(imap_workers(fn, range(40), 2))
+except ChildProcessError as exc:
+    print(exc)
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print("a worker is left")
+except ChildProcessError:
+    print("no worker left")
+"""
+
+
+def test_imap_workers_raises_when_a_worker_dies():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    with subprocess.Popen([sys.executable, "-c", _DEAD_WORKER], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, env=env,
+                          start_new_session=True) as proc:
+        try:
+            out, err = proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("imap_workers hung on a dead worker")
+    assert proc.returncode == 0, err
+    assert err == ""
+    died, left = out.splitlines()
+    assert died.startswith("worker process ") and died.endswith(
+        " exited with code 7 before returning its results")
+    assert left == "no worker left"
+
+
 def test_cross_check_reports_unexpected_exception(monkeypatch):
     # the package's `classify` attribute is the function, not the module
     classify_mod = importlib.import_module("charideals.classify")
@@ -331,7 +449,7 @@ def test_classify_takes_one_smith_form_fewer_per_corank_bound(monkeypatch):
     # classify hands phi_adjacency to the co-rank bound, which then takes
     # no Smith form at t = 0: 4,772 instead of 5,912 on the ten seed-1
     # classify-stream inputs of perfbench
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
     import inputs
     calls = []
 

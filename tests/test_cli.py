@@ -4,6 +4,7 @@ import json
 import os
 import queue
 import shutil
+import signal
 import subprocess
 import sys
 import threading
@@ -543,3 +544,55 @@ def test_classify_stream_answers_each_line_as_it_arrives(threads):
     assert envs[0]["payload"]["corank"] == 2
     assert envs[1]["payload"]["line"] == 2 and "disconnected" in envs[1]["payload"]["error"]
     assert envs[2]["payload"]["memberships"]["K<=1"] is True
+
+
+def _stream_env(threads):
+    env = dict(os.environ, GRAPHTOOL_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_classify_stream_ends_when_its_reader_leaves(tmp_path):
+    # like `classify - | head -1`: exit 0 at once, no worker left behind
+    stream = tmp_path / "stream.txt"
+    stream.write_text("C^\nC~\nDhc\n" * 100)
+    with stream.open() as inp, subprocess.Popen(
+            [sys.executable, "-m", "charideals", "classify", "-"], stdin=inp,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=_stream_env("2"), start_new_session=True) as proc:
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            code = "still running after 30 s"
+        err = proc.stderr.read()
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            left = False
+        else:
+            left = True
+            os.killpg(proc.pid, signal.SIGKILL)
+    assert code == 0, err
+    assert err == ""
+    assert not left, "a process of the stream outlived it"
+    assert json.loads(first)["input"] == canonical_form(parse_graph6("C^"))
+
+
+_STREAM_THEN_MODULES = """
+import sys
+from charideals.cli import main
+code = main(["classify", "-"])
+print(sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing"), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_classify_stream_does_not_import_multiprocessing():
+    proc = subprocess.run([sys.executable, "-c", _STREAM_THEN_MODULES], input="C^\nC~\n",
+                          capture_output=True, text=True, env=_stream_env("2"), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert len(envelopes(proc.stdout)) == 2
+    assert proc.stderr == "[]\n"

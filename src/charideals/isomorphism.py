@@ -16,6 +16,9 @@ sibling onto it, and a leaf that matches the first or the best leaf sends
 the search back to the branch point the two paths share.  Every leaf left
 out has the encoding of one explored, so the least encoding is that of the
 whole tree; the automorphisms found generate the automorphism group.
+A leaf's encoding is the graph6 body of the graph relabelled by it, so the
+canonical graph6 is read off the best leaf, and two graphs are isomorphic
+when their best encodings are equal.
 Induced-subgraph search is a backtracking embedding, pruned by degree and
 twins, after a cut that matches the two degree sequences; the host's
 tables are built once per host and reused by every pattern matched in it.
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .graphs import to_graph6, twin_classes
+from .graphs import twin_classes
 
 
 def _refine(adj, cells):
@@ -107,12 +110,13 @@ def _automorphism(src, dst):
 
 
 def _label(adj):
-    """(order, generators) for the graph with adjacency bitmasks adj: a
-    vertex order whose relabelling is the canonical form, and permutations
-    (tuples of images) generating the automorphism group."""
+    """(order, generators, key) for the graph with adjacency bitmasks adj: a
+    vertex order whose relabelling is the canonical form, permutations
+    (tuples of images) generating the automorphism group, and the canonical
+    form's graph6 body bits as one integer (_leaf_key of that order)."""
     n = len(adj)
     if n <= 1:
-        return tuple(range(n)), []
+        return tuple(range(n)), [], 0
     full = (1 << n) - 1
     gens = []  # (images, mask of fixed points)
     # swaps of consecutive twins in each class, false then true twins:
@@ -172,19 +176,31 @@ def _label(adj):
         d = a.bit_count()
         by_degree[d] = by_degree.get(d, 0) | 1 << v
     dfs([by_degree[d] for d in sorted(by_degree)], (), 0)
-    return tuple(best[1]), [p for p, _ in gens]
+    return tuple(best[1]), [p for p, _ in gens], best[0]
+
+
+def _graph6(n, key):
+    """graph6 of the graph on n vertices whose body bits are key: a byte
+    n + 63, then the n(n - 1)/2 bits, zero-padded to whole 6-bit chunks,
+    each chunk + 63."""
+    chunks = (n * (n - 1) // 2 + 5) // 6
+    key <<= 6 * chunks - n * (n - 1) // 2
+    return bytes([n + 63] + [(key >> s & 63) + 63
+                             for s in range(6 * chunks - 6, -1, -6)]).decode("ascii")
 
 
 def canonical_form(g):
     """graph6 of a canonically relabelled copy; equal iff graphs isomorphic."""
-    return to_graph6(g.relabelled(_label(g.adj)[0]))
+    if g.n > 62:
+        raise ValueError("graph6 output limited to n <= 62")
+    return _graph6(g.n, _label(g.adj)[2])
 
 
 def is_isomorphic(g, h):
     if g.n != h.n or sorted(g.degrees()) != sorted(h.degrees()):
         return False
-    # the relabelled graphs, not their graph6, which stops at 62 vertices
-    return g.relabelled(_label(g.adj)[0]) == h.relabelled(_label(h.adj)[0])
+    # the canonical keys, not graph6, which stops at 62 vertices
+    return _label(g.adj)[2] == _label(h.adj)[2]
 
 
 @lru_cache(maxsize=512)

@@ -37,6 +37,10 @@ every smaller forbidden one.  Either way each minimal graph is then
 rechecked: its value by a second route, and its minimality by deleting
 each vertex.  That route takes phi from minor gcds and the co-rank bottom-up
 from char_ideal_profile, without the Smith form or the evaluation bound.
+Each mine() call keeps a memo of the adjacencies it labels, with their
+canonical graph6, children included but for those of the last level, which
+no lookup can meet.  The minimality test and the recheck read it, so no
+run labels an adjacency twice, and it ends with the call.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from .graphs import Graph, adjacency_matrix, laplacian_matrix, parse_graph6, rea
 from .graph_ideals import algebraic_corank, char_ideal_profile
 from .intlinalg import (ConsistencyError, delta_sequence, invariant_factors_from_deltas,
                         snf_diagonal)
-from .isomorphism import _label, _orbit, canonical_form, find_induced
+from .isomorphism import _graph6, _label, _orbit, find_induced
 
 # connected graphs up to isomorphism on 1, 2, 3, ... vertices (OEIS A001349)
 CONNECTED_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117, 261080, 11716571)
@@ -90,28 +94,31 @@ def _is_cut_vertex(adj, v):
     return reach(adj, rest & -rest, rest) != rest
 
 
-def _children(g6, gens):
+def _children(g6, gens, memo=None):
     """Each connected class on one vertex more whose canonical deletion
     leaves the class of g6, once, as (canonical graph6, canonically
     relabelled Graph, the new vertex's index in it, generators of its
     automorphism group in that labelling).  gens generate the automorphism
-    group of g6's graph."""
+    group of g6's graph.  memo, when given, takes the canonical graph6 of
+    every child labelled, as _canonical reads it."""
     adj = parse_graph6(g6).adj
     n = len(adj)
     for mask in _mask_orbits(n, gens):
-        child = [a | (mask >> u & 1) << n for u, a in enumerate(adj)] + [mask]
+        child = tuple([a | (mask >> u & 1) << n for u, a in enumerate(adj)]) + (mask,)
         degree = mask.bit_count()
         # the deletion vertex is a non-cut vertex of largest degree
         if any(a.bit_count() > degree and not _is_cut_vertex(child, u)
                for u, a in enumerate(child)):
             continue
-        order, perms = _label(child)
+        order, perms, key = _label(child)
+        c = _graph6(n + 1, key)
+        if memo is not None:
+            memo[child] = c
         w = next(u for u in order if child[u].bit_count() == degree
                  and not _is_cut_vertex(child, u))
         if w == n or _orbit(perms, 1 << w) >> n & 1:
             place = sorted(range(n + 1), key=order.__getitem__)  # inverse of order
-            g = Graph.from_adj(child).relabelled(order)
-            yield (to_graph6(g), g, place[n],
+            yield (c, Graph.from_adj(child).relabelled(order), place[n],
                    tuple(tuple([place[p[u]] for u in order]) for p in perms))
 
 
@@ -210,21 +217,34 @@ def _independent_value(g6, statistic):
     return invariant_factors_from_deltas(delta_sequence(mat)).ones
 
 
-def _deletions(g, new, gens):
-    """One connected g - v per automorphism orbit but that of the new
-    vertex, whose deletion is the parent, highest index first; new and
-    gens as _children yields them."""
+def _deletions(adj, new, gens):
+    """The adjacency tuple of one connected deletion per automorphism orbit
+    but that of the new vertex, whose deletion is the parent, highest index
+    first; adj is a canonically labelled graph, new and gens as _children
+    yields them.  A canonical order lists the vertices by nondecreasing
+    degree, as _label refines the partition by degree, so this is also
+    highest degree first."""
     done = _orbit(gens, 1 << new)
-    for u in range(g.n - 1, -1, -1):
+    for u in range(len(adj) - 1, -1, -1):
         if not done >> u & 1:
             done |= _orbit(gens, 1 << u)
-            if not _is_cut_vertex(g.adj, u):
-                yield g.delete_vertex(u)
+            if not _is_cut_vertex(adj, u):
+                low = (1 << u) - 1
+                yield tuple([a & low | a >> (u + 1) << u for v, a in enumerate(adj) if v != u])
 
 
-def _grow(max_vertices, limit, fn, values):
+def _canonical(adj, memo):
+    # the canonical graph6 of the adjacency tuple adj, labelled once per memo
+    s = memo.get(adj)
+    if s is None:
+        s = memo[adj] = _graph6(len(adj), _label(adj)[2])
+    return s
+
+
+def _grow(max_vertices, limit, fn, values, memo):
     """Minimal forbidden graphs as (size, graph6, Graph), and the members,
-    of a statistic that deleting a vertex never raises."""
+    of a statistic that deleting a vertex never raises; memo as _canonical
+    reads it."""
     # member -> its automorphism generators, as its labelling as a child
     # found them; K_1, with phiA and gammaA 0 on it, has none
     level = {to_graph6(Graph(1)): ()}
@@ -232,12 +252,15 @@ def _grow(max_vertices, limit, fn, values):
     minimal = []
     for size in range(2, max_vertices + 1):
         grown = {}
+        # a lookup has fewer than max_vertices vertices: the last level's
+        # children would only fill the memo
+        known = memo if size < max_vertices else None
         for s in sorted(level):
-            for c, g, new, gens in _children(s, level[s]):
+            for c, g, new, gens in _children(s, level[s], known):
                 val = values[c] = fn(g)
                 if val < limit:
                     grown[c] = gens
-                elif all(canonical_form(h) in level for h in _deletions(g, new, gens)):
+                elif all(_canonical(h, memo) in level for h in _deletions(g.adj, new, gens)):
                     minimal.append((size, c, g))
         members.update(grown)
         level = grown
@@ -247,6 +270,8 @@ def _grow(max_vertices, limit, fn, values):
 def _scan(max_vertices, limit, fn, values):
     """The same for any statistic: every connected graph is evaluated, and
     each forbidden one is searched for every smaller forbidden one."""
+    # every level in one pass: a level finished alone is labelled again as parents
+    _level(max_vertices)
     members = set()
     forbidden = []  # (size, graph6, Graph)
     for size in range(2, max_vertices + 1):
@@ -274,8 +299,11 @@ def mine(task):
     fn = STATISTICS[task.statistic]
     limit = task.k + 1
     values = {}
-    route = _grow if task.statistic in _HEREDITARY else _scan
-    minimal, members = route(task.max_vertices, limit, fn, values)
+    memo = {}  # adjacency tuple -> canonical graph6, for this run only
+    if task.statistic in _HEREDITARY:
+        minimal, members = _grow(task.max_vertices, limit, fn, values, memo)
+    else:
+        minimal, members = _scan(task.max_vertices, limit, fn, values)
     for size, g6, g in minimal:
         recheck = _independent_value(g6, task.statistic)
         if recheck != values[g6]:
@@ -286,7 +314,7 @@ def mine(task):
             if not h.is_connected():
                 continue
             # a miss is K_1, or under phiL a graph that is not regular
-            key = canonical_form(h)
+            key = _canonical(h.adj, memo)
             val = values[key] if key in values else fn(h)
             if val is not None and val >= limit:
                 raise ConsistencyError(

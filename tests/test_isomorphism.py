@@ -1,11 +1,14 @@
 import random
 
+import pytest
+
 from charideals import (FAMILY_F, FORBIDDEN_S4, BlowupSpec, Graph, blowup, canonical_form,
                         find_induced, is_isomorphic, parse_graph6)
 from charideals.catalog import (complete_graph, complete_minus_edge, cycle_graph,
                                 path_graph, paw_graph, star_graph)
 from charideals.classify import _PATTERNS
-from charideals.isomorphism import _degrees_match, _host_plan, _label, _orbit
+from charideals.graphs import to_graph6
+from charideals.isomorphism import _degrees_match, _graph6, _host_plan, _label, _orbit
 
 import oracles
 
@@ -248,6 +251,27 @@ def test_canonical_form_matches_former_search_on_random_graphs_8_to_12():
     assert any(not g.is_connected() for g in graphs if any(g.adj))
     for g in graphs:
         assert canonical_form(g) == oracles.canonical_form(g), g
+
+
+def test_graph6_is_read_off_the_best_leaf_key():
+    # the search's best leaf key, padded and cut into 6-bit chunks, is the
+    # graph6 of the graph relabelled by its order; that order lists the
+    # degrees nondecreasing, as the search starts from the degree partition
+    rng = random.Random(61)
+    graphs = [Graph(0)]
+    for n in range(1, 8):
+        for s in oracles._level(n):
+            g = parse_graph6(s)
+            graphs += [_shuffled(g, rng), _shuffled(g, rng)]
+    assert len(graphs) == 1 + 2 * 996
+    graphs += [oracles.random_graph(rng, rng.randint(8, 40), rng.random()) for _ in range(2000)]
+    for g in graphs:
+        order, _, key = _label(g.adj)
+        h = g.relabelled(order)
+        assert _graph6(g.n, key) == canonical_form(g) == to_graph6(h), g
+        assert list(h.degrees()) == sorted(h.degrees()), g
+    with pytest.raises(ValueError, match=r"^graph6 output limited to n <= 62$"):
+        canonical_form(cycle_graph(63))
 
 
 def test_rook_5x5_form_is_invariant_and_stable():

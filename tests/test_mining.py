@@ -1,3 +1,4 @@
+import hashlib
 from functools import cache, partial
 from itertools import combinations
 
@@ -213,26 +214,76 @@ def test_growth_runs_no_induced_search(monkeypatch):
     assert len(mine(MiningTask(7, "gammaA", 3)).minimal) == 13
 
 
+def _count_labelling(monkeypatch):
+    """Every adjacency mining labels, and per memo lookup whether it
+    labelled one."""
+    labelled, lookups = [], []
+    monkeypatch.setattr(mining, "_label", lambda adj: labelled.append(adj) or _label(adj))
+    canonical = mining._canonical
+
+    def looked_up(adj, memo):
+        before = len(labelled)
+        s = canonical(adj, memo)
+        lookups.append(len(labelled) > before)
+        return s
+
+    monkeypatch.setattr(mining, "_canonical", looked_up)
+    return labelled, lookups
+
+
 def test_minimality_labels_one_deletion_per_orbit(monkeypatch):
     # one connected deletion per automorphism orbit of a forbidden child,
     # none for the orbit of its new vertex; one per vertex took 761 here,
-    # and the lowest canonical index first 585
-    labelled = []
-    monkeypatch.setattr(mining, "canonical_form",
-                        lambda h: labelled.append(h) or canonical_form(h))
-    minimal, _ = mining._grow(7, 5, STATISTICS["phiA"], {})
+    # and the lowest canonical index first 585.  Of the 540 lookups, 357
+    # label: the rest read a deletion or a child labelled earlier in the run
+    labelled, lookups = _count_labelling(monkeypatch)
+    minimal, _ = mining._grow(7, 5, STATISTICS["phiA"], {}, {})
     assert len(minimal) == 43
-    assert len(labelled) == 540
+    assert len(lookups) == 540
+    assert sum(lookups) == 357
 
 
 def test_growth_labels_each_child_once(monkeypatch):
     # a member's automorphism generators come down from its labelling as a
     # child; labelling each parent again as well took 907 here
-    labelled = []
-    monkeypatch.setattr(mining, "_label", lambda adj: labelled.append(adj) or _label(adj))
-    minimal, _ = mining._grow(7, 5, STATISTICS["phiA"], {})
+    labelled, lookups = _count_labelling(monkeypatch)
+    minimal, _ = mining._grow(7, 5, STATISTICS["phiA"], {}, {})
     assert len(minimal) == 43
-    assert len(labelled) == 807
+    assert len(labelled) - sum(lookups) == 807
+
+
+def test_a_run_labels_each_adjacency_once(monkeypatch):
+    # the memo holds the adjacencies labelled in one mine() call, children
+    # included: 754 lookups of 426 adjacencies, 40 of them children, label
+    # 386, where every lookup labelled before.  A second call labels as
+    # many again: the memo does not outlive its call
+    labelled, lookups = _count_labelling(monkeypatch)
+    for _ in range(2):
+        labelled.clear()
+        lookups.clear()
+        mine(MiningTask(7, "phiA", 4))
+        assert len(labelled) == len(set(labelled)) == 807 + 386
+        assert (len(lookups), sum(lookups)) == (754, 386)
+    # phiL scans the levels, built in one pass: each parent is labelled
+    # once as a child and never again
+    monkeypatch.setattr(mining, "_LEVELS", {1: (to_graph6(Graph(1)),)})
+    labelled.clear()
+    mine(MiningTask(7, "phiL", 2))
+    assert len(labelled) == len(set(labelled)) == 1324 + 35
+
+
+@pytest.mark.parametrize("args,digest", [
+    ((8, "phiA", 4), "be842c75332c0bb8805e3ef11959e22622d58f2ed7cedb4f325284544aa979ba"),
+    ((8, "gammaA", 3), "324c34d6185c72cce8f2c703e5f36ddec7a941de5a11afcc2af212a5f3d61582"),
+    ((7, "phiL", 2), "75f0e4aadb260c505e9df63c8caf0d93ba80df20e0cbbeab157e716013a23fb0"),
+], ids=["phiA-k4-n8", "gammaA-k3-n8", "phiL-k2-n7"])
+def test_mined_output_is_pinned(args, digest):
+    # the minimal graphs' canonical graph6, the forbidden count and the
+    # counts by size, as they came when each canonical graph6 was encoded
+    # by to_graph6 from a relabelled copy; phiL takes the scan route
+    result = mine(MiningTask(*args))
+    text = repr((result.minimal, result.forbidden_total, sorted(result.counts_by_size.items())))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_carried_generators_give_the_orbits_of_a_fresh_labelling():
@@ -269,8 +320,7 @@ def test_children_come_in_their_canonical_labelling():
 def test_levels_are_built_without_labelling_a_parent(monkeypatch):
     # each child hands its generators to the next level; labelling every
     # parent again as well took 1,467 here
-    labelled = []
-    monkeypatch.setattr(mining, "_label", lambda adj: labelled.append(adj) or _label(adj))
+    labelled, _ = _count_labelling(monkeypatch)
     monkeypatch.setattr(mining, "_LEVELS", {1: (to_graph6(Graph(1)),)})
     assert _level(7) == oracles._level(7)
     assert len(labelled) == 1324

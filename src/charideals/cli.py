@@ -19,7 +19,7 @@ from .classify import _check_line, classify, cross_check, imap_workers
 from .graphs import (adjacency_matrix, format_edge_list, laplacian_matrix,
                      parse_edge_list, parse_graph6, to_graph6)
 from .graph_ideals import algebraic_corank, char_ideal_profile, characteristic_ideal
-from .intlinalg import ConsistencyError, snf_diagonal
+from .intlinalg import ConsistencyError, _unit_count, snf_diagonal
 from .isomorphism import canonical_form
 from .mining import MiningTask, mine
 
@@ -81,8 +81,7 @@ def _cmd_snf(args):
 def _cmd_phi(args):
     g = _load_graph(args.graph, args.edge_list)
     echo = canonical_form(g)
-    inv = snf_diagonal(_matrix_of(g, args.matrix))
-    _emit("phi", echo, {"matrix": args.matrix, "phi": inv.ones})
+    _emit("phi", echo, {"matrix": args.matrix, "phi": _unit_count(_matrix_of(g, args.matrix))})
     return 0
 
 

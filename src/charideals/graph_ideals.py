@@ -40,7 +40,7 @@ by degree, where e is the largest degree of an entry of M.  No generator
 has degree above D, and closure under t supplies the rows up to degree D.
 The form stops as soon as it holds 1, and otherwise gives the reduced
 Groebner basis.  The co-rank is found top-down from an upper
-bound read off integer Smith forms of the presentation, so most graphs
+bound read off integer unit counts of the presentation, so most graphs
 need one trivial ideal and none needs a nontrivial basis.
 """
 
@@ -51,7 +51,7 @@ from itertools import combinations, takewhile
 from math import prod
 
 from .graphs import twin_classes
-from .intlinalg import det_int, snf_diagonal, unit_pivots
+from .intlinalg import _unit_count, det_int, snf_diagonal, unit_pivots
 from .zpoly import ONE, T, ZPoly
 from .ztideal import IdealZt, _canonicalize, _lattice, reduce
 
@@ -238,9 +238,9 @@ def _corank_bound(pres, phi=None):
     I_k evaluated at t = a is the ideal of Z generated by the k-minors of
     aI - A, which is equivalent to I_r (+) M(a) (+) D(a) for the pivoted
     matrix M and the split factors D, so a trivial I_k needs k - r unit
-    invariant factors of M(a) (+) D(a).  The Smith form is taken of the
-    whole sum: diag(2) (+) diag(3) has a unit invariant factor though
-    neither block has one.  u is r plus the fewest over the points a; no
+    invariant factors of M(a) (+) D(a).  They are counted in the whole
+    sum: diag(2) (+) diag(3) has a unit invariant factor though neither
+    block has one.  u is r plus the fewest over the points a; no
     count is below 0, so the points after the first that has none are
     skipped.  At a = 0 the sum is equivalent to -A up to the r units, so
     when phi, the unit count of A, is given the count there is phi - r.
@@ -255,7 +255,7 @@ def _corank_bound(pres, phi=None):
         rows = [[p(a) for p in row] + [0] * len(diag) for row in polys]
         rows += [[0] * len(mat) + [c if i == j else 0 for j in range(len(diag))]
                  for i, c in enumerate(diag)]
-        return snf_diagonal(rows).ones
+        return _unit_count(rows)
 
     least = len(mat) + of_t + of_t1
     for a in _BOUND_POINTS:

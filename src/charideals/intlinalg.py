@@ -3,12 +3,15 @@ and det_int, the one determinant, also of graph_ideals' packed minors.
 
 A matrix is a sequence of equal-length integer rows.  The Smith form and
 the minor gcds read it through one list copy and never consume the caller's
-rows; det_int and unit_pivots work in place on a list of lists.
+rows; det_int, unit_pivots and _unit_count work in place on a list of lists.
 
 The Smith form is the unit-pivot loop graph_ideals also runs, then one
 least-entry pivot loop and a gcd/lcm pass over the recorded pivots; the
 minor gcds enumerate minors directly and are the independent route it is
-checked against.
+checked against.  Callers that read only how many invariant factors are 1
+(mining's phiA and phiL, the co-rank bound's points, the phi command) take
+_unit_count: the unit pivots, then the Smith form of what they leave only
+when its entries have gcd 1.
 
 Everything runs on Python's arbitrary-precision integers, so coefficient
 growth can cost time and memory but never correctness.
@@ -114,19 +117,37 @@ def unit_pivots(mat):
     dropped.  The matrix was equivalent to I_r (+) what is left."""
     r = 0
     while True:
-        i = next((i for i, row in enumerate(mat) if 1 in row or -1 in row), None)
-        if i is None:
+        for i, prow in enumerate(mat):
+            if 1 in prow:
+                j = prow.index(1)
+                if -1 in prow:
+                    j = min(j, prow.index(-1))
+                break
+            if -1 in prow:
+                j = prow.index(-1)
+                break
+        else:
             return r
-        prow = mat.pop(i)
-        j = min(prow.index(u) for u in (1, -1) if u in prow)
-        u = prow.pop(j)  # its own inverse
+        del mat[i]
+        if prow.pop(j) == -1:  # the pivot is its own inverse: fold it in once
+            prow = [-p for p in prow]
         live = [(b, p) for b, p in enumerate(prow) if p]
         for row in mat:
-            f = row.pop(j) * u
+            f = row.pop(j)
             if f:
                 for b, p in live:
                     row[b] -= f * p
         r += 1
+
+
+def _unit_count(rows):
+    """The number of invariant factors 1 of the integer list-of-lists rows,
+    which are consumed.  Every invariant factor of what the unit pivots
+    leave is a multiple of the gcd of its entries."""
+    r = unit_pivots(rows)
+    if gcd(*[v for row in rows for v in row]) != 1:
+        return r
+    return r + snf_diagonal(rows).ones
 
 
 def snf_diagonal(m):

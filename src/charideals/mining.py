@@ -36,11 +36,12 @@ every connected graph is evaluated and each forbidden one is searched for
 every smaller forbidden one.  Either way each minimal graph is then
 rechecked: its value by a second route, and its minimality by deleting
 each vertex.  That route takes phi from minor gcds and the co-rank bottom-up
-from char_ideal_profile, without the Smith form or the evaluation bound.
+from char_ideal_profile, without the unit count or the evaluation bound.
 Each mine() call keeps a memo of the adjacencies it labels, with their
 canonical graph6, children included but for those of the last level, which
 no lookup can meet.  The minimality test and the recheck read it, so no
-run labels an adjacency twice, and it ends with the call.
+run labels an adjacency twice, and it ends with the call.  Once level s is
+grown without a minimal graph, the entries on s - 1 vertices are dropped.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ from itertools import takewhile
 
 from .graphs import Graph, adjacency_matrix, laplacian_matrix, parse_graph6, reach, to_graph6
 from .graph_ideals import algebraic_corank, char_ideal_profile
-from .intlinalg import (ConsistencyError, delta_sequence, invariant_factors_from_deltas,
-                        snf_diagonal)
+from .intlinalg import (ConsistencyError, _unit_count, delta_sequence,
+                        invariant_factors_from_deltas)
 from .isomorphism import _graph6, _label, _orbit, find_induced
 
 # connected graphs up to isomorphism on 1, 2, 3, ... vertices (OEIS A001349)
@@ -144,13 +145,13 @@ def enumerate_connected(n):
 
 
 def _stat_phi_adjacency(g):
-    return snf_diagonal(adjacency_matrix(g)).ones
+    return _unit_count(adjacency_matrix(g))
 
 
 def _stat_phi_laplacian(g):
     if g.regular_degree() is None:
         return None
-    return snf_diagonal(laplacian_matrix(g)).ones
+    return _unit_count(laplacian_matrix(g))
 
 
 STATISTICS = {
@@ -255,6 +256,7 @@ def _grow(max_vertices, limit, fn, values, memo):
         # a lookup has fewer than max_vertices vertices: the last level's
         # children would only fill the memo
         known = memo if size < max_vertices else None
+        found = len(minimal)
         for s in sorted(level):
             for c, g, new, gens in _children(s, level[s], known):
                 val = values[c] = fn(g)
@@ -262,6 +264,9 @@ def _grow(max_vertices, limit, fn, values, memo):
                     grown[c] = gens
                 elif all(_canonical(h, memo) in level for h in _deletions(g.adj, new, gens)):
                     minimal.append((size, c, g))
+        if len(minimal) == found:  # no recheck reads the entries on size - 1
+            for adj in [adj for adj in memo if len(adj) == size - 1]:
+                del memo[adj]
         members.update(grown)
         level = grown
     return minimal, members

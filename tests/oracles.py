@@ -21,6 +21,9 @@ its own copies of the general reduction and interreduction it runs on
 unreduced bases; and complete multipartite graphs built from an edge list
 and recognised by the cliques among the complement's components, for the
 stable-set blow-up of K_m and the false-twin classes that replaced them.
+The unit-pivot loop that found each pivot by a generator over the rows
+and multiplied every row's factor by the pivot's sign is the reference for
+the one that scans rows with `in` and folds the sign into the pivot row.
 The Faddeev-LeVerrier characteristic polynomial that once seeded each
 characteristic ideal with a monic generator is kept as a determinant of
 tI - A fast enough for blow-ups, independent of the minor engine.
@@ -780,3 +783,26 @@ def _sub_mul(e, f, p):
             for b, d in enumerate(p):
                 out[a + b] -= c * d
     return ZPoly(out)
+
+
+# -- unit pivots found by a generator, the pivot's sign on every factor ------
+
+def unit_pivots(mat):
+    """r, the number of pivots taken: while some entry of the list-of-lists
+    mat is +-1, the first in row-major order is eliminated in place by a
+    Schur update and its row and column are dropped."""
+    r = 0
+    while True:
+        i = next((i for i, row in enumerate(mat) if 1 in row or -1 in row), None)
+        if i is None:
+            return r
+        prow = mat.pop(i)
+        j = min(prow.index(u) for u in (1, -1) if u in prow)
+        u = prow.pop(j)  # its own inverse
+        live = [(b, p) for b, p in enumerate(prow) if p]
+        for row in mat:
+            f = row.pop(j) * u
+            if f:
+                for b, p in live:
+                    row[b] -= f * p
+        r += 1

@@ -6,6 +6,8 @@ import time
 from itertools import product
 from math import gcd
 
+import pytest
+
 from charideals import (BlowupSpec, IdealZt, ZPoly, adjacency_matrix,
                         algebraic_corank, all_k_minors_in_ideal, blowup,
                         canonical_form, char_ideal_profile, characteristic_ideal,
@@ -136,6 +138,20 @@ def test_criterion_6_theorem_cross_check_n7():
     assert res.family_counts["K<=2"] == 10
     assert res.family_counts["K<=3"] == 12
     _report("6 cross-check n<=7", t0, f"counts {res.family_counts}")
+
+
+@pytest.mark.slow
+def test_criterion_6_theorem_cross_check_n8():
+    # one size up: C<=k and K<=k read the co-rank bound and the Laplacian
+    # unit count, so their counts pin both
+    t0 = time.time()
+    res = cross_check(8)
+    assert res.graphs_checked == 12113
+    assert res.violations == []
+    assert res.family_counts == {"S<=1": 1, "S<=2": 33, "S<=3": 45, "S<=4": 852,
+                                 "C<=1": 8, "C<=2": 38, "C<=3": 122,
+                                 "K<=1": 8, "K<=2": 12, "K<=3": 16}
+    _report("6 cross-check n<=8", t0, f"counts {res.family_counts}")
 
 
 def test_criterion_7_regular_fourth_invariants():

@@ -12,7 +12,7 @@ import pytest
 
 from charideals import (BlowupSpec, InvariantFactors, adjacency_matrix,
                         algebraic_corank, blowup, canonical_form, classify, cross_check,
-                        invariant_factors_from_deltas, delta_sequence, is_C_leq,
+                        intlinalg, invariant_factors_from_deltas, delta_sequence, is_C_leq,
                         is_K_leq_regular, is_S_leq, laplacian_matrix, lookup,
                         parse_graph6, snf_diagonal)
 from charideals.catalog import (FAMILY_F, FORBIDDEN_S4, complete_graph,
@@ -416,7 +416,11 @@ def test_route_disagreement_names_graph_family_and_routes(graph, attr, fake, che
     # the package's `classify` attribute is the function, not the module;
     # is_S_leq and the Laplacian count read mining's STATISTICS, so mining's too
     for module in ("charideals.classify", "charideals.mining"):
-        monkeypatch.setattr(sys.modules[module], attr, fake)
+        if attr == "snf_diagonal" and module == "charideals.mining":
+            # mining's statistics read only the unit count, not the Smith form
+            monkeypatch.setattr(sys.modules[module], "_unit_count", lambda m: fake(m).ones)
+        else:
+            monkeypatch.setattr(sys.modules[module], attr, fake)
     if attr == "algebraic_corank":
         # classify reaches the co-rank by the private route that takes its phi
         monkeypatch.setattr(sys.modules["charideals.classify"], "_corank",
@@ -447,24 +451,34 @@ def certificate_lines():
 
 def test_classify_takes_one_smith_form_fewer_per_corank_bound(monkeypatch):
     # classify hands phi_adjacency to the co-rank bound, which then takes
-    # no Smith form at t = 0: 4,772 instead of 5,912 on the ten seed-1
-    # classify-stream inputs of perfbench
+    # no unit count at t = 0: 4,772 Smith forms and unit counts instead of
+    # 5,912 on the ten seed-1 classify-stream inputs of perfbench.  Only
+    # phi_adjacency, whose factors the S<=4 certificate prints, is a full
+    # Smith form; 1,399 of the 3,632 unit counts leave a residue whose
+    # entries have gcd 1 and take its Smith form
     monkeypatch.syspath_prepend(str(REPO / "perfbench"))
     import inputs
-    calls = []
+    calls = {}
 
-    def counting(snf):
+    def counting(key, fn):
         def counted(m):
-            calls.append(m)
-            return snf(m)
+            calls[key] = calls.get(key, 0) + 1
+            return fn(m)
         return counted
-    for name in ("charideals.classify", "charideals.graph_ideals", "charideals.mining"):
-        mod = importlib.import_module(name)
-        monkeypatch.setattr(mod, "snf_diagonal", counting(mod.snf_diagonal))
+    for name in ("classify", "graph_ideals", "mining"):
+        mod = importlib.import_module("charideals." + name)
+        for attr in ("snf_diagonal", "_unit_count"):
+            if hasattr(mod, attr):
+                monkeypatch.setattr(mod, attr, counting(attr, getattr(mod, attr)))
+    # the unit count reaches the Smith form through its own module
+    monkeypatch.setattr(intlinalg, "snf_diagonal", counting("residue", intlinalg.snf_diagonal))
+    graphs = 0
     for i in range(10):
         for line in inputs.classify_stream(1, i)[0]:
             classify(parse_graph6(line))
-    assert len(calls) == 4772
+            graphs += 1
+    assert graphs == 1140
+    assert calls == {"snf_diagonal": 1140, "_unit_count": 3632, "residue": 1399}
 
 
 # sha256 of certificate_lines() joined by newlines

@@ -14,7 +14,7 @@ from charideals.catalog import (complete_graph, complete_multipartite_graph,
                                 cycle_graph, path_graph, prism_graph, star_graph)
 from charideals.graph_ideals import _corank_bound, _generators, _presentation, _unpack
 from charideals.graphs import Graph
-from charideals.intlinalg import det_int
+from charideals.intlinalg import _unit_count, det_int
 from charideals.mining import enumerate_connected
 from charideals.zpoly import ONE, ZERO
 from charideals.ztideal import reduce
@@ -439,13 +439,13 @@ def test_corank_bound_is_the_least_unit_count_over_the_points():
 
 def test_corank_bound_stops_at_the_first_point_without_units(monkeypatch):
     # no count is below 0: after the first point where M(a) (+) D(a) has no
-    # unit invariant factor, no Smith form is taken
+    # unit invariant factor, no unit count is taken
     calls = []
 
     def counted(m):
         calls.append(m)
-        return snf_diagonal(m)
-    monkeypatch.setattr(graph_ideals, "snf_diagonal", counted)
+        return _unit_count(m)
+    monkeypatch.setattr(graph_ideals, "_unit_count", counted)
     p3 = path_graph(3)
     assert _unit_factors_at(p3, 0) == _presentation(p3)[2] == 2
     assert _corank_bound(_presentation(p3)) == 2

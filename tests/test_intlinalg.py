@@ -5,12 +5,14 @@ from itertools import permutations
 import pytest
 
 from charideals import (ConsistencyError, adjacency_matrix, delta_sequence, gcd_of_k_minors,
-                        invariant_factors_from_deltas, laplacian_matrix, lookup, snf_diagonal)
+                        graph_ideals, invariant_factors_from_deltas, laplacian_matrix, lookup,
+                        snf_diagonal)
 from charideals.catalog import complete_graph, path_graph
-from charideals.intlinalg import InvariantFactors
+from charideals.intlinalg import InvariantFactors, _unit_count, unit_pivots
 from charideals.mining import enumerate_connected
 
 import oracles
+from test_graph_ideals import _bound_graphs
 
 
 def A(name):
@@ -283,3 +285,47 @@ def test_matrices_are_any_sequence_of_integer_rows():
     assert snf_diagonal(tuple(map(tuple, rows))) == (1, 1, 2)
     assert delta_sequence(rows) == (1, 1, 1, 2)
     assert type(delta_sequence(rows)) is tuple
+
+
+def _pivot_cases(monkeypatch):
+    """The adjacency and Laplacian matrices and aI - A for a in +-1, +-2 of
+    every connected graph on at most 7 vertices, the packed matrices the
+    presentations of the co-rank bound's graphs pivot, and 2,000 random
+    matrices up to 8 x 8 with entries in -3..3."""
+    cases = []
+    for n in range(1, 8):
+        for g in enumerate_connected(n):
+            cases += [adjacency_matrix(g), laplacian_matrix(g)]
+            cases += [[[(a if i == j else 0) - (g.adj[i] >> j & 1) for j in range(n)]
+                       for i in range(n)] for a in (1, -1, 2, -2)]
+    packed = []
+    monkeypatch.setattr(graph_ideals, "unit_pivots",
+                        lambda mat: packed.append([row[:] for row in mat]) or unit_pivots(mat))
+    for g in _bound_graphs():
+        graph_ideals._presentation(g)
+    monkeypatch.undo()
+    assert len(packed) == 1020
+    rng = random.Random(229)
+    for _ in range(2000):
+        cols = rng.randint(0, 8)
+        cases.append([[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rng.randint(0, 8))])
+    return cases + packed
+
+
+def test_unit_pivots_match_the_generator_loop(monkeypatch):
+    # the same pivots, so the same count and the same residue row for row
+    for m in _pivot_cases(monkeypatch):
+        ours, theirs = copy.deepcopy(m), copy.deepcopy(m)
+        assert unit_pivots(ours) == oracles.unit_pivots(theirs), m
+        assert ours == theirs, m
+
+
+def test_unit_count_is_the_ones_of_the_smith_form(monkeypatch):
+    for m in _pivot_cases(monkeypatch):
+        assert _unit_count(copy.deepcopy(m)) == snf_diagonal(m).ones, m
+    # no unit entry: only the Smith form of the residue finds the units
+    # when the gcd of its entries is 1
+    for m, ones in (([[2, 3], [3, 5]], 2), ([[2, 3], [4, 6]], 1), ([[2, 4], [6, 8]], 0),
+                    ([[6, 10, 15]], 1), ([[-2, 3, 0]], 1), ([[4, 6]], 0), ([[1, 4]], 1),
+                    ([], 0), ([[]], 0), ([[0] * 3 for _ in range(3)], 0)):
+        assert _unit_count(copy.deepcopy(m)) == ones == snf_diagonal(m).ones, m

@@ -272,6 +272,17 @@ def test_a_run_labels_each_adjacency_once(monkeypatch):
     assert len(labelled) == len(set(labelled)) == 1324 + 35
 
 
+@pytest.mark.parametrize("statistic,k,max_vertices,sizes", [
+    ("phiA", 4, 7, {5}), ("gammaA", 3, 8, {4, 5, 6, 7})])
+def test_memo_keeps_only_what_a_recheck_reads(statistic, k, max_vertices, sizes):
+    # past level s, only the recheck of a minimal graph on s vertices reads
+    # the entries on s - 1 vertices; the other levels' entries are dropped
+    memo = {}
+    minimal, _ = mining._grow(max_vertices, k + 1, STATISTICS[statistic], {}, memo)
+    assert {size - 1 for size, _, _ in minimal} == sizes
+    assert {len(adj) for adj in memo} == sizes
+
+
 @pytest.mark.parametrize("args,digest", [
     ((8, "phiA", 4), "be842c75332c0bb8805e3ef11959e22622d58f2ed7cedb4f325284544aa979ba"),
     ((8, "gammaA", 3), "324c34d6185c72cce8f2c703e5f36ddec7a941de5a11afcc2af212a5f3d61582"),

@@ -1,0 +1,73 @@
+"""tools/pairs.py: the summary of paired benchmark runs, on fixed numbers."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import pairs  # noqa: E402
+
+BETTER = {"items_per_s": "higher", "item_p50_ms": "lower"}
+PARENT = {"items_per_s": [100, 110, 90, 105, 95], "item_p50_ms": [10, 10, 12, 11, 9]}
+CHANGE = {"items_per_s": [120, 125, 115, 118, 130], "item_p50_ms": [10, 9, 11, 12, 8]}
+
+
+def _pairs():
+    return [({m: PARENT[m][i] for m in BETTER}, {m: CHANGE[m][i] for m in BETTER})
+            for i in range(5)]
+
+
+def test_summary_counts_wins_and_judges_the_claim():
+    rows = {r["metric"]: r for r in pairs.summary(_pairs(), BETTER)}
+    items = rows["items_per_s"]
+    assert items["parent"] == (95, 100, 105) and items["change"] == (118, 120, 125)
+    assert (items["wins"], items["losses"], items["pairs"]) == (5, 0, 5)
+    assert items["rel"] == pytest.approx(0.2)
+    # 20 more than the parent's median, beyond its interquartile range of 10
+    assert items["claim"]
+    p50 = rows["item_p50_ms"]
+    assert p50["parent"] == (10, 10, 11) and p50["change"] == (9, 10, 11)
+    # lower is better: 3 wins, 1 loss and a tie that counts for neither
+    assert (p50["wins"], p50["losses"]) == (3, 1)
+    assert p50["rel"] == 0 and not p50["claim"]
+
+
+def test_claim_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_iqr():
+    parent = [100.0] * 9 + [104.0]
+    for change, claim in (([110.0] * 10, True),
+                          ([110.0] * 8 + [90.0] * 2, False),  # 8 of 10 pairs
+                          ([100.5] * 10, True),  # the parent's IQR is 0
+                          ([99.0] * 10, False)):
+        got = pairs.summary([({"x": p}, {"x": c}) for p, c in zip(parent, change)],
+                            {"x": "higher"})
+        assert got[0]["claim"] is claim, change
+
+
+def test_one_pair_has_its_value_as_every_quartile():
+    assert pairs.quartiles([7.0]) == (7.0, 7.0, 7.0)
+
+
+def test_format_prints_one_line_per_metric():
+    lines = pairs.format_rows(pairs.summary(_pairs(), BETTER))
+    assert len(lines) == 3
+    assert lines[1].split() == ["items_per_s", "100", "[95,", "105]", "120", "[118,", "125]",
+                                "+20.0%", "5/5", "0", "met"]
+    assert lines[2].split()[-5:] == ["+0.0%", "3/5", "1", "not", "met"]
+
+
+def test_pairs_alternate_which_side_runs_first(monkeypatch, capsys):
+    calls = []
+
+    def fake_run(checkout, workload, seed):
+        calls.append((str(checkout), workload, seed))
+        side = PARENT if str(checkout) == "old" else CHANGE
+        return {m: side[m][seed - 40] for m in BETTER}
+    monkeypatch.setattr(pairs, "run", fake_run)
+    assert pairs.main(["old", "new", "--workload", "mine", "--pairs", "4", "--seed", "40"]) == 0
+    assert calls == [("old", "mine", 40), ("new", "mine", 40), ("new", "mine", 41),
+                     ("old", "mine", 41), ("old", "mine", 42), ("new", "mine", 42),
+                     ("new", "mine", 43), ("old", "mine", 43)]
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "mine: 4 pairs, seeds 40..43"
+    assert [line.split()[0] for line in out[2:]] == ["items_per_s", "item_p50_ms"]

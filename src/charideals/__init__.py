@@ -18,7 +18,7 @@ from .intlinalg import (ConsistencyError, InvariantFactors, delta_sequence,
 from .isomorphism import canonical_form, find_induced, is_isomorphic
 from .mining import MiningResult, MiningTask, enumerate_connected, mine
 from .zpoly import ZPoly
-from .ztideal import GroebnerBuilder, IdealZt, strong_groebner
+from .ztideal import GroebnerBuilder, IdealZt
 
 __all__ = [
     "BlowupSpec", "CharIdealProfile", "ClassificationReport", "ConsistencyError",
@@ -31,5 +31,5 @@ __all__ = [
     "gcd_of_k_minors", "invariant_factors_from_deltas", "is_C_leq",
     "is_K_leq_regular", "is_S_leq", "is_isomorphic",
     "laplacian_matrix", "lookup", "mine", "multipartite_closed_form",
-    "parse_edge_list", "parse_graph6", "snf_diagonal", "strong_groebner", "to_graph6",
+    "parse_edge_list", "parse_graph6", "snf_diagonal", "to_graph6",
 ]

@@ -25,7 +25,7 @@ from .graphs import adjacency_matrix, parse_graph6, true_twin_quotient, twin_cla
 from .graph_ideals import _corank, algebraic_corank
 from .intlinalg import ConsistencyError, snf_diagonal
 from .isomorphism import canonical_form, find_induced, is_isomorphic
-from .mining import CONNECTED_COUNTS, STATISTICS, _level
+from .mining import CONNECTED_COUNTS, STATISTICS, _walk
 
 
 class RouteDisagreement(ConsistencyError):
@@ -285,14 +285,13 @@ class CrossCheckResult:
 
 
 def _check_line(g6):
-    """(report as a JSON dict, None) for a graph6 string that classifies,
-    (None, message) for one that does not."""
+    """(g6, report as a JSON dict, None), or (g6, None, message) if g6 fails."""
     try:
-        return classify(parse_graph6(g6)).to_json_dict(), None
+        return g6, classify(parse_graph6(g6)).to_json_dict(), None
     except (ValueError, ConsistencyError) as exc:
-        return None, str(exc)
+        return g6, None, str(exc)
     except Exception as exc:  # one failing graph must not end the run
-        return None, f"{type(exc).__name__}: {exc}"
+        return g6, None, f"{type(exc).__name__}: {exc}"
 
 
 def imap_workers(fn, items, workers, chunksize=1):
@@ -311,17 +310,17 @@ def imap_workers(fn, items, workers, chunksize=1):
 def cross_check(max_n, workers=1):
     """Classify every connected graph up to isomorphism with at most max_n
     vertices, recording route disagreements and nesting violations.  Graphs
-    are distributed over forked workers when workers > 1; counters merge in
-    the parent either way."""
+    stream from a depth-first walk, over forked workers when workers > 1;
+    counters merge in the parent either way."""
     if max_n < 1:
         raise ValueError(f"crosscheck needs max_n >= 1, got {max_n}")
     if max_n > len(CONNECTED_COUNTS):
-        # every level up to max_n is built in memory before the first graph
+        # past the known counts: 11 vertices alone hold 1,006,700,565 graphs
         raise ValueError(f"crosscheck supports max_n <= {len(CONNECTED_COUNTS)}, got {max_n}")
-    todo = [g6 for n in range(1, max_n + 1) for g6 in _level(n)]
     counts = {}
     violations = []
-    for g6, (rep, error) in zip(todo, imap_workers(_check_line, todo, workers, chunksize=16)):
+    results = imap_workers(_check_line, _walk(max_n), workers, chunksize=16)
+    for checked, (g6, rep, error) in enumerate(results, 1):  # K_1 comes first
         if error is not None:
             violations.append({"graph6": g6, "detail": error})
             continue
@@ -334,4 +333,6 @@ def cross_check(max_n, workers=1):
                     "graph6": rep["graph6"],
                     "detail": f"nesting violated: in {small} but not {big}",
                 })
-    return CrossCheckResult(max_n, len(todo), counts, violations)
+    # (size, graph6) order, as a graph6 string opens with its vertex count
+    violations.sort(key=lambda v: v["graph6"])
+    return CrossCheckResult(max_n, checked, counts, violations)

@@ -129,8 +129,7 @@ def _classify_line(numbered):
     """(line number, line, report, None) for a good stdin line,
     (line number, line, None, message) for a bad one."""
     lineno, line = numbered
-    line = line.strip()
-    return (lineno, line, *_check_line(line))
+    return (lineno, *_check_line(line.strip()))
 
 
 def _emit_stream(results):

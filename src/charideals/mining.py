@@ -10,7 +10,7 @@ augmented once per orbit of its automorphism group on the neighbourhoods
 of the new vertex.  A child whose new vertex is not of largest degree among
 its non-cut vertices is dropped before it is labelled; otherwise it is kept
 only when the new vertex is in the orbit of w, so every class comes out
-exactly once.
+exactly once, and enumeration walks the tree this makes depth first.
 
 Mining looks for the connected graphs whose statistic exceeds the
 threshold k (the forbidden graphs) that contain no smaller forbidden graph
@@ -46,7 +46,7 @@ grown without a minimal graph, the entries on s - 1 vertices are dropped.
 
 from __future__ import annotations
 
-from itertools import takewhile
+from functools import lru_cache
 
 from .graphs import Graph, adjacency_matrix, laplacian_matrix, parse_graph6, reach, to_graph6
 from .graph_ideals import algebraic_corank, char_ideal_profile
@@ -56,8 +56,6 @@ from .isomorphism import _graph6, _label, _orbit, find_induced
 
 # connected graphs up to isomorphism on 1, 2, 3, ... vertices (OEIS A001349)
 CONNECTED_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117, 261080, 11716571)
-
-_LEVELS = {1: (to_graph6(Graph(1)),)}  # vertex count -> _level(n)
 
 
 def _mask_orbits(m, perms):
@@ -123,25 +121,33 @@ def _children(g6, gens, memo=None):
                    tuple(tuple([place[p[u]] for u in order]) for p in perms))
 
 
+def _walk(max_n):
+    """The canonical graph6 of every connected graph on at most max_n
+    vertices, once each, depth first: only the current path is held."""
+    path = [iter([(to_graph6(Graph(1)), Graph(1), 0, ())])]  # K_1 has no generators
+    while path:
+        for c, g, _, gens in path[-1]:
+            yield c
+            if g.n < max_n:
+                path.append(_children(c, gens))
+                break
+        else:
+            path.pop()
+
+
+@lru_cache(maxsize=None)
 def _level(n):
     """The canonical graph6 of the connected graphs on n vertices, sorted."""
     if n < 1:
         raise ValueError("need at least one vertex")
-    top = max(_LEVELS)
-    if n > top:
-        # only a level finished earlier is labelled again; K_1 has no generators
-        level = {s: _label(parse_graph6(s).adj)[1] if top > 1 else () for s in _LEVELS[top]}
-        for size in range(top + 1, n + 1):
-            level = {c: gens for s in level for c, _, _, gens in _children(s, level[s])}
-            _LEVELS[size] = tuple(sorted(level))
-    return _LEVELS[n]
+    head = chr(63 + n)  # a graph6 string opens with its vertex count
+    return tuple(sorted(s for s in _walk(n) if s[0] == head))
 
 
 def enumerate_connected(n):
     """One canonically labelled representative per isomorphism class of
     connected graphs on n vertices, in sorted graph6 order."""
-    for s in _level(n):
-        yield parse_graph6(s)
+    return map(parse_graph6, _level(n))
 
 
 def _stat_phi_adjacency(g):
@@ -201,10 +207,9 @@ class MiningResult:
     def forbidden(self):
         """Every forbidden graph, as canonical graph6 sorted by (size,
         string); this enumerates every connected graph on 2..N vertices."""
-        for n in range(2, self.task.max_vertices + 1):
-            for s in _level(n):
-                if s not in self.members:
-                    yield s
+        for s in sorted(_walk(self.task.max_vertices))[1:]:  # K_1 sorts first
+            if s not in self.members:
+                yield s
 
 
 def _independent_value(g6, statistic):
@@ -275,26 +280,21 @@ def _grow(max_vertices, limit, fn, values, memo):
 def _scan(max_vertices, limit, fn, values):
     """The same for any statistic: every connected graph is evaluated, and
     each forbidden one is searched for every smaller forbidden one."""
-    # every level in one pass: a level finished alone is labelled again as parents
-    _level(max_vertices)
     members = set()
-    forbidden = []  # (size, graph6, Graph)
-    for size in range(2, max_vertices + 1):
-        for g6 in _level(size):
-            g = parse_graph6(g6)
-            val = fn(g)
-            if val is not None:
-                values[g6] = val
-            if val is None or val < limit:
-                members.add(g6)
-            else:
-                forbidden.append((size, g6, g))
+    forbidden = []  # (size, Graph)
     minimal = []
-    for size, g6, g in forbidden:
-        # forbidden is in size order: scan only the smaller graphs
-        smaller = takewhile(lambda entry: entry[0] < size, forbidden)
-        if not any(find_induced(g, g2) is not None for _, _, g2 in smaller):
-            minimal.append((size, g6, g))
+    # graph6 opens with the vertex count: each smaller forbidden graph comes first
+    for g6 in sorted(_walk(max_vertices))[1:]:
+        g = parse_graph6(g6)
+        val = fn(g)
+        if val is not None:
+            values[g6] = val
+        if val is None or val < limit:
+            members.add(g6)
+            continue
+        if not any(find_induced(g, h) is not None for size, h in forbidden if size < g.n):
+            minimal.append((g.n, g6, g))
+        forbidden.append((g.n, g))
     return minimal, members
 
 

@@ -193,11 +193,11 @@ class GroebnerBuilder:
     def add(self, p):
         if not reduce(p, self._basis):
             return False
-        self._basis = strong_groebner(self._basis + (p,))
+        self._basis = _strong_groebner(self._basis + (p,))
         return True
 
 
-def strong_groebner(gens):
+def _strong_groebner(gens):
     """Reduced strong Groebner basis of <gens>; () for the zero ideal, (1) for the unit."""
     gens = [g for g in map(ZPoly, gens) if g]
     if not gens:
@@ -212,7 +212,7 @@ class IdealZt:
     __slots__ = ("basis",)
 
     def __init__(self, generators=(), basis=None):
-        self.basis = strong_groebner(generators) if basis is None else tuple(basis)
+        self.basis = _strong_groebner(generators) if basis is None else tuple(basis)
         steps = [(len(g), g[-1]) if g else (0, 0) for g in self.basis]
         if any(c <= 0 for _, c in steps) or any(
                 d >= e or b % c or b == c for (d, b), (e, c) in zip(steps, steps[1:])):

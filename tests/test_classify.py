@@ -20,6 +20,7 @@ from charideals.catalog import (FAMILY_F, FORBIDDEN_S4, complete_graph,
                                 prism_graph, star_graph)
 from charideals.classify import (RouteDisagreement, _s4_partial,
                                  complete_multipartite_parts, imap_workers)
+from charideals import mining
 from charideals.graphs import Graph
 from charideals.mining import enumerate_connected
 
@@ -213,6 +214,36 @@ def test_cross_check_parallel_matches_sequential():
     assert seq.family_counts == par.family_counts
     assert seq.graphs_checked == par.graphs_checked == 10
     assert not par.violations
+
+
+def test_cross_check_classifies_while_it_walks(monkeypatch):
+    # one worker: K_1 is classified before any child on 6 vertices is
+    # labelled, where building every level first labelled all of them
+    classify_mod = importlib.import_module("charideals.classify")
+    real_classify, real_label = classify_mod.classify, mining._label
+    events = []
+    monkeypatch.setattr(classify_mod, "classify",
+                        lambda g: events.append("classify") or real_classify(g))
+    monkeypatch.setattr(mining, "_label", lambda adj: events.append(len(adj)) or real_label(adj))
+    res = cross_check(6)
+    assert res.graphs_checked == events.count("classify") == 143
+    assert events.index("classify") < events.index(6)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cross_check_reports_violations_in_level_order(monkeypatch, workers):
+    # the walk meets the graphs on 4 and 5 vertices interleaved; the
+    # violations come sorted by (size, graph6), as the levels gave them
+    classify_mod = importlib.import_module("charideals.classify")
+    real = classify_mod._check_line
+    failing = set(mining._level(4) + mining._level(5))
+    assert [s for s in mining._walk(5) if s in failing] != sorted(failing)
+    monkeypatch.setattr(classify_mod, "_check_line",
+                        lambda g6: (g6, None, "injected") if g6 in failing else real(g6))
+    res = cross_check(5, workers)
+    assert res.graphs_checked == 31
+    assert res.violations == [{"graph6": s, "detail": "injected"} for s in sorted(failing)]
+    assert res.family_counts == cross_check(3).family_counts
 
 
 def _recorded_forks(monkeypatch):

@@ -358,10 +358,10 @@ def test_crosscheck_of_no_graphs_exits_1(capsys, max_n):
 
 
 def test_crosscheck_past_the_known_counts_exits_1_before_enumerating(capsys, monkeypatch):
-    # --max-n 11 would build all 1,006,700,565 graphs on 11 vertices first
-    def no_level(n):
-        raise AssertionError(f"level {n} was built")
-    monkeypatch.setattr(sys.modules["charideals.classify"], "_level", no_level)
+    # --max-n 11 would walk all 1,006,700,565 graphs on 11 vertices
+    def no_walk(max_n):
+        raise AssertionError(f"graphs up to {max_n} vertices were walked")
+    monkeypatch.setattr(sys.modules["charideals.classify"], "_walk", no_walk)
     code, out, err = run(capsys, "crosscheck", "--max-n", "11")
     assert (code, out) == (1, "")
     assert err == "error: crosscheck supports max_n <= 10, got 11\n"

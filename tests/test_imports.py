@@ -235,13 +235,13 @@ PUBLIC_NAMES = [
     "gcd_of_k_minors", "invariant_factors_from_deltas", "is_C_leq", "is_K_leq_regular",
     "is_S_leq", "is_isomorphic", "laplacian_matrix", "lookup", "mine",
     "multipartite_closed_form", "parse_edge_list", "parse_graph6", "snf_diagonal",
-    "strong_groebner", "to_graph6",
+    "to_graph6",
 ]
 
 
 def test_public_api_is_the_pinned_names():
     import charideals
-    assert len(PUBLIC_NAMES) == 42
+    assert len(PUBLIC_NAMES) == 41
     assert sorted(charideals.__all__) == PUBLIC_NAMES
     assert len(set(charideals.__all__)) == len(charideals.__all__)
     for name in PUBLIC_NAMES:

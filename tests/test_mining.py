@@ -264,9 +264,8 @@ def test_a_run_labels_each_adjacency_once(monkeypatch):
         mine(MiningTask(7, "phiA", 4))
         assert len(labelled) == len(set(labelled)) == 807 + 386
         assert (len(lookups), sum(lookups)) == (754, 386)
-    # phiL scans the levels, built in one pass: each parent is labelled
-    # once as a child and never again
-    monkeypatch.setattr(mining, "_LEVELS", {1: (to_graph6(Graph(1)),)})
+    # phiL scans one depth-first walk: each parent is labelled once as a
+    # child and never again
     labelled.clear()
     mine(MiningTask(7, "phiL", 2))
     assert len(labelled) == len(set(labelled)) == 1324 + 35
@@ -329,22 +328,14 @@ def test_children_come_in_their_canonical_labelling():
 
 
 def test_levels_are_built_without_labelling_a_parent(monkeypatch):
-    # each child hands its generators to the next level; labelling every
+    # each child hands its generators to its own children; labelling every
     # parent again as well took 1,467 here
     labelled, _ = _count_labelling(monkeypatch)
-    monkeypatch.setattr(mining, "_LEVELS", {1: (to_graph6(Graph(1)),)})
-    assert _level(7) == oracles._level(7)
+    _level.cache_clear()
+    level = _level(7)
+    assert level == oracles._level(7)
     assert len(labelled) == 1324
-    assert all(type(v) is tuple and all(type(s) is str for s in v)
-               for v in mining._LEVELS.values())
-
-
-def test_a_finished_level_extends_to_the_next(monkeypatch):
-    monkeypatch.setattr(mining, "_LEVELS", {1: (to_graph6(Graph(1)),)})
-    assert _level(6) == oracles._level(6)
-    assert sorted(mining._LEVELS) == list(range(1, 7))
-    assert _level(7) == oracles._level(7)
-    assert _level(3) == oracles._level(3)
+    assert type(level) is tuple and all(type(s) is str for s in level)
 
 
 def test_growth_evaluates_only_children_of_members(monkeypatch):

@@ -9,6 +9,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import pairs  # noqa: E402
 
 BETTER = {"items_per_s": "higher", "item_p50_ms": "lower"}
+BOUND = {"items_per_s": 0.25, "item_p50_ms": 0.25}
 PARENT = {"items_per_s": [100, 110, 90, 105, 95], "item_p50_ms": [10, 10, 12, 11, 9]}
 CHANGE = {"items_per_s": [120, 125, 115, 118, 130], "item_p50_ms": [10, 9, 11, 12, 8]}
 
@@ -19,7 +20,7 @@ def _pairs():
 
 
 def test_summary_counts_wins_and_judges_the_claim():
-    rows = {r["metric"]: r for r in pairs.summary(_pairs(), BETTER)}
+    rows = {r["metric"]: r for r in pairs.summary(_pairs(), BETTER, BOUND)}
     items = rows["items_per_s"]
     assert items["parent"] == (95, 100, 105) and items["change"] == (118, 120, 125)
     assert (items["wins"], items["losses"], items["pairs"]) == (5, 0, 5)
@@ -31,6 +32,21 @@ def test_summary_counts_wins_and_judges_the_claim():
     # lower is better: 3 wins, 1 loss and a tie that counts for neither
     assert (p50["wins"], p50["losses"]) == (3, 1)
     assert p50["rel"] == 0 and not p50["claim"]
+    assert not items["worse"] and not p50["worse"]
+
+
+def test_worse_needs_the_median_past_the_bound():
+    # medians 100 and 10 with a bound of 25%: 75 and 12.5 are the edges
+    parent = {"higher": [95.0, 100.0, 130.0], "lower": [9.0, 10.0, 30.0]}
+    for better, change, worse in (("higher", [70.0, 76.0, 200.0], False),
+                                  ("higher", [60.0, 74.0, 200.0], True),
+                                  ("higher", [150.0, 160.0, 170.0], False),
+                                  ("lower", [1.0, 12.4, 12.6], False),
+                                  ("lower", [12.0, 12.6, 13.0], True),
+                                  ("lower", [5.0, 5.0, 5.0], False)):
+        got = pairs.summary([({"x": p}, {"x": c}) for p, c in zip(parent[better], change)],
+                            {"x": better}, {"x": 0.25})
+        assert (got[0]["bound"], got[0]["worse"]) == (0.25, worse), (better, change)
 
 
 def test_claim_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_iqr():
@@ -40,7 +56,7 @@ def test_claim_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_iqr():
                           ([100.5] * 10, True),  # the parent's IQR is 0
                           ([99.0] * 10, False)):
         got = pairs.summary([({"x": p}, {"x": c}) for p, c in zip(parent, change)],
-                            {"x": "higher"})
+                            {"x": "higher"}, {"x": 0.25})
         assert got[0]["claim"] is claim, change
 
 
@@ -49,11 +65,13 @@ def test_one_pair_has_its_value_as_every_quartile():
 
 
 def test_format_prints_one_line_per_metric():
-    lines = pairs.format_rows(pairs.summary(_pairs(), BETTER))
+    lines = pairs.format_rows(pairs.summary(_pairs(), BETTER, BOUND))
     assert len(lines) == 3
     assert lines[1].split() == ["items_per_s", "100", "[95,", "105]", "120", "[118,", "125]",
-                                "+20.0%", "5/5", "0", "met"]
-    assert lines[2].split()[-5:] == ["+0.0%", "3/5", "1", "not", "met"]
+                                "+20.0%", "5/5", "0", "met", "within", "25%"]
+    assert lines[2].split()[-7:] == ["+0.0%", "3/5", "1", "not", "met", "within", "25%"]
+    worse = pairs.summary([({"x": 10.0}, {"x": 13.0})], {"x": "lower"}, {"x": 0.25})
+    assert pairs.format_rows(worse)[1].split()[-2:] == ["beyond", "25%"]
 
 
 def test_pairs_alternate_which_side_runs_first(monkeypatch, capsys):

@@ -6,8 +6,8 @@ import pytest
 from charideals.graph_ideals import _generators, _presentation
 from charideals.mining import enumerate_connected
 from charideals.zpoly import ONE, ZPoly
-from charideals.ztideal import (GroebnerBuilder, IdealZt, _canonicalize, _lattice, reduce,
-                                strong_groebner)
+from charideals.ztideal import (GroebnerBuilder, IdealZt, _canonicalize, _lattice,
+                                _strong_groebner, reduce)
 
 import oracles
 
@@ -21,27 +21,27 @@ DIAMOND_3MINORS = [P(0, -2, 0, 1), P(0, -2, -1), P(0, 1, 1), P(-2, -3, 0, 1), P(
 
 
 def test_groebner_diamond_example():
-    assert strong_groebner(DIAMOND_3MINORS) == (P(2), P(0, 1))
+    assert _strong_groebner(DIAMOND_3MINORS) == (P(2), P(0, 1))
 
 
 def test_groebner_zero_ideal():
-    assert strong_groebner([]) == ()
-    assert strong_groebner([P(), P()]) == ()
+    assert _strong_groebner([]) == ()
+    assert _strong_groebner([P(), P()]) == ()
 
 
 def test_groebner_unit_from_paw_minors():
     # -t^2 - t + 1 and t^2 + t sum to 1
-    assert strong_groebner([P(1, -1, -1), P(0, 1, 1)]) == (ONE,)
+    assert _strong_groebner([P(1, -1, -1), P(0, 1, 1)]) == (ONE,)
 
 
 def test_groebner_principal_stays_put():
-    assert strong_groebner([P(-1, 1, 1)]) == (P(-1, 1, 1),)
+    assert _strong_groebner([P(-1, 1, 1)]) == (P(-1, 1, 1),)
 
 
 def test_groebner_requeues_t_multiples_of_new_rows():
     # the t-multiples of the generators alone span a lattice that misses
     # t times the rows the two generators combine into
-    assert strong_groebner([P(-7, 2, 9, -8), P(8, -1, 6, -1)]) == (
+    assert _strong_groebner([P(-7, 2, 9, -8), P(8, -1, 6, -1)]) == (
         P(105016), P(-13256, 8), P(33961, 2, 1))
 
 
@@ -57,7 +57,7 @@ def test_groebner_matches_buchberger_on_random_sets():
             gens = [g * content for g in gens]
         cases.append(gens)
     for gens in cases:
-        assert strong_groebner(gens) == oracles.strong_groebner(gens), gens
+        assert _strong_groebner(gens) == oracles.strong_groebner(gens), gens
 
 
 def test_groebner_idempotent_and_order_free():
@@ -65,11 +65,11 @@ def test_groebner_idempotent_and_order_free():
     for _ in range(200):
         gens = [ZPoly([rng.randint(-6, 6) for _ in range(rng.randint(0, 5))])
                 for _ in range(rng.randint(0, 5))]
-        basis = strong_groebner(gens)
-        assert strong_groebner(basis) == basis
+        basis = _strong_groebner(gens)
+        assert _strong_groebner(basis) == basis
         shuffled = gens[:]
         rng.shuffle(shuffled)
-        assert strong_groebner(shuffled) == basis
+        assert _strong_groebner(shuffled) == basis
 
 
 def test_reduce_membership():
@@ -158,7 +158,7 @@ def test_builder_incremental_matches_batch():
         builder = GroebnerBuilder()
         for g in gens:
             builder.add(g)
-        assert builder.basis == strong_groebner(gens)
+        assert builder.basis == IdealZt(gens).basis
 
 
 def test_builder_unit_early_flag():
@@ -195,7 +195,7 @@ def test_buchberger_completeness():
     while cases < 500:
         gens = [ZPoly([rng.randint(-8, 8) for _ in range(rng.randint(0, 5))])
                 for _ in range(rng.randint(1, 5))]
-        basis = strong_groebner(gens)
+        basis = _strong_groebner(gens)
         if len(basis) < 2:
             if basis and reduce(basis[0] * ZPoly((rng.randint(-3, 3), 1)), basis) != ():
                 raise AssertionError("principal basis fails to reduce its own multiple")

@@ -10,8 +10,11 @@ metric, stdout gets each side's median and quartiles, the change's median
 relative to the parent's, how many pairs the change won and lost (ties
 count for neither) and whether it meets the bar for a claimed gain: wins in
 at least nine tenths of the pairs, and a median better than the parent's by
-more than the parent's interquartile range.  Directions come from
-BENCHMARK.json beside this directory.  Standard library only.
+more than the parent's interquartile range.  Beside it, per metric, whether
+the change's median is worse than the parent's by more than the metric's
+bound, the relative worsening a change that claims no gain may show.
+Directions and bounds come from BENCHMARK.json beside this directory.
+Standard library only.
 """
 
 import argparse
@@ -46,9 +49,10 @@ def quartiles(values):
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
-def summary(pairs, better):
+def summary(pairs, better, bound):
     """One row per metric of the (parent, change) metric dicts in pairs;
-    better maps a metric to "higher" or "lower"."""
+    better maps a metric to "higher" or "lower", and bound to the share of
+    the parent's median by which the change's median may be worse."""
     rows = []
     for name in pairs[0][0]:
         sign = 1 if better[name] == "higher" else -1
@@ -62,19 +66,21 @@ def summary(pairs, better):
             "rel": cq[1] / pq[1] - 1 if pq[1] else None,
             "wins": wins, "losses": sum(d < 0 for d in gains), "pairs": len(pairs),
             "claim": wins >= 0.9 * len(pairs) and sign * (cq[1] - pq[1]) > pq[2] - pq[0],
+            "bound": bound[name], "worse": sign * (pq[1] - cq[1]) > bound[name] * abs(pq[1]),
         })
     return rows
 
 
 def format_rows(rows):
     lines = [f"{'metric':<14}{'parent median [q1, q3]':>32}{'change median [q1, q3]':>32}"
-             f"{'change':>9}{'won':>7}{'lost':>6}  claim"]
+             f"{'change':>9}{'won':>7}{'lost':>6}  claim    bound"]
     for r in rows:
         sides = "".join(f"{f'{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]':>32}"
                         for q in (r["parent"], r["change"]))
         rel = "-" if r["rel"] is None else f"{100 * r['rel']:+.1f}%"
         lines.append(f"{r['metric']:<14}{sides}{rel:>9}{r['wins']:>4}/{r['pairs']:<2}"
-                     f"{r['losses']:>6}  {'met' if r['claim'] else 'not met'}")
+                     f"{r['losses']:>6}  {'met' if r['claim'] else 'not met':<9}"
+                     f"{'beyond' if r['worse'] else 'within'} {100 * r['bound']:.0f}%")
     return lines
 
 
@@ -86,7 +92,9 @@ def main(argv=None):
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, required=True, help="pair i runs seed S + i")
     args = ap.parse_args(argv)
-    better = {m["name"]: m["better"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+    metrics = json.loads(BENCHMARK.read_text())["end_to_end"]
+    better = {m["name"]: m["better"] for m in metrics}
+    bound = {m["name"]: m["bound"] for m in metrics}
     pairs = []
     for i in range(args.pairs):
         seed = args.seed + i
@@ -97,7 +105,7 @@ def main(argv=None):
             print(f"pair {i} seed {seed} {side}: " + json.dumps(got[side]), file=sys.stderr)
         pairs.append((got["parent"], got["change"]))
     print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed}..{args.seed + args.pairs - 1}")
-    print("\n".join(format_rows(summary(pairs, better))))
+    print("\n".join(format_rows(summary(pairs, better, bound))))
     return 0
 
 

@@ -17,13 +17,19 @@ from queue import SimpleQueue
 _END = object()
 
 
-def _serve(fn, tasks, results, parent_ends):
+def _serve(fn, tasks, results, parent_ends, cpu):
     """A forked worker: answer each pickled batch read from fd `tasks` with
     a pickled (True, results) or (False, exception) on fd `results`, until
-    the parent closes `tasks`.  Never returns."""
+    the parent closes `tasks`.  Runs on CPU `cpu` alone where it may, and
+    unpinned if cpu is None or pinning fails.  Never returns."""
     code = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
+        if cpu is not None:
+            try:
+                os.sched_setaffinity(0, (cpu,))
+            except OSError:
+                pass
         for fd in parent_ends:
             os.close(fd)
         with open(tasks, "rb") as inp, open(results, "wb") as out:
@@ -51,11 +57,14 @@ def imap_forked(fn, items, workers, chunksize):
     """imap_workers over `workers` forked processes.
 
     The parent flushes stdout and stderr, then forks every worker before it
-    starts any thread.  Each worker reads pickled batches from one pipe and
-    writes pickled results to another.  A feeder thread reads `items` and
-    deals the batches round-robin, with at most 2 * workers unanswered, so
-    an endless stream stays in bounded memory and each line is answered
-    while later ones are unread.
+    starts any thread.  Worker i is pinned to the i-th of the CPUs the
+    parent may run on, cycling through them, as freshly forked workers left
+    to the scheduler often share one CPU; the parent stays unpinned.  Each
+    worker reads pickled batches from one pipe and writes pickled results
+    to another.  A feeder thread reads `items` and deals the batches
+    round-robin, with at most 2 * workers unanswered, so an endless stream
+    stays in bounded memory and each line is answered while later ones are
+    unread.
     """
     for stream in (sys.stdout, sys.stderr):
         if stream is not None:
@@ -97,15 +106,16 @@ def imap_forked(fn, items, workers, chunksize):
                     pass
 
     feeder = threading.Thread(target=feed, daemon=True)
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else [None]
     try:
-        for _ in range(workers):
+        for i in range(workers):
             task_r, task_w = os.pipe()
             result_r, result_w = os.pipe()
             ends += (task_w, result_r)
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _serve(fn, task_r, result_w, ends)
+                    _serve(fn, task_r, result_w, ends, cpus[i % len(cpus)])
             finally:
                 os.close(task_r)
                 os.close(result_w)

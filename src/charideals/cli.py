@@ -37,13 +37,17 @@ def _workers():
     return max(1, min(requested, usable))
 
 
-def _emit(command, input_echo, payload):
-    print(json.dumps({
+def _envelope(command, input_echo, payload):
+    return json.dumps({
         "command": command,
         "input": input_echo,
         "payload": payload,
         "version": __version__,
-    }))
+    })
+
+
+def _emit(command, input_echo, payload):
+    print(_envelope(command, input_echo, payload))
 
 
 def _load_graph(arg, edge_list=False):
@@ -126,23 +130,23 @@ def _cmd_ideal(args):
 
 
 def _classify_line(numbered):
-    """(line number, line, report, None) for a good stdin line,
-    (line number, line, None, message) for a bad one."""
+    """(False, envelope) for a good stdin line, (True, envelope) with an
+    error payload and the stdin line number for a bad one.  A worker sends
+    the parent this one string instead of the report."""
     lineno, line = numbered
-    return (lineno, *_check_line(line.strip()))
+    g6, rep, error = _check_line(line.strip())
+    if error is None:
+        return False, _envelope("classify", rep["graph6"], rep)
+    return True, _envelope("classify", g6, {"error": error, "line": lineno})
 
 
 def _emit_stream(results):
-    """One envelope per line, in input order, flushed as it arrives; a bad
-    line gets an error payload with its stdin line number.  True if any
-    line was bad."""
+    """Print each envelope, in input order, flushed as it arrives.  True if
+    any line was bad."""
     failed = False
-    for lineno, line, rep, error in results:
-        if error is None:
-            _emit("classify", rep["graph6"], rep)
-        else:
-            failed = True
-            _emit("classify", line, {"error": error, "line": lineno})
+    for bad, envelope in results:
+        failed |= bad
+        print(envelope)
         sys.stdout.flush()
     return failed
 

@@ -192,9 +192,11 @@ class MiningTask:
 
 
 class MiningResult:
-    __slots__ = ("task", "minimal", "members", "forbidden_total", "values", "counts_by_size")
+    __slots__ = ("task", "minimal", "members", "forbidden_total", "values", "counts_by_size",
+                 "_listed")
 
-    def __init__(self, task, minimal, members, forbidden_total, values, counts_by_size):
+    def __init__(self, task, minimal, members, forbidden_total, values, counts_by_size,
+                 listed=None):
         self.task = task
         self.minimal = minimal  # canonical graph6, sorted by (size, string)
         # canonical graph6 of the graphs on 2..N vertices not forbidden
@@ -203,10 +205,15 @@ class MiningResult:
         self.forbidden_total = forbidden_total
         self.values = values  # canonical graph6 -> statistic value, per graph evaluated
         self.counts_by_size = counts_by_size  # vertex count -> number of minimal graphs
+        self._listed = listed  # the forbidden graphs, if a scan listed them
 
     def forbidden(self):
         """Every forbidden graph, as canonical graph6 sorted by (size,
-        string); this enumerates every connected graph on 2..N vertices."""
+        string); unless a scan listed them, this enumerates every connected
+        graph on 2..N vertices."""
+        if self._listed is not None:
+            yield from self._listed
+            return
         for s in sorted(_walk(self.task.max_vertices))[1:]:  # K_1 sorts first
             if s not in self.members:
                 yield s
@@ -278,10 +285,11 @@ def _grow(max_vertices, limit, fn, values, memo):
 
 
 def _scan(max_vertices, limit, fn, values):
-    """The same for any statistic: every connected graph is evaluated, and
-    each forbidden one is searched for every smaller forbidden one."""
+    """The same for any statistic, and every forbidden graph6 in order:
+    every connected graph is evaluated, and each forbidden one is searched
+    for every smaller forbidden one."""
     members = set()
-    forbidden = []  # (size, Graph)
+    forbidden = []  # (size, graph6, Graph)
     minimal = []
     # graph6 opens with the vertex count: each smaller forbidden graph comes first
     for g6 in sorted(_walk(max_vertices))[1:]:
@@ -292,10 +300,10 @@ def _scan(max_vertices, limit, fn, values):
         if val is None or val < limit:
             members.add(g6)
             continue
-        if not any(find_induced(g, h) is not None for size, h in forbidden if size < g.n):
+        if not any(find_induced(g, h) is not None for size, _, h in forbidden if size < g.n):
             minimal.append((g.n, g6, g))
-        forbidden.append((g.n, g))
-    return minimal, members
+        forbidden.append((g.n, g6, g))
+    return minimal, members, tuple(s for _, s, _ in forbidden)
 
 
 def mine(task):
@@ -305,10 +313,11 @@ def mine(task):
     limit = task.k + 1
     values = {}
     memo = {}  # adjacency tuple -> canonical graph6, for this run only
+    listed = None
     if task.statistic in _HEREDITARY:
         minimal, members = _grow(task.max_vertices, limit, fn, values, memo)
     else:
-        minimal, members = _scan(task.max_vertices, limit, fn, values)
+        minimal, members, listed = _scan(task.max_vertices, limit, fn, values)
     for size, g6, g in minimal:
         recheck = _independent_value(g6, task.statistic)
         if recheck != values[g6]:
@@ -335,4 +344,5 @@ def mine(task):
         forbidden_total=sum(CONNECTED_COUNTS[1:task.max_vertices]) - len(members),
         values=values,
         counts_by_size=counts,
+        listed=listed,
     )

@@ -317,6 +317,29 @@ def test_imap_workers_closed_early_reaps_its_workers(monkeypatch):
     assert len(forks) == 2 and all(_reaped(pid) for pid in forks)
 
 
+_CPUS = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+
+
+def _where(x):
+    return os.getpid(), tuple(sorted(os.sched_getaffinity(0)))
+
+
+@pytest.mark.skipif(len(_CPUS) < 2, reason="needs os.sched_setaffinity and 2 usable CPUs")
+@pytest.mark.parametrize("workers", [2, len(_CPUS) + 1])  # then more workers than CPUs
+def test_imap_workers_pins_each_worker_to_one_cpu(monkeypatch, workers):
+    # worker i runs on the i-th usable CPU alone, cycling; the parent stays unpinned
+    forks = _recorded_forks(monkeypatch)
+    before = os.sched_getaffinity(0)
+    where = dict(imap_workers(_where, range(8 * workers), workers))
+    assert sorted(where) == sorted(forks)
+    assert sorted(where.values()) == sorted((_CPUS[i % len(_CPUS)],) for i in range(workers))
+    assert os.sched_getaffinity(0) == before
+    results = imap_workers(_where, iter(range(10**9)), workers)
+    assert len(next(results)[1]) == 1
+    results.close()
+    assert os.sched_getaffinity(0) == before
+
+
 _DEAD_WORKER = """
 import os
 from charideals.classify import imap_workers

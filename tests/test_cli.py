@@ -3,12 +3,14 @@ import io
 import json
 import os
 import queue
+import random
 import shutil
 import signal
 import subprocess
 import sys
 import threading
 from importlib.metadata import EntryPoint, entry_points
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from charideals import (BlowupSpec, IdealZt, ZPoly, adjacency_matrix, blowup, ca
                         lookup, parse_graph6, snf_diagonal, to_graph6)
 from charideals.catalog import FORBIDDEN_S4, cycle_graph, names, star_graph
 from charideals.cli import main
+from charideals.graphs import Graph
 from charideals.ztideal import reduce
 
 
@@ -596,3 +599,44 @@ def test_classify_stream_does_not_import_multiprocessing():
     assert proc.returncode == 0, proc.stderr
     assert len(envelopes(proc.stdout)) == 2
     assert proc.stderr == "[]\n"
+
+
+def _mixed_stream(seed, lines=50):
+    """A seeded classify stream of random graphs on 3..7 vertices, some of
+    them disconnected, with blank lines and malformed graph6 among them."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(lines):
+        kind = rng.random()
+        if kind < 0.1:
+            out.append(rng.choice(["", "  "]))
+        elif kind < 0.25:
+            out.append(rng.choice(["xx", "C", "C~~", "!", "?", "D?"]))
+        else:
+            n, p = rng.randint(3, 7), rng.uniform(0.3, 0.9)
+            out.append(to_graph6(Graph(n, [e for e in combinations(range(n), 2)
+                                           if rng.random() < p])))
+    return "".join(line + "\n" for line in out)
+
+
+def test_classify_stream_is_the_same_with_and_without_workers(capsys, monkeypatch):
+    stream = _mixed_stream(32)
+    got = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("GRAPHTOOL_THREADS", threads)
+        monkeypatch.setattr("sys.stdin", io.StringIO(stream))
+        got[threads] = run(capsys, "classify", "-")
+    assert got["1"] == got["2"]
+    code, out, err = got["1"]
+    assert (code, err) == (1, "")
+    errors = [env["payload"].get("error", "") for env in envelopes(out)]
+    assert len(errors) == len([line for line in stream.splitlines() if line.strip()])
+    assert "" in errors  # every kind of line is in the stream
+    assert any(e.startswith("disconnected graph") for e in errors)
+    assert any("byte offset" in e for e in errors)
+    # a fresh process with two pinned workers, bounded in time so that a
+    # worker that cannot start fails the test instead of hanging it
+    proc = subprocess.run([sys.executable, "-m", "charideals.cli", "classify", "-"],
+                          input=stream, capture_output=True, text=True,
+                          env=_stream_env("2"), timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == got["1"]

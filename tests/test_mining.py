@@ -205,6 +205,20 @@ def test_growth_matches_full_scan(statistic, k):
     assert list(result.forbidden()) == forbidden
 
 
+@pytest.mark.parametrize("statistic,k", [("phiL", 1), ("phiA", 4)])
+def test_listing_every_forbidden_graph_walks_once(monkeypatch, statistic, k):
+    # phiL's scan lists the forbidden graphs as it walks, so forbidden()
+    # needs no second walk; growth walks only when they are listed
+    walks = []
+    walk = mining._walk
+    monkeypatch.setattr(mining, "_walk", lambda max_n: walks.append(max_n) or walk(max_n))
+    result = mine(MiningTask(7, statistic, k))
+    forbidden = list(result.forbidden())
+    assert walks == [7]
+    assert forbidden == oracles.mine_by_scan(7, partial(_value, statistic), k + 1)[2]
+    assert len(forbidden) > len(result.minimal)
+
+
 def test_growth_runs_no_induced_search(monkeypatch):
     def refuse(host, pattern):
         raise AssertionError("find_induced called")

@@ -74,13 +74,22 @@ def test_format_prints_one_line_per_metric():
     assert pairs.format_rows(worse)[1].split()[-2:] == ["beyond", "25%"]
 
 
+def test_failures_are_summed_per_side():
+    assert pairs.format_failures({"parent": (0, 9120), "change": (3, 9300)}) == (
+        "failed items: parent 0 of 9120 (0.00%), change 3 of 9300 (0.03%)")
+    assert pairs.format_failures({"parent": (0, 0), "change": (0, 0)}) == (
+        "failed items: parent 0 of 0, change 0 of 0")
+
+
 def test_pairs_alternate_which_side_runs_first(monkeypatch, capsys):
     calls = []
 
     def fake_run(checkout, workload, seed):
         calls.append((str(checkout), workload, seed))
         side = PARENT if str(checkout) == "old" else CHANGE
-        return {m: side[m][seed - 40] for m in BETTER}
+        # the change fails one item in the pair of seed 41
+        failed = int(str(checkout) == "new" and seed == 41)
+        return {m: side[m][seed - 40] for m in BETTER}, failed, 100 + seed
     monkeypatch.setattr(pairs, "run", fake_run)
     assert pairs.main(["old", "new", "--workload", "mine", "--pairs", "4", "--seed", "40"]) == 0
     assert calls == [("old", "mine", 40), ("new", "mine", 40), ("new", "mine", 41),
@@ -88,4 +97,5 @@ def test_pairs_alternate_which_side_runs_first(monkeypatch, capsys):
                      ("new", "mine", 43), ("old", "mine", 43)]
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "mine: 4 pairs, seeds 40..43"
-    assert [line.split()[0] for line in out[2:]] == ["items_per_s", "item_p50_ms"]
+    assert [line.split()[0] for line in out[2:-1]] == ["items_per_s", "item_p50_ms"]
+    assert out[-1] == "failed items: parent 0 of 566 (0.00%), change 1 of 566 (0.18%)"

@@ -13,6 +13,8 @@ at least nine tenths of the pairs, and a median better than the parent's by
 more than the parent's interquartile range.  Beside it, per metric, whether
 the change's median is worse than the parent's by more than the metric's
 bound, the relative worsening a change that claims no gain may show.
+Last, each side's failed and attempted items summed over its runs: a
+change whose share of failed items grows is rejected whatever its speed.
 Directions and bounds come from BENCHMARK.json beside this directory.
 Standard library only.
 """
@@ -28,7 +30,8 @@ BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 def run(checkout, workload, seed):
-    """The metrics, name -> value, of one untraced benchmark run in checkout."""
+    """The metrics, name -> value, of one untraced benchmark run in checkout,
+    and its failed and attempted item counts."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", "20", "--trace", "0"],
@@ -39,7 +42,8 @@ def run(checkout, workload, seed):
     if result["failed"]:
         print(f"  {checkout}: {result['failed']} of {result['attempted']} items failed",
               file=sys.stderr)
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    return metrics, result["failed"], result["attempted"]
 
 
 def quartiles(values):
@@ -84,6 +88,14 @@ def format_rows(rows):
     return lines
 
 
+def format_failures(totals):
+    """One line of each side's (failed, attempted) totals, side -> totals."""
+    return "failed items: " + ", ".join(
+        f"{side} {failed} of {attempted}"
+        + (f" ({100 * failed / attempted:.2f}%)" if attempted else "")
+        for side, (failed, attempted) in totals.items())
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -96,16 +108,20 @@ def main(argv=None):
     better = {m["name"]: m["better"] for m in metrics}
     bound = {m["name"]: m["bound"] for m in metrics}
     pairs = []
+    totals = {"parent": [0, 0], "change": [0, 0]}
     for i in range(args.pairs):
         seed = args.seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         got = {}
         for side in order:
-            got[side] = run(getattr(args, side), args.workload, seed)
+            got[side], failed, attempted = run(getattr(args, side), args.workload, seed)
+            totals[side][0] += failed
+            totals[side][1] += attempted
             print(f"pair {i} seed {seed} {side}: " + json.dumps(got[side]), file=sys.stderr)
         pairs.append((got["parent"], got["change"]))
     print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed}..{args.seed + args.pairs - 1}")
     print("\n".join(format_rows(summary(pairs, better, bound))))
+    print(format_failures(totals))
     return 0
 
 

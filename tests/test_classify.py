@@ -340,6 +340,14 @@ def test_imap_workers_pins_each_worker_to_one_cpu(monkeypatch, workers):
     assert os.sched_getaffinity(0) == before
 
 
+@pytest.mark.skipif(not _CPUS, reason="needs os.sched_setaffinity")
+def test_imap_workers_runs_unpinned_where_pinning_fails(monkeypatch):
+    def refuse(pid, cpus):
+        raise OSError(22, "Invalid argument")
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    assert {cpus for _, cpus in imap_workers(_where, range(8), 2)} == {tuple(_CPUS)}
+
+
 _DEAD_WORKER = """
 import os
 from charideals.classify import imap_workers

@@ -53,19 +53,21 @@ def _serve(fn, tasks, results, parent_ends, cpu):
         os._exit(code)
 
 
-def imap_forked(fn, items, workers, chunksize):
-    """imap_workers over `workers` forked processes.
+def imap_forked(fn, items, cpus, chunksize):
+    """imap_workers over one forked process per entry of `cpus`, which
+    imap_workers takes from the CPUs this process may run on, each at most
+    once: no caller gets more workers than usable CPUs.
 
     The parent flushes stdout and stderr, then forks every worker before it
-    starts any thread.  Worker i is pinned to the i-th of the CPUs the
-    parent may run on, cycling through them, as freshly forked workers left
-    to the scheduler often share one CPU; the parent stays unpinned.  Each
-    worker reads pickled batches from one pipe and writes pickled results
-    to another.  A feeder thread reads `items` and deals the batches
-    round-robin, with at most 2 * workers unanswered, so an endless stream
-    stays in bounded memory and each line is answered while later ones are
-    unread.
+    starts any thread.  Worker i is pinned to cpus[i] alone (unpinned where
+    that is None), as freshly forked workers left to the scheduler often
+    share one CPU; the parent stays unpinned.  Each worker reads pickled
+    batches from one pipe and writes pickled results to another.  A feeder
+    thread reads `items` and deals the batches round-robin, with at most
+    2 * workers unanswered, so an endless stream stays in bounded memory
+    and each line is answered while later ones are unread.
     """
+    workers = len(cpus)
     for stream in (sys.stdout, sys.stderr):
         if stream is not None:
             stream.flush()  # or a worker would inherit the unwritten output
@@ -106,16 +108,15 @@ def imap_forked(fn, items, workers, chunksize):
                     pass
 
     feeder = threading.Thread(target=feed, daemon=True)
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else [None]
     try:
-        for i in range(workers):
+        for cpu in cpus:
             task_r, task_w = os.pipe()
             result_r, result_w = os.pipe()
             ends += (task_w, result_r)
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _serve(fn, task_r, result_w, ends, cpus[i % len(cpus)])
+                    _serve(fn, task_r, result_w, ends, cpu)
             finally:
                 os.close(task_r)
                 os.close(result_w)

@@ -294,23 +294,32 @@ def _check_line(g6):
         return g6, None, f"{type(exc).__name__}: {exc}"
 
 
-def imap_workers(fn, items, workers, chunksize=1):
-    """fn over items, lazily and in order: over `workers` forked processes
-    when workers > 1 and os.fork exists, `chunksize` items at a time, and
-    sequentially otherwise.  Every worker is forked before any thread
-    starts.  An exception fn raises is raised here, a worker that dies
-    raises ChildProcessError, and however the iterator ends, closed early
-    included, every worker is killed and reaped."""
-    if workers <= 1 or not hasattr(os, "fork"):
+def imap_workers(fn, items, chunksize=1):
+    """fn over items, lazily and in order.  GRAPHTOOL_THREADS=N (default 1)
+    puts one forked worker on each of the first N CPUs this process may run
+    on, pinned there, so every caller is capped at the usable CPUs; with
+    one CPU, or without os.fork, fn runs here.  A worker answers `chunksize`
+    items at a time.  An exception fn raises is raised here, a worker that
+    dies raises ChildProcessError, and however the iterator ends, closed
+    early included, every worker is killed and reaped."""
+    try:
+        requested = max(1, int(os.environ.get("GRAPHTOOL_THREADS", "1")))
+    except ValueError:
+        requested = 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = sorted(os.sched_getaffinity(0))[:requested]
+    else:  # nothing to pin to
+        cpus = [None] * min(requested, os.cpu_count() or 1)
+    if len(cpus) <= 1 or not hasattr(os, "fork"):
         return map(fn, items)
     from ._forked import imap_forked  # loaded only by runs with workers
-    return imap_forked(fn, items, workers, chunksize)
+    return imap_forked(fn, items, cpus, chunksize)
 
 
-def cross_check(max_n, workers=1):
+def cross_check(max_n):
     """Classify every connected graph up to isomorphism with at most max_n
     vertices, recording route disagreements and nesting violations.  Graphs
-    stream from a depth-first walk, over forked workers when workers > 1;
+    stream from a depth-first walk, over the workers imap_workers forks;
     counters merge in the parent either way."""
     if max_n < 1:
         raise ValueError(f"crosscheck needs max_n >= 1, got {max_n}")
@@ -319,7 +328,7 @@ def cross_check(max_n, workers=1):
         raise ValueError(f"crosscheck supports max_n <= {len(CONNECTED_COUNTS)}, got {max_n}")
     counts = {}
     violations = []
-    results = imap_workers(_check_line, _walk(max_n), workers, chunksize=16)
+    results = imap_workers(_check_line, _walk(max_n), chunksize=16)
     for checked, (g6, rep, error) in enumerate(results, 1):  # K_1 comes first
         if error is not None:
             violations.append({"graph6": g6, "detail": error})

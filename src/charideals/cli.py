@@ -21,20 +21,7 @@ from .graphs import (adjacency_matrix, format_edge_list, laplacian_matrix,
 from .graph_ideals import algebraic_corank, char_ideal_profile, characteristic_ideal
 from .intlinalg import ConsistencyError, _unit_count, snf_diagonal
 from .isomorphism import canonical_form
-from .mining import MiningTask, mine
-
-
-def _workers():
-    """GRAPHTOOL_THREADS, clamped to 1 .. the CPUs this process may run on."""
-    try:
-        requested = int(os.environ.get("GRAPHTOOL_THREADS", "1"))
-    except ValueError:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        usable = len(os.sched_getaffinity(0))
-    else:
-        usable = os.cpu_count() or 1
-    return max(1, min(requested, usable))
+from .mining import STATISTICS, MiningTask, mine
 
 
 def _envelope(command, input_echo, payload):
@@ -157,7 +144,7 @@ def _cmd_classify(args):
         _emit("classify", rep["graph6"], rep)
         return 0
     numbered = ((no, ln) for no, ln in enumerate(sys.stdin, start=1) if ln.strip())
-    failed = _emit_stream(imap_workers(_classify_line, numbered, _workers()))
+    failed = _emit_stream(imap_workers(_classify_line, numbered))
     return 1 if failed else 0
 
 
@@ -206,7 +193,7 @@ def _cmd_catalog(args):
 
 
 def _cmd_crosscheck(args):
-    result = cross_check(args.max_n, workers=_workers())
+    result = cross_check(args.max_n)
     _emit("crosscheck", None, result.to_json_dict())
     return 3 if result.violations else 0
 
@@ -253,7 +240,7 @@ def _build_parser():
 
     p = subs.add_parser("mine", help="minimal forbidden graphs for a statistic")
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--stat", choices=("phiA", "gammaA", "phiL"), required=True)
+    p.add_argument("--stat", choices=STATISTICS, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--emit-all", action="store_true",
                    help="also list non-minimal forbidden graphs")

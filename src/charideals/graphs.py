@@ -177,23 +177,35 @@ def parse_graph6(text):
             f"expected {nbytes} adjacency bytes for n={n}, got {len(data) - 1}",
             min(len(data), 1 + nbytes),
         )
-    # column-major upper triangle: (0,1),(0,2),(1,2),(0,3),...
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    body = 0
+    for b in data[1:]:
+        body = body << 6 | b - 63
+    pad = 6 * nbytes - nbits  # all in the last byte
+    if body & ((1 << pad) - 1):
+        raise Graph6Error("nonzero padding bit", nbytes)
+    body >>= pad
     adj = [0] * n
-    idx = 0
-    for bi in range(nbytes):
-        chunk = data[1 + bi] - 63
-        for k in range(5, -1, -1):
-            bit = chunk >> k & 1
-            if idx < nbits:
-                if bit:
-                    i, j = pairs[idx]
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-            elif bit:
-                raise Graph6Error("nonzero padding bit", 1 + bi)
-            idx += 1
+    for j in range(n - 1, 0, -1):  # the last column holds the lowest bits
+        col = body & ((1 << j) - 1)
+        body >>= j
+        while col:
+            low = col & -col
+            col ^= low
+            i = j - low.bit_length()
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
     return Graph.from_adj(adj)
+
+
+def _graph6(n, body):
+    """graph6 of the graph on n vertices whose body bits are `body`: a byte
+    n + 63, then the n(n - 1)/2 bits of the upper triangle, column by
+    column, (0,1),(0,2),(1,2),(0,3),... from the highest bit down,
+    zero-padded to whole 6-bit chunks, each chunk + 63."""
+    chunks = (n * (n - 1) // 2 + 5) // 6
+    body <<= 6 * chunks - n * (n - 1) // 2
+    return bytes([n + 63] + [(body >> s & 63) + 63
+                             for s in range(6 * chunks - 6, -1, -6)]).decode("ascii")
 
 
 def to_graph6(g):
@@ -235,7 +247,10 @@ def parse_edge_list(text):
         edges.append((int(parts[0]), int(parts[1])))
     if n is None:
         n = 1 + max((max(e) for e in edges), default=-1)
-    return Graph(n, edges)
+    try:
+        return Graph(n, edges)
+    except OverflowError:  # n too large to index a list
+        raise ValueError(f"vertex count {n} is too large") from None
 
 
 def format_edge_list(g):

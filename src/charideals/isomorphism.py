@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .graphs import twin_classes
+from .graphs import _graph6, twin_classes
 
 
 def _refine(adj, cells):
@@ -177,16 +177,6 @@ def _label(adj):
         by_degree[d] = by_degree.get(d, 0) | 1 << v
     dfs([by_degree[d] for d in sorted(by_degree)], (), 0)
     return tuple(best[1]), [p for p, _ in gens], best[0]
-
-
-def _graph6(n, key):
-    """graph6 of the graph on n vertices whose body bits are key: a byte
-    n + 63, then the n(n - 1)/2 bits, zero-padded to whole 6-bit chunks,
-    each chunk + 63."""
-    chunks = (n * (n - 1) // 2 + 5) // 6
-    key <<= 6 * chunks - n * (n - 1) // 2
-    return bytes([n + 63] + [(key >> s & 63) + 63
-                             for s in range(6 * chunks - 6, -1, -6)]).decode("ascii")
 
 
 def canonical_form(g):

@@ -48,11 +48,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .graphs import Graph, adjacency_matrix, laplacian_matrix, parse_graph6, reach, to_graph6
+from .graphs import (Graph, _graph6, adjacency_matrix, laplacian_matrix, parse_graph6, reach,
+                     to_graph6)
 from .graph_ideals import algebraic_corank, char_ideal_profile
 from .intlinalg import (ConsistencyError, _unit_count, delta_sequence,
                         invariant_factors_from_deltas)
-from .isomorphism import _graph6, _label, _orbit, find_induced
+from .isomorphism import _label, _orbit, find_induced
 
 # connected graphs up to isomorphism on 1, 2, 3, ... vertices (OEIS A001349)
 CONNECTED_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117, 261080, 11716571)

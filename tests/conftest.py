@@ -15,3 +15,10 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip)
+
+
+@pytest.fixture(autouse=True)
+def _no_workers_unless_asked(monkeypatch):
+    # imap_workers and cross_check follow GRAPHTOOL_THREADS; a test that
+    # wants workers sets it, so the caller's environment changes no test
+    monkeypatch.delenv("GRAPHTOOL_THREADS", raising=False)

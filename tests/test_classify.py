@@ -208,9 +208,10 @@ def test_cross_check_rejects_max_n_below_1():
             cross_check(max_n)
 
 
-def test_cross_check_parallel_matches_sequential():
+def test_cross_check_parallel_matches_sequential(monkeypatch):
     seq = cross_check(4)
-    par = cross_check(4, workers=2)
+    monkeypatch.setenv("GRAPHTOOL_THREADS", "2")
+    par = cross_check(4)
     assert seq.family_counts == par.family_counts
     assert seq.graphs_checked == par.graphs_checked == 10
     assert not par.violations
@@ -230,8 +231,8 @@ def test_cross_check_classifies_while_it_walks(monkeypatch):
     assert events.index("classify") < events.index(6)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_cross_check_reports_violations_in_level_order(monkeypatch, workers):
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_cross_check_reports_violations_in_level_order(monkeypatch, threads):
     # the walk meets the graphs on 4 and 5 vertices interleaved; the
     # violations come sorted by (size, graph6), as the levels gave them
     classify_mod = importlib.import_module("charideals.classify")
@@ -240,25 +241,43 @@ def test_cross_check_reports_violations_in_level_order(monkeypatch, workers):
     assert [s for s in mining._walk(5) if s in failing] != sorted(failing)
     monkeypatch.setattr(classify_mod, "_check_line",
                         lambda g6: (g6, None, "injected") if g6 in failing else real(g6))
-    res = cross_check(5, workers)
+    monkeypatch.setenv("GRAPHTOOL_THREADS", threads)
+    res = cross_check(5)
     assert res.graphs_checked == 31
     assert res.violations == [{"graph6": s, "detail": "injected"} for s in sorted(failing)]
     assert res.family_counts == cross_check(3).family_counts
 
 
+_CPUS = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+_FORK = os.fork
+
+
 def _recorded_forks(monkeypatch):
-    """The pids of the children os.fork makes from here on."""
+    """The pids of the children os.fork makes from here on.  A fork past one
+    per usable CPU raises in the parent instead of forking."""
     pids = []
-    real = os.fork
 
     def fork():
-        pid = real()
+        if len(pids) == len(_CPUS):
+            raise AssertionError(f"a fork past the {len(_CPUS)} usable CPUs")
+        pid = _FORK()
         if pid:
             pids.append(pid)
         return pid
 
     monkeypatch.setattr(os, "fork", fork)
     return pids
+
+
+def _forks_for(threads):
+    """How many workers GRAPHTOOL_THREADS=threads forks here: one per CPU
+    up to the usable ones, and none for a single one."""
+    workers = min(threads, len(_CPUS))
+    return workers if workers > 1 else 0
+
+
+_TWO_CPUS = pytest.mark.skipif(len(_CPUS) < 2, reason="needs os.sched_setaffinity and "
+                                                      "2 usable CPUs to fork workers")
 
 
 def _reaped(pid):
@@ -274,13 +293,14 @@ def _uneven(x):
     return x, sum(range((x * 7919) % 13 * 20000))
 
 
-@pytest.mark.parametrize("workers", [1, 2, 5])  # 5: usually more workers than cores
+@pytest.mark.parametrize("threads", [1, 2, 5])  # 5: usually more than the usable CPUs
 @pytest.mark.parametrize("chunksize", [1, 16])
-def test_imap_workers_matches_map(monkeypatch, workers, chunksize):
+def test_imap_workers_matches_map(monkeypatch, threads, chunksize):
+    monkeypatch.setenv("GRAPHTOOL_THREADS", str(threads))
     forks = _recorded_forks(monkeypatch)
     items = list(range(53))
-    assert list(imap_workers(_uneven, items, workers, chunksize)) == list(map(_uneven, items))
-    assert len(forks) == (0 if workers == 1 else workers)
+    assert list(imap_workers(_uneven, items, chunksize)) == list(map(_uneven, items))
+    assert len(forks) == _forks_for(threads)
     assert all(_reaped(pid) for pid in forks)
 
 
@@ -292,51 +312,79 @@ def _fails_on_21(x):
 
 @pytest.mark.parametrize("chunksize", [1, 16])
 def test_imap_workers_raises_what_fn_raises(monkeypatch, chunksize):
+    monkeypatch.setenv("GRAPHTOOL_THREADS", "2")
     forks = _recorded_forks(monkeypatch)
     with pytest.raises(KeyError, match="no item 21"):
-        list(imap_workers(_fails_on_21, range(40), 2, chunksize))
-    assert len(forks) == 2 and all(_reaped(pid) for pid in forks)
+        list(imap_workers(_fails_on_21, range(40), chunksize))
+    assert len(forks) == _forks_for(2) and all(_reaped(pid) for pid in forks)
 
 
 def _disagrees(x):
     raise RouteDisagreement("C^", "S<=1", {"count": x})
 
 
-def test_imap_workers_names_an_exception_it_cannot_rebuild():
+@_TWO_CPUS
+def test_imap_workers_names_an_exception_it_cannot_rebuild(monkeypatch):
     # RouteDisagreement needs three arguments, so unpickling it would fail
+    monkeypatch.setenv("GRAPHTOOL_THREADS", "2")
     with pytest.raises(RuntimeError, match="^RouteDisagreement: routes disagree on S<=1 "
                                            "for C\\^: count=3$"):
-        list(imap_workers(_disagrees, [3], 2))
+        list(imap_workers(_disagrees, [3]))
 
 
 def test_imap_workers_closed_early_reaps_its_workers(monkeypatch):
+    monkeypatch.setenv("GRAPHTOOL_THREADS", "2")
     forks = _recorded_forks(monkeypatch)
-    results = imap_workers(_uneven, iter(range(10**9)), 2)
+    results = imap_workers(_uneven, iter(range(10**9)))
     assert next(results) == _uneven(0)
     results.close()
-    assert len(forks) == 2 and all(_reaped(pid) for pid in forks)
-
-
-_CPUS = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    assert len(forks) == _forks_for(2) and all(_reaped(pid) for pid in forks)
 
 
 def _where(x):
     return os.getpid(), tuple(sorted(os.sched_getaffinity(0)))
 
 
-@pytest.mark.skipif(len(_CPUS) < 2, reason="needs os.sched_setaffinity and 2 usable CPUs")
-@pytest.mark.parametrize("workers", [2, len(_CPUS) + 1])  # then more workers than CPUs
-def test_imap_workers_pins_each_worker_to_one_cpu(monkeypatch, workers):
-    # worker i runs on the i-th usable CPU alone, cycling; the parent stays unpinned
+@_TWO_CPUS
+@pytest.mark.parametrize("threads", [2, len(_CPUS) + 1])  # then more than the usable CPUs
+def test_imap_workers_pins_each_worker_to_one_cpu(monkeypatch, threads):
+    # worker i runs on the i-th usable CPU alone; the parent stays unpinned
+    monkeypatch.setenv("GRAPHTOOL_THREADS", str(threads))
     forks = _recorded_forks(monkeypatch)
     before = os.sched_getaffinity(0)
-    where = dict(imap_workers(_where, range(8 * workers), workers))
+    where = dict(imap_workers(_where, range(8 * threads)))
     assert sorted(where) == sorted(forks)
-    assert sorted(where.values()) == sorted((_CPUS[i % len(_CPUS)],) for i in range(workers))
+    assert sorted(where.values()) == [(cpu,) for cpu in _CPUS[:threads]]
     assert os.sched_getaffinity(0) == before
-    results = imap_workers(_where, iter(range(10**9)), workers)
+    forks = _recorded_forks(monkeypatch)
+    results = imap_workers(_where, iter(range(10**9)))
     assert len(next(results)[1]) == 1
     results.close()
+    assert len(forks) == _forks_for(threads)
+    assert os.sched_getaffinity(0) == before
+
+
+@_TWO_CPUS
+def test_workers_are_capped_at_the_usable_cpus(monkeypatch):
+    # the library follows GRAPHTOOL_THREADS as the CLI does, one worker per
+    # usable CPU at most; a fork past them raises in _recorded_forks
+    classify_mod = importlib.import_module("charideals.classify")
+    monkeypatch.setenv("GRAPHTOOL_THREADS", "1000000")
+    before = os.sched_getaffinity(0)
+    forks = _recorded_forks(monkeypatch)
+    where = dict(imap_workers(_where, range(8 * len(_CPUS))))
+    assert sorted(where) == sorted(forks)
+    assert sorted(where.values()) == [(cpu,) for cpu in _CPUS]
+    assert os.sched_getaffinity(0) == before
+    # each graph reports where it was checked, as a violation
+    forks = _recorded_forks(monkeypatch)
+    monkeypatch.setattr(classify_mod, "_check_line",
+                        lambda g6: (g6, None, json.dumps(_where(g6))))
+    res = cross_check(4)
+    assert res.graphs_checked == len(res.violations) == 10
+    where = {pid: tuple(cpus) for pid, cpus in (json.loads(v["detail"]) for v in res.violations)}
+    assert len(forks) == len(_CPUS) and set(where) <= set(forks)
+    assert all(len(cpus) == 1 and cpus[0] in _CPUS for cpus in where.values())
     assert os.sched_getaffinity(0) == before
 
 
@@ -345,7 +393,8 @@ def test_imap_workers_runs_unpinned_where_pinning_fails(monkeypatch):
     def refuse(pid, cpus):
         raise OSError(22, "Invalid argument")
     monkeypatch.setattr(os, "sched_setaffinity", refuse)
-    assert {cpus for _, cpus in imap_workers(_where, range(8), 2)} == {tuple(_CPUS)}
+    monkeypatch.setenv("GRAPHTOOL_THREADS", "2")
+    assert {cpus for _, cpus in imap_workers(_where, range(8))} == {tuple(_CPUS)}
 
 
 _DEAD_WORKER = """
@@ -358,7 +407,7 @@ def fn(x):
     return x
 
 try:
-    list(imap_workers(fn, range(40), 2))
+    list(imap_workers(fn, range(40)))
 except ChildProcessError as exc:
     print(exc)
 try:
@@ -369,8 +418,9 @@ except ChildProcessError:
 """
 
 
+@_TWO_CPUS
 def test_imap_workers_raises_when_a_worker_dies():
-    env = dict(os.environ)
+    env = dict(os.environ, GRAPHTOOL_THREADS="2")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
     with subprocess.Popen([sys.executable, "-c", _DEAD_WORKER], stdout=subprocess.PIPE,

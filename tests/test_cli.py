@@ -51,7 +51,8 @@ def test_snf_laplacian(capsys):
 
 def test_phi(capsys):
     code, out, _ = run(capsys, "phi", "C^")
-    assert envelopes(out)[0]["payload"]["phi"] == 2
+    assert code == 0
+    assert envelopes(out)[0]["payload"] == {"matrix": "adjacency", "phi": 2}
 
 
 def test_gamma(capsys):
@@ -215,22 +216,36 @@ def test_classify_stream_survives_an_unexpected_failure(capsys, monkeypatch, thr
         assert env["input"] == rep["graph6"] and env["payload"] == rep
 
 
-def test_workers_clamped_to_usable_cpus(monkeypatch):
-    from charideals.cli import _workers
-    monkeypatch.setenv("GRAPHTOOL_THREADS", "100000")
+def test_workers_clamped_to_usable_cpus(capsys, monkeypatch):
+    # imap_workers alone reads GRAPHTOOL_THREADS and the usable CPUs; the
+    # pool records the CPUs it is handed instead of forking
+    handed = []
+
+    def pool(fn, items, cpus, chunksize):
+        handed.append(cpus)
+        return map(fn, items)
+
+    monkeypatch.setattr(importlib.import_module("charideals._forked"), "imap_forked", pool)
+
+    def cpus_for(threads):
+        handed.clear()
+        monkeypatch.setenv("GRAPHTOOL_THREADS", threads)
+        monkeypatch.setattr("sys.stdin", io.StringIO("C^\n"))
+        assert run(capsys, "classify", "-")[0] == 0
+        return handed[0] if handed else None  # None: no pool, fn ran in the parent
+
     if hasattr(os, "sched_getaffinity"):
-        assert _workers() == len(os.sched_getaffinity(0))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    assert _workers() == 3
-    for value, want in (("2", 2), ("0", 1), ("-5", 1), ("many", 1)):
-        monkeypatch.setenv("GRAPHTOOL_THREADS", value)
-        assert _workers() == want
+        usable = sorted(os.sched_getaffinity(0))
+        assert cpus_for("100000") == (usable if len(usable) > 1 else None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 0, 1}, raising=False)
+    assert cpus_for("100000") == [0, 1, 2]
+    for value, want in (("2", [0, 1]), ("1", None), ("0", None), ("-5", None), ("many", None)):
+        assert cpus_for(value) == want, value
     monkeypatch.delattr(os, "sched_getaffinity")
-    monkeypatch.setenv("GRAPHTOOL_THREADS", "100000")
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert _workers() == 4
+    assert cpus_for("100000") == [None] * 4  # forked, but nothing to pin to
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert _workers() == 1
+    assert cpus_for("100000") is None
 
 
 def test_mine_line_output(capsys):
@@ -396,6 +411,16 @@ def test_edge_list_input(tmp_path, capsys):
     assert envelopes(out)[0]["payload"]["invariant_factors"] == [1, 1, 2, 0]
 
 
+@pytest.mark.parametrize("via", ["g6 encode", "gamma --edge-list"])
+def test_edge_list_count_past_an_index_is_a_domain_error(tmp_path, capsys, via):
+    # 2**63 fits no list index, so it fails before anything is allocated
+    text = f"n {2**63}\n"
+    path = tmp_path / "big.txt"
+    path.write_text(text)
+    argv = ["g6", "encode", text] if via == "g6 encode" else ["gamma", str(path), "--edge-list"]
+    assert run(capsys, *argv) == (1, "", f"error: vertex count {2**63} is too large\n")
+
+
 def _path_63(tmp_path):
     """Edge-list file of the path on 63 vertices, one past graph6's limit."""
     path = tmp_path / "p63.txt"
@@ -448,7 +473,7 @@ def test_mine_reproduces_43_lines(capsys):
 def test_crosscheck_violations_exit_3(capsys, monkeypatch):
     from charideals.classify import CrossCheckResult
     fake = CrossCheckResult(2, 2, {}, [{"graph6": "A_", "detail": "synthetic"}])
-    monkeypatch.setattr("charideals.cli.cross_check", lambda n, workers=1: fake)
+    monkeypatch.setattr("charideals.cli.cross_check", lambda n: fake)
     code, out, _ = run(capsys, "crosscheck", "--max-n", "2")
     assert code == 3
 

@@ -36,6 +36,8 @@ def test_graph6_round_trip_random():
         n = rng.randint(1, 30)
         g = oracles.random_graph(rng, n, rng.random())
         assert parse_graph6(to_graph6(g)) == g
+    for g in (Graph(0), Graph(62), complete_graph(62)):
+        assert parse_graph6(to_graph6(g)) == g
 
 
 def test_graph6_header_tolerated():
@@ -56,6 +58,9 @@ def test_graph6_errors_carry_offsets():
     with pytest.raises(Graph6Error) as err:
         parse_graph6("B" + chr(63 + 0b000100))  # padding bit set after the 3 used bits
     assert err.value.offset == 1
+    with pytest.raises(Graph6Error, match="nonzero padding bit") as err:
+        parse_graph6("D?" + chr(63 + 0b000001))  # 10 bits used of 12, in 2 bytes
+    assert err.value.offset == 2
     with pytest.raises(Graph6Error):
         parse_graph6("")
     with pytest.raises(Graph6Error):

@@ -7,8 +7,8 @@ from charideals import (FAMILY_F, FORBIDDEN_S4, BlowupSpec, Graph, blowup, canon
 from charideals.catalog import (complete_graph, complete_minus_edge, cycle_graph,
                                 path_graph, paw_graph, star_graph)
 from charideals.classify import _PATTERNS
-from charideals.graphs import to_graph6
-from charideals.isomorphism import _degrees_match, _graph6, _host_plan, _label, _orbit
+from charideals.graphs import _graph6, to_graph6
+from charideals.isomorphism import _degrees_match, _host_plan, _label, _orbit
 
 import oracles
 

@@ -1,5 +1,6 @@
 """tools/pairs.py: the summary of paired benchmark runs, on fixed numbers."""
 
+import re
 import sys
 from pathlib import Path
 
@@ -99,3 +100,23 @@ def test_pairs_alternate_which_side_runs_first(monkeypatch, capsys):
     assert out[0] == "mine: 4 pairs, seeds 40..43"
     assert [line.split()[0] for line in out[2:-1]] == ["items_per_s", "item_p50_ms"]
     assert out[-1] == "failed items: parent 0 of 566 (0.00%), change 1 of 566 (0.18%)"
+
+
+def test_cached_bytecode_in_either_checkout_stops_the_run(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(pairs, "run", lambda checkout, workload, seed: (
+        calls.append(seed) or ({m: PARENT[m][0] for m in BETTER}, 0, 1)))
+    sides = [tmp_path / side for side in ("parent", "change")]
+    argv = [*map(str, sides), "--workload", "mine", "--pairs", "1", "--seed", "5"]
+    for side in sides:
+        (side / "src" / "charideals").mkdir(parents=True)
+        (side / "perfbench" / "__pycache__").mkdir(parents=True)  # src/ only counts
+    assert pairs.main(argv) == 0 and calls == [5, 5]
+    for side in sides:
+        cache = side / "src" / "charideals" / "__pycache__"
+        cache.mkdir()
+        with pytest.raises(SystemExit, match="^error: cached bytecode would lower setup_s on "
+                                             f"one side; remove {re.escape(str(cache))} or"):
+            pairs.main(argv)
+        cache.rmdir()
+    assert calls == [5, 5]

@@ -15,6 +15,9 @@ the change's median is worse than the parent's by more than the metric's
 bound, the relative worsening a change that claims no gain may show.
 Last, each side's failed and attempted items summed over its runs: a
 change whose share of failed items grows is rejected whatever its speed.
+It refuses to start while either checkout's src/ holds a __pycache__
+directory: cached bytecode spares that side's processes the compiling,
+which moves setup_s by a third.
 Directions and bounds come from BENCHMARK.json beside this directory.
 Standard library only.
 """
@@ -44,6 +47,11 @@ def run(checkout, workload, seed):
               file=sys.stderr)
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
     return metrics, result["failed"], result["attempted"]
+
+
+def cached_bytecode(checkout):
+    """The __pycache__ directories under checkout's src/, in sorted order."""
+    return sorted((Path(checkout) / "src").rglob("__pycache__"))
 
 
 def quartiles(values):
@@ -104,6 +112,10 @@ def main(argv=None):
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, required=True, help="pair i runs seed S + i")
     args = ap.parse_args(argv)
+    cached = cached_bytecode(args.parent) + cached_bytecode(args.change)
+    if cached:
+        raise SystemExit("error: cached bytecode would lower setup_s on one side; remove "
+                         + ", ".join(map(str, cached)) + " or use fresh checkouts")
     metrics = json.loads(BENCHMARK.read_text())["end_to_end"]
     better = {m["name"]: m["better"] for m in metrics}
     bound = {m["name"]: m["bound"] for m in metrics}

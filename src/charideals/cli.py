@@ -4,6 +4,8 @@ Every command is a pure function of its inputs.  Machine output is a JSON
 envelope {command, input, payload, version} per result on stdout; the mine
 and catalog commands additionally stream raw graph6 lines.  Exit codes:
 0 success, 1 domain error, 2 usage error, 3 cross-check violation.
+Start-up loads graphs, intlinalg, isomorphism and mining; the modules of
+classify, catalog and graph_ideals load in the commands that read them.
 """
 
 from __future__ import annotations
@@ -14,11 +16,8 @@ import os
 import sys
 
 from . import __version__
-from .catalog import UnknownGraphError, collection, lookup, names
-from .classify import _check_line, classify, cross_check, imap_workers
 from .graphs import (adjacency_matrix, format_edge_list, laplacian_matrix,
                      parse_edge_list, parse_graph6, to_graph6)
-from .graph_ideals import algebraic_corank, char_ideal_profile, characteristic_ideal
 from .intlinalg import ConsistencyError, _unit_count, snf_diagonal
 from .isomorphism import canonical_form
 from .mining import STATISTICS, MiningTask, mine
@@ -77,6 +76,7 @@ def _cmd_phi(args):
 
 
 def _cmd_gamma(args):
+    from .graph_ideals import algebraic_corank
     g = _load_graph(args.graph, args.edge_list)
     _emit("gamma", canonical_form(g), {"gamma": algebraic_corank(g)})
     return 0
@@ -86,6 +86,7 @@ def _cmd_ideal(args):
     if (args.k is not None) == args.all:
         print("error: provide either --k or --all", file=sys.stderr)
         return 2
+    from .graph_ideals import char_ideal_profile, characteristic_ideal
     g = _load_graph(args.graph, args.edge_list)
     # echoed before the work, so a graph past graph6's 62 vertices fails at once
     echo = None if args.pretty else canonical_form(g)
@@ -120,6 +121,7 @@ def _classify_line(numbered):
     """(False, envelope) for a good stdin line, (True, envelope) with an
     error payload and the stdin line number for a bad one.  A worker sends
     the parent this one string instead of the report."""
+    from .classify import _check_line  # already loaded by _cmd_classify
     lineno, line = numbered
     g6, rep, error = _check_line(line.strip())
     if error is None:
@@ -139,6 +141,8 @@ def _emit_stream(results):
 
 
 def _cmd_classify(args):
+    # loaded here, before imap_workers forks, so no worker compiles it again
+    from .classify import classify, imap_workers
     if args.graph != "-":
         rep = classify(parse_graph6(args.graph)).to_json_dict()
         _emit("classify", rep["graph6"], rep)
@@ -179,6 +183,7 @@ def _cmd_g6(args):
 
 
 def _cmd_catalog(args):
+    from .catalog import UnknownGraphError, collection, lookup, names
     if args.action == "list":
         for name in names():
             print(name)
@@ -186,13 +191,18 @@ def _cmd_catalog(args):
     try:
         graphs = collection(args.name)
     except UnknownGraphError:
-        graphs = [lookup(args.name)]
+        try:
+            graphs = [lookup(args.name)]
+        except UnknownGraphError as exc:
+            print(f"error: {exc.args[0]}", file=sys.stderr)
+            return 1
     for g in graphs:
         print(to_graph6(g))
     return 0
 
 
 def _cmd_crosscheck(args):
+    from .classify import cross_check
     result = cross_check(args.max_n)
     _emit("crosscheck", None, result.to_json_dict())
     return 3 if result.violations else 0
@@ -281,9 +291,6 @@ def main(argv=None):
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
-    except UnknownGraphError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 1
     except (ValueError, ConsistencyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -32,15 +32,21 @@ from functools import lru_cache
 from .graphs import _graph6, twin_classes
 
 
-def _refine(adj, cells):
+def _refine(adj, cells, splitters):
     """The equitable refinement of an ordered partition (vertex bitmasks).
 
     A pass sorts the vertices of each cell by their neighbour counts, as
     (cell index, count) pairs over the cells where the count is nonzero,
     and puts the resulting cells in its place in that order.  Passes repeat
-    until one splits nothing."""
-    while True:
+    until one splits nothing.  The vertices of any cell have equal counts
+    in every cell but the splitters, the cells the last pass made, so a
+    cell splits only on its counts in those, and only a cell that splits
+    has its signatures taken.  The caller names the first pass's
+    splitters: after a vertex of an equitable partition is individualised,
+    the new singleton is enough."""
+    while splitters:
         out = []
+        made = []
         for cell in cells:
             if not cell & (cell - 1):
                 out.append(cell)
@@ -51,15 +57,22 @@ def _refine(adj, cells):
                 low = rest & -rest
                 rest ^= low
                 a = adj[low.bit_length() - 1]
-                sig = tuple([(i, k) for i, c in enumerate(cells) if (k := (a & c).bit_count())])
-                parts[sig] = parts.get(sig, 0) | low
+                counts = tuple([(a & s).bit_count() for s in splitters])
+                parts[counts] = parts.get(counts, 0) | low
             if len(parts) == 1:
                 out.append(cell)
-            else:
-                out.extend([parts[s] for s in sorted(parts)])
-        if len(out) == len(cells):
-            return cells
-        cells = out
+                continue
+            # the vertices of a part have one signature: read it off the lowest
+            sigs = {}
+            for part in parts.values():
+                a = adj[(part & -part).bit_length() - 1]
+                sigs[tuple([(i, k) for i, c in enumerate(cells)
+                            if (k := (a & c).bit_count())])] = part
+            pieces = [sigs[s] for s in sorted(sigs)]
+            out.extend(pieces)
+            made.extend(pieces)
+        cells, splitters = out, made
+    return cells
 
 
 def _leaf_key(adj, order):
@@ -128,10 +141,10 @@ def _label(adj):
             gens.append((tuple(images), full ^ (1 << u | 1 << v)))
     first = best = None  # (key, order, path)
 
-    def dfs(cells, path, fixed):
+    def dfs(cells, splitters, path, fixed):
         # returns the depth to resume at; n when nothing is cut short
         nonlocal first, best
-        cells = _refine(adj, cells)
+        cells = _refine(adj, cells, splitters)
         for t, cell in enumerate(cells):
             if cell & (cell - 1):
                 break
@@ -164,7 +177,7 @@ def _label(adj):
                 covered = _orbit(perms, covered)
             if covered & low:
                 continue
-            back = dfs(cells[:t] + [low, cell ^ low] + cells[t + 1:],
+            back = dfs(cells[:t] + [low, cell ^ low] + cells[t + 1:], [low],
                        path + (low.bit_length() - 1,), fixed | low)
             if back < depth:
                 return back
@@ -175,7 +188,9 @@ def _label(adj):
     for v, a in enumerate(adj):
         d = a.bit_count()
         by_degree[d] = by_degree.get(d, 0) | 1 << v
-    dfs([by_degree[d] for d in sorted(by_degree)], (), 0)
+    cells = [by_degree[d] for d in sorted(by_degree)]
+    dfs(cells, cells, (), 0)
+    del dfs  # it refers to itself through its cell: free it without the collector
     return tuple(best[1]), [p for p, _ in gens], best[0]
 
 

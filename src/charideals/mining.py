@@ -50,7 +50,6 @@ from functools import lru_cache
 
 from .graphs import (Graph, _graph6, adjacency_matrix, laplacian_matrix, parse_graph6, reach,
                      to_graph6)
-from .graph_ideals import algebraic_corank, char_ideal_profile
 from .intlinalg import (ConsistencyError, _unit_count, delta_sequence,
                         invariant_factors_from_deltas)
 from .isomorphism import _label, _orbit, find_induced
@@ -155,6 +154,11 @@ def _stat_phi_adjacency(g):
     return _unit_count(adjacency_matrix(g))
 
 
+def _stat_corank(g):
+    from .graph_ideals import algebraic_corank  # loaded by gammaA alone
+    return algebraic_corank(g)
+
+
 def _stat_phi_laplacian(g):
     if g.regular_degree() is None:
         return None
@@ -163,7 +167,7 @@ def _stat_phi_laplacian(g):
 
 STATISTICS = {
     "phiA": _stat_phi_adjacency,
-    "gammaA": algebraic_corank,
+    "gammaA": _stat_corank,
     "phiL": _stat_phi_laplacian,
 }
 
@@ -224,6 +228,7 @@ def _independent_value(g6, statistic):
     # the second route, on the canonically relabelled copy
     g = parse_graph6(g6)
     if statistic == "gammaA":
+        from .graph_ideals import char_ideal_profile
         return char_ideal_profile(g).gamma
     if statistic == "phiL" and g.regular_degree() is None:
         return None

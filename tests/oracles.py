@@ -11,9 +11,11 @@ entries; the induced-subgraph search before its plan was cached,
 which shares the pattern order with its replacement, so the two must
 return the same embedding; canonical labelling by refinement on colour
 tuples with only twins pruned, whose forms the automorphism-pruned search
-must reproduce byte for byte; and enumeration that augments a
-representative by every neighbourhood of a new vertex and deduplicates by
-canonical form; mining that evaluates every connected graph and searches
+must reproduce byte for byte; the refinement that recounted every cell
+against every cell in each pass, for the one that counts against the cells
+the last pass made; and enumeration that augments a representative by
+every neighbourhood of a new vertex and deduplicates by canonical form;
+mining that evaluates every connected graph and searches
 each forbidden one for every smaller one, for the growth of the
 hereditary family that replaced it; and Buchberger completion of ideals
 of Z[t] by S- and gcd-polynomials, for the lattice that replaced it, with
@@ -519,6 +521,34 @@ def canonical_order(g):
 def canonical_form(g):
     """graph6 of a canonically relabelled copy; equal iff graphs isomorphic."""
     return to_graph6(g.relabelled(canonical_order(g)))
+
+
+def refine(adj, cells):
+    """The equitable refinement of an ordered partition (vertex bitmasks),
+    as the package took it before it counted against the new cells only:
+    every pass ranks each vertex of every cell by its (cell index, count)
+    pairs over all cells with a nonzero count, until a pass splits nothing."""
+    while True:
+        out = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                out.append(cell)
+                continue
+            parts = {}
+            rest = cell
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                a = adj[low.bit_length() - 1]
+                sig = tuple([(i, k) for i, c in enumerate(cells) if (k := (a & c).bit_count())])
+                parts[sig] = parts.get(sig, 0) | low
+            if len(parts) == 1:
+                out.append(cell)
+            else:
+                out.extend([parts[s] for s in sorted(parts)])
+        if len(out) == len(cells):
+            return cells
+        cells = out
 
 
 # -- enumeration by augmenting every mask and deduplicating ------------------

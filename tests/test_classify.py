@@ -525,15 +525,14 @@ _FOUR_UNITS = InvariantFactors((1, 1, 1, 1, 0))
 ])
 def test_route_disagreement_names_graph_family_and_routes(graph, attr, fake, check,
                                                          message, routes, monkeypatch):
-    # the package's `classify` attribute is the function, not the module;
-    # is_S_leq and the Laplacian count read mining's STATISTICS, so mining's too
-    for module in ("charideals.classify", "charideals.mining"):
-        if attr == "snf_diagonal" and module == "charideals.mining":
-            # mining's statistics read only the unit count, not the Smith form
-            monkeypatch.setattr(sys.modules[module], "_unit_count", lambda m: fake(m).ones)
-        else:
-            monkeypatch.setattr(sys.modules[module], attr, fake)
-    if attr == "algebraic_corank":
+    # the package's `classify` attribute is the function, not the module
+    monkeypatch.setattr(sys.modules["charideals.classify"], attr, fake)
+    if attr == "snf_diagonal":
+        # is_S_leq and the Laplacian count read mining's STATISTICS, which
+        # read only the unit count, not the Smith form
+        monkeypatch.setattr(sys.modules["charideals.mining"], "_unit_count",
+                            lambda m: fake(m).ones)
+    else:
         # classify reaches the co-rank by the private route that takes its phi
         monkeypatch.setattr(sys.modules["charideals.classify"], "_corank",
                             lambda g, phi: fake(g))

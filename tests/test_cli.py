@@ -200,9 +200,8 @@ def test_classify_stream_survives_an_unexpected_failure(capsys, monkeypatch, thr
             raise RuntimeError("boom")
         return real(g)
 
-    # whichever binding the stream calls through
+    # the stream reads it from the module when it runs
     monkeypatch.setattr(classify_mod, "classify", flaky)
-    monkeypatch.setattr("charideals.cli.classify", flaky)
     monkeypatch.setenv("GRAPHTOOL_THREADS", threads)
     monkeypatch.setattr("sys.stdin", io.StringIO("C^\nDhc\nC~\n"))
     code, out, _ = run(capsys, "classify", "-")
@@ -435,8 +434,10 @@ def test_graph_past_graph6_fails_before_the_work(tmp_path, capsys, monkeypatch, 
     def refuse(*args):
         raise AssertionError("computed before the echo")
 
-    for name in ("snf_diagonal", "char_ideal_profile", "characteristic_ideal"):
-        monkeypatch.setattr(f"charideals.cli.{name}", refuse)
+    # each name where the command reads it
+    for module, name in (("cli", "snf_diagonal"), ("graph_ideals", "char_ideal_profile"),
+                         ("graph_ideals", "characteristic_ideal")):
+        monkeypatch.setattr(importlib.import_module(f"charideals.{module}"), name, refuse)
     command, *rest = argv
     where = ["--graph", path] if command == "ideal" else [path]
     code, out, err = run(capsys, command, *where, "--edge-list", *rest)
@@ -473,7 +474,8 @@ def test_mine_reproduces_43_lines(capsys):
 def test_crosscheck_violations_exit_3(capsys, monkeypatch):
     from charideals.classify import CrossCheckResult
     fake = CrossCheckResult(2, 2, {}, [{"graph6": "A_", "detail": "synthetic"}])
-    monkeypatch.setattr("charideals.cli.cross_check", lambda n: fake)
+    monkeypatch.setattr(importlib.import_module("charideals.classify"), "cross_check",
+                        lambda n: fake)
     code, out, _ = run(capsys, "crosscheck", "--max-n", "2")
     assert code == 3
 

@@ -2,9 +2,12 @@
 scope that imports it; a name listed in a module's __all__ counts as read."""
 
 import ast
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -59,6 +62,83 @@ def test_cli_start_up_loads_no_dataclasses_inspect_or_difflib():
     out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout == "[]\n"
+
+
+def _fresh(code, stdin=None, env=None):
+    """stdout of code run in a fresh isolated interpreter with src/ first on
+    its path; code runs after `import sys`."""
+    code = f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r})\n{code}"
+    return subprocess.run([sys.executable, "-I", "-c", code], input=stdin, capture_output=True,
+                          text=True, check=True, env=env).stdout
+
+
+_LOADED = "print(sorted(m[11:] for m in sys.modules if m.startswith('charideals.')))"
+
+
+def test_import_charideals_loads_no_submodule():
+    assert _fresh(f"import charideals\n{_LOADED}") == "[]\n"
+
+
+# the modules the CLI loads only in the commands that read them
+_DEFERRED = ("classify", "catalog", "graph_ideals", "ztideal", "zpoly")
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (None, []),
+    (["mine", "--stat", "phiA", "--k", "4", "--max-n", "5"], []),
+    (["mine", "--stat", "phiL", "--k", "2", "--max-n", "5"], []),
+    (["mine", "--stat", "gammaA", "--k", "3", "--max-n", "5"],
+     ["graph_ideals", "ztideal", "zpoly"]),
+])
+def test_cli_loads_the_modules_its_command_reads(argv, loads):
+    run = "" if argv is None else (
+        f"from contextlib import redirect_stdout\nfrom io import StringIO\n"
+        f"with redirect_stdout(StringIO()):\n    assert charideals.cli.main({argv!r}) == 0\n")
+    out = _fresh(f"import charideals.cli\n{run}"
+                 f"print(sorted(m for m in {_DEFERRED!r} if 'charideals.' + m in sys.modules))")
+    assert out == f"{sorted(loads)}\n"
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2
+                    or not hasattr(os, "fork"), reason="no worker is forked on one CPU")
+def test_classify_stream_loads_classify_before_its_workers_fork():
+    # so the workers inherit it instead of each compiling it again
+    code = ("import os\nimport charideals.cli\nseen = []\nfork = os.fork\n"
+            "def recording_fork():\n"
+            "    seen.append('charideals.classify' in sys.modules)\n"
+            "    return fork()\n"
+            "os.fork = recording_fork\n"
+            "code = charideals.cli.main(['classify', '-'])\n"
+            "print(code, seen[:1], file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-I", "-c",
+                           f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r})\n{code}"],
+                          input="C^\nDhc\nC~\n", capture_output=True, text=True, check=True,
+                          env={**os.environ, "GRAPHTOOL_THREADS": "2"})
+    assert proc.stdout.count("\n") == 3
+    assert proc.stderr == "0 [True]\n"
+
+
+_FIRST = ("import charideals", "import charideals.classify",
+          "from charideals.classify import cross_check", "from charideals import cross_check")
+
+
+@pytest.mark.parametrize("first", range(len(_FIRST)))
+def test_package_classify_is_the_function_whatever_loads_first(first):
+    # the submodule of that name would take the package attribute on import
+    steps = _FIRST[first:] + _FIRST[:first]
+    check = ("import charideals\n"
+             "print(type(charideals.classify).__name__, charideals.classify"
+             " is sys.modules['charideals.classify'].classify)")
+    out = _fresh("\n".join(f"{step}\n{check}" for step in steps))
+    assert out == "function True\n" * len(steps)
+
+
+def test_star_import_and_dir_give_the_pinned_names():
+    out = _fresh("import charideals\nprint(sorted(n for n in dir(charideals) if n[0] != '_'))\n"
+                 "names = {}\nexec('from charideals import *', names)\n"
+                 "print(sorted(n for n in names if n[0] != '_'))\n"
+                 "print(type(names['classify']).__name__)")
+    assert out.splitlines() == [str(PUBLIC_NAMES), str(PUBLIC_NAMES), "function"]
 
 
 def test_scan_sees_unread_names():

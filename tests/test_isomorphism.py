@@ -1,9 +1,11 @@
+import gc
 import random
 
 import pytest
 
-from charideals import (FAMILY_F, FORBIDDEN_S4, BlowupSpec, Graph, blowup, canonical_form,
-                        find_induced, is_isomorphic, parse_graph6)
+from charideals import (FAMILY_F, FORBIDDEN_S4, BlowupSpec, Graph, MiningTask, blowup,
+                        canonical_form, enumerate_connected, find_induced, is_isomorphic,
+                        isomorphism, mine, parse_graph6)
 from charideals.catalog import (complete_graph, complete_minus_edge, cycle_graph,
                                 path_graph, paw_graph, star_graph)
 from charideals.classify import _PATTERNS
@@ -24,6 +26,16 @@ def _rook(a):
     cells = [(i, j) for i in range(a) for j in range(a)]
     return Graph(a * a, [(x, y) for x in range(len(cells)) for y in range(x + 1, len(cells))
                          if (cells[x][0] == cells[y][0]) != (cells[x][1] == cells[y][1])])
+
+
+def _paley(q):
+    squares = {x * x % q for x in range(1, q)}
+    return Graph(q, [(i, j) for i in range(q) for j in range(i + 1, q) if j - i in squares])
+
+
+def _cube(d):
+    return Graph(1 << d, [(x, x | 1 << b) for x in range(1 << d) for b in range(d)
+                          if not x >> b & 1])
 
 
 def _generated(perms, n):
@@ -294,3 +306,48 @@ def test_automorphisms_found_generate_the_whole_group():
         assert _generated(perms, g.n) == brute, g
         for v in range(g.n):
             assert _orbit(perms, 1 << v) == sum({1 << p[v] for p in brute}), (g, v)
+
+
+def test_refinement_against_the_new_cells_is_the_former_refinement(monkeypatch):
+    # each refinement the search asks for equals the former one, which
+    # recounted every cell in every pass, so the search runs as it did
+    rng = random.Random(67)
+    graphs = [_shuffled(g, rng) for n in range(1, 9) for g in enumerate_connected(n)]
+    assert len(graphs) == 12113
+    graphs += [oracles.random_graph(rng, rng.randint(9, 30), rng.random()) for _ in range(300)]
+    graphs += [_shuffled(g, rng) for g in (cycle_graph(12), _paley(13), _paley(17), _paley(29),
+                                            _rook(4), _rook(5), _cube(4), _cube(5))]
+    real = isomorphism._refine
+    calls = []
+
+    def both(adj, cells, splitters):
+        got = real(adj, cells, splitters)
+        assert got == oracles.refine(adj, cells), (adj, cells, splitters)
+        calls.append(splitters)
+        return got
+
+    monkeypatch.setattr(isomorphism, "_refine", both)
+    for g in graphs:
+        _label(g.adj)
+    # the searches below the root refine against one new singleton
+    assert len(calls) > 2 * len(graphs)
+    assert sum(len(s) == 1 and not s[0] & (s[0] - 1) for s in calls) > len(graphs)
+
+
+def test_labelling_and_mining_leave_no_reference_cycles():
+    # a cycle would wait for the cyclic collector; under DEBUG_SAVEALL the
+    # collector keeps what it finds in gc.garbage
+    graphs = [g for n in range(1, 7) for g in enumerate_connected(n)]
+    gc.collect()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for g in graphs:
+            _label(g.adj)
+        mine(MiningTask(6, "phiA", 4))
+        gc.collect()
+        found = len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert found == 0

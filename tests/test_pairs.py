@@ -110,13 +110,15 @@ def test_cached_bytecode_in_either_checkout_stops_the_run(tmp_path, monkeypatch)
     argv = [*map(str, sides), "--workload", "mine", "--pairs", "1", "--seed", "5"]
     for side in sides:
         (side / "src" / "charideals").mkdir(parents=True)
-        (side / "perfbench" / "__pycache__").mkdir(parents=True)  # src/ only counts
+        (side / "perfbench").mkdir()
+        (side / "tests" / "__pycache__").mkdir(parents=True)  # src/ and perfbench/ only count
     assert pairs.main(argv) == 0 and calls == [5, 5]
     for side in sides:
-        cache = side / "src" / "charideals" / "__pycache__"
-        cache.mkdir()
-        with pytest.raises(SystemExit, match="^error: cached bytecode would lower setup_s on "
-                                             f"one side; remove {re.escape(str(cache))} or"):
-            pairs.main(argv)
-        cache.rmdir()
+        for folder in (side / "src" / "charideals", side / "perfbench"):
+            cache = folder / "__pycache__"
+            cache.mkdir()
+            with pytest.raises(SystemExit, match="^error: cached bytecode would lower setup_s "
+                                                 f"on one side; remove {re.escape(str(cache))}"):
+                pairs.main(argv)
+            cache.rmdir()
     assert calls == [5, 5]

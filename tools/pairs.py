@@ -15,9 +15,10 @@ the change's median is worse than the parent's by more than the metric's
 bound, the relative worsening a change that claims no gain may show.
 Last, each side's failed and attempted items summed over its runs: a
 change whose share of failed items grows is rejected whatever its speed.
-It refuses to start while either checkout's src/ holds a __pycache__
-directory: cached bytecode spares that side's processes the compiling,
-which moves setup_s by a third.
+It refuses to start while either checkout's src/ or perfbench/ holds a
+__pycache__ directory: cached bytecode spares that side's processes the
+compiling, which moves setup_s by a third, and every set-up process
+imports from both.
 Directions and bounds come from BENCHMARK.json beside this directory.
 Standard library only.
 """
@@ -50,8 +51,10 @@ def run(checkout, workload, seed):
 
 
 def cached_bytecode(checkout):
-    """The __pycache__ directories under checkout's src/, in sorted order."""
-    return sorted((Path(checkout) / "src").rglob("__pycache__"))
+    """The __pycache__ directories under checkout's src/ and perfbench/, in
+    sorted order."""
+    return sorted(cache for folder in ("src", "perfbench")
+                  for cache in (Path(checkout) / folder).rglob("__pycache__"))
 
 
 def quartiles(values):

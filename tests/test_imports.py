@@ -72,11 +72,9 @@ def _fresh(code, stdin=None, env=None):
                           text=True, check=True, env=env).stdout
 
 
-_LOADED = "print(sorted(m[11:] for m in sys.modules if m.startswith('charideals.')))"
-
-
 def test_import_charideals_loads_no_submodule():
-    assert _fresh(f"import charideals\n{_LOADED}") == "[]\n"
+    assert _fresh("import charideals\n"
+                  "print([m for m in sys.modules if m.startswith('charideals.')])") == "[]\n"
 
 
 # the modules the CLI loads only in the commands that read them
@@ -103,19 +101,14 @@ def test_cli_loads_the_modules_its_command_reads(argv, loads):
                     or not hasattr(os, "fork"), reason="no worker is forked on one CPU")
 def test_classify_stream_loads_classify_before_its_workers_fork():
     # so the workers inherit it instead of each compiling it again
-    code = ("import os\nimport charideals.cli\nseen = []\nfork = os.fork\n"
-            "def recording_fork():\n"
-            "    seen.append('charideals.classify' in sys.modules)\n"
-            "    return fork()\n"
-            "os.fork = recording_fork\n"
-            "code = charideals.cli.main(['classify', '-'])\n"
-            "print(code, seen[:1], file=sys.stderr)")
-    proc = subprocess.run([sys.executable, "-I", "-c",
-                           f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r})\n{code}"],
-                          input="C^\nDhc\nC~\n", capture_output=True, text=True, check=True,
-                          env={**os.environ, "GRAPHTOOL_THREADS": "2"})
-    assert proc.stdout.count("\n") == 3
-    assert proc.stderr == "0 [True]\n"
+    out = _fresh("import os\nimport charideals.cli\nseen = []\nfork = os.fork\n"
+                 "def recording_fork():\n"
+                 "    seen.append('charideals.classify' in sys.modules)\n"
+                 "    return fork()\n"
+                 "os.fork = recording_fork\n"
+                 "print(charideals.cli.main(['classify', '-']), seen[:1])",
+                 stdin="C^\nDhc\nC~\n", env={**os.environ, "GRAPHTOOL_THREADS": "2"})
+    assert out.splitlines()[3:] == ["0 [True]"]
 
 
 _FIRST = ("import charideals", "import charideals.classify",

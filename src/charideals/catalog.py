@@ -10,17 +10,13 @@ import re
 from .graphs import BlowupSpec, Graph, blowup, parse_graph6
 
 
-def _close_matches(key, pool):
-    # difflib loads only on this error path, to keep it out of start-up
-    from difflib import get_close_matches
-    return get_close_matches(key, pool, n=3)
-
-
 class UnknownGraphError(KeyError):
-    def __init__(self, name, suggestions):
-        hint = f"; close matches: {', '.join(suggestions)}" if suggestions else ""
+    def __init__(self, name, pool):
+        # difflib loads only on this error path, to keep it out of start-up
+        from difflib import get_close_matches
+        self.suggestions = get_close_matches(_key(name), pool, n=3)
+        hint = f"; close matches: {', '.join(self.suggestions)}" if self.suggestions else ""
         super().__init__(f"unknown catalog graph {name!r}{hint}")
-        self.suggestions = suggestions
 
 
 def path_graph(n):
@@ -60,23 +56,6 @@ def complete_multipartite_graph(parts):
     return blowup(BlowupSpec(complete_graph(len(parts)), parts))
 
 
-def prism_graph():
-    """The triangular prism: two triangles joined by a perfect matching."""
-    return Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
-
-
-def diamond_graph():
-    return complete_minus_edge(4)
-
-
-def paw_graph():
-    return Graph(4, [(0, 1), (1, 2), (1, 3), (2, 3)])
-
-
-def house_graph():
-    return Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4)])
-
-
 # The 14 minimal obstructions to having at most three trivial characteristic
 # ideals, with the edge lists of their standard drawings.
 FAMILY_F = {
@@ -112,15 +91,18 @@ FORBIDDEN_S4 = (
 )
 
 _FIXED = {
-    "diamond": diamond_graph,
-    "paw": paw_graph,
-    "house": house_graph,
-    "prism": prism_graph,
-    "k3xk2": prism_graph,
-    "petersen": lambda: Graph(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
-                                   (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
-                                   (5, 7), (7, 9), (9, 6), (6, 8), (8, 5)]),
+    "diamond": complete_minus_edge(4),
+    "paw": Graph(4, [(0, 1), (1, 2), (1, 3), (2, 3)]),
+    "house": Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4)]),
+    # the triangular prism: two triangles joined by a perfect matching
+    "prism": Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]),
+    "petersen": Graph(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (1, 6), (2, 7),
+                           (3, 8), (4, 9), (5, 7), (7, 9), (9, 6), (6, 8), (8, 5)]),
 }
+_FIXED["k3xk2"] = _FIXED["prism"]
+
+# the names lookup resolves to one fixed graph
+_NAMED = {**_FIXED, **FAMILY_F}
 
 # name shown by `names`, pattern and builder of each parametric family;
 # the builder takes the pattern's comma-separated numbers
@@ -133,9 +115,11 @@ _PARAMETRIC = (
     ("k<a>,<b>,...", r"k(\d+(?:,\d+)+)", lambda *parts: complete_multipartite_graph(parts)),
 )
 
+# each collection as (name, graph) pairs in emit order; classify screens
+# with these same tuples
 _COLLECTIONS = {
-    "family-f": lambda: [FAMILY_F[k] for k in sorted(FAMILY_F)],
-    "forbidden-s4": lambda: [parse_graph6(s) for s in FORBIDDEN_S4],
+    "family-f": tuple((name, FAMILY_F[name]) for name in sorted(FAMILY_F)),
+    "forbidden-s4": tuple((s, parse_graph6(s)) for s in FORBIDDEN_S4),
 }
 
 
@@ -143,24 +127,16 @@ def _key(name):  # the one normalisation of catalog names
     return name.strip().lower()
 
 
-def collection(name):
-    key = _key(name)
-    if key not in _COLLECTIONS:
-        raise UnknownGraphError(name, _close_matches(key, _COLLECTIONS))
-    return _COLLECTIONS[key]()
-
-
 def names():
     dynamic = [name for name, _, _ in _PARAMETRIC]
     return sorted(_FIXED) + sorted(FAMILY_F) + dynamic + sorted(_COLLECTIONS)
 
 
-def lookup(name):
+def _graph(name):
+    """The graph a fixed, Family F or parametric name denotes, or None."""
     key = _key(name)
-    if key in _FIXED:
-        return _FIXED[key]()
-    if key in FAMILY_F:
-        return FAMILY_F[key]
+    if key in _NAMED:
+        return _NAMED[key]
     for _, pattern, build in _PARAMETRIC:
         m = re.fullmatch(pattern, key)
         if m:
@@ -170,5 +146,22 @@ def lookup(name):
                 raise ValueError(f"catalog graph {name!r} has {sum(sizes)} vertices; "
                                  "graph6 allows at most 62")
             return build(*sizes)
-    pool = list(_FIXED) + list(FAMILY_F)  # only names lookup resolves
-    raise UnknownGraphError(name, _close_matches(key, pool))
+    return None
+
+
+def lookup(name):
+    g = _graph(name)
+    if g is None:
+        raise UnknownGraphError(name, _NAMED)  # only names lookup resolves
+    return g
+
+
+def resolve(name):
+    """The graphs `catalog emit` writes: a collection's, in order, or the
+    one graph lookup gives; an unknown name gets close matches from both."""
+    if (key := _key(name)) in _COLLECTIONS:
+        return [g for _, g in _COLLECTIONS[key]]
+    g = _graph(name)
+    if g is None:
+        raise UnknownGraphError(name, [*_NAMED, *_COLLECTIONS])
+    return [g]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 
-from .catalog import FAMILY_F, FORBIDDEN_S4, lookup
+from .catalog import _COLLECTIONS, lookup
 from .graphs import adjacency_matrix, parse_graph6, true_twin_quotient, twin_classes
 from .graph_ideals import _corank, algebraic_corank
 from .intlinalg import ConsistencyError, snf_diagonal
@@ -48,9 +48,8 @@ def _named(*names):
 
 # (name, pattern) tuples in search order
 _S_FORBIDDEN = {1: _named("p2"), 2: _named("p4", "paw", "k4"), 3: _named("p4", "paw", "k5")}
-_C_FORBIDDEN = {1: _named("p3"), 2: _named("p4", "paw", "k5-e"),
-                3: tuple((name, FAMILY_F[name]) for name in sorted(FAMILY_F))}
-_S4_FORBIDDEN = tuple((s, parse_graph6(s)) for s in FORBIDDEN_S4)
+_C_FORBIDDEN = {1: _named("p3"), 2: _named("p4", "paw", "k5-e"), 3: _COLLECTIONS["family-f"]}
+_S4_FORBIDDEN = _COLLECTIONS["forbidden-s4"]
 
 
 def _first_hit(g, patterns):
@@ -136,28 +135,12 @@ def _decide(g, family, member, routes, cert, structural=None, hit=None):
     return family, member, cert
 
 
-def _s_leq(g, k, phi):
-    hit = _first_hit(g, _S_FORBIDDEN[k])
-    structural = _structural_s(g, k)
-    return _decide(g, f"S<={k}", phi <= k,
-                   {"forbidden-free": hit is None, "structural": structural is not None},
-                   {"phi_adjacency": phi}, structural, hit)
-
-
 def is_S_leq(g, k):
     """Membership in the family with at most k unit adjacency invariant factors."""
     if k not in (1, 2, 3):
         raise ValueError("structural characterisations exist for k in {1, 2, 3}")
     _check_connected(g)
-    return _s_leq(g, k, STATISTICS["phiA"](g))[1:]
-
-
-def _c_leq(g, k, gamma):
-    hit = _first_hit(g, _C_FORBIDDEN[k])
-    structural = _structural_c(g, k)
-    return _decide(g, f"C<={k}", gamma <= k,
-                   {"forbidden-free": hit is None, "structural": structural is not None},
-                   {"corank": gamma}, structural, hit)
+    return _leq(g, "S", k, STATISTICS["phiA"](g))[1:]
 
 
 def is_C_leq(g, k):
@@ -165,7 +148,7 @@ def is_C_leq(g, k):
     if k not in (1, 2, 3):
         raise ValueError("characterisations exist for k in {1, 2, 3}")
     _check_connected(g)
-    return _c_leq(g, k, algebraic_corank(g))[1:]
+    return _leq(g, "C", k, algebraic_corank(g))[1:]
 
 
 def _k_regular_structural(g, k):
@@ -188,10 +171,23 @@ def _k_regular_structural(g, k):
     return None
 
 
-def _k_leq(g, k, phi_l):
-    structural = _k_regular_structural(g, k)
-    return _decide(g, f"K<={k}", phi_l <= k, {"structural": structural is not None},
-                   {"phi_laplacian": phi_l}, structural)
+# family -> the certificate key of its count, its forbidden lists by k
+# (None: no list) and its structural recogniser
+_FAMILIES = {
+    "S": ("phi_adjacency", _S_FORBIDDEN, _structural_s),
+    "C": ("corank", _C_FORBIDDEN, _structural_c),
+    "K": ("phi_laplacian", None, _k_regular_structural),
+}
+
+
+def _leq(g, family, k, count):
+    """_decide for membership of g in family<=k, given its count."""
+    key, forbidden, recognise = _FAMILIES[family]
+    hit = _first_hit(g, forbidden[k]) if forbidden else None
+    routes = {"forbidden-free": hit is None} if forbidden else {}
+    structural = recognise(g, k)
+    routes["structural"] = structural is not None
+    return _decide(g, f"{family}<={k}", count <= k, routes, {key: count}, structural, hit)
 
 
 def is_K_leq_regular(g, k):
@@ -204,7 +200,7 @@ def is_K_leq_regular(g, k):
     phi_l = STATISTICS["phiL"](g)  # None off regular graphs
     if phi_l is None:
         raise ValueError(f"graph is not regular: degrees {sorted(set(g.degrees()))}")
-    return _k_leq(g, k, phi_l)[1:]
+    return _leq(g, "K", k, phi_l)[1:]
 
 
 def _s4_partial(g, snf):
@@ -249,9 +245,9 @@ def classify(g):
     phi_a = snf.ones
     gamma = _corank(g, phi_a)
     phi_l = STATISTICS["phiL"](g)
-    decided = [*(_s_leq(g, k, phi_a) for k in (1, 2, 3)), _s4_partial(g, snf),
-               *(_c_leq(g, k, gamma) for k in (1, 2, 3)),
-               *(_k_leq(g, k, phi_l) for k in (1, 2, 3) if phi_l is not None)]
+    decided = [*(_leq(g, "S", k, phi_a) for k in (1, 2, 3)), _s4_partial(g, snf),
+               *(_leq(g, "C", k, gamma) for k in (1, 2, 3)),
+               *(_leq(g, "K", k, phi_l) for k in (1, 2, 3) if phi_l is not None)]
     memberships = {family: member for family, member, _ in decided}
     certificates = {family: cert for family, _, cert in decided}
     return ClassificationReport(g6, phi_a, phi_l, gamma, memberships, certificates)

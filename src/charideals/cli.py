@@ -183,19 +183,16 @@ def _cmd_g6(args):
 
 
 def _cmd_catalog(args):
-    from .catalog import UnknownGraphError, collection, lookup, names
+    from .catalog import UnknownGraphError, names, resolve
     if args.action == "list":
         for name in names():
             print(name)
         return 0
     try:
-        graphs = collection(args.name)
-    except UnknownGraphError:
-        try:
-            graphs = [lookup(args.name)]
-        except UnknownGraphError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 1
+        graphs = resolve(args.name)
+    except UnknownGraphError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 1
     for g in graphs:
         print(to_graph6(g))
     return 0

@@ -26,22 +26,21 @@ Unit pivots leave the Fitting ideals unchanged while shifting k by one,
 so after r pivots I_k(M') = I_(k-r)(M) for the remaining matrix M, and
 I_k(tI - A) is the unit ideal for every k <= r.  Third, the 1-minors of
 M are its packed entries, and the larger minors integer determinants
-(intlinalg.det_int) of them, deduplicated by submatrix content; all are
-deduplicated up to sign by absolute value, as a packed value has the sign
-of its leading coefficient, and each distinct one is unpacked once.  The
-(k - j - r)-minors are multiplied by the products of j split factors, for
-j from k - r down: a product of more factors is a multiple of one of
-k - r, beside which the minor is already 1.  One source, _generators,
-yields them to every caller and k, taking each size once per call, as far
-as it is read.  Fourth, they go into the lattice that serves every ideal
-of Z[t] (ztideal): the part of I_k of degree at most
-D = min(k, max over j of j + (k - j - r)e), in Hermite normal form keyed
-by degree, where e is the largest degree of an entry of M.  No generator
-has degree above D, and closure under t supplies the rows up to degree D.
-The form stops as soon as it holds 1, and otherwise gives the reduced
-Groebner basis.  The co-rank is found top-down from an upper
-bound read off integer unit counts of the presentation, so most graphs
-need one trivial ideal and none needs a nontrivial basis.
+(intlinalg.det_int) of them; all are deduplicated up to sign by absolute
+value, as a packed value has the sign of its leading coefficient, and each
+distinct one is unpacked once.  The (k - j - r)-minors are multiplied by
+the products of j split factors, for j from k - r down: a product of more
+factors is a multiple of one of k - r, beside which the minor is already
+1.  One source, _generators, yields them to every caller and k, taking
+each size once per call, as far as it is read.  Fourth, they go into the
+lattice that serves every ideal of Z[t] (ztideal): the part of I_k of
+degree at most D = min(k, max over j of j + (k - j - r)e), in Hermite
+normal form keyed by degree, where e is the largest degree of an entry
+of M.  No generator has degree above D, and closure under t supplies the
+rows up to degree D.  The form stops as soon as it holds 1, and otherwise
+gives the reduced Groebner basis.  The co-rank is found top-down from an
+upper bound read off integer unit counts of the presentation, so most
+graphs need one trivial ideal and none needs a nontrivial basis.
 """
 
 from __future__ import annotations
@@ -179,10 +178,9 @@ def _distinct_minors(mat, w, size):
     sign, leading coefficient positive; ONE alone when size <= 0.
 
     The 1-minors are the entries, in row-major order.  For larger sizes,
-    columns of each row set are keyed by their packed entries in those
-    rows: a zero column is never chosen, and a submatrix already seen is
-    skipped.  A packed value has the sign of its leading coefficient, so
-    abs takes each minor up to sign, and it is unpacked once.
+    the columns of each row set are cut to those rows, and a zero column is
+    never chosen.  A packed value has the sign of its leading coefficient,
+    so abs takes each minor up to sign, and it is unpacked once.
     """
     if size <= 0:
         yield ONE
@@ -196,16 +194,11 @@ def _distinct_minors(mat, w, size):
                     yield _unpack(x, w)
         return
     cols = list(zip(*mat))
-    seen = set()
     for rows in combinations(range(len(mat)), size):
-        keys = [tuple(col[i] for i in rows) for col in cols]
-        live = [c for c, key in enumerate(keys) if any(key)]
+        cut = [[col[i] for i in rows] for col in cols]
+        live = [c for c in cut if any(c)]
         for chosen in combinations(live, size):
-            key = tuple(keys[c] for c in chosen)
-            if key in seen:
-                continue
-            seen.add(key)
-            x = abs(det_int([list(col) for col in key]))  # transposed: same det
+            x = abs(det_int([list(col) for col in chosen]))  # transposed: same det
             if x not in values:
                 values.add(x)
                 yield _unpack(x, w)

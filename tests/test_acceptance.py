@@ -17,7 +17,7 @@ from charideals import (BlowupSpec, IdealZt, ZPoly, adjacency_matrix,
                         multipartite_closed_form, parse_graph6, snf_diagonal,
                         to_graph6, MiningTask)
 from charideals.catalog import (FORBIDDEN_S4, complete_multipartite_graph,
-                                cycle_graph, prism_graph, star_graph)
+                                cycle_graph, star_graph)
 from charideals.ztideal import reduce as zt_reduce
 
 import oracles
@@ -46,7 +46,7 @@ def test_criterion_1_diamond_regression():
 
 def test_criterion_2_c5_and_prism_fourth_ideals():
     t0 = time.time()
-    c5, pr = cycle_graph(5), prism_graph()
+    c5, pr = cycle_graph(5), lookup("prism")
     assert characteristic_ideal(c5, 3).is_trivial()
     assert characteristic_ideal(pr, 3).is_trivial()
     assert characteristic_ideal(c5, 4) == IdealZt((P(-1, 1, 1),))
@@ -225,7 +225,7 @@ def test_criterion_8d_corank_bounds():
     pool = [cycle_graph(n) for n in range(3, 9)]
     pool += [lookup(f"k{n}") for n in range(2, 7)]
     pool += [complete_multipartite_graph((r, r)) for r in (2, 3)]
-    pool += [prism_graph(), complete_multipartite_graph((2, 2, 2))]
+    pool += [lookup("prism"), complete_multipartite_graph((2, 2, 2))]
     while cases < 500:
         if cases % 10 == 0 and pool:
             g = pool[(cases // 10) % len(pool)]

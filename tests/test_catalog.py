@@ -4,10 +4,9 @@ import pytest
 
 from charideals import is_isomorphic, parse_graph6
 from charideals.catalog import (FAMILY_F, FORBIDDEN_S4,
-                                UnknownGraphError, collection, complete_graph,
+                                UnknownGraphError, complete_graph,
                                 complete_minus_edge, complete_multipartite_graph,
-                                cycle_graph, diamond_graph, house_graph, lookup,
-                                names, path_graph, paw_graph, prism_graph,
+                                cycle_graph, lookup, names, path_graph, resolve,
                                 star_graph)
 from charideals.graphs import Graph
 
@@ -34,10 +33,12 @@ def test_parametric_names_past_graph6_fail_before_the_build():
 
 
 def test_fixed_names():
-    assert lookup("diamond") == diamond_graph()
-    assert lookup("paw") == paw_graph()
-    assert lookup("house") == house_graph()
-    assert lookup("prism") == lookup("k3xk2")
+    # each fixed graph pinned by its graph6, with its labelling
+    fixed = {"diamond": "C^", "paw": "Cj", "house": "Dlo", "prism": "E{Sw",
+             "k3xk2": "E{Sw", "petersen": "IheA@GUAo"}
+    assert [name for name in names() if name in fixed] == sorted(fixed)
+    for name, g6 in fixed.items():
+        assert lookup(name) == parse_graph6(g6), name
     assert lookup("dart") == FAMILY_F["dart"]
 
 
@@ -48,14 +49,14 @@ def test_unknown_name_suggests():
 
 
 def test_diamond_is_c_caret():
-    assert is_isomorphic(diamond_graph(), parse_graph6("C^"))
-    assert diamond_graph() == parse_graph6("C^")
+    assert is_isomorphic(lookup("diamond"), parse_graph6("C^"))
+    assert lookup("diamond") == parse_graph6("C^") == complete_minus_edge(4)
 
 
 def test_house_inside_prism():
     from charideals import find_induced
-    assert find_induced(prism_graph(), house_graph()) is not None
-    assert find_induced(prism_graph(), path_graph(4)) is not None
+    assert find_induced(lookup("prism"), lookup("house")) is not None
+    assert find_induced(lookup("prism"), path_graph(4)) is not None
 
 
 def test_family_f_inventory():
@@ -87,7 +88,7 @@ def test_family_f_join_forms():
 
 def test_family_f_complements():
     # the two complement-named members really are complements
-    diamond_k2 = disjoint_union(diamond_graph(), complete_graph(2))
+    diamond_k2 = disjoint_union(lookup("diamond"), complete_graph(2))
     assert is_isomorphic(FAMILY_F["co-diamond-k2"], complement(diamond_k2))
     p3_cop3 = disjoint_union(path_graph(3), complement(path_graph(3)))
     assert is_isomorphic(FAMILY_F["co-p3-cop3"], complement(p3_cop3))
@@ -104,10 +105,8 @@ def test_forbidden_s4_strings():
 
 
 def test_collections():
-    assert len(collection("family-f")) == 14
-    assert len(collection("forbidden-s4")) == 43
-    with pytest.raises(UnknownGraphError):
-        collection("family-g")
+    assert resolve("family-f") == [FAMILY_F[name] for name in sorted(FAMILY_F)]
+    assert resolve(" Forbidden-S4 ") == [parse_graph6(s) for s in FORBIDDEN_S4]
 
 
 def test_names_listing():
@@ -116,17 +115,25 @@ def test_names_listing():
 
 
 def test_every_listed_name_resolves():
-    for name in names():
+    collections = {"family-f": [FAMILY_F[name] for name in sorted(FAMILY_F)],
+                   "forbidden-s4": [parse_graph6(s) for s in FORBIDDEN_S4]}
+    listed = names()
+    assert set(collections) <= set(listed)
+    for name in listed:
         concrete = name.replace("<n>", "5").replace("<a>,<b>,...", "2,3")
-        try:
-            graphs = [lookup(concrete)]
-        except UnknownGraphError:
-            graphs = collection(concrete)
-        assert graphs and all(g.n > 0 for g in graphs), name
+        expected = collections[name] if name in collections else [lookup(concrete)]
+        assert resolve(concrete) == expected and all(g.n > 0 for g in expected), name
+
+
+def test_classify_screens_with_the_catalog_pairs():
+    from charideals.catalog import _COLLECTIONS
+    from charideals.classify import _C_FORBIDDEN, _S4_FORBIDDEN
+    assert _C_FORBIDDEN[3] is _COLLECTIONS["family-f"]
+    assert _S4_FORBIDDEN is _COLLECTIONS["forbidden-s4"]
 
 
 def test_lookup_suggests_only_names_it_resolves():
-    # the collections are emitted by collection(), not lookup()
+    # the collections are emitted by resolve(), not lookup()
     with pytest.raises(UnknownGraphError) as err:
         lookup("family-f")
     assert "family-f" not in err.value.suggestions

@@ -17,7 +17,7 @@ from charideals import (BlowupSpec, InvariantFactors, adjacency_matrix,
                         parse_graph6, snf_diagonal)
 from charideals.catalog import (FAMILY_F, FORBIDDEN_S4, complete_graph,
                                 complete_multipartite_graph, cycle_graph, path_graph,
-                                prism_graph, star_graph)
+                                star_graph)
 from charideals.classify import (RouteDisagreement, _s4_partial,
                                  complete_multipartite_parts, imap_workers)
 from charideals import mining
@@ -83,7 +83,7 @@ def test_k5_minus_e_not_in_c2():
 
 
 def test_prism_in_c3():
-    member, cert = is_C_leq(prism_graph(), 3)
+    member, cert = is_C_leq(lookup("prism"), 3)
     assert member
 
 
@@ -140,7 +140,7 @@ def test_k_closed_list_members():
     assert is_K_leq_regular(complete_multipartite_graph((3, 3)), 2)[0]
     assert is_K_leq_regular(complete_multipartite_graph((3, 3, 3)), 2)[0]
     assert not is_K_leq_regular(cycle_graph(5), 2)[0]
-    assert is_K_leq_regular(prism_graph(), 3)[0]
+    assert is_K_leq_regular(lookup("prism"), 3)[0]
     assert is_K_leq_regular(complete_multipartite_graph((2, 2, 2, 2)), 3)[0]
     assert not is_K_leq_regular(cycle_graph(6), 3)[0]
 

@@ -353,9 +353,12 @@ def test_huge_catalog_size_fails_before_the_build(name, count):
 
 
 def test_catalog_unknown_name(capsys):
-    code, out, err = run(capsys, "catalog", "emit", "diamnod")
-    assert code == 1
-    assert "diamond" in err
+    # close matches come from every name emit accepts, collections included
+    for name, matches in (("famly-f", "family-f"), ("family-g", "family-f"),
+                          ("diamnod", "diamond, co-diamond-k2")):
+        code, out, err = run(capsys, "catalog", "emit", name)
+        assert (code, out) == (1, ""), name
+        assert err == f"error: unknown catalog graph {name!r}; close matches: {matches}\n"
 
 
 def test_crosscheck(capsys):

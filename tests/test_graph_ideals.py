@@ -11,7 +11,7 @@ from charideals import (BlowupSpec, IdealZt, ZPoly, adjacency_matrix,
                         multipartite_closed_form, snf_diagonal)
 from charideals import graph_ideals
 from charideals.catalog import (complete_graph, complete_multipartite_graph,
-                                cycle_graph, path_graph, prism_graph, star_graph)
+                                cycle_graph, path_graph, star_graph)
 from charideals.graph_ideals import _corank_bound, _generators, _presentation, _unpack
 from charideals.graphs import Graph
 from charideals.intlinalg import _unit_count, det_int
@@ -71,7 +71,7 @@ def test_complete_graph_closed_form():
 
 def test_c5_and_prism():
     c5 = cycle_graph(5)
-    prism = prism_graph()
+    prism = lookup("prism")
     assert characteristic_ideal(c5, 3).is_trivial()
     assert characteristic_ideal(prism, 3).is_trivial()
     assert characteristic_ideal(c5, 4) == IdealZt((P(-1, 1, 1),))
@@ -118,7 +118,7 @@ def test_critical_invariants_regular():
 
 
 def test_first_laplacian_invariant_is_one_for_regular_graphs_with_edges():
-    for g in (cycle_graph(5), complete_graph(4), prism_graph()):
+    for g in (cycle_graph(5), complete_graph(4), lookup("prism")):
         assert _invariants_at(g, g.regular_degree()).factors[0] == 1
 
 

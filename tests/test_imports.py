@@ -77,6 +77,20 @@ def test_import_charideals_loads_no_submodule():
                   "print([m for m in sys.modules if m.startswith('charideals.')])") == "[]\n"
 
 
+@pytest.mark.parametrize("name, loads", [
+    ("petersen", False), ("family-f", False), ("  K3,3 ", False), ("famly-f", True),
+])
+def test_catalog_emit_loads_difflib_only_for_an_unknown_name(name, loads):
+    # difflib ranks the close matches of a name the catalog does not know
+    out = _fresh("import charideals.cli\n"
+                 "from contextlib import redirect_stderr, redirect_stdout\n"
+                 "from io import StringIO\n"
+                 "with redirect_stdout(StringIO()), redirect_stderr(StringIO()):\n"
+                 f"    code = charideals.cli.main(['catalog', 'emit', {name!r}])\n"
+                 "print(code, 'difflib' in sys.modules)")
+    assert out == f"{int(loads)} {loads}\n"
+
+
 # the modules the CLI loads only in the commands that read them
 _DEFERRED = ("classify", "catalog", "graph_ideals", "ztideal", "zpoly")
 

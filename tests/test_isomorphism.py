@@ -7,7 +7,7 @@ from charideals import (FAMILY_F, FORBIDDEN_S4, BlowupSpec, Graph, MiningTask, b
                         canonical_form, enumerate_connected, find_induced, is_isomorphic,
                         isomorphism, mine, parse_graph6)
 from charideals.catalog import (complete_graph, complete_minus_edge, cycle_graph,
-                                path_graph, paw_graph, star_graph)
+                                lookup, path_graph, star_graph)
 from charideals.classify import _PATTERNS
 from charideals.graphs import _graph6, to_graph6
 from charideals.isomorphism import _degrees_match, _host_plan, _label, _orbit
@@ -58,7 +58,7 @@ def test_canonical_invariance_under_relabelling():
 
 def test_canonical_on_100_random_relabellings():
     rng = random.Random(19)
-    for g in (paw_graph(), cycle_graph(6), star_graph(5), parse_graph6("Edo_"),
+    for g in (lookup("paw"), cycle_graph(6), star_graph(5), parse_graph6("Edo_"),
               complete_minus_edge(5)):
         want = canonical_form(g)
         for _ in range(100):
@@ -110,8 +110,8 @@ def test_forbidden_list_has_43_distinct_canonical_forms():
 
 
 def test_has_induced_examples():
-    assert find_induced(paw_graph(), path_graph(3)) is not None
-    assert find_induced(complete_graph(4), paw_graph()) is None
+    assert find_induced(lookup("paw"), path_graph(3)) is not None
+    assert find_induced(complete_graph(4), lookup("paw")) is None
     assert find_induced(complete_minus_edge(5), cycle_graph(4)) is None
 
 

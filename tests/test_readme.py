@@ -25,3 +25,11 @@ def test_readme_library_block_runs_as_written():
     (minimal, line), (violations, last) = shown[3:]
     assert len(minimal) == 43 and "# the 43 " in line, line
     assert violations == [] and "# []" in last, last
+
+
+def test_readme_catalog_paragraph_lists_every_name():
+    from charideals.catalog import names
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    paragraph = next(p for p in text.split("\n\n") if p.startswith("The catalog knows "))
+    quoted = set(re.findall(r"`([^`]+)`", paragraph))
+    assert [name for name in names() if name not in quoted] == []

@@ -11,20 +11,6 @@ import sys as _sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlowupSpec", "CharIdealProfile", "ClassificationReport", "ConsistencyError",
-    "CrossCheckResult", "FAMILY_F", "FORBIDDEN_S4", "Graph",
-    "Graph6Error", "GroebnerBuilder", "IdealZt", "InvariantFactors",
-    "MiningResult", "MiningTask", "ZPoly", "adjacency_matrix",
-    "algebraic_corank", "all_k_minors_in_ideal", "blowup", "canonical_form",
-    "char_ideal_profile", "characteristic_ideal", "classify", "cross_check",
-    "delta_sequence", "enumerate_connected", "find_induced",
-    "gcd_of_k_minors", "invariant_factors_from_deltas", "is_C_leq",
-    "is_K_leq_regular", "is_S_leq", "is_isomorphic",
-    "laplacian_matrix", "lookup", "mine", "multipartite_closed_form",
-    "parse_edge_list", "parse_graph6", "snf_diagonal", "to_graph6",
-]
-
 # exported name -> the submodule that defines it
 _HOME = {name: module for module, names in (
     ("catalog", "FAMILY_F FORBIDDEN_S4 lookup"),
@@ -41,6 +27,7 @@ _HOME = {name: module for module, names in (
     ("zpoly", "ZPoly"),
     ("ztideal", "GroebnerBuilder IdealZt"),
 ) for name in names.split()}
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name):

@@ -36,11 +36,7 @@ def complete_graph(n):
 def complete_minus_edge(n):
     if n < 2:
         raise ValueError("K_n - e needs at least 2 vertices")
-    g = complete_graph(n)
-    adj = list(g.adj)
-    adj[0] &= ~2
-    adj[1] &= ~1
-    return Graph.from_adj(adj)
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) != (0, 1)])
 
 
 def star_graph(n):

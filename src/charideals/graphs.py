@@ -69,13 +69,8 @@ class Graph:
 
     def edges(self):
         for u in range(self.n):
-            m = self.adj[u] >> (u + 1)
-            v = u + 1
-            while m:
-                if m & 1:
-                    yield (u, v)
-                m >>= 1
-                v += 1
+            for v in bits(self.adj[u] >> (u + 1)):
+                yield (u, u + 1 + v)
 
     def degree(self, v):
         return self.adj[v].bit_count()

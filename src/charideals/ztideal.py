@@ -179,21 +179,15 @@ class GroebnerBuilder:
     basis and the new generator.
     """
 
-    __slots__ = ("_basis",)
+    __slots__ = ("basis",)
 
-    def __init__(self, gens=()):
-        self._basis = ()
-        for g in gens:
-            self.add(g)
-
-    @property
-    def basis(self):
-        return self._basis
+    def __init__(self):
+        self.basis = ()
 
     def add(self, p):
-        if not reduce(p, self._basis):
+        if not reduce(p, self.basis):
             return False
-        self._basis = _strong_groebner(self._basis + (p,))
+        self.basis = _strong_groebner(self.basis + (p,))
         return True
 
 

@@ -23,6 +23,16 @@ def test_dynamic_names():
     assert lookup("k2,2,2") == complete_multipartite_graph((2, 2, 2))
 
 
+def test_complete_minus_edge_has_every_pair_but_one():
+    for n in range(2, 9):
+        g = complete_minus_edge(n)
+        assert g.n == n
+        assert [[g.adj[i] >> j & 1 for j in range(n)] for i in range(n)] == [
+            [int(i != j and {i, j} != {0, 1}) for j in range(n)] for i in range(n)]
+    with pytest.raises(ValueError, match="at least 2"):
+        complete_minus_edge(1)
+
+
 def test_parametric_names_past_graph6_fail_before_the_build():
     assert lookup("k62").n == lookup("k31,31").n == 62
     for name, count in (("k63", 63), ("k40,40", 80)):

@@ -113,6 +113,15 @@ def test_induced_subgraph_matches_pairwise_definition():
                 g.subgraph(vs + [vs[-1]] if vs else [0, 0])
 
 
+def test_edges_match_pairwise_definition():
+    rng = random.Random(227)
+    for _ in range(300):
+        n = rng.randint(0, 20)
+        g = oracles.random_graph(rng, n, rng.random())
+        assert list(g.edges()) == [(u, v) for u in range(n) for v in range(u + 1, n)
+                                   if g.adj[u] >> v & 1], g
+
+
 def test_edge_list_round_trip():
     g = cycle_graph(5)
     assert parse_edge_list(format_edge_list(g)) == g

@@ -12,12 +12,22 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _unread_imports(tree):
-    exported = set()
+def _listed_all(tree):
+    """The names of a module's `__all__` where it is a literal list or tuple;
+    a computed `__all__` lists none."""
+    names = set()
     for node in tree.body:
-        if (isinstance(node, ast.Assign)
+        if (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            exported = {e.value for e in node.value.elts}
+            names.update(e.value for e in node.value.elts)
+    return names
+
+
+def _unread_imports(tree, exported=()):
+    """Each import of `tree` no code of its scope reads, as "line N: name";
+    a module-level import listed in a literal `__all__` or in `exported`
+    counts as read."""
+    exported = _listed_all(tree) | set(exported)
     found = []
 
     def scan(scope):
@@ -44,11 +54,14 @@ def _unread_imports(tree):
 
 
 def test_no_unread_imports():
+    import charideals
     files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
     assert len(files) > 20
     unread = {}
     for path in files:
-        names = _unread_imports(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        exported = charideals.__all__ if path == ROOT / "src/charideals/__init__.py" else ()
+        names = _unread_imports(ast.parse(path.read_text(encoding="utf-8"), str(path)),
+                                exported)
         if names:
             unread[str(path.relative_to(ROOT))] = names
     assert unread == {}
@@ -57,19 +70,23 @@ def test_no_unread_imports():
 def test_cli_start_up_loads_no_dataclasses_inspect_or_difflib():
     # every command is a fresh process; dataclasses (which loads inspect)
     # and difflib took over half of the import of charideals.cli
-    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import charideals.cli; "
-            "print(sorted(m for m in ('dataclasses', 'inspect', 'difflib') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
-                         check=True)
-    assert out.stdout == "[]\n"
+    out = _fresh("import charideals.cli\nprint(sorted(m for m in "
+                 "('dataclasses', 'inspect', 'difflib') if m in sys.modules))")
+    assert out == "[]\n"
 
 
 def _fresh(code, stdin=None, env=None):
     """stdout of code run in a fresh isolated interpreter with src/ first on
-    its path; code runs after `import sys`."""
+    its path; code runs after `import sys`.  `-I` ignores
+    PYTHONDONTWRITEBYTECODE, so `-B` keeps src/ free of bytecode."""
     code = f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r})\n{code}"
-    return subprocess.run([sys.executable, "-I", "-c", code], input=stdin, capture_output=True,
-                          text=True, check=True, env=env).stdout
+    return subprocess.run([sys.executable, "-I", "-B", "-c", code], input=stdin,
+                          capture_output=True, text=True, check=True, env=env).stdout
+
+
+def test_fresh_interpreters_write_no_bytecode():
+    # a checkout holding __pycache__ is one tools/pairs.py refuses to time
+    assert _fresh("print(sys.dont_write_bytecode)") == "True\n"
 
 
 def test_import_charideals_loads_no_submodule():
@@ -152,6 +169,9 @@ def test_scan_sees_unread_names():
     tree = ast.parse("import os\nfrom a import b, c as d\n__all__ = ['b']\n"
                      "def f():\n    from e import g\n    return d\n")
     assert _unread_imports(tree) == ["line 1: os", "line 5: g"]
+    computed = ast.parse("import os\nfrom a import b\n__all__ = sorted({'b': 1})\n")
+    assert _unread_imports(computed) == ["line 1: os", "line 2: b"]
+    assert _unread_imports(computed, ["b"]) == ["line 1: os"]
 
 
 def _unreferenced_privates(trees):
@@ -200,18 +220,18 @@ def test_private_scan_sees_unreferenced_names():
     assert _unreferenced_privates(trees) == [("a", "_B"), ("a", "_f")]
 
 
-def _unreached_publics(trees, readers):
+def _unreached_publics(trees, readers, exported=()):
     """(module, name) for each public module-level function or class of the
     modules in `trees` (name -> AST), and each public method or property of
-    a class among them, that the `__all__` of none of them exports and that
-    no code of `trees` or `readers` (more modules, which only count as
-    readers) reads as a name, an attribute or an import outside the
-    definition itself.  Dunders are exempt.
+    a class among them, that neither `exported` nor a literal `__all__` of
+    one of them exports and that no code of `trees` or `readers` (more
+    modules, which only count as readers) reads as a name, an attribute or
+    an import outside the definition itself.  Dunders are exempt.
 
     Matching is by name, so a method whose name is also read elsewhere is
     not seen: `Graph.join` passed on `str.join`, `ZPoly.degree` on
     `Graph.degree(v)` and `BlowupSpec.size` on a local variable `size`."""
-    exported, defined, reads = set(), [], {}
+    exported, defined, reads = set(exported), [], {}
 
     def walk(node, inside):
         # inside: the ids of the definitions enclosing node
@@ -227,11 +247,9 @@ def _unreached_publics(trees, readers):
             walk(child, inside)
 
     for mod, tree in trees.items():
+        exported |= _listed_all(tree)
         for node in tree.body:
-            if (isinstance(node, ast.Assign)
-                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-                exported.update(e.value for e in node.value.elts)
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.append((mod, node.name, node))
                 if isinstance(node, ast.ClassDef):
                     defined.extend((mod, f"{node.name}.{item.name}", item)
@@ -245,10 +263,12 @@ def _unreached_publics(trees, readers):
 
 
 def test_no_unreached_public_names_in_src():
+    import charideals
+
     def parse(folder):
         return {str(path.relative_to(ROOT)): ast.parse(path.read_text(encoding="utf-8"))
                 for path in sorted((ROOT / folder).rglob("*.py"))}
-    assert _unreached_publics(parse("src"), parse("perfbench")) == []
+    assert _unreached_publics(parse("src"), parse("perfbench"), charideals.__all__) == []
 
 
 def test_public_scan_sees_unreached_names():
@@ -262,6 +282,10 @@ def test_public_scan_sees_unreached_names():
     perfbench = {"run": ast.parse("def run(k):\n    return k.bench\n")}
     assert _unreached_publics(trees, perfbench) == [("a", "K.unused"), ("a", "h")]
     assert _unreached_publics(trees, {}) == [("a", "K.bench"), ("a", "K.unused"), ("a", "h")]
+    computed = {"c": ast.parse("__all__ = sorted({'f': 1})\ndef f():\n    pass\n"
+                               "def h():\n    pass\n")}
+    assert _unreached_publics(computed, {}) == [("c", "f"), ("c", "h")]
+    assert _unreached_publics(computed, {}, ["f"]) == [("c", "h")]
 
 
 def _underscore_parameters(tree):

@@ -67,10 +67,15 @@ def test_one_command_runs_in_each_checkout_without_writing_bytecode(tmp_path, mo
         "  stderr: parent b''\n"
         "          change b'changed\\n'\n"
         "1 commands, 1 differ\n")
+    monkeypatch.chdir(tmp_path)  # checkouts named relative to the caller
+    assert sameout.main(["parent", "change"]) == 1
+    assert capsys.readouterr().out.endswith("1 commands, 1 differ\n")
     assert [p for side in sides for p in side.rglob("__pycache__")] == []
 
 
-def test_classify_streams_come_from_the_benchmark_inputs():
+def test_classify_streams_come_from_the_benchmark_inputs(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import child
     streams = sameout.classify_streams(ROOT)
-    assert len(streams) == sameout.STREAMS == 10
+    assert len(streams) == child.CLASSIFY_STREAMS == 10
     assert all(lines and all(isinstance(g6, str) and g6 for g6 in lines) for lines in streams)

@@ -8,8 +8,8 @@ whose stdout, stderr or exit code differs between the two, with the first
 line that differs on each side; the exit code is 1 if any does.  Progress
 goes to stderr.  The list:
 
-* crosscheck --max-n 7 and 8, `classify -` on each of the ten seed-1
-  classify-stream inputs (built by the parent's perfbench/inputs.py) and
+* crosscheck --max-n 7 and 8, `classify -` on each seed-1 classify-stream
+  input the parent's perfbench/child.py times (built by its inputs.py) and
   on a stream with bad lines, each with GRAPHTOOL_THREADS 1 and 2;
 * mine for phiA k=4 and phiL k=2 at n <= 7 with --emit-all, and for
   gammaA k=3 at n <= 8;
@@ -38,7 +38,6 @@ BLOWUP = "O~~~~{NBw^`~{N{N}F~`~"
 BAD_LINES = "C^\n\nnot-graph6\nC~\nA_\nDhc\n@@\n"
 EXTRA_NAMES = ("  PRISM ", " Family-F", "k63", "k40,40", "p100000", "c2", "k2,0", "p0",
                "diamnod", "famly-f", "family-g", "nosuchgraph")
-STREAMS = 10  # perfbench/child.py's CLASSIFY_STREAMS
 
 
 def run(checkout, args, stdin="", threads="1"):
@@ -52,12 +51,12 @@ def run(checkout, args, stdin="", threads="1"):
 
 
 def classify_streams(parent):
-    """The graph6 lines of each seed-1 classify-stream input, built by the
-    parent's perfbench/inputs.py."""
+    """The graph6 lines of each seed-1 classify-stream input the parent's
+    perfbench/child.py times, built by its perfbench/inputs.py."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join(str(Path(parent, d)) for d in ("src", "perfbench")))
-    code = ("import json, inputs\n"
-            f"print(json.dumps([inputs.classify_stream(1, i)[0] for i in range({STREAMS})]))")
+    code = ("import json, child, inputs\nprint(json.dumps("
+            "[inputs.classify_stream(1, i)[0] for i in range(child.CLASSIFY_STREAMS)]))")
     proc = subprocess.run([sys.executable, "-c", code], cwd=parent, capture_output=True,
                           text=True, env=env, check=True)
     return json.loads(proc.stdout)
@@ -129,7 +128,8 @@ def main(argv=None):
     ap.add_argument("parent", type=Path, help="checkout of the parent commit")
     ap.add_argument("change", type=Path, help="checkout of the change")
     args = ap.parse_args(argv)
-    parent, change = args.parent, args.change
+    # absolute, since each command runs inside its checkout
+    parent, change = args.parent.resolve(), args.change.resolve()
     results = {"parent": {}, "change": {}}
     cmds = commands(parent)
     for i, (name, args, stdin, threads) in enumerate(cmds, 1):

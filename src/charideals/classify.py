@@ -19,6 +19,7 @@ disagreement, and the certificate marks the route partial.
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 
 from .catalog import _COLLECTIONS, lookup
 from .graphs import adjacency_matrix, parse_graph6, true_twin_quotient, twin_classes
@@ -212,28 +213,14 @@ def _s4_partial(g, snf):
                     "invariant_factors": list(snf.factors)}, hit=hit)
 
 
-class ClassificationReport:
-    __slots__ = ("graph6", "phi_adjacency", "phi_laplacian", "corank", "memberships",
-                 "certificates")
-
-    def __init__(self, graph6, phi_adjacency, phi_laplacian, corank, memberships,
-                 certificates):
-        self.graph6 = graph6
-        self.phi_adjacency = phi_adjacency
-        self.phi_laplacian = phi_laplacian  # None on a graph that is not regular
-        self.corank = corank
-        self.memberships = memberships
-        self.certificates = certificates
+class ClassificationReport(namedtuple("ClassificationReport", (
+        "graph6", "phi_adjacency", "phi_laplacian", "corank", "memberships", "certificates"))):
+    """phi_laplacian is None on a graph that is not regular."""
+    __slots__ = ()
 
     def to_json_dict(self):
-        return {
-            "graph6": self.graph6,
-            "phi_adjacency": self.phi_adjacency,
-            "phi_laplacian": self.phi_laplacian,
-            "corank": self.corank,
-            "memberships": dict(self.memberships),
-            "certificates": dict(self.certificates),
-        }
+        return {**self._asdict(), "memberships": dict(self.memberships),
+                "certificates": dict(self.certificates)}
 
 
 def classify(g):
@@ -262,22 +249,13 @@ _NESTING = (
 )
 
 
-class CrossCheckResult:
-    __slots__ = ("max_n", "graphs_checked", "family_counts", "violations")
-
-    def __init__(self, max_n, graphs_checked, family_counts, violations):
-        self.max_n = max_n
-        self.graphs_checked = graphs_checked
-        self.family_counts = family_counts
-        self.violations = violations
+class CrossCheckResult(namedtuple("CrossCheckResult", (
+        "max_n", "graphs_checked", "family_counts", "violations"))):
+    __slots__ = ()
 
     def to_json_dict(self):
-        return {
-            "max_n": self.max_n,
-            "graphs_checked": self.graphs_checked,
-            "family_counts": dict(self.family_counts),
-            "violations": list(self.violations),
-        }
+        return {**self._asdict(), "family_counts": dict(self.family_counts),
+                "violations": list(self.violations)}
 
 
 def _check_line(g6):

@@ -45,6 +45,7 @@ graphs need one trivial ideal and none needs a nontrivial basis.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, takewhile
 from math import prod
@@ -281,13 +282,8 @@ def _corank(g, phi=None):
     return pres[2]
 
 
-class CharIdealProfile:
-    __slots__ = ("graph", "ideals", "gamma")
-
-    def __init__(self, graph, ideals, gamma):
-        self.graph = graph
-        self.ideals = ideals  # 1-st .. n-th characteristic ideal
-        self.gamma = gamma
+# ideals: the 1-st .. n-th characteristic ideal
+CharIdealProfile = namedtuple("CharIdealProfile", ("ideals", "gamma"))
 
 
 def char_ideal_profile(g):
@@ -295,7 +291,7 @@ def char_ideal_profile(g):
     gens = _generators(pres)
     ideals = tuple(IdealZt(basis=_basis(pres, gens, k)) for k in range(1, g.n + 1))
     gamma = len(list(takewhile(IdealZt.is_trivial, ideals)))
-    return CharIdealProfile(g, ideals, gamma)
+    return CharIdealProfile(ideals, gamma)
 
 
 def _elem_sym(values):

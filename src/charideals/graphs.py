@@ -10,6 +10,8 @@ after construction and safe to share between threads.
 
 from __future__ import annotations
 
+from itertools import accumulate, combinations
+
 
 def bits(mask):
     """Yield set bit positions of mask in increasing order."""
@@ -147,13 +149,10 @@ _G6_HEADER = ">>graph6<<"
 
 
 def parse_graph6(text):
-    if isinstance(text, bytes):
-        data = text
-    else:
-        try:
-            data = text.encode("ascii")
-        except UnicodeEncodeError as exc:
-            raise Graph6Error("non-ASCII character in graph6 string", exc.start) from None
+    try:
+        data = text.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise Graph6Error("non-ASCII character in graph6 string", exc.start) from None
     data = data.strip()
     if data.startswith(_G6_HEADER.encode()):
         data = data[len(_G6_HEADER):]
@@ -274,26 +273,11 @@ class BlowupSpec:
 
 def blowup(spec):
     """Vertex classes are laid out consecutively in underlying-vertex order."""
-    g = spec.underlying
-    sizes = [abs(v) for v in spec.d]
-    offsets = []
-    total = 0
-    for s in sizes:
-        offsets.append(total)
-        total += s
-    edges = []
-    for u in range(g.n):
-        base = offsets[u]
-        if spec.d[u] < 0:
-            for i in range(sizes[u]):
-                for j in range(i + 1, sizes[u]):
-                    edges.append((base + i, base + j))
-        for v in bits(g.adj[u] >> (u + 1)):
-            v += u + 1
-            for i in range(sizes[u]):
-                for j in range(sizes[v]):
-                    edges.append((base + i, offsets[v] + j))
-    return Graph(total, edges)
+    starts = list(accumulate(map(abs, spec.d), initial=0))
+    classes = [range(a, b) for a, b in zip(starts, starts[1:])]
+    edges = [e for d, c in zip(spec.d, classes) if d < 0 for e in combinations(c, 2)]
+    edges += [(i, j) for u, v in spec.underlying.edges() for i in classes[u] for j in classes[v]]
+    return Graph(starts[-1], edges)
 
 
 def twin_classes(adj, closed):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from charideals import (BlowupSpec, InvariantFactors, adjacency_matrix,
+from charideals import (BlowupSpec, CrossCheckResult, InvariantFactors, adjacency_matrix,
                         algebraic_corank, blowup, canonical_form, classify, cross_check,
                         intlinalg, invariant_factors_from_deltas, delta_sequence, is_C_leq,
                         is_K_leq_regular, is_S_leq, laplacian_matrix, lookup,
@@ -188,10 +188,26 @@ def test_report_json_shape():
     rep = classify(lookup("diamond"))
     d = rep.to_json_dict()
     assert d["graph6"] == canonical_form(lookup("diamond"))
-    assert set(d) == {"graph6", "phi_adjacency", "phi_laplacian", "corank",
-                      "memberships", "certificates"}
+    assert list(d) == ["graph6", "phi_adjacency", "phi_laplacian", "corank",
+                       "memberships", "certificates"]
     import json
     json.dumps(d)
+
+
+def test_report_json_dicts_are_fresh_copies():
+    # the JSON dict of a record may be edited without editing the record
+    rep = classify(lookup("diamond"))
+    memberships, certificates = dict(rep.memberships), dict(rep.certificates)
+    d = rep.to_json_dict()
+    d["memberships"]["S<=1"] = "edited"
+    d["certificates"].clear()
+    assert rep.memberships == memberships and rep.certificates == certificates
+    res = CrossCheckResult(2, 2, {"S<=1": 1}, [{"graph6": "A_", "detail": "synthetic"}])
+    d = res.to_json_dict()
+    assert list(d) == ["max_n", "graphs_checked", "family_counts", "violations"]
+    d["family_counts"]["S<=1"] = 5
+    d["violations"].clear()
+    assert res == (2, 2, {"S<=1": 1}, [{"graph6": "A_", "detail": "synthetic"}])
 
 
 def test_cross_check_n1():

@@ -585,7 +585,9 @@ def test_char_matrix_block_form_of_cycle_blowup():
 def test_profile_gamma_matches_algebraic_corank():
     for name in ("diamond", "paw", "c5", "p4", "k4"):
         g = lookup(name)
-        assert char_ideal_profile(g).gamma == algebraic_corank(g)
+        ideals, gamma = char_ideal_profile(g)
+        assert gamma == algebraic_corank(g)
+        assert ideals == tuple(characteristic_ideal(g, k) for k in range(1, g.n + 1))
 
 
 def test_paw_char_matrix_and_unit_combination():

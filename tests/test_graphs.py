@@ -195,6 +195,23 @@ def test_blowup_identity_and_size():
     assert big.regular_degree() == 11
 
 
+def test_blowup_matches_its_definition():
+    # classes are consecutive in underlying order; two vertices are adjacent
+    # iff they share a class of negative multiplicity, or lie in the classes
+    # of adjacent underlying vertices
+    rng = random.Random(229)
+    for _ in range(300):
+        n = rng.randint(0, 8)
+        g = oracles.random_graph(rng, n, rng.random())
+        d = [rng.choice((-1, 1)) * rng.randint(1, 4) for _ in range(n)]
+        owner = [u for u in range(n) for _ in range(abs(d[u]))]
+        got = blowup(BlowupSpec(g, d))
+        assert got.n == len(owner)
+        assert all(got.adj[i] >> j & 1 == (owner[i] == owner[j] and d[owner[i]] < 0
+                                           or g.adj[owner[i]] >> owner[j] & 1)
+                   for i in range(got.n) for j in range(got.n) if i != j), (g, d)
+
+
 def test_blowup_spec_validation():
     g = cycle_graph(4)
     with pytest.raises(ValueError, match=r"^one multiplicity per underlying vertex required$"):

@@ -122,3 +122,16 @@ def test_cached_bytecode_in_either_checkout_stops_the_run(tmp_path, monkeypatch)
                 pairs.main(argv)
             cache.rmdir()
     assert calls == [5, 5]
+
+
+def test_runs_write_no_bytecode_into_the_checkout(tmp_path, monkeypatch):
+    # a run that cached the bytecode it imports would stop the next pairs.py
+    # on the same checkout, and time every later pair with its compiling spared
+    bench = tmp_path / "perfbench"
+    bench.mkdir()
+    (tmp_path / "src").mkdir()
+    (bench / "sibling.py").write_text('RESULT = {"failed": 0, "attempted": 1, "metrics": {}}\n')
+    (bench / "run.py").write_text("import json\nimport sibling\nprint(json.dumps(sibling.RESULT))\n")
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    assert pairs.run(tmp_path, "mine", 1) == ({}, 0, 1)
+    assert pairs.cached_bytecode(tmp_path) == []

@@ -18,13 +18,15 @@ change whose share of failed items grows is rejected whatever its speed.
 It refuses to start while either checkout's src/ or perfbench/ holds a
 __pycache__ directory: cached bytecode spares that side's processes the
 compiling, which moves setup_s by a third, and every set-up process
-imports from both.
+imports from both.  Every run has PYTHONDONTWRITEBYTECODE=1 in its
+environment, so no run leaves such a directory for the next to time.
 Directions and bounds come from BENCHMARK.json beside this directory.
 Standard library only.
 """
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -39,7 +41,8 @@ def run(checkout, workload, seed):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", "20", "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True)
+        cwd=checkout, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
     if proc.returncode:
         raise SystemExit(f"error: run in {checkout} failed:\n{proc.stderr}")
     result = json.loads(proc.stdout.splitlines()[-1])

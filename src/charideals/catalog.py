@@ -8,6 +8,7 @@ from __future__ import annotations
 import re
 
 from .graphs import BlowupSpec, Graph, blowup, parse_graph6
+from .intlinalg import _integers
 
 
 class UnknownGraphError(KeyError):
@@ -46,7 +47,7 @@ def star_graph(n):
 
 def complete_multipartite_graph(parts):
     """K(p1, ..., pm): the blow-up of K_m by stable sets of the part sizes."""
-    parts = tuple(int(p) for p in parts)
+    parts = _integers(parts)
     if any(p < 1 for p in parts):  # a negative size would blow up to a clique
         raise ValueError("part sizes must be positive")
     return blowup(BlowupSpec(complete_graph(len(parts)), parts))

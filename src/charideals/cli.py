@@ -172,10 +172,9 @@ def _cmd_mine(args):
 def _cmd_g6(args):
     text = sys.stdin.read() if args.value == "-" else args.value
     if args.direction == "decode":
-        for line in text.splitlines() if args.value == "-" else [text]:
-            line = line.strip()
-            if not line:
-                continue
+        # an argument is one graph6 string; only stdin skips blank lines
+        lines = [ln for ln in text.splitlines() if ln.strip()] if args.value == "-" else [text]
+        for line in lines:
             print(format_edge_list(parse_graph6(line)))
     else:
         print(to_graph6(parse_edge_list(text)))

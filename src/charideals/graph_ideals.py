@@ -51,7 +51,7 @@ from itertools import combinations, takewhile
 from math import prod
 
 from .graphs import twin_classes
-from .intlinalg import _unit_count, det_int, snf_diagonal, unit_pivots
+from .intlinalg import _integers, _unit_count, det_int, snf_diagonal, unit_pivots
 from .zpoly import ONE, T, ZPoly
 from .ztideal import IdealZt, _canonicalize, _lattice, reduce
 
@@ -314,7 +314,7 @@ def multipartite_closed_form(parts, j):
     polynomial itself at j = n.  Validated against direct minor computation
     in the test suite rather than trusted.
     """
-    parts = tuple(int(p) for p in parts)
+    parts = _integers(parts)
     m = len(parts)
     n = sum(parts)
     if m < 2:

@@ -1,6 +1,7 @@
 """Simple undirected graphs on vertex sets {0..n-1}, adjacency as row bitsets.
 
-Includes the graph6 codec (single-byte sizes, n <= 62), the edge-list text
+Includes the graph6 codec (single-byte sizes, n <= 62), whose one body
+encoder `_body` also gives labelling its leaf keys, the edge-list text
 format, blow-ups, reachability within a vertex mask (`reach`, behind
 connectivity and cut vertices), and twin classes of equal open or equal
 closed neighbourhoods (`twin_classes`): the one grouping by neighbourhood,
@@ -11,6 +12,8 @@ after construction and safe to share between threads.
 from __future__ import annotations
 
 from itertools import accumulate, combinations
+
+from .intlinalg import _integers
 
 
 def bits(mask):
@@ -191,6 +194,26 @@ def parse_graph6(text):
     return Graph.from_adj(adj)
 
 
+def _body(adj, order):
+    """The graph6 body bits, as one integer, of the graph with adjacency
+    bitmasks adj relabelled by order (order[i] becomes vertex i); bodies on
+    one vertex count have one length, so they order as the encodings do."""
+    n = len(order)
+    place = [0] * n
+    for i, v in enumerate(order):
+        place[v] = 1 << (n - 1 - i)
+    key = 0
+    for j in range(1, n):
+        a = adj[order[j]]
+        row = 0
+        while a:
+            low = a & -a
+            a ^= low
+            row |= place[low.bit_length() - 1]
+        key = key << j | row >> (n - j)
+    return key
+
+
 def _graph6(n, body):
     """graph6 of the graph on n vertices whose body bits are `body`: a byte
     n + 63, then the n(n - 1)/2 bits of the upper triangle, column by
@@ -205,21 +228,7 @@ def _graph6(n, body):
 def to_graph6(g):
     if g.n > 62:
         raise ValueError("graph6 output limited to n <= 62")
-    out = [g.n + 63]
-    chunk = 0
-    nfill = 0
-    for j in range(1, g.n):
-        col = g.adj[j]
-        for i in range(j):
-            chunk = chunk << 1 | (col >> i & 1)
-            nfill += 1
-            if nfill == 6:
-                out.append(chunk + 63)
-                chunk = 0
-                nfill = 0
-    if nfill:
-        out.append((chunk << (6 - nfill)) + 63)
-    return bytes(out).decode("ascii")
+    return _graph6(g.n, _body(g.adj, range(g.n)))
 
 
 # -- edge-list text ----------------------------------------------------------
@@ -262,7 +271,7 @@ class BlowupSpec:
     __slots__ = ("underlying", "d")
 
     def __init__(self, underlying, d):
-        d = tuple(int(v) for v in d)
+        d = _integers(d)
         if len(d) != underlying.n:
             raise ValueError("one multiplicity per underlying vertex required")
         if any(v == 0 for v in d):

@@ -27,13 +27,24 @@ class ConsistencyError(RuntimeError):
     """An internal invariant failed; indicates a bug upstream, not bad input."""
 
 
+def _integers(values):
+    """The values as a tuple of ints; a ValueError names the first value
+    that int() changes, such as 2.5 or "3"."""
+    values = tuple(values)
+    ints = tuple(map(int, values))
+    if ints != values:
+        bad = next(v for v, i in zip(values, ints) if v != i)
+        raise ValueError(f"not an integer: {bad!r}")
+    return ints
+
+
 class InvariantFactors:
     """SNF diagonal d_1 | d_2 | ... padded with trailing zeros."""
 
     __slots__ = ("factors",)
 
     def __init__(self, factors):
-        f = tuple(int(v) for v in factors)
+        f = _integers(factors)
         if any(v < 0 for v in f):
             raise ConsistencyError("negative invariant factor")
         nz = [v for v in f if v]
@@ -69,6 +80,9 @@ class InvariantFactors:
 def _rows(m):
     """A list copy of the integer rows of m, and its column count."""
     a = [list(map(int, row)) for row in m]
+    for ints, row in zip(a, m):
+        if ints != list(row):
+            _integers(row)  # raises, naming the entry int() changed
     cols = len(a[0]) if a else 0
     if any(len(row) != cols for row in a):
         raise ValueError("ragged rows")
@@ -223,7 +237,7 @@ def gcd_of_k_minors(m, k):
 
 def invariant_factors_from_deltas(deltas):
     """Recover d_k = Delta_k / Delta_{k-1} from a minor-gcd sequence."""
-    seq = tuple(int(v) for v in deltas)
+    seq = _integers(deltas)
     if not seq or seq[0] != 1:
         raise ConsistencyError("Delta_0 must be 1")
     if any(v < 0 for v in seq):

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .graphs import _graph6, twin_classes
+from .graphs import _body, _graph6, twin_classes
 
 
 def _refine(adj, cells, splitters):
@@ -75,25 +75,6 @@ def _refine(adj, cells, splitters):
     return cells
 
 
-def _leaf_key(adj, order):
-    # the graph6 body bits of the relabelled graph as one integer; all keys
-    # of a graph have the same length, so they order as the encodings do
-    n = len(order)
-    place = [0] * n
-    for i, v in enumerate(order):
-        place[v] = 1 << (n - 1 - i)
-    key = 0
-    for j in range(1, n):
-        a = adj[order[j]]
-        row = 0
-        while a:
-            low = a & -a
-            a ^= low
-            row |= place[low.bit_length() - 1]
-        key = key << j | row >> (n - j)
-    return key
-
-
 def _orbit(perms, mask):
     """The union of the orbits of the vertices in mask under the group the
     permutations (tuples of images) generate."""
@@ -126,7 +107,7 @@ def _label(adj):
     """(order, generators, key) for the graph with adjacency bitmasks adj: a
     vertex order whose relabelling is the canonical form, permutations
     (tuples of images) generating the automorphism group, and the canonical
-    form's graph6 body bits as one integer (_leaf_key of that order)."""
+    form's graph6 body bits as one integer (_body of that order)."""
     n = len(adj)
     if n <= 1:
         return tuple(range(n)), [], 0
@@ -150,7 +131,7 @@ def _label(adj):
                 break
         else:
             order = [c.bit_length() - 1 for c in cells]
-            key = _leaf_key(adj, order)
+            key = _body(adj, order)
             if first is None:
                 first = best = (key, order, path)
                 return n

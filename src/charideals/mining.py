@@ -46,6 +46,7 @@ grown without a minimal graph, the entries on s - 1 vertices are dropped.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 
 from .graphs import (Graph, _graph6, adjacency_matrix, laplacian_matrix, parse_graph6, reach,
@@ -93,14 +94,13 @@ def _is_cut_vertex(adj, v):
     return reach(adj, rest & -rest, rest) != rest
 
 
-def _children(g6, gens, memo=None):
+def _children(adj, gens, memo=None):
     """Each connected class on one vertex more whose canonical deletion
-    leaves the class of g6, once, as (canonical graph6, canonically
-    relabelled Graph, the new vertex's index in it, generators of its
-    automorphism group in that labelling).  gens generate the automorphism
-    group of g6's graph.  memo, when given, takes the canonical graph6 of
-    every child labelled, as _canonical reads it."""
-    adj = parse_graph6(g6).adj
+    leaves the class of adj, a canonically labelled adjacency tuple, once,
+    as (canonical graph6, canonically relabelled Graph, the new vertex's
+    index in it, generators of its automorphism group in that labelling).
+    gens generate adj's automorphism group.  memo, when given, takes the
+    canonical graph6 of every child labelled, as _canonical reads it."""
     n = len(adj)
     for mask in _mask_orbits(n, gens):
         child = tuple([a | (mask >> u & 1) << n for u, a in enumerate(adj)]) + (mask,)
@@ -129,7 +129,7 @@ def _walk(max_n):
         for c, g, _, gens in path[-1]:
             yield c
             if g.n < max_n:
-                path.append(_children(c, gens))
+                path.append(_children(g.adj, gens))
                 break
         else:
             path.pop()
@@ -196,28 +196,22 @@ class MiningTask:
         self.k = k
 
 
-class MiningResult:
-    __slots__ = ("task", "minimal", "members", "forbidden_total", "values", "counts_by_size",
-                 "_listed")
-
-    def __init__(self, task, minimal, members, forbidden_total, values, counts_by_size,
-                 listed=None):
-        self.task = task
-        self.minimal = minimal  # canonical graph6, sorted by (size, string)
-        # canonical graph6 of the graphs on 2..N vertices not forbidden
-        self.members = members
-        # connected graphs on 2..N vertices not in members
-        self.forbidden_total = forbidden_total
-        self.values = values  # canonical graph6 -> statistic value, per graph evaluated
-        self.counts_by_size = counts_by_size  # vertex count -> number of minimal graphs
-        self._listed = listed  # the forbidden graphs, if a scan listed them
+class MiningResult(namedtuple("MiningResult", (
+        "task", "minimal", "members", "forbidden_total", "values", "counts_by_size"))):
+    """minimal: canonical graph6, sorted by (size, string); members: the
+    canonical graph6 of the graphs on 2..N vertices not forbidden;
+    forbidden_total: the connected graphs on 2..N vertices not in members;
+    values: canonical graph6 -> statistic value, per graph evaluated;
+    counts_by_size: vertex count -> number of minimal graphs."""
+    __slots__ = ()
 
     def forbidden(self):
         """Every forbidden graph, as canonical graph6 sorted by (size,
-        string); unless a scan listed them, this enumerates every connected
-        graph on 2..N vertices."""
-        if self._listed is not None:
-            yield from self._listed
+        string).  A scan evaluated every connected graph, so its values
+        hold them; after growth, this enumerates every connected graph on
+        2..N vertices."""
+        if self.task.statistic not in _HEREDITARY:
+            yield from sorted(s for s, val in self.values.items() if val > self.task.k)
             return
         for s in sorted(_walk(self.task.max_vertices))[1:]:  # K_1 sorts first
             if s not in self.members:
@@ -264,9 +258,10 @@ def _grow(max_vertices, limit, fn, values, memo):
     """Minimal forbidden graphs as (size, graph6, Graph), and the members,
     of a statistic that deleting a vertex never raises; memo as _canonical
     reads it."""
-    # member -> its automorphism generators, as its labelling as a child
-    # found them; K_1, with phiA and gammaA 0 on it, has none
-    level = {to_graph6(Graph(1)): ()}
+    # member -> (its canonically labelled adjacency, its automorphism
+    # generators), as its labelling as a child found them; K_1, with phiA
+    # and gammaA 0 on it, has no generators
+    level = {to_graph6(Graph(1)): ((0,), ())}
     members = set()
     minimal = []
     for size in range(2, max_vertices + 1):
@@ -276,10 +271,10 @@ def _grow(max_vertices, limit, fn, values, memo):
         known = memo if size < max_vertices else None
         found = len(minimal)
         for s in sorted(level):
-            for c, g, new, gens in _children(s, level[s], known):
+            for c, g, new, gens in _children(*level[s], known):
                 val = values[c] = fn(g)
                 if val < limit:
-                    grown[c] = gens
+                    grown[c] = g.adj, gens
                 elif all(_canonical(h, memo) in level for h in _deletions(g.adj, new, gens)):
                     minimal.append((size, c, g))
         if len(minimal) == found:  # no recheck reads the entries on size - 1
@@ -291,11 +286,10 @@ def _grow(max_vertices, limit, fn, values, memo):
 
 
 def _scan(max_vertices, limit, fn, values):
-    """The same for any statistic, and every forbidden graph6 in order:
-    every connected graph is evaluated, and each forbidden one is searched
-    for every smaller forbidden one."""
+    """The same for any statistic: every connected graph is evaluated, and
+    each forbidden one is searched for every smaller forbidden one."""
     members = set()
-    forbidden = []  # (size, graph6, Graph)
+    forbidden = []  # the forbidden Graphs so far
     minimal = []
     # graph6 opens with the vertex count: each smaller forbidden graph comes first
     for g6 in sorted(_walk(max_vertices))[1:]:
@@ -306,10 +300,10 @@ def _scan(max_vertices, limit, fn, values):
         if val is None or val < limit:
             members.add(g6)
             continue
-        if not any(find_induced(g, h) is not None for size, _, h in forbidden if size < g.n):
+        if not any(find_induced(g, h) is not None for h in forbidden if h.n < g.n):
             minimal.append((g.n, g6, g))
-        forbidden.append((g.n, g6, g))
-    return minimal, members, tuple(s for _, s, _ in forbidden)
+        forbidden.append(g)
+    return minimal, members
 
 
 def mine(task):
@@ -319,11 +313,10 @@ def mine(task):
     limit = task.k + 1
     values = {}
     memo = {}  # adjacency tuple -> canonical graph6, for this run only
-    listed = None
     if task.statistic in _HEREDITARY:
         minimal, members = _grow(task.max_vertices, limit, fn, values, memo)
     else:
-        minimal, members, listed = _scan(task.max_vertices, limit, fn, values)
+        minimal, members = _scan(task.max_vertices, limit, fn, values)
     for size, g6, g in minimal:
         recheck = _independent_value(g6, task.statistic)
         if recheck != values[g6]:
@@ -350,5 +343,4 @@ def mine(task):
         forbidden_total=sum(CONNECTED_COUNTS[1:task.max_vertices]) - len(members),
         values=values,
         counts_by_size=counts,
-        listed=listed,
     )

@@ -134,6 +134,21 @@ def test_g6_decode(capsys):
     assert out.strip() == "n 1"
 
 
+@pytest.mark.parametrize("value", ["", "   "])
+def test_g6_decode_rejects_a_blank_argument(capsys, value):
+    # an argument is one graph6 string, as for phi; only stdin skips blank lines
+    assert run(capsys, "g6", "decode", value) == (
+        1, "", "error: empty graph6 string (byte offset 0)\n")
+    assert run(capsys, "phi", value) == (1, "", "error: empty graph6 string (byte offset 0)\n")
+
+
+def test_g6_decode_stdin_skips_blank_lines(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("C^\n\n   \n@\n"))
+    code, out, err = run(capsys, "g6", "decode", "-")
+    assert (code, err) == (0, "")
+    assert out == "n 4\n0 2\n0 3\n1 2\n1 3\n2 3\nn 1\n"
+
+
 def test_g6_encode_decode_identity_on_catalog(capsys, monkeypatch):
     for name in ("diamond", "paw", "house", "prism", "c5", "k1", "s6+e", "k2,2,2"):
         g6 = to_graph6(lookup(name))

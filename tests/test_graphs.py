@@ -40,6 +40,22 @@ def test_graph6_round_trip_random():
         assert parse_graph6(to_graph6(g)) == g
 
 
+def test_graph6_body_lists_the_pairs_column_by_column():
+    # the bits after the size byte, 6 per byte from the highest, are the
+    # pairs (0,1), (0,2), (1,2), (0,3), ... and then zero padding; read off
+    # the adjacency bitmasks directly, independently of the encoder
+    rng = random.Random(67)
+    graphs = [oracles.random_graph(rng, rng.randint(0, 62), rng.random()) for _ in range(298)]
+    graphs += [complete_graph(62), Graph(0)]
+    for g in graphs:
+        s = to_graph6(g)
+        assert ord(s[0]) == g.n + 63
+        body = "".join(format(ord(c) - 63, "06b") for c in s[1:])
+        pairs = "".join(str(g.adj[j] >> i & 1) for j in range(g.n) for i in range(j))
+        assert len(body) == -(-len(pairs) // 6) * 6, g
+        assert body == pairs.ljust(len(body), "0"), g
+
+
 def test_graph6_header_tolerated():
     assert parse_graph6(">>graph6<<C^") == parse_graph6("C^")
 

@@ -1,13 +1,14 @@
 import copy
 import random
+import re
 from itertools import permutations
 
 import pytest
 
-from charideals import (ConsistencyError, adjacency_matrix, delta_sequence, gcd_of_k_minors,
-                        graph_ideals, invariant_factors_from_deltas, laplacian_matrix, lookup,
-                        snf_diagonal)
-from charideals.catalog import complete_graph, path_graph
+from charideals import (BlowupSpec, ConsistencyError, adjacency_matrix, blowup,
+                        delta_sequence, gcd_of_k_minors, graph_ideals,
+                        invariant_factors_from_deltas, laplacian_matrix, lookup, snf_diagonal)
+from charideals.catalog import complete_graph, complete_multipartite_graph, path_graph
 from charideals.intlinalg import InvariantFactors, _unit_count, unit_pivots
 from charideals.mining import enumerate_connected
 
@@ -193,6 +194,30 @@ def test_invariant_factors_compare_with_other_types():
     assert f != 3 and f != "12"
     assert f not in [None, 0, (2, 1)]
     assert f in [None, (1, 2)]
+
+
+# each site that takes integers, given v for one of them
+_INTEGER_SITES = {
+    "snf_diagonal": lambda v: snf_diagonal([[v, 0], [0, 2]]),
+    "delta_sequence": lambda v: delta_sequence([[1, v]]),
+    "gcd_of_k_minors": lambda v: gcd_of_k_minors([[2, v]], 1),
+    "InvariantFactors": lambda v: InvariantFactors((1, v)),
+    "invariant_factors_from_deltas": lambda v: invariant_factors_from_deltas((1, v)),
+    "BlowupSpec": lambda v: blowup(BlowupSpec(complete_graph(2), (v, -1))),
+    "complete_multipartite_graph": lambda v: complete_multipartite_graph((v, 2)),
+    "multipartite_closed_form": lambda v: graph_ideals.multipartite_closed_form((v, 3), 2),
+}
+
+
+@pytest.mark.parametrize("site", _INTEGER_SITES)
+def test_integer_inputs_are_checked_not_truncated(site):
+    # int() would truncate 2.5 and parse "3"; both name the value instead,
+    # while an integral value of another type still passes as its int
+    build = _INTEGER_SITES[site]
+    for bad in (2.5, "3", 0.9):
+        with pytest.raises(ValueError, match=rf"^not an integer: {re.escape(repr(bad))}$"):
+            build(bad)
+    assert build(3.0) == build(3)
 
 
 def _assert_snf_matches_minor_gcds(rows):

@@ -4,8 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from charideals import (ConsistencyError, MiningTask, canonical_form, enumerate_connected,
-                        lookup, mine, parse_graph6, to_graph6)
+from charideals import (ConsistencyError, MiningResult, MiningTask, canonical_form,
+                        enumerate_connected, lookup, mine, parse_graph6, to_graph6)
 from charideals import graph_ideals, isomorphism, mining
 from charideals.catalog import FAMILY_F, FORBIDDEN_S4
 from charideals.classify import is_C_leq
@@ -205,10 +205,10 @@ def test_growth_matches_full_scan(statistic, k):
     assert list(result.forbidden()) == forbidden
 
 
-@pytest.mark.parametrize("statistic,k", [("phiL", 1), ("phiA", 4)])
+@pytest.mark.parametrize("statistic,k", [("phiL", 1), ("phiL", 2), ("phiA", 4)])
 def test_listing_every_forbidden_graph_walks_once(monkeypatch, statistic, k):
-    # phiL's scan lists the forbidden graphs as it walks, so forbidden()
-    # needs no second walk; growth walks only when they are listed
+    # phiL's scan evaluates every graph, so forbidden() reads its values
+    # and needs no second walk; growth walks only when they are listed
     walks = []
     walk = mining._walk
     monkeypatch.setattr(mining, "_walk", lambda max_n: walks.append(max_n) or walk(max_n))
@@ -216,7 +216,22 @@ def test_listing_every_forbidden_graph_walks_once(monkeypatch, statistic, k):
     forbidden = list(result.forbidden())
     assert walks == [7]
     assert forbidden == oracles.mine_by_scan(7, partial(_value, statistic), k + 1)[2]
-    assert len(forbidden) > len(result.minimal)
+    assert k in result.values.values()  # a graph at k, which is not forbidden
+    if (statistic, k) != ("phiL", 2):  # at n <= 7 each forbidden phiL-2 graph is minimal
+        assert len(forbidden) > len(result.minimal)
+
+
+def test_mining_result_is_a_named_tuple():
+    # one field list sets the attributes and the constructor order
+    result = mine(MiningTask(5, "phiA", 4))
+    assert MiningResult._fields == ("task", "minimal", "members", "forbidden_total", "values",
+                                    "counts_by_size")
+    assert tuple(result) == (result.task, result.minimal, result.members,
+                             result.forbidden_total, result.values, result.counts_by_size)
+    assert MiningResult(*result) == result
+    assert not hasattr(result, "__dict__")
+    with pytest.raises(TypeError):
+        hash(result)  # it holds the values dict
 
 
 def test_growth_runs_no_induced_search(monkeypatch):
@@ -310,13 +325,19 @@ def test_mined_output_is_pinned(args, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def _children_of(s):
+    # _children of the canonical graph6 s, with the generators a fresh labelling finds
+    adj = parse_graph6(s).adj
+    return _children(adj, _label(adj)[1])
+
+
 def test_carried_generators_give_the_orbits_of_a_fresh_labelling():
     # the generators a child carries generate the group a fresh labelling
     # of its canonical graph finds
     checked = 0
     for n in range(1, 6):
         for s in _level(n):
-            for c, g, _, gens in _children(s, _label(parse_graph6(s).adj)[1]):
+            for c, g, _, gens in _children_of(s):
                 assert list(_mask_orbits(g.n, gens)) == list(
                     _mask_orbits(g.n, _label(g.adj)[1])), c
                 checked += 1
@@ -329,7 +350,7 @@ def test_children_come_in_their_canonical_labelling():
     checked = 0
     for n in range(1, 6):
         for s in _level(n):
-            for c, g, new, gens in _children(s, _label(parse_graph6(s).adj)[1]):
+            for c, g, new, gens in _children_of(s):
                 assert c == to_graph6(g) == canonical_form(g)
                 assert canonical_form(g.delete_vertex(new)) == s, c
                 assert type(gens) is tuple and all(type(p) is tuple for p in gens)
@@ -364,6 +385,6 @@ def test_growth_evaluates_only_children_of_members(monkeypatch):
     result = mine(MiningTask(7, "gammaA", 3))
     parents = [canonical_form(Graph(1))] + [s for s in result.members if parse_graph6(s).n < 7]
     children = sorted(c for s in parents
-                      for c, *_ in _children(s, _label(parse_graph6(s).adj)[1]))
+                      for c, *_ in _children_of(s))
     assert sorted(calls) == children == sorted(result.values)
     assert len(children) < sum(CONNECTED_COUNTS[1:7])

@@ -18,7 +18,8 @@ goes to stderr.  The list:
   names, and of no name;
 * ideal --all (JSON and --pretty) and gamma on the 16-vertex clique
   blow-up of the 4-cycle, classify, snf, phi and g6 on small graphs,
-  --help, a bad --stat and no command at all.
+  g6 decode of an empty and a blank argument, --help, a bad --stat and
+  no command at all.
 
 Every process runs with PYTHONDONTWRITEBYTECODE=1, so neither checkout
 gets a __pycache__ for tools/pairs.py to refuse.  Standard library only.
@@ -81,7 +82,7 @@ def commands(parent):
         ["ideal", "--graph", "C^", "--k", "2"], ["gamma", BLOWUP], ["classify", "Dhc"],
         ["snf", "Dhc"], ["snf", "--matrix", "laplacian", "Dhc"], ["phi", "Dhc"],
         ["phi", "--matrix", "laplacian", "Dhc"], ["g6", "encode", "0 1\n1 2\n2 0\n2 3"],
-        ["g6", "decode", "Dhc"], ["--help"],
+        ["g6", "decode", "Dhc"], ["g6", "decode", ""], ["g6", "decode", "   "], ["--help"],
         ["mine", "--stat", "bogus", "--k", "4", "--max-n", "5"], [])]
     cmds.append((["g6", "decode", "-"], "two graphs", "C^\n\nDhc\n", "1"))
     listed = run(parent, ["catalog", "list"])[1].decode().split()

@@ -81,7 +81,7 @@ def _rows(m):
     """A list copy of the integer rows of m, and its column count."""
     a = [list(map(int, row)) for row in m]
     for ints, row in zip(a, m):
-        if ints != row and ints != list(row):  # a tuple row compares as a list
+        if ints != row and ints != list(row):  # a tuple row equals it only as a list
             _integers(row)  # raises, naming the entry int() changed
     cols = len(a[0]) if a else 0
     if any(len(row) != cols for row in a):

@@ -1,7 +1,9 @@
 """The forked workers behind classify.imap_workers.
 
 A module of its own so that only a run with workers imports it: every
-command is a fresh process, and the others need none of it.
+command is a fresh process, and the others need none of it.  Each batch
+goes to the worker that asks for one next, so a worker that gets less CPU
+is dealt fewer batches instead of holding back the ones dealt to it.
 """
 
 from __future__ import annotations
@@ -11,17 +13,20 @@ import pickle
 import signal
 import sys
 import threading
-from itertools import count, islice
+from itertools import islice
 from queue import SimpleQueue
 
 _END = object()
+_ASK = 4  # bytes in one request: a worker's index, written whole (<= PIPE_BUF)
 
 
-def _serve(fn, tasks, results, parent_ends, cpu):
+def _serve(fn, index, asks, tasks, results, parent_ends, cpu):
     """A forked worker: answer each pickled batch read from fd `tasks` with
     a pickled (True, results) or (False, exception) on fd `results`, until
-    the parent closes `tasks`.  Runs on CPU `cpu` alone where it may, and
-    unpinned if cpu is None or pinning fails.  Never returns."""
+    the parent closes `tasks`.  It asks for a batch by writing its index to
+    the shared request pipe `asks`: twice at start, then once after each
+    answer.  Runs on CPU `cpu` alone where it may, and unpinned if cpu is
+    None or pinning fails.  Never returns."""
     code = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
@@ -32,8 +37,15 @@ def _serve(fn, tasks, results, parent_ends, cpu):
                 pass
         for fd in parent_ends:
             os.close(fd)
+        request = index.to_bytes(_ASK, "little")
         with open(tasks, "rb") as inp, open(results, "wb") as out:
+            ask = request * 2
             while True:
+                try:
+                    os.write(asks, ask)
+                except OSError:  # the feeder has dealt its last batch
+                    pass
+                ask = request
                 try:
                     batch = pickle.load(inp)
                 except EOFError:
@@ -63,23 +75,24 @@ def imap_forked(fn, items, cpus, chunksize):
     that is None), as freshly forked workers left to the scheduler often
     share one CPU; the parent stays unpinned.  Each worker reads pickled
     batches from one pipe and writes pickled results to another.  A feeder
-    thread reads `items` and deals the batches round-robin, with at most
-    2 * workers unanswered, so an endless stream stays in bounded memory
-    and each line is answered while later ones are unread.
+    thread reads `items` and deals each batch to the worker whose request
+    it reads next from the shared request pipe, so a busier CPU gets fewer
+    batches; with at most two unanswered per worker, an endless stream
+    stays in bounded memory and each line is answered while later ones are
+    unread.  The parent reads the results in input order, each from the
+    worker its batch went to.
     """
-    workers = len(cpus)
     for stream in (sys.stdout, sys.stderr):
         if stream is not None:
             stream.flush()  # or a worker would inherit the unwritten output
-    pids, ends, writers, readers = [], [], [], []  # ends: the parent's raw pipe ends
-    room = threading.Semaphore(2 * workers)
-    dealt = SimpleQueue()  # None per batch dealt, then _END or what `items` raised
-    stop = threading.Event()
+    pids, writers, readers = [], [], []
+    asks = None  # the request pipe's read end, as a file
+    dealt = SimpleQueue()  # a worker's index per batch dealt, then _END or what `items` raised
 
     def feed():
         try:
             it = iter(items)
-            for i in count():
+            while True:
                 try:
                     batch = list(islice(it, chunksize))
                     data = pickle.dumps(batch, -1)
@@ -89,63 +102,63 @@ def imap_forked(fn, items, cpus, chunksize):
                 if not batch:
                     dealt.put(_END)
                     return
-                room.acquire()
-                if stop.is_set():
-                    return
+                # b"" when every worker is gone: then worker 0's reader says so
+                worker = int.from_bytes(asks.read(_ASK), "little")
                 # announced before it is written, so a batch for a dead worker
                 # is read back as the end of that worker's results
-                dealt.put(None)
+                dealt.put(worker)
                 try:
-                    writers[i % workers].write(data)
-                    writers[i % workers].flush()
+                    writers[worker].write(data)
+                    writers[worker].flush()
                 except OSError:
                     return
         finally:
-            for w in writers:  # each worker reads to the end of its input and exits
+            for f in (asks, *writers):  # each worker reads to the end of its input and exits
                 try:
-                    w.close()
+                    f.close()
                 except OSError:
                     pass
 
     feeder = threading.Thread(target=feed, daemon=True)
+    asks_r, asks_w = os.pipe()
+    ends = [asks_w, asks_r]  # the request pipe's write end, then the parent's raw ends
     try:
-        for cpu in cpus:
+        for index, cpu in enumerate(cpus):
             task_r, task_w = os.pipe()
             result_r, result_w = os.pipe()
             ends += (task_w, result_r)
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _serve(fn, task_r, result_w, ends, cpu)
+                    _serve(fn, index, ends[0], task_r, result_w, ends[1:], cpu)
             finally:
                 os.close(task_r)
                 os.close(result_w)
             pids.append(pid)
-        writers = [open(fd, "wb") for fd in ends[0::2]]
-        readers = [open(fd, "rb") for fd in ends[1::2]]
+        os.close(ends.pop(0))  # so the request pipe ends once every worker has
+        asks = open(ends[0], "rb")
+        writers = [open(fd, "wb") for fd in ends[1::2]]
+        readers = [open(fd, "rb") for fd in ends[2::2]]
         ends.clear()
         feeder.start()
-        for i in count():
-            msg = dealt.get()
-            if msg is _END:
+        while True:
+            worker = dealt.get()
+            if worker is _END:
                 break
-            if msg is not None:
-                raise msg
+            if isinstance(worker, BaseException):
+                raise worker
             try:
-                ok, out = pickle.load(readers[i % workers])
+                ok, out = pickle.load(readers[worker])
             except (EOFError, pickle.UnpicklingError):
-                pid = pids.pop(i % workers)
+                pid = pids.pop(worker)
                 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
                 raise ChildProcessError(f"worker process {pid} {how} before returning "
                                         f"its results") from None
-            room.release()
             if not ok:
                 raise out
             yield from out
     finally:
-        stop.set()
-        room.release()  # a feeder waiting for room sees `stop`
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
@@ -154,5 +167,6 @@ def imap_forked(fn, items, cpus, chunksize):
         for fd in ends:
             os.close(fd)
         if feeder.ident is None:  # else the feeder closes them as it ends
-            for w in writers:
-                w.close()
+            for f in (asks, *writers):
+                if f is not None:
+                    f.close()

@@ -273,9 +273,11 @@ def imap_workers(fn, items, chunksize=1):
     puts one forked worker on each of the first N CPUs this process may run
     on, pinned there, so every caller is capped at the usable CPUs; with
     one CPU, or without os.fork, fn runs here.  A worker answers `chunksize`
-    items at a time.  An exception fn raises is raised here, a worker that
-    dies raises ChildProcessError, and however the iterator ends, closed
-    early included, every worker is killed and reaped."""
+    items at a time, and each such batch goes to the worker that asks for
+    one next, so a worker given less CPU time answers fewer.  An exception
+    fn raises is raised here, and one `items` raises is raised in its place;
+    a worker that dies raises ChildProcessError, and however the iterator
+    ends, closed early included, every worker is killed and reaped."""
     try:
         requested = max(1, int(os.environ.get("GRAPHTOOL_THREADS", "1")))
     except ValueError:

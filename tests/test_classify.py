@@ -6,6 +6,8 @@ import random
 import signal
 import subprocess
 import sys
+import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -357,8 +359,75 @@ def test_imap_workers_closed_early_reaps_its_workers(monkeypatch):
     assert len(forks) == _forks_for(2) and all(_reaped(pid) for pid in forks)
 
 
+def _ten_items_then_raise():
+    yield from range(10)
+    raise LookupError("no item 10")
+
+
+@pytest.mark.parametrize("chunksize", [1, 5])
+def test_imap_workers_raises_what_items_raise(monkeypatch, chunksize):
+    # in its place: after the results of every item read before it
+    monkeypatch.setenv("GRAPHTOOL_THREADS", "2")
+    forks = _recorded_forks(monkeypatch)
+    seen = []
+    with pytest.raises(LookupError, match="no item 10"):
+        seen.extend(imap_workers(_uneven, _ten_items_then_raise(), chunksize))
+    assert seen == list(map(_uneven, range(10)))
+    assert len(forks) == _forks_for(2) and all(_reaped(pid) for pid in forks)
+
+
 def _where(x):
+    # a few ms each, so every worker asks for an item before they run out
+    time.sleep(0.005)
     return os.getpid(), tuple(sorted(os.sched_getaffinity(0)))
+
+
+def _slow_on_the_first_cpu(x):
+    cpus = tuple(os.sched_getaffinity(0))
+    time.sleep(0.02 if cpus == tuple(_CPUS[:1]) else 0.001)
+    return cpus
+
+
+@_TWO_CPUS
+def test_imap_workers_deal_fewer_batches_to_a_slower_worker(monkeypatch):
+    # each batch goes to the worker that asks next, so the worker on the
+    # first CPU, 20 times slower, answers fewer; dealt in turn, they tie
+    monkeypatch.setenv("GRAPHTOOL_THREADS", "2")
+    answered = Counter(imap_workers(_slow_on_the_first_cpu, range(60)))
+    assert sum(answered.values()) == 60
+    assert answered[(_CPUS[1],)] > answered[(_CPUS[0],)]
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _open_fds_within(limit):
+    # the feeder thread closes its pipe ends as it ends, just after the parent
+    deadline = time.monotonic() + 10
+    while _open_fds() > limit and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return _open_fds()
+
+
+def _closed_early(fn, items):
+    results = imap_workers(fn, items)
+    next(results)
+    results.close()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("run", [
+    lambda: list(imap_workers(_uneven, range(53))),
+    lambda: _closed_early(_uneven, iter(range(10**9))),
+    lambda: pytest.raises(KeyError, list, imap_workers(_fails_on_21, range(40))),
+    lambda: pytest.raises(LookupError, list, imap_workers(_uneven, _ten_items_then_raise())),
+], ids=["full-run", "closed-early", "fn-raises", "items-raise"])
+def test_imap_workers_leaves_no_pipe_open(monkeypatch, run):
+    monkeypatch.setenv("GRAPHTOOL_THREADS", "2")
+    before = _open_fds()
+    run()
+    assert _open_fds_within(before) <= before
 
 
 @_TWO_CPUS
@@ -418,10 +487,11 @@ import os
 from charideals.classify import imap_workers
 
 def fn(x):
-    if x == 5:
+    if {dies}:
         os._exit(7)
     return x
 
+{setup}
 try:
     list(imap_workers(fn, range(40)))
 except ChildProcessError as exc:
@@ -434,12 +504,14 @@ except ChildProcessError:
 """
 
 
-@_TWO_CPUS
-def test_imap_workers_raises_when_a_worker_dies():
+def _run_dying_workers(dies, setup=""):
+    """Check what the _DEAD_WORKER script prints with two workers, each
+    exiting with code 7 on an item x for which `dies` holds, after `setup`."""
     env = dict(os.environ, GRAPHTOOL_THREADS="2")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
-    with subprocess.Popen([sys.executable, "-c", _DEAD_WORKER], stdout=subprocess.PIPE,
+    script = _DEAD_WORKER.format(dies=dies, setup=setup)
+    with subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, text=True, env=env,
                           start_new_session=True) as proc:
         try:
@@ -454,6 +526,22 @@ def test_imap_workers_raises_when_a_worker_dies():
     assert died.startswith("worker process ") and died.endswith(
         " exited with code 7 before returning its results")
     assert left == "no worker left"
+
+
+@_TWO_CPUS
+def test_imap_workers_raises_when_a_worker_dies():
+    _run_dying_workers("x == 5")
+
+
+@_TWO_CPUS
+@pytest.mark.parametrize("setup", [
+    "",
+    # a worker pins itself first: this one exits before it asks for a batch,
+    # so the request pipe ends with none asked for
+    "os.sched_setaffinity = lambda pid, cpus: os._exit(7)",
+], ids=["on-its-first-item", "before-it-asks"])
+def test_imap_workers_raises_when_every_worker_dies(setup):
+    _run_dying_workers("True", setup)
 
 
 def test_cross_check_reports_unexpected_exception(monkeypatch):

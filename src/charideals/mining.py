@@ -23,14 +23,17 @@ the automorphism generators its labelling found, and hands them to its own
 augmentation, in mining and enumeration alike: no parent is labelled twice.
 This reaches every member and every minimal forbidden graph on n vertices,
 because the canonical deletion of either leaves a member on n - 1
-vertices: by heredity for a member, by minimality for a minimal one.  The
-statistic is evaluated on those children only.  A forbidden child G is
-minimal iff each connected G - v is a member.  Checking these is enough:
-G is connected, so a connected proper induced subgraph H of G grows, one
-neighbouring vertex at a time, to a connected induced subgraph G - v on
-n - 1 vertices that contains H; H is a member when G - v is.  Deletions in
-one automorphism orbit are isomorphic, so one v per orbit is checked, and
-none in the orbit of the new vertex: that deletion is the parent.  phiL is
+vertices: by heredity for a member, by minimality for a minimal one.  A
+forbidden child G is minimal iff each connected G - v is a member.
+Checking these is enough: G is connected, so a connected proper induced
+subgraph H of G grows, one neighbouring vertex at a time, to a connected
+induced subgraph G - v on n - 1 vertices that contains H; H is a member
+when G - v is.  The new vertex's deletion is the parent.  gammaA costs
+more than a labelling: each child is labelled, the kept ones evaluated,
+and of a forbidden one, one deletion per automorphism orbit is labelled
+and looked up.  phiA, an invariant, is evaluated first on each child, then
+on its deletions up to the first forbidden one: only members and minimal
+graphs are labelled.  phiL is
 defined on regular graphs only, which deletion does not keep, so for it
 every connected graph is evaluated and each forbidden one is searched for
 every smaller forbidden one.  Either way each minimal graph is then
@@ -39,8 +42,8 @@ each vertex.  That route takes phi from minor gcds and the co-rank bottom-up
 from char_ideal_profile, without the unit count or the evaluation bound.
 Each mine() call keeps a memo of the adjacencies it labels, with their
 canonical graph6, children included but for those of the last level, which
-no lookup can meet.  The minimality test and the recheck read it, so no
-run labels an adjacency twice, and it ends with the call.  Once level s is
+no lookup can meet.  gammaA's minimality test and the recheck read it, so
+no run labels an adjacency twice, and it ends with the call.  Once level s is
 grown without a minimal graph, the entries on s - 1 vertices are dropped.
 """
 
@@ -51,7 +54,7 @@ from functools import lru_cache
 
 from .graphs import (Graph, _graph6, adjacency_matrix, laplacian_matrix, parse_graph6, reach,
                      to_graph6)
-from .intlinalg import (ConsistencyError, _unit_count, delta_sequence,
+from .intlinalg import (ConsistencyError, _integers, _unit_count, delta_sequence,
                         invariant_factors_from_deltas)
 from .isomorphism import _label, _orbit, find_induced
 
@@ -94,31 +97,37 @@ def _is_cut_vertex(adj, v):
     return reach(adj, rest & -rest, rest) != rest
 
 
-def _children(adj, gens, memo=None):
-    """Each connected class on one vertex more whose canonical deletion
-    leaves the class of adj, a canonically labelled adjacency tuple, once,
-    as (canonical graph6, canonically relabelled Graph, the new vertex's
-    index in it, generators of its automorphism group in that labelling).
-    gens generate adj's automorphism group.  memo, when given, takes the
-    canonical graph6 of every child labelled, as _canonical reads it."""
+def _candidates(adj, gens):
+    """The children of the canonically labelled adjacency tuple adj, new vertex
+    last, one per orbit of gens, adj's automorphism generators, on its
+    neighbourhoods, whose new vertex is a non-cut vertex of largest degree."""
     n = len(adj)
     for mask in _mask_orbits(n, gens):
         child = tuple([a | (mask >> u & 1) << n for u, a in enumerate(adj)]) + (mask,)
         degree = mask.bit_count()
-        # the deletion vertex is a non-cut vertex of largest degree
-        if any(a.bit_count() > degree and not _is_cut_vertex(child, u)
-               for u, a in enumerate(child)):
-            continue
-        order, perms, key = _label(child)
-        c = _graph6(n + 1, key)
-        if memo is not None:
-            memo[child] = c
-        w = next(u for u in order if child[u].bit_count() == degree
-                 and not _is_cut_vertex(child, u))
-        if w == n or _orbit(perms, 1 << w) >> n & 1:
-            place = sorted(range(n + 1), key=order.__getitem__)  # inverse of order
-            yield (c, Graph.from_adj(child).relabelled(order), place[n],
-                   tuple(tuple([place[p[u]] for u in order]) for p in perms))
+        if not any(a.bit_count() > degree and not _is_cut_vertex(child, u)
+                   for u, a in enumerate(child)):
+            yield child
+
+
+def _accept(child, memo=None):
+    """(canonical graph6, canonically relabelled Graph, the new vertex's index
+    in it, generators of its automorphism group in that labelling) for a
+    candidate whose canonical deletion is its new vertex, so each class is
+    accepted once; else None.  memo, when given, takes the canonical graph6."""
+    n = len(child) - 1
+    order, perms, key = _label(child)
+    c = _graph6(n + 1, key)
+    if memo is not None:
+        memo[child] = c
+    degree = child[n].bit_count()
+    w = next(u for u in order if child[u].bit_count() == degree
+             and not _is_cut_vertex(child, u))
+    if w == n or _orbit(perms, 1 << w) >> n & 1:
+        place = sorted(range(n + 1), key=order.__getitem__)  # inverse of order
+        return (c, Graph.from_adj(child).relabelled(order), place[n],
+                tuple(tuple([place[p[u]] for u in order]) for p in perms))
+    return None
 
 
 def _walk(max_n):
@@ -129,7 +138,7 @@ def _walk(max_n):
         for c, g, _, gens in path[-1]:
             yield c
             if g.n < max_n:
-                path.append(_children(g.adj, gens))
+                path.append(filter(None, map(_accept, _candidates(g.adj, gens))))
                 break
         else:
             path.pop()
@@ -174,12 +183,15 @@ STATISTICS = {
 # statistics that deleting a vertex never raises; phiL is defined on
 # regular graphs only, which deletion does not keep
 _HEREDITARY = frozenset({"phiA", "gammaA"})
+# hereditary statistics dearer than a labelling: growth labels each child first
+_LABEL_FIRST = frozenset({"gammaA"})
 
 
 class MiningTask:
     __slots__ = ("max_vertices", "statistic", "k")
 
     def __init__(self, max_vertices, statistic, k):
+        max_vertices, k = _integers((max_vertices, k))
         if max_vertices < 2:
             raise ValueError("mining needs max_vertices >= 2")
         if max_vertices > len(CONNECTED_COUNTS):
@@ -201,7 +213,8 @@ class MiningResult(namedtuple("MiningResult", (
     """minimal: canonical graph6, sorted by (size, string); members: the
     canonical graph6 of the graphs on 2..N vertices not forbidden;
     forbidden_total: the connected graphs on 2..N vertices not in members;
-    values: canonical graph6 -> statistic value, per graph evaluated;
+    values: canonical graph6 -> statistic value, per graph evaluated and
+    labelled (under phiA, the members and the minimal graphs);
     counts_by_size: vertex count -> number of minimal graphs."""
     __slots__ = ()
 
@@ -231,12 +244,9 @@ def _independent_value(g6, statistic):
 
 
 def _deletions(adj, new, gens):
-    """The adjacency tuple of one connected deletion per automorphism orbit
-    but that of the new vertex, whose deletion is the parent, highest index
-    first; adj is a canonically labelled graph, new and gens as _children
-    yields them.  A canonical order lists the vertices by nondecreasing
-    degree, as _label refines the partition by degree, so this is also
-    highest degree first."""
+    """One connected deletion, as an adjacency tuple, per orbit of gens' group
+    (with no gens, per vertex) but the new vertex's, the parent; highest index
+    first, which in a canonical labelling, refined by degree, is highest degree."""
     done = _orbit(gens, 1 << new)
     for u in range(len(adj) - 1, -1, -1):
         if not done >> u & 1:
@@ -254,10 +264,11 @@ def _canonical(adj, memo):
     return s
 
 
-def _grow(max_vertices, limit, fn, values, memo):
+def _grow(max_vertices, limit, statistic, values, memo):
     """Minimal forbidden graphs as (size, graph6, Graph), and the members,
     of a statistic that deleting a vertex never raises; memo as _canonical
     reads it."""
+    fn, stat_first = STATISTICS[statistic], statistic not in _LABEL_FIRST
     # member -> (its canonically labelled adjacency, its automorphism
     # generators), as its labelling as a child found them; K_1, with phiA
     # and gammaA 0 on it, has no generators
@@ -271,11 +282,20 @@ def _grow(max_vertices, limit, fn, values, memo):
         known = memo if size < max_vertices else None
         found = len(minimal)
         for s in sorted(level):
-            for c, g, new, gens in _children(*level[s], known):
-                val = values[c] = fn(g)
+            for child in _candidates(*level[s]):
+                if stat_first:  # the statistic is an invariant: no labelling needed
+                    val = fn(Graph.from_adj(child))
+                    if val >= limit and not all(fn(Graph.from_adj(h)) < limit
+                                                for h in _deletions(child, size - 1, ())):
+                        continue
+                if (kept := _accept(child, known)) is None:
+                    continue
+                c, g, new, gens = kept
+                values[c] = val = val if stat_first else fn(g)
                 if val < limit:
                     grown[c] = g.adj, gens
-                elif all(_canonical(h, memo) in level for h in _deletions(g.adj, new, gens)):
+                elif stat_first or all(_canonical(h, memo) in level
+                                       for h in _deletions(g.adj, new, gens)):
                     minimal.append((size, c, g))
         if len(minimal) == found:  # no recheck reads the entries on size - 1
             for adj in [adj for adj in memo if len(adj) == size - 1]:
@@ -314,7 +334,7 @@ def mine(task):
     values = {}
     memo = {}  # adjacency tuple -> canonical graph6, for this run only
     if task.statistic in _HEREDITARY:
-        minimal, members = _grow(task.max_vertices, limit, fn, values, memo)
+        minimal, members = _grow(task.max_vertices, limit, task.statistic, values, memo)
     else:
         minimal, members = _scan(task.max_vertices, limit, fn, values)
     for size, g6, g in minimal:

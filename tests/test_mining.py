@@ -11,7 +11,8 @@ from charideals.catalog import FAMILY_F, FORBIDDEN_S4
 from charideals.classify import is_C_leq
 from charideals.graphs import Graph
 from charideals.isomorphism import _label
-from charideals.mining import CONNECTED_COUNTS, STATISTICS, _children, _level, _mask_orbits
+from charideals.mining import (CONNECTED_COUNTS, STATISTICS, _accept, _candidates, _level,
+                               _mask_orbits)
 
 import oracles
 
@@ -64,6 +65,21 @@ def test_task_validation():
         mine("not a task")
     task = MiningTask(max_vertices=5, statistic="phiA", k=0)
     assert (task.max_vertices, task.statistic, task.k) == (5, "phiA", 0)
+
+
+@pytest.mark.parametrize("args,bad", [((5, "phiA", 1.5), "1.5"), ((5.5, "phiA", 2), "5.5"),
+                                      ((5, "phiA", "2"), "'2'")])
+def test_task_rejects_a_non_integer(args, bad):
+    # a threshold of 1.5 once mined as k = 2 and reported 1.5, and 5.5
+    # vertices failed deep inside mine() with a TypeError
+    with pytest.raises(ValueError, match=rf"^not an integer: {bad}$"):
+        MiningTask(*args)
+
+
+def test_task_keeps_integral_values_as_ints():
+    task = MiningTask(5.0, "phiA", 2.0)
+    assert (task.max_vertices, task.k) == (5, 2)
+    assert type(task.max_vertices) is int and type(task.k) is int
 
 
 def test_connected_counts_bound_the_task():
@@ -179,12 +195,29 @@ def test_mine_corank_k3_to_10_gives_family_f_and_agrees_with_classifier():
         assert is_C_leq(parse_graph6(g6), 3)[0] == (gamma <= 3), g6
 
 
+def _members_digest(result):
+    text = repr((result.minimal, sorted(result.members), result.forbidden_total,
+                 sorted(result.counts_by_size.items())))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_mined_members_are_pinned_at_9():
+    # one size past the benchmark's run, as growth gave them when it
+    # labelled every child before evaluating it
+    result = mine(MiningTask(9, "phiA", 4))
+    assert _members_digest(result) == (
+        "adefad42a3c77646b35b87e957a7a83080c83e4fa41c19972077d7d22ad3d328")
+
+
 @pytest.mark.slow
 def test_mine_smith_k4_to_10_gives_forbidden_s4():
     result = mine(MiningTask(10, "phiA", 4))
     assert sorted(result.minimal) == sorted(canonical_form(parse_graph6(s))
                                             for s in FORBIDDEN_S4)
     assert result.counts_by_size == {6: 43}
+    # the members too, as growth gave them when it labelled every child
+    assert _members_digest(result) == (
+        "5719b2d16327fbb752d99b249def6b931ff4a05de9e3e67730c977407b69fead")
 
 
 @cache
@@ -193,7 +226,7 @@ def _value(statistic, g6):
 
 
 @pytest.mark.parametrize("statistic,k", [("phiA", k) for k in range(1, 5)]
-                         + [("gammaA", k) for k in range(1, 4)])
+                         + [("gammaA", k) for k in range(1, 5)])
 def test_growth_matches_full_scan(statistic, k):
     # growing the members against evaluating every graph and searching each
     # forbidden one for every smaller one
@@ -261,38 +294,86 @@ def _count_labelling(monkeypatch):
 
 
 def test_minimality_labels_one_deletion_per_orbit(monkeypatch):
-    # one connected deletion per automorphism orbit of a forbidden child,
-    # none for the orbit of its new vertex; one per vertex took 761 here,
-    # and the lowest canonical index first 585.  Of the 540 lookups, 357
-    # label: the rest read a deletion or a child labelled earlier in the run
+    # gammaA labels each child before it evaluates it, and then one
+    # connected deletion per automorphism orbit of a forbidden child, none
+    # for the orbit of its new vertex; one per vertex took 1,008 lookups
+    # here, and the lowest canonical index first 796.  Of the 747 lookups,
+    # 486 label: the rest read a deletion or a child labelled earlier in the run
     labelled, lookups = _count_labelling(monkeypatch)
-    minimal, _ = mining._grow(7, 5, STATISTICS["phiA"], {}, {})
-    assert len(minimal) == 43
-    assert len(lookups) == 540
-    assert sum(lookups) == 357
+    minimal, _ = mining._grow(7, 5, "gammaA", {}, {})
+    assert len(minimal) == 79
+    assert len(lookups) == 747
+    assert sum(lookups) == 486
 
 
 def test_growth_labels_each_child_once(monkeypatch):
     # a member's automorphism generators come down from its labelling as a
-    # child; labelling each parent again as well took 907 here
+    # child; labelling each parent again as well took 907 here, when all 807
+    # candidates were labelled.  phiA is evaluated first: only the 365
+    # member candidates and the 53 minimal ones, 43 graphs, are labelled,
+    # and the minimality test looks nothing up
     labelled, lookups = _count_labelling(monkeypatch)
-    minimal, _ = mining._grow(7, 5, STATISTICS["phiA"], {}, {})
+    minimal, _ = mining._grow(7, 5, "phiA", {}, {})
     assert len(minimal) == 43
-    assert len(labelled) - sum(lookups) == 807
+    assert lookups == []
+    assert len(labelled) - sum(lookups) == 418
+    # gammaA labels every candidate, as before
+    labelled.clear()
+    minimal, _ = mining._grow(7, 4, "gammaA", {}, {})
+    assert len(minimal) == 13
+    assert len(labelled) - sum(lookups) == 154
+
+
+def test_phi_growth_labels_no_forbidden_child_but_a_minimal_one(monkeypatch):
+    # a forbidden child with a forbidden connected deletion is dropped
+    # before it is labelled; a minimal one is labelled once per parent that
+    # makes it, and its canonical deletion keeps one
+    accepted = []
+    accept = mining._accept
+    monkeypatch.setattr(mining, "_accept",
+                        lambda child, memo=None: accepted.append(child) or accept(child, memo))
+    result = mine(MiningTask(8, "phiA", 4))
+    fn = STATISTICS["phiA"]
+    forbidden = [Graph.from_adj(child) for child in accepted if fn(Graph.from_adj(child)) > 4]
+    assert (len(accepted) - len(forbidden), len(forbidden)) == (1051, 53)
+    for g in forbidden:
+        for v in range(g.n):
+            h = g.delete_vertex(v)
+            assert not h.is_connected() or fn(h) <= 4
+    assert {canonical_form(g) for g in forbidden} == set(result.minimal)
+
+
+def test_phi_values_hold_the_members_and_the_minimal_graphs():
+    # growth evaluates phiA on children it never labels, and keeps only the
+    # values of the graphs it labels
+    result = mine(MiningTask(7, "phiA", 4))
+    assert result.values.keys() == result.members | set(result.minimal)
+    assert len(result.values) == 301 + 43
+    for g6, val in result.values.items():
+        assert val == STATISTICS["phiA"](parse_graph6(g6)), g6
+        assert (val > 4) == (g6 in result.minimal)
 
 
 def test_a_run_labels_each_adjacency_once(monkeypatch):
     # the memo holds the adjacencies labelled in one mine() call, children
-    # included: 754 lookups of 426 adjacencies, 40 of them children, label
-    # 386, where every lookup labelled before.  A second call labels as
-    # many again: the memo does not outlive its call
+    # included: the recheck's 214 lookups of 90 adjacencies, 9 of them
+    # children, label 81.  When every candidate was labelled, growth took
+    # 807 labellings and 540 lookups, and the run 754 lookups labelling 386.
+    # A second call labels as many again: the memo does not outlive its call
     labelled, lookups = _count_labelling(monkeypatch)
     for _ in range(2):
         labelled.clear()
         lookups.clear()
         mine(MiningTask(7, "phiA", 4))
-        assert len(labelled) == len(set(labelled)) == 807 + 386
-        assert (len(lookups), sum(lookups)) == (754, 386)
+        assert len(labelled) == len(set(labelled)) == 418 + 81
+        assert (len(lookups), sum(lookups)) == (214, 81)
+    # gammaA labels its children first, as before: 182 lookups of 112
+    # adjacencies, 23 of them children, label 89
+    labelled.clear()
+    lookups.clear()
+    mine(MiningTask(8, "gammaA", 3))
+    assert len(labelled) == len(set(labelled)) == 350
+    assert (len(lookups), sum(lookups)) == (182, 89)
     # phiL scans one depth-first walk: each parent is labelled once as a
     # child and never again
     labelled.clear()
@@ -306,7 +387,7 @@ def test_memo_keeps_only_what_a_recheck_reads(statistic, k, max_vertices, sizes)
     # past level s, only the recheck of a minimal graph on s vertices reads
     # the entries on s - 1 vertices; the other levels' entries are dropped
     memo = {}
-    minimal, _ = mining._grow(max_vertices, k + 1, STATISTICS[statistic], {}, memo)
+    minimal, _ = mining._grow(max_vertices, k + 1, statistic, {}, memo)
     assert {size - 1 for size, _, _ in minimal} == sizes
     assert {len(adj) for adj in memo} == sizes
 
@@ -326,9 +407,10 @@ def test_mined_output_is_pinned(args, digest):
 
 
 def _children_of(s):
-    # _children of the canonical graph6 s, with the generators a fresh labelling finds
+    # the accepted children of the canonical graph6 s, with the generators
+    # a fresh labelling finds
     adj = parse_graph6(s).adj
-    return _children(adj, _label(adj)[1])
+    return filter(None, map(_accept, _candidates(adj, _label(adj)[1])))
 
 
 def test_carried_generators_give_the_orbits_of_a_fresh_labelling():

@@ -308,16 +308,15 @@ def test_minimality_labels_one_deletion_per_orbit(monkeypatch):
 
 def test_growth_labels_each_child_once(monkeypatch):
     # a member's automorphism generators come down from its labelling as a
-    # child; labelling each parent again as well took 907 here, when all 807
-    # candidates were labelled.  phiA is evaluated first: only the 365
-    # member candidates and the 53 minimal ones, 43 graphs, are labelled,
-    # and the minimality test looks nothing up
+    # child; labelling each parent again as well took 518 here.  phiA is
+    # evaluated first: only the 365 member candidates and the 53 minimal
+    # ones, 43 graphs, are labelled, and the minimality test looks nothing up
     labelled, lookups = _count_labelling(monkeypatch)
     minimal, _ = mining._grow(7, 5, "phiA", {}, {})
     assert len(minimal) == 43
     assert lookups == []
     assert len(labelled) - sum(lookups) == 418
-    # gammaA labels every candidate, as before
+    # gammaA labels every candidate
     labelled.clear()
     minimal, _ = mining._grow(7, 4, "gammaA", {}, {})
     assert len(minimal) == 13
@@ -357,9 +356,8 @@ def test_phi_values_hold_the_members_and_the_minimal_graphs():
 def test_a_run_labels_each_adjacency_once(monkeypatch):
     # the memo holds the adjacencies labelled in one mine() call, children
     # included: the recheck's 214 lookups of 90 adjacencies, 9 of them
-    # children, label 81.  When every candidate was labelled, growth took
-    # 807 labellings and 540 lookups, and the run 754 lookups labelling 386.
-    # A second call labels as many again: the memo does not outlive its call
+    # children, label 81.  A second call labels as many again: the memo
+    # does not outlive its call
     labelled, lookups = _count_labelling(monkeypatch)
     for _ in range(2):
         labelled.clear()
@@ -367,7 +365,7 @@ def test_a_run_labels_each_adjacency_once(monkeypatch):
         mine(MiningTask(7, "phiA", 4))
         assert len(labelled) == len(set(labelled)) == 418 + 81
         assert (len(lookups), sum(lookups)) == (214, 81)
-    # gammaA labels its children first, as before: 182 lookups of 112
+    # gammaA labels its children first: 182 lookups of 112
     # adjacencies, 23 of them children, label 89
     labelled.clear()
     lookups.clear()

@@ -24,7 +24,7 @@ from collections import namedtuple
 from .catalog import _COLLECTIONS, lookup
 from .graphs import adjacency_matrix, parse_graph6, true_twin_quotient, twin_classes
 from .graph_ideals import _corank, algebraic_corank
-from .intlinalg import ConsistencyError, snf_diagonal
+from .intlinalg import ConsistencyError, _integers, snf_diagonal
 from .isomorphism import canonical_form, find_induced, is_isomorphic
 from .mining import CONNECTED_COUNTS, STATISTICS, _walk
 
@@ -297,6 +297,7 @@ def cross_check(max_n):
     vertices, recording route disagreements and nesting violations.  Graphs
     stream from a depth-first walk, over the workers imap_workers forks;
     counters merge in the parent either way."""
+    (max_n,) = _integers((max_n,))
     if max_n < 1:
         raise ValueError(f"crosscheck needs max_n >= 1, got {max_n}")
     if max_n > len(CONNECTED_COUNTS):

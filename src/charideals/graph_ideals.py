@@ -212,13 +212,15 @@ def _basis(pres, gens, k):
 
 
 def _check_index(g, k):
+    (k,) = _integers((k,))
     if not 1 <= k <= g.n:
         raise ValueError(f"characteristic ideal index {k} out of range 1..{g.n}")
+    return k
 
 
 def characteristic_ideal(g, k):
     """Reduced Groebner basis of the ideal of all k-minors of tI - A(g)."""
-    _check_index(g, k)
+    k = _check_index(g, k)
     pres = _presentation(g)
     return IdealZt(basis=_basis(pres, _generators(pres), k))
 
@@ -358,7 +360,7 @@ def all_k_minors_in_ideal(g, k, ideal):
     the product of its first k invariant factors.  Other ideals fall back
     to reducing every generator `_generators` takes from the presentation.
     """
-    _check_index(g, k)
+    k = _check_index(g, k)
     basis = ideal.basis
     if basis == (ONE,):
         return True

@@ -121,9 +121,6 @@ class Graph:
             raise ValueError("relabelling must list every vertex")
         return self.subgraph(order)
 
-    def delete_vertex(self, v):
-        return self.subgraph([u for u in range(self.n) if u != v])
-
 
 def adjacency_matrix(g):
     return [[g.adj[i] >> j & 1 for j in range(g.n)] for i in range(g.n)]

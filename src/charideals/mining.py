@@ -37,20 +37,20 @@ graphs are labelled.  phiL is defined on regular graphs only, which
 deletion does not keep, so every connected graph is evaluated under it and
 each forbidden one is searched for every smaller forbidden one.  Each
 minimal graph is then rechecked: its value by a second route, and its
-minimality by deleting each vertex.  That route takes phi from minor gcds
-and the co-rank bottom-up from char_ideal_profile, without the unit count
-or the evaluation bound.  Each mine() call keeps a memo of the adjacencies
-it labels, with their canonical graph6, children included but for those of
-the last level, which no lookup can meet.  gammaA's minimality test and the
-recheck read it, so no run labels an adjacency twice; it ends with the
-call.  Once level s is grown without a minimal graph, the entries on s - 1
-vertices are dropped.
+minimality by finding each connected deletion among the members (under
+phiL, each connected induced subgraph on 2..n - 1 vertices, as deletion
+may raise phiL).  That route takes phi from minor gcds and the co-rank
+bottom-up from char_ideal_profile, without the unit count or the
+evaluation bound.  No labelling outlives its step: at level s, gammaA's
+minimality test labels deletions on s - 1 vertices into a dict of that
+level, and the recheck labels into a dict of its own.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import lru_cache
+from itertools import combinations
 
 from .graphs import (Graph, _graph6, adjacency_matrix, laplacian_matrix, parse_graph6, reach,
                      to_graph6)
@@ -110,22 +110,19 @@ def _candidates(adj, gens):
             yield child
 
 
-def _accept(child, memo=None):
+def _accept(child):
     """(canonical graph6, canonically relabelled Graph, the new vertex's index
     in it, generators of its automorphism group in that labelling) for a
     candidate whose canonical deletion is its new vertex, so each class is
-    accepted once; else None.  memo, when given, takes the canonical graph6."""
+    accepted once; else None."""
     n = len(child) - 1
     order, perms, key = _label(child)
-    c = _graph6(n + 1, key)
-    if memo is not None:
-        memo[child] = c
     degree = child[n].bit_count()
     w = next(u for u in order if child[u].bit_count() == degree
              and not _is_cut_vertex(child, u))
     if w == n or _orbit(perms, 1 << w) >> n & 1:
         place = sorted(range(n + 1), key=order.__getitem__)  # inverse of order
-        return (c, Graph.from_adj(child).relabelled(order), place[n],
+        return (_graph6(n + 1, key), Graph.from_adj(child).relabelled(order), place[n],
                 tuple(tuple([place[p[u]] for u in order]) for p in perms))
     return None
 
@@ -245,10 +242,10 @@ def _independent_value(g6, statistic):
 
 def _deletions(adj, new, gens):
     """One connected deletion, as an adjacency tuple, per orbit of gens' group
-    (with no gens, per vertex) but the new vertex's, the parent; highest index
-    first, which in a canonical labelling, refined by degree, is highest degree."""
+    (with no gens, per vertex) but the new vertex's, the parent; lowest index
+    first."""
     done = _orbit(gens, 1 << new)
-    for u in range(len(adj) - 1, -1, -1):
+    for u in range(len(adj)):
         if not done >> u & 1:
             done |= _orbit(gens, 1 << u)
             if not _is_cut_vertex(adj, u):
@@ -256,18 +253,17 @@ def _deletions(adj, new, gens):
                 yield tuple([a & low | a >> (u + 1) << u for v, a in enumerate(adj) if v != u])
 
 
-def _canonical(adj, memo):
-    # the canonical graph6 of the adjacency tuple adj, labelled once per memo
-    s = memo.get(adj)
+def _canonical(adj, labels):
+    # the canonical graph6 of the adjacency tuple adj, labelled once per dict
+    s = labels.get(adj)
     if s is None:
-        s = memo[adj] = _graph6(len(adj), _label(adj)[2])
+        s = labels[adj] = _graph6(len(adj), _label(adj)[2])
     return s
 
 
-def _grow(max_vertices, limit, statistic, values, memo):
+def _grow(max_vertices, limit, statistic, values):
     """Minimal forbidden graphs as (size, graph6, Graph), and the members,
-    of a statistic that deleting a vertex never raises; memo as _canonical
-    reads it."""
+    of a statistic that deleting a vertex never raises."""
     fn, stat_first = STATISTICS[statistic], statistic not in _LABEL_FIRST
     # member -> (its canonically labelled adjacency, its automorphism
     # generators), as its labelling as a child found them; K_1, with phiA
@@ -277,10 +273,7 @@ def _grow(max_vertices, limit, statistic, values, memo):
     minimal = []
     for size in range(2, max_vertices + 1):
         grown = {}
-        # a lookup has fewer than max_vertices vertices: the last level's
-        # children would only fill the memo
-        known = memo if size < max_vertices else None
-        found = len(minimal)
+        labels = {}  # the deletions on size - 1 vertices this level labels
         for s in sorted(level):
             for child in _candidates(*level[s]):
                 if stat_first:  # the statistic is an invariant: no labelling needed
@@ -288,18 +281,15 @@ def _grow(max_vertices, limit, statistic, values, memo):
                     if val >= limit and not all(fn(Graph.from_adj(h)) < limit
                                                 for h in _deletions(child, size - 1, ())):
                         continue
-                if (kept := _accept(child, known)) is None:
+                if (kept := _accept(child)) is None:
                     continue
                 c, g, new, gens = kept
                 values[c] = val = val if stat_first else fn(g)
                 if val < limit:
                     grown[c] = g.adj, gens
-                elif stat_first or all(_canonical(h, memo) in level
+                elif stat_first or all(_canonical(h, labels) in level
                                        for h in _deletions(g.adj, new, gens)):
                     minimal.append((size, c, g))
-        if len(minimal) == found:  # no recheck reads the entries on size - 1
-            for adj in [adj for adj in memo if len(adj) == size - 1]:
-                del memo[adj]
         members.update(grown)
         level = grown
     return minimal, members
@@ -332,35 +322,32 @@ def mine(task):
     fn = STATISTICS[task.statistic]
     limit = task.k + 1
     values = {}
-    memo = {}  # adjacency tuple -> canonical graph6, for this run only
-    if task.statistic in _HEREDITARY:
-        minimal, members = _grow(task.max_vertices, limit, task.statistic, values, memo)
+    hereditary = task.statistic in _HEREDITARY
+    if hereditary:
+        minimal, members = _grow(task.max_vertices, limit, task.statistic, values)
     else:
         minimal, members = _scan(task.max_vertices, limit, fn, values)
+    labels = {}
     for size, g6, g in minimal:
         recheck = _independent_value(g6, task.statistic)
         if recheck != values[g6]:
             raise ConsistencyError(
                 f"statistic routes disagree on {g6}: {values[g6]} vs {recheck}")
-        for v in range(g.n):
-            h = g.delete_vertex(v)
-            if not h.is_connected():
-                continue
-            # a miss is K_1, or under phiL a graph that is not regular
-            key = _canonical(h.adj, memo)
-            val = values[key] if key in values else fn(h)
-            if val is not None and val >= limit:
-                raise ConsistencyError(
-                    f"{g6} is not minimal: deleting vertex {v} keeps the statistic at {val}")
+        # deleting a vertex never raises a hereditary statistic, so its
+        # deletions stand for every connected proper induced subgraph; K_1
+        # is not a member
+        for r in [size - 1] if hereditary else range(2, size):
+            for vertices in combinations(range(size), r):
+                h = g.subgraph(vertices)
+                if r > 1 and h.is_connected() and _canonical(h.adj, labels) not in members:
+                    raise ConsistencyError(f"{g6} is not minimal: its induced subgraph on "
+                                           f"vertices {vertices} is forbidden, at {fn(h)}")
     minimal.sort()
-    counts = {}
-    for size, _, _ in minimal:
-        counts[size] = counts.get(size, 0) + 1
     return MiningResult(
         task=task,
         minimal=tuple(g6 for _, g6, _ in minimal),
         members=frozenset(members),
         forbidden_total=sum(CONNECTED_COUNTS[1:task.max_vertices]) - len(members),
         values=values,
-        counts_by_size=counts,
+        counts_by_size=dict(Counter(size for size, _, _ in minimal)),
     )

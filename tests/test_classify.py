@@ -226,6 +226,13 @@ def test_cross_check_rejects_max_n_below_1():
             cross_check(max_n)
 
 
+def test_cross_check_rejects_a_non_integer():
+    # 3.5 once classified the graphs on at most 4 vertices and reported 3.5
+    with pytest.raises(ValueError, match=r"^not an integer: 3\.5$"):
+        cross_check(3.5)
+    assert cross_check(3.0).max_n == 3
+
+
 def test_cross_check_parallel_matches_sequential(monkeypatch):
     seq = cross_check(4)
     monkeypatch.setenv("GRAPHTOOL_THREADS", "2")

@@ -344,6 +344,16 @@ def test_all_k_minors_rejects_out_of_range_k():
                     all_k_minors_in_ideal(g, k, ideal)
 
 
+def test_ideal_index_rejects_a_non_integer():
+    # 2.5 once raised a TypeError from range, or found every minor in the unit ideal
+    g = cycle_graph(4)
+    with pytest.raises(ValueError, match=r"^not an integer: 2\.5$"):
+        characteristic_ideal(g, 2.5)
+    with pytest.raises(ValueError, match=r"^not an integer: 2\.5$"):
+        all_k_minors_in_ideal(g, 2.5, IdealZt.unit())
+    assert characteristic_ideal(g, 2.0) == characteristic_ideal(g, 2)
+
+
 def test_membership_fallback_matches_minor_walk():
     rng = random.Random(101)
     ideals = [IdealZt((P(0, 1),)), IdealZt((P(1, 1),)), IdealZt((P(-1, 0, 1),)),

@@ -277,15 +277,15 @@ def test_growth_runs_no_induced_search(monkeypatch):
 
 
 def _count_labelling(monkeypatch):
-    """Every adjacency mining labels, and per memo lookup whether it
-    labelled one."""
+    """Every adjacency mining labels, and per lookup of a level's or the
+    recheck's labels whether it labelled one."""
     labelled, lookups = [], []
     monkeypatch.setattr(mining, "_label", lambda adj: labelled.append(adj) or _label(adj))
     canonical = mining._canonical
 
-    def looked_up(adj, memo):
+    def looked_up(adj, labels):
         before = len(labelled)
-        s = canonical(adj, memo)
+        s = canonical(adj, labels)
         lookups.append(len(labelled) > before)
         return s
 
@@ -296,14 +296,14 @@ def _count_labelling(monkeypatch):
 def test_minimality_labels_one_deletion_per_orbit(monkeypatch):
     # gammaA labels each child before it evaluates it, and then one
     # connected deletion per automorphism orbit of a forbidden child, none
-    # for the orbit of its new vertex; one per vertex took 1,008 lookups
-    # here, and the lowest canonical index first 796.  Of the 747 lookups,
-    # 486 label: the rest read a deletion or a child labelled earlier in the run
+    # for the orbit of its new vertex; one per vertex took 998 lookups here.
+    # Of the 796 lookups, 458 label: the rest read a deletion labelled
+    # earlier in the same level
     labelled, lookups = _count_labelling(monkeypatch)
-    minimal, _ = mining._grow(7, 5, "gammaA", {}, {})
+    minimal, _ = mining._grow(7, 5, "gammaA", {})
     assert len(minimal) == 79
-    assert len(lookups) == 747
-    assert sum(lookups) == 486
+    assert len(lookups) == 796
+    assert sum(lookups) == 458
 
 
 def test_growth_labels_each_child_once(monkeypatch):
@@ -312,13 +312,13 @@ def test_growth_labels_each_child_once(monkeypatch):
     # evaluated first: only the 365 member candidates and the 53 minimal
     # ones, 43 graphs, are labelled, and the minimality test looks nothing up
     labelled, lookups = _count_labelling(monkeypatch)
-    minimal, _ = mining._grow(7, 5, "phiA", {}, {})
+    minimal, _ = mining._grow(7, 5, "phiA", {})
     assert len(minimal) == 43
     assert lookups == []
     assert len(labelled) - sum(lookups) == 418
     # gammaA labels every candidate
     labelled.clear()
-    minimal, _ = mining._grow(7, 4, "gammaA", {}, {})
+    minimal, _ = mining._grow(7, 4, "gammaA", {})
     assert len(minimal) == 13
     assert len(labelled) - sum(lookups) == 154
 
@@ -330,14 +330,14 @@ def test_phi_growth_labels_no_forbidden_child_but_a_minimal_one(monkeypatch):
     accepted = []
     accept = mining._accept
     monkeypatch.setattr(mining, "_accept",
-                        lambda child, memo=None: accepted.append(child) or accept(child, memo))
+                        lambda child: accepted.append(child) or accept(child))
     result = mine(MiningTask(8, "phiA", 4))
     fn = STATISTICS["phiA"]
     forbidden = [Graph.from_adj(child) for child in accepted if fn(Graph.from_adj(child)) > 4]
     assert (len(accepted) - len(forbidden), len(forbidden)) == (1051, 53)
     for g in forbidden:
         for v in range(g.n):
-            h = g.delete_vertex(v)
+            h = g.subgraph([u for u in range(g.n) if u != v])
             assert not h.is_connected() or fn(h) <= 4
     assert {canonical_form(g) for g in forbidden} == set(result.minimal)
 
@@ -353,54 +353,65 @@ def test_phi_values_hold_the_members_and_the_minimal_graphs():
         assert (val > 4) == (g6 in result.minimal)
 
 
-def test_a_run_labels_each_adjacency_once(monkeypatch):
-    # the memo holds the adjacencies labelled in one mine() call, children
-    # included: the recheck's 214 lookups of 90 adjacencies, 9 of them
-    # children, label 81.  A second call labels as many again: the memo
-    # does not outlive its call
+def test_labellings_per_run_are_pinned(monkeypatch):
+    # no labelling outlives its step, so a second call labels as many
+    # again.  phiA growth labels its 418 children and looks nothing up; the
+    # recheck's 214 lookups label its 90 distinct deletions, 9 of them
+    # children growth labelled too
     labelled, lookups = _count_labelling(monkeypatch)
     for _ in range(2):
         labelled.clear()
         lookups.clear()
         mine(MiningTask(7, "phiA", 4))
-        assert len(labelled) == len(set(labelled)) == 418 + 81
-        assert (len(lookups), sum(lookups)) == (214, 81)
-    # gammaA labels its children first: 182 lookups of 112
-    # adjacencies, 23 of them children, label 89
+        assert (len(labelled), len(set(labelled))) == (418 + 90, 499)
+        assert (len(lookups), sum(lookups)) == (214, 90)
+    # gammaA: growth labels 376 (146 lookups, 115 label), the recheck 27
     labelled.clear()
     lookups.clear()
     mine(MiningTask(8, "gammaA", 3))
-    assert len(labelled) == len(set(labelled)) == 350
-    assert (len(lookups), sum(lookups)) == (182, 89)
-    # phiL scans one depth-first walk: each parent is labelled once as a
-    # child and never again
+    assert (len(labelled), len(set(labelled))) == (403, 351)
+    assert (len(lookups), sum(lookups)) == (212, 142)
+    # phiL scans one depth-first walk, labelling each parent once as a
+    # child; the recheck looks up each connected induced subgraph of its 6
+    # minimal graphs, 329 lookups of 90 adjacencies
     labelled.clear()
+    lookups.clear()
     mine(MiningTask(7, "phiL", 2))
-    assert len(labelled) == len(set(labelled)) == 1324 + 35
+    assert len(labelled) == 1324 + 90
+    assert (len(lookups), sum(lookups)) == (329, 90)
 
 
-@pytest.mark.parametrize("statistic,k,max_vertices,sizes", [
-    ("phiA", 4, 7, {5}), ("gammaA", 3, 8, {4, 5, 6, 7})])
-def test_memo_keeps_only_what_a_recheck_reads(statistic, k, max_vertices, sizes):
-    # past level s, only the recheck of a minimal graph on s vertices reads
-    # the entries on s - 1 vertices; the other levels' entries are dropped
-    memo = {}
-    minimal, _ = mining._grow(max_vertices, k + 1, statistic, {}, memo)
-    assert {size - 1 for size, _, _ in minimal} == sizes
-    assert {len(adj) for adj in memo} == sizes
+@pytest.mark.parametrize("args,mutant", [
+    ((7, "phiL", 1), ("find_induced", lambda host, pattern: None)),
+    ((6, "phiA", 2), ("_deletions", lambda adj, new, gens: iter(()))),
+    ((6, "gammaA", 2), ("_deletions", lambda adj, new, gens: iter(()))),
+], ids=["phiL-scan-misses", "phiA-no-deletions", "gammaA-no-deletions"])
+def test_recheck_finds_a_graph_that_is_not_minimal(monkeypatch, args, mutant):
+    # a minimality test that passes every forbidden graph: the recheck
+    # finds a subgraph outside the members.  phiL is not hereditary, so
+    # its recheck reads every connected induced subgraph, not only the
+    # deletions
+    monkeypatch.setattr(mining, *mutant)
+    with pytest.raises(ConsistencyError, match="is not minimal"):
+        mine(MiningTask(*args))
 
 
-@pytest.mark.parametrize("args,digest", [
-    ((8, "phiA", 4), "be842c75332c0bb8805e3ef11959e22622d58f2ed7cedb4f325284544aa979ba"),
-    ((8, "gammaA", 3), "324c34d6185c72cce8f2c703e5f36ddec7a941de5a11afcc2af212a5f3d61582"),
-    ((7, "phiL", 2), "75f0e4aadb260c505e9df63c8caf0d93ba80df20e0cbbeab157e716013a23fb0"),
-], ids=["phiA-k4-n8", "gammaA-k3-n8", "phiL-k2-n7"])
-def test_mined_output_is_pinned(args, digest):
+@pytest.mark.parametrize("args,with_values,digest", [
+    ((8, "phiA", 4), False, "be842c75332c0bb8805e3ef11959e22622d58f2ed7cedb4f325284544aa979ba"),
+    ((8, "gammaA", 3), False, "324c34d6185c72cce8f2c703e5f36ddec7a941de5a11afcc2af212a5f3d61582"),
+    ((7, "phiL", 2), False, "75f0e4aadb260c505e9df63c8caf0d93ba80df20e0cbbeab157e716013a23fb0"),
+    ((7, "phiL", 1), True, "6dd3d108526c1bb9e06d824760b47f0d9086b43a8f779783f0f1264f7a3863a8"),
+    ((7, "gammaA", 4), True, "f82f2cb637662ca50b1eceae93a3b7a921ec9160bda8366367ec705d2ec03961"),
+], ids=["phiA-k4-n8", "gammaA-k3-n8", "phiL-k2-n7", "phiL-k1-n7", "gammaA-k4-n7"])
+def test_mined_output_is_pinned(args, with_values, digest):
     # the minimal graphs' canonical graph6, the forbidden count and the
     # counts by size, as they came when each canonical graph6 was encoded
-    # by to_graph6 from a relabelled copy; phiL takes the scan route
+    # by to_graph6 from a relabelled copy, and for the last two the sorted
+    # values, as they came when a run-wide memo served the minimality
+    # tests; phiL takes the scan route
     result = mine(MiningTask(*args))
-    text = repr((result.minimal, result.forbidden_total, sorted(result.counts_by_size.items())))
+    parts = (result.minimal, result.forbidden_total, sorted(result.counts_by_size.items()))
+    text = repr(parts + (sorted(result.values.items()),) if with_values else parts)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -432,7 +443,7 @@ def test_children_come_in_their_canonical_labelling():
         for s in _level(n):
             for c, g, new, gens in _children_of(s):
                 assert c == to_graph6(g) == canonical_form(g)
-                assert canonical_form(g.delete_vertex(new)) == s, c
+                assert canonical_form(g.subgraph([u for u in range(g.n) if u != new])) == s, c
                 assert type(gens) is tuple and all(type(p) is tuple for p in gens)
                 for p in gens:
                     assert sorted(p) == list(range(g.n))

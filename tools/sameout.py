@@ -11,8 +11,8 @@ goes to stderr.  The list:
 * crosscheck --max-n 7 and 8, `classify -` on each seed-1 classify-stream
   input the parent's perfbench/child.py times (built by its inputs.py) and
   on a stream with bad lines, each with GRAPHTOOL_THREADS 1 and 2;
-* mine for phiA k=4 and phiL k=2 at n <= 7 with --emit-all, and for
-  gammaA k=3 at n <= 8;
+* mine for phiA k=4 and phiL k=1 and 2 at n <= 7 with --emit-all, and
+  for gammaA k=3 at n <= 8 and k=4 at n <= 7;
 * catalog list, and catalog emit of every name the parent lists (`<n>`
   as 5, `<a>,<b>,...` as 2,3), of padded, too large, invalid and unknown
   names, and of no name;
@@ -75,8 +75,10 @@ def commands(parent):
         cmds.append((["classify", "-"], "bad lines", BAD_LINES, threads))
     cmds += [(args, "", "", "1") for args in (
         ["mine", "--stat", "phiA", "--k", "4", "--max-n", "7", "--emit-all"],
+        ["mine", "--stat", "phiL", "--k", "1", "--max-n", "7", "--emit-all"],
         ["mine", "--stat", "phiL", "--k", "2", "--max-n", "7", "--emit-all"],
         ["mine", "--stat", "gammaA", "--k", "3", "--max-n", "8"],
+        ["mine", "--stat", "gammaA", "--k", "4", "--max-n", "7"],
         ["catalog", "list"], ["catalog", "emit"], ["catalog", "list", "extra"],
         ["ideal", "--graph", BLOWUP, "--all"], ["ideal", "--graph", BLOWUP, "--all", "--pretty"],
         ["ideal", "--graph", "C^", "--k", "2"], ["gamma", BLOWUP], ["classify", "Dhc"],

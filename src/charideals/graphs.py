@@ -122,14 +122,26 @@ class Graph:
         return self.subgraph(order)
 
 
+# the 0/1 entries of each byte, lowest bit first, joined from its two
+# halves: adjacency rows join these 8-column chunks, each copied, since
+# rows are consumed in place
+_NIBBLE_ROWS = [[b >> j & 1 for j in range(4)] for b in range(16)]
+_BYTE_ROWS = tuple(low + high for high in _NIBBLE_ROWS for low in _NIBBLE_ROWS)
+
+
 def adjacency_matrix(g):
-    return [[g.adj[i] >> j & 1 for j in range(g.n)] for i in range(g.n)]
+    """The 0/1 adjacency matrix as a list of rows, each a fresh list."""
+    n = g.n
+    if n <= 8:
+        return [_BYTE_ROWS[a][:n] for a in g.adj]
+    chunks = range(0, n, 8)
+    return [[x for s in chunks for x in _BYTE_ROWS[a >> s & 255]][:n] for a in g.adj]
 
 
 def laplacian_matrix(g):
     rows = []
-    for i in range(g.n):
-        row = [-(g.adj[i] >> j & 1) for j in range(g.n)]
+    for i, row in enumerate(adjacency_matrix(g)):
+        row = [-x for x in row]
         row[i] = g.degree(i)
         rows.append(row)
     return rows

@@ -10,7 +10,11 @@ augmented once per orbit of its automorphism group on the neighbourhoods
 of the new vertex.  A child whose new vertex is not of largest degree among
 its non-cut vertices is dropped before it is labelled; otherwise it is kept
 only when the new vertex is in the orbit of w, so every class comes out
-exactly once, and enumeration walks the tree this makes depth first.
+exactly once, and enumeration walks the tree this makes depth first.  The
+parent's cut structure decides this for every child without a search: each
+vertex's degree and the components left when it is deleted are found once
+per parent, and a vertex of the parent is a non-cut vertex of the child iff
+the new vertex's neighbourhood meets each of those components.
 
 Mining looks for the connected graphs whose statistic exceeds the
 threshold k (the forbidden graphs) that contain no smaller forbidden graph
@@ -50,7 +54,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, starmap
 
 from .graphs import (Graph, _graph6, adjacency_matrix, laplacian_matrix, parse_graph6, reach,
                      to_graph6)
@@ -98,31 +102,66 @@ def _is_cut_vertex(adj, v):
 
 
 def _candidates(adj, gens):
-    """The children of the canonically labelled adjacency tuple adj, new vertex
-    last, one per orbit of gens, adj's automorphism generators, on its
-    neighbourhoods, whose new vertex is a non-cut vertex of largest degree."""
+    """(child, ties) for the children of the canonically labelled adjacency
+    tuple adj, new vertex last, one per orbit of gens, adj's automorphism
+    generators, on its neighbourhoods, whose new vertex is a non-cut vertex
+    of largest degree; ties is the mask of the child's non-cut vertices of
+    that degree, the new vertex's included.
+
+    adj's cut structure is found once: each vertex u's degree and the
+    components of adj - u.  In the child of neighbourhood mask, u keeps its
+    place and gains mask's bit u as degree, and u is a non-cut vertex iff
+    mask meets every component of adj - u, which the new vertex then joins.
+    The new vertex is never a cut vertex: deleting it leaves adj."""
     n = len(adj)
+    full = (1 << n) - 1
+    cuts = []  # (u's bit, its degree, the components of adj - u)
+    for u, a in enumerate(adj):
+        rest, parts = full ^ 1 << u, []
+        while rest:
+            part = reach(adj, rest & -rest, rest)
+            parts.append(part)
+            rest ^= part
+        cuts.append((1 << u, a.bit_count(), parts))
+    top = 1 << n
     for mask in _mask_orbits(n, gens):
-        child = tuple([a | (mask >> u & 1) << n for u, a in enumerate(adj)]) + (mask,)
         degree = mask.bit_count()
-        if not any(a.bit_count() > degree and not _is_cut_vertex(child, u)
-                   for u, a in enumerate(child)):
-            yield child
+        ties = top
+        for bit, d, parts in cuts:
+            if mask & bit:
+                d += 1
+            if d >= degree and all(map(mask.__and__, parts)):
+                if d > degree:
+                    break
+                ties |= bit
+        else:
+            child = tuple([a | top if mask >> u & 1 else a for u, a in enumerate(adj)])
+            yield child + (mask,), ties
 
 
-def _accept(child):
+def _accept(child, ties):
     """(canonical graph6, canonically relabelled Graph, the new vertex's index
     in it, generators of its automorphism group in that labelling) for a
-    candidate whose canonical deletion is its new vertex, so each class is
+    candidate whose canonical deletion, the first vertex of ties in
+    canonical order, is its new vertex, up to automorphism, so each class is
     accepted once; else None."""
     n = len(child) - 1
     order, perms, key = _label(child)
-    degree = child[n].bit_count()
-    w = next(u for u in order if child[u].bit_count() == degree
-             and not _is_cut_vertex(child, u))
+    w = next(u for u in order if ties >> u & 1)
     if w == n or _orbit(perms, 1 << w) >> n & 1:
-        place = sorted(range(n + 1), key=order.__getitem__)  # inverse of order
-        return (_graph6(n + 1, key), Graph.from_adj(child).relabelled(order), place[n],
+        place = [0] * (n + 1)  # inverse of order
+        for i, v in enumerate(order):
+            place[v] = i
+        moved = [1 << i for i in place]
+        adj = []
+        for v in order:
+            a, row = child[v], 0
+            while a:
+                low = a & -a
+                a ^= low
+                row |= moved[low.bit_length() - 1]
+            adj.append(row)
+        return (_graph6(n + 1, key), Graph.from_adj(adj), place[n],
                 tuple(tuple([place[p[u]] for u in order]) for p in perms))
     return None
 
@@ -135,7 +174,7 @@ def _walk(max_n):
         for c, g, _, gens in path[-1]:
             yield c
             if g.n < max_n:
-                path.append(filter(None, map(_accept, _candidates(g.adj, gens))))
+                path.append(filter(None, starmap(_accept, _candidates(g.adj, gens))))
                 break
         else:
             path.pop()
@@ -153,6 +192,10 @@ def _level(n):
 def enumerate_connected(n):
     """One canonically labelled representative per isomorphism class of
     connected graphs on n vertices, in sorted graph6 order."""
+    (n,) = _integers((n,))
+    if n > len(CONNECTED_COUNTS):
+        # past the known counts: 11 vertices alone hold 1,006,700,565 graphs
+        raise ValueError(f"enumeration supports n <= {len(CONNECTED_COUNTS)}, got {n}")
     return map(parse_graph6, _level(n))
 
 
@@ -275,13 +318,13 @@ def _grow(max_vertices, limit, statistic, values):
         grown = {}
         labels = {}  # the deletions on size - 1 vertices this level labels
         for s in sorted(level):
-            for child in _candidates(*level[s]):
+            for child, ties in _candidates(*level[s]):
                 if stat_first:  # the statistic is an invariant: no labelling needed
                     val = fn(Graph.from_adj(child))
                     if val >= limit and not all(fn(Graph.from_adj(h)) < limit
                                                 for h in _deletions(child, size - 1, ())):
                         continue
-                if (kept := _accept(child)) is None:
+                if (kept := _accept(child, ties)) is None:
                     continue
                 c, g, new, gens = kept
                 values[c] = val = val if stat_first else fn(g)

@@ -15,6 +15,8 @@ must reproduce byte for byte; the refinement that recounted every cell
 against every cell in each pass, for the one that counts against the cells
 the last pass made; and enumeration that augments a representative by
 every neighbourhood of a new vertex and deduplicates by canonical form;
+the degree filter that called reach for each vertex of each candidate,
+for the one that reads each parent's cut structure;
 mining that evaluates every connected graph and searches
 each forbidden one for every smaller one, for the growth of the
 hereditary family that replaced it; and Buchberger completion of ideals
@@ -43,7 +45,7 @@ components, disjoint unions and joins, none of which the package keeps.
 from itertools import combinations, permutations
 from math import gcd
 
-from charideals.graphs import Graph, bits, parse_graph6, to_graph6
+from charideals.graphs import Graph, bits, parse_graph6, reach, to_graph6
 from charideals.isomorphism import _search_plan
 from charideals.zpoly import ONE, T, ZERO, ZPoly
 
@@ -725,6 +727,32 @@ def mine_by_scan(max_vertices, value, limit):
     for size, _ in minimal:
         counts[size] = counts.get(size, 0) + 1
     return [s for _, s in minimal], counts, [s for _, s, _ in forbidden]
+
+
+# -- the augmentation's degree filter by a reach call per vertex -------------
+
+def _is_cut_by_reach(adj, v):
+    rest = ((1 << len(adj)) - 1) ^ 1 << v
+    return reach(adj, rest & -rest, rest) != rest
+
+
+def candidates_by_reach(adj, masks):
+    """(child, ties) per neighbourhood mask of a new vertex joined to the
+    connected adjacency tuple adj, in masks' order, for each child whose
+    new vertex is a non-cut vertex of largest degree: each child is built,
+    and each vertex of higher degree than the new one is tested for a cut
+    vertex by reach.  ties is the mask of the child's non-cut vertices of
+    largest degree, each found by reach."""
+    n = len(adj)
+    for mask in masks:
+        child = tuple([a | (mask >> u & 1) << n for u, a in enumerate(adj)]) + (mask,)
+        degree = mask.bit_count()
+        if any(a.bit_count() > degree and not _is_cut_by_reach(child, u)
+               for u, a in enumerate(child)):
+            continue
+        noncut = [u for u in range(n + 1) if not _is_cut_by_reach(child, u)]
+        top = max(child[u].bit_count() for u in noncut)
+        yield child, sum(1 << u for u in noncut if child[u].bit_count() == top)
 
 
 # -- the twin-split presentation by row operations on ZPoly entries ----------

@@ -8,6 +8,7 @@ from charideals import (BlowupSpec, Graph, Graph6Error, adjacency_matrix, blowup
 from charideals.catalog import (complete_graph, complete_multipartite_graph,
                                 cycle_graph, path_graph, star_graph)
 from charideals.graphs import format_edge_list, true_twin_quotient, twin_classes
+from charideals.intlinalg import unit_pivots
 from charideals.mining import _is_cut_vertex
 
 import oracles
@@ -99,6 +100,24 @@ def test_adjacency_and_laplacian_k1_k3():
     assert laplacian_matrix(k1) == [[0]]
     lap = laplacian_matrix(complete_graph(3))
     assert all(sum(row) == 0 for row in lap)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 16, 62])
+def test_matrix_rows_are_the_entries_in_fresh_lists(n):
+    # rows are consumed in place, as the unit count does: a second call
+    # builds them again, whatever the caller did to the first
+    rng = random.Random(n)
+    for p in (0.2, 0.5, 0.8):
+        g = oracles.random_graph(rng, n, p)
+        adj = [[int(oracles.has_edge(g, i, j)) for j in range(n)] for i in range(n)]
+        lap = [[g.degree(i) if i == j else -adj[i][j] for j in range(n)] for i in range(n)]
+        for build, want in ((adjacency_matrix, adj), (laplacian_matrix, lap)):
+            rows = build(g)
+            assert rows == want
+            unit_pivots(rows)
+            for row in rows:
+                row[:] = [5] * len(row)
+            assert build(g) == want
 
 
 def test_induced_subgraph_examples():

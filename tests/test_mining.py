@@ -1,6 +1,7 @@
 import hashlib
+import random
 from functools import cache, partial
-from itertools import combinations
+from itertools import combinations, starmap
 
 import pytest
 
@@ -49,6 +50,19 @@ def test_enumeration_yields_canonical_representatives_sorted():
 
 def test_enumeration_all_connected():
     assert all(g.is_connected() for g in enumerate_connected(6))
+
+
+@pytest.mark.parametrize("n,message", [(2.5, r"^not an integer: 2\.5$"),
+                                       ("3", r"^not an integer: '3'$"),
+                                       (11, r"^enumeration supports n <= 10, got 11$")])
+def test_enumeration_checks_n_before_it_walks(monkeypatch, n, message):
+    # 2.5 and "3" once failed late with a TypeError, and 11 started sorting
+    # about 10**9 graph6 strings
+    def refuse(max_n):
+        raise AssertionError("walked")
+    monkeypatch.setattr(mining, "_walk", refuse)
+    with pytest.raises(ValueError, match=message):
+        enumerate_connected(n)
 
 
 def test_task_validation():
@@ -174,6 +188,29 @@ def test_mask_orbits_one_subset_per_orbit():
             orbits = {frozenset(sum(1 << p[v] for v in range(n) if x >> v & 1) for p in brute)
                       for x in range(1, 1 << n)}
             assert sorted(min(o) for o in orbits) == sorted(reps), s
+
+
+def test_candidates_match_the_filter_by_reach():
+    # every connected graph on up to 7 vertices as a parent, with the
+    # generators its acceptance as a child carries, then seeded connected
+    # graphs on up to 12 vertices with no generators: the same children, in
+    # the same order, with the ties reach finds
+    parents = 0
+    stack = [((0,), ())]  # K_1 has no generators
+    while stack:
+        adj, gens = stack.pop()
+        want = list(oracles.candidates_by_reach(adj, _mask_orbits(len(adj), gens)))
+        assert list(_candidates(adj, gens)) == want, adj
+        parents += 1
+        if len(adj) < 7:
+            stack += [(g.adj, kept) for _, g, _, kept in filter(None, starmap(_accept, want))]
+    assert parents == sum(CONNECTED_COUNTS[:7])
+    rng = random.Random(4301)
+    for n in range(2, 13):
+        for p in (0.2, 0.4, 0.7):
+            adj = oracles.random_connected_graph(rng, n, p).adj
+            assert list(_candidates(adj, ())) == list(
+                oracles.candidates_by_reach(adj, range(1, 1 << n))), adj
 
 
 @pytest.mark.slow
@@ -330,7 +367,7 @@ def test_phi_growth_labels_no_forbidden_child_but_a_minimal_one(monkeypatch):
     accepted = []
     accept = mining._accept
     monkeypatch.setattr(mining, "_accept",
-                        lambda child: accepted.append(child) or accept(child))
+                        lambda child, ties: accepted.append(child) or accept(child, ties))
     result = mine(MiningTask(8, "phiA", 4))
     fn = STATISTICS["phiA"]
     forbidden = [Graph.from_adj(child) for child in accepted if fn(Graph.from_adj(child)) > 4]
@@ -419,7 +456,7 @@ def _children_of(s):
     # the accepted children of the canonical graph6 s, with the generators
     # a fresh labelling finds
     adj = parse_graph6(s).adj
-    return filter(None, map(_accept, _candidates(adj, _label(adj)[1])))
+    return filter(None, starmap(_accept, _candidates(adj, _label(adj)[1])))
 
 
 def test_carried_generators_give_the_orbits_of_a_fresh_labelling():

@@ -11,8 +11,9 @@ goes to stderr.  The list:
 * crosscheck --max-n 7 and 8, `classify -` on each seed-1 classify-stream
   input the parent's perfbench/child.py times (built by its inputs.py) and
   on a stream with bad lines, each with GRAPHTOOL_THREADS 1 and 2;
-* mine for phiA k=4 and phiL k=1 and 2 at n <= 7 with --emit-all, and
-  for gammaA k=3 at n <= 8 and k=4 at n <= 7;
+* mine for phiA k=4 and phiL k=1 and 2 at n <= 7 with --emit-all, phiA
+  k=4 at n <= 9, phiA k=2 at n <= 8 with --emit-all, and gammaA k=3 at
+  n <= 8 and k=4 at n <= 7;
 * catalog list, and catalog emit of every name the parent lists (`<n>`
   as 5, `<a>,<b>,...` as 2,3), of padded, too large, invalid and unknown
   names, and of no name;
@@ -77,6 +78,8 @@ def commands(parent):
         ["mine", "--stat", "phiA", "--k", "4", "--max-n", "7", "--emit-all"],
         ["mine", "--stat", "phiL", "--k", "1", "--max-n", "7", "--emit-all"],
         ["mine", "--stat", "phiL", "--k", "2", "--max-n", "7", "--emit-all"],
+        ["mine", "--stat", "phiA", "--k", "4", "--max-n", "9"],
+        ["mine", "--stat", "phiA", "--k", "2", "--max-n", "8", "--emit-all"],
         ["mine", "--stat", "gammaA", "--k", "3", "--max-n", "8"],
         ["mine", "--stat", "gammaA", "--k", "4", "--max-n", "7"],
         ["catalog", "list"], ["catalog", "emit"], ["catalog", "list", "extra"],

@@ -110,8 +110,9 @@ def _candidates(adj, gens):
 
     adj's cut structure is found once: each vertex u's degree and the
     components of adj - u.  In the child of neighbourhood mask, u keeps its
-    place and gains mask's bit u as degree, and u is a non-cut vertex iff
-    mask meets every component of adj - u, which the new vertex then joins.
+    place, its degree grows by one when u is in mask, and u is a non-cut
+    vertex iff mask meets every component of adj - u, which the new vertex
+    then joins.
     The new vertex is never a cut vertex: deleting it leaves adj."""
     n = len(adj)
     full = (1 << n) - 1

@@ -26,7 +26,7 @@ from .graphs import adjacency_matrix, parse_graph6, true_twin_quotient, twin_cla
 from .graph_ideals import _corank, algebraic_corank
 from .intlinalg import ConsistencyError, _integers, snf_diagonal
 from .isomorphism import canonical_form, find_induced, is_isomorphic
-from .mining import CONNECTED_COUNTS, STATISTICS, _walk
+from .mining import STATISTICS, _check_counted, _walk
 
 
 class RouteDisagreement(ConsistencyError):
@@ -300,9 +300,7 @@ def cross_check(max_n):
     (max_n,) = _integers((max_n,))
     if max_n < 1:
         raise ValueError(f"crosscheck needs max_n >= 1, got {max_n}")
-    if max_n > len(CONNECTED_COUNTS):
-        # past the known counts: 11 vertices alone hold 1,006,700,565 graphs
-        raise ValueError(f"crosscheck supports max_n <= {len(CONNECTED_COUNTS)}, got {max_n}")
+    _check_counted(max_n, "crosscheck supports max_n")
     counts = {}
     violations = []
     results = imap_workers(_check_line, _walk(max_n), chunksize=16)

@@ -211,16 +211,16 @@ def _basis(pres, gens, k):
     return _canonicalize(_lattice(gens(k), _lattice_degree(pres, k)))
 
 
-def _check_index(g, k):
+def _check_index(n, k):
     (k,) = _integers((k,))
-    if not 1 <= k <= g.n:
-        raise ValueError(f"characteristic ideal index {k} out of range 1..{g.n}")
+    if not 1 <= k <= n:
+        raise ValueError(f"characteristic ideal index {k} out of range 1..{n}")
     return k
 
 
 def characteristic_ideal(g, k):
     """Reduced Groebner basis of the ideal of all k-minors of tI - A(g)."""
-    k = _check_index(g, k)
+    k = _check_index(g.n, k)
     pres = _presentation(g)
     return IdealZt(basis=_basis(pres, _generators(pres), k))
 
@@ -323,8 +323,7 @@ def multipartite_closed_form(parts, j):
         raise ValueError("need at least two parts")
     if any(p < 2 for p in parts):
         raise ValueError("all part sizes must be at least 2")
-    if not 1 <= j <= n:
-        raise ValueError(f"index {j} out of range 1..{n}")
+    j = _check_index(n, j)
     if j <= m - 1:
         return IdealZt.unit()
     if j <= n - m:
@@ -360,7 +359,7 @@ def all_k_minors_in_ideal(g, k, ideal):
     the product of its first k invariant factors.  Other ideals fall back
     to reducing every generator `_generators` takes from the presentation.
     """
-    k = _check_index(g, k)
+    k = _check_index(g.n, k)
     basis = ideal.basis
     if basis == (ONE,):
         return True

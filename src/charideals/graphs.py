@@ -2,15 +2,17 @@
 
 Includes the graph6 codec (single-byte sizes, n <= 62), whose one body
 encoder `_body` also gives labelling its leaf keys, the edge-list text
-format, blow-ups, reachability within a vertex mask (`reach`, behind
-connectivity and cut vertices), and twin classes of equal open or equal
-closed neighbourhoods (`twin_classes`): the one grouping by neighbourhood,
-for the twin split, labelling and induced search.  Graphs are immutable
-after construction and safe to share between threads.
+format, blow-ups, induced subgraphs (`_induced`, the one relabelling loop),
+reachability within a vertex mask (`reach`, behind connectivity and cut
+vertices), and twin classes of equal open or equal closed neighbourhoods
+(`twin_classes`): the one grouping by neighbourhood, for the twin split,
+labelling and induced search.  Graphs are immutable after construction and
+safe to share between threads.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import accumulate, combinations
 
 from .intlinalg import _integers
@@ -37,6 +39,24 @@ def reach(adj, seen, within):
         frontier = nxt & within & ~seen
         seen |= frontier
     return seen
+
+
+def _induced(adj, vertices):
+    """The adjacency tuple of the subgraph that the distinct vertices induce
+    in the graph with adjacency bitmasks adj, vertices[i] becoming i."""
+    place = [0] * len(adj)  # vertex -> its bit in the subgraph
+    for i, v in enumerate(vertices):
+        place[v] = 1 << i
+    chosen = sum(1 << v for v in vertices)
+    rows = []
+    for v in vertices:
+        a, row = adj[v] & chosen, 0
+        while a:
+            low = a & -a
+            a ^= low
+            row |= place[low.bit_length() - 1]
+        rows.append(row)
+    return tuple(rows)
 
 
 class Graph:
@@ -102,19 +122,7 @@ class Graph:
                 raise ValueError(f"vertex {v} out of range")
         if len(set(vs)) != len(vs):
             raise ValueError("repeated vertex in induced set")
-        place = [0] * self.n  # vertex -> its bit in the subgraph
-        for i, v in enumerate(vs):
-            place[v] = 1 << i
-        chosen = sum(1 << v for v in vs)
-        adj = []
-        for v in vs:
-            a, row = self.adj[v] & chosen, 0
-            while a:
-                low = a & -a
-                a ^= low
-                row |= place[low.bit_length() - 1]
-            adj.append(row)
-        return Graph.from_adj(adj)
+        return Graph.from_adj(_induced(self.adj, vs))
 
     def relabelled(self, order):
         if len(order) != self.n:
@@ -273,20 +281,22 @@ def format_edge_list(g):
 
 # -- blow-ups and twins ------------------------------------------------------
 
-class BlowupSpec:
+class BlowupSpec(namedtuple("BlowupSpec", ("underlying", "d"))):
     """Replace each vertex u by a clique of size -d[u] (d[u] < 0) or a stable
     set of size d[u] (d[u] > 0), joining classes completely along edges."""
+    __slots__ = ()
 
-    __slots__ = ("underlying", "d")
-
-    def __init__(self, underlying, d):
+    def __new__(cls, underlying, d):
         d = _integers(d)
         if len(d) != underlying.n:
             raise ValueError("one multiplicity per underlying vertex required")
         if any(v == 0 for v in d):
             raise ValueError("zero blow-up multiplicity")
-        self.underlying = underlying
-        self.d = d
+        return super().__new__(cls, underlying, d)
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through it: check there too
+        return cls(*fields)
 
 
 def blowup(spec):

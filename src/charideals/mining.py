@@ -56,14 +56,20 @@ from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import combinations, starmap
 
-from .graphs import (Graph, _graph6, adjacency_matrix, laplacian_matrix, parse_graph6, reach,
-                     to_graph6)
+from .graphs import (Graph, _graph6, _induced, adjacency_matrix, laplacian_matrix, parse_graph6,
+                     reach, to_graph6)
 from .intlinalg import (ConsistencyError, _integers, _unit_count, delta_sequence,
                         invariant_factors_from_deltas)
 from .isomorphism import _label, _orbit, find_induced
 
 # connected graphs up to isomorphism on 1, 2, 3, ... vertices (OEIS A001349)
 CONNECTED_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117, 261080, 11716571)
+
+
+def _check_counted(n, what):
+    # before any walk: 11 vertices hold 1,006,700,565 graphs; forbidden_total reads the counts
+    if n > len(CONNECTED_COUNTS):
+        raise ValueError(f"{what} <= {len(CONNECTED_COUNTS)}, got {n}")
 
 
 def _mask_orbits(m, perms):
@@ -150,19 +156,8 @@ def _accept(child, ties):
     order, perms, key = _label(child)
     w = next(u for u in order if ties >> u & 1)
     if w == n or _orbit(perms, 1 << w) >> n & 1:
-        place = [0] * (n + 1)  # inverse of order
-        for i, v in enumerate(order):
-            place[v] = i
-        moved = [1 << i for i in place]
-        adj = []
-        for v in order:
-            a, row = child[v], 0
-            while a:
-                low = a & -a
-                a ^= low
-                row |= moved[low.bit_length() - 1]
-            adj.append(row)
-        return (_graph6(n + 1, key), Graph.from_adj(adj), place[n],
+        place = sorted(range(n + 1), key=order.__getitem__)  # inverse of order
+        return (_graph6(n + 1, key), Graph.from_adj(_induced(child, order)), place[n],
                 tuple(tuple([place[p[u]] for u in order]) for p in perms))
     return None
 
@@ -194,9 +189,7 @@ def enumerate_connected(n):
     """One canonically labelled representative per isomorphism class of
     connected graphs on n vertices, in sorted graph6 order."""
     (n,) = _integers((n,))
-    if n > len(CONNECTED_COUNTS):
-        # past the known counts: 11 vertices alone hold 1,006,700,565 graphs
-        raise ValueError(f"enumeration supports n <= {len(CONNECTED_COUNTS)}, got {n}")
+    _check_counted(n, "enumeration supports n")
     return map(parse_graph6, _level(n))
 
 
@@ -228,25 +221,24 @@ _HEREDITARY = frozenset({"phiA", "gammaA"})
 _LABEL_FIRST = frozenset({"gammaA"})
 
 
-class MiningTask:
-    __slots__ = ("max_vertices", "statistic", "k")
+class MiningTask(namedtuple("MiningTask", ("max_vertices", "statistic", "k"))):
+    __slots__ = ()
 
-    def __init__(self, max_vertices, statistic, k):
+    def __new__(cls, max_vertices, statistic, k):
         max_vertices, k = _integers((max_vertices, k))
         if max_vertices < 2:
             raise ValueError("mining needs max_vertices >= 2")
-        if max_vertices > len(CONNECTED_COUNTS):
-            # forbidden_total counts the graphs growth never visits
-            raise ValueError(f"mining supports max_vertices <= {len(CONNECTED_COUNTS)}, "
-                             f"got {max_vertices}")
+        _check_counted(max_vertices, "mining supports max_vertices")
         if k < 0:
             raise ValueError("threshold k must be nonnegative")
         if statistic not in STATISTICS:
             raise ValueError(f"unknown statistic {statistic!r}; "
                              f"choose from {sorted(STATISTICS)}")
-        self.max_vertices = max_vertices
-        self.statistic = statistic
-        self.k = k
+        return super().__new__(cls, max_vertices, statistic, k)
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through it: check there too
+        return cls(*fields)
 
 
 class MiningResult(namedtuple("MiningResult", (
@@ -382,7 +374,7 @@ def mine(task):
         # is not a member
         for r in [size - 1] if hereditary else range(2, size):
             for vertices in combinations(range(size), r):
-                h = g.subgraph(vertices)
+                h = Graph.from_adj(_induced(g.adj, vertices))
                 if r > 1 and h.is_connected() and _canonical(h.adj, labels) not in members:
                     raise ConsistencyError(f"{g6} is not minimal: its induced subgraph on "
                                            f"vertices {vertices} is forbidden, at {fn(h)}")

@@ -136,7 +136,7 @@ def test_multipartite_closed_form_validation():
         multipartite_closed_form((2, 1), 1)
     with pytest.raises(ValueError):
         multipartite_closed_form((2, 2), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^characteristic ideal index 5 out of range 1\.\.4$"):
         multipartite_closed_form((2, 2), 5)
 
 

@@ -7,7 +7,7 @@ from charideals import (BlowupSpec, Graph, Graph6Error, adjacency_matrix, blowup
                         parse_graph6, to_graph6)
 from charideals.catalog import (complete_graph, complete_multipartite_graph,
                                 cycle_graph, path_graph, star_graph)
-from charideals.graphs import format_edge_list, true_twin_quotient, twin_classes
+from charideals.graphs import _induced, format_edge_list, true_twin_quotient, twin_classes
 from charideals.intlinalg import unit_pivots
 from charideals.mining import _is_cut_vertex
 
@@ -146,6 +146,15 @@ def test_induced_subgraph_matches_pairwise_definition():
                 g.subgraph(vs + [rng.choice((n, n + 3, -1))])
             with pytest.raises(ValueError, match="repeated"):
                 g.subgraph(vs + [vs[-1]] if vs else [0, 0])
+    # the shared relabelling loop alone, on whole permutations and ordered
+    # subsets, across the 8-bit boundaries up to graph6's largest n
+    for n in (0, 1, 2, 7, 8, 9, 16, 62):
+        g = oracles.random_graph(rng, n, rng.random())
+        for vs in (rng.sample(range(n), n), rng.sample(range(n), rng.randint(0, n))):
+            adj = _induced(g.adj, vs)
+            assert len(adj) == len(vs) and all(row >> len(vs) == 0 for row in adj), (g, vs)
+            assert all(adj[i] >> j & 1 == g.adj[v] >> w & 1
+                       for i, v in enumerate(vs) for j, w in enumerate(vs)), (g, vs)
 
 
 def test_edges_match_pairwise_definition():

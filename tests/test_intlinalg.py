@@ -206,6 +206,7 @@ _INTEGER_SITES = {
     "BlowupSpec": lambda v: blowup(BlowupSpec(complete_graph(2), (v, -1))),
     "complete_multipartite_graph": lambda v: complete_multipartite_graph((v, 2)),
     "multipartite_closed_form": lambda v: graph_ideals.multipartite_closed_form((v, 3), 2),
+    "multipartite_closed_form j": lambda v: graph_ideals.multipartite_closed_form((2, 2, 2), v),
 }
 
 

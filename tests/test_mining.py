@@ -1,12 +1,15 @@
 import hashlib
+import importlib
+import pickle
 import random
+import re
 from functools import cache, partial
 from itertools import combinations, starmap
 
 import pytest
 
-from charideals import (ConsistencyError, MiningResult, MiningTask, canonical_form,
-                        enumerate_connected, lookup, mine, parse_graph6, to_graph6)
+from charideals import (BlowupSpec, ConsistencyError, MiningResult, MiningTask, canonical_form,
+                        cross_check, enumerate_connected, lookup, mine, parse_graph6, to_graph6)
 from charideals import graph_ideals, isomorphism, mining
 from charideals.catalog import FAMILY_F, FORBIDDEN_S4
 from charideals.classify import is_C_leq
@@ -52,17 +55,26 @@ def test_enumeration_all_connected():
     assert all(g.is_connected() for g in enumerate_connected(6))
 
 
-@pytest.mark.parametrize("n,message", [(2.5, r"^not an integer: 2\.5$"),
-                                       ("3", r"^not an integer: '3'$"),
-                                       (11, r"^enumeration supports n <= 10, got 11$")])
-def test_enumeration_checks_n_before_it_walks(monkeypatch, n, message):
+_SIZE_CHECKS = [
+    (enumerate_connected, 2.5, r"^not an integer: 2\.5$"),
+    (enumerate_connected, "3", r"^not an integer: '3'$"),
+    (enumerate_connected, 11, r"^enumeration supports n <= 10, got 11$"),
+    (partial(MiningTask, statistic="phiA", k=4), 11,
+     r"^mining supports max_vertices <= 10, got 11$"),
+    (cross_check, 11, r"^crosscheck supports max_n <= 10, got 11$")]
+
+
+@pytest.mark.parametrize("build,n,message", _SIZE_CHECKS,
+                         ids=[f"{n}-{message}" for _, n, message in _SIZE_CHECKS])
+def test_enumeration_checks_n_before_it_walks(monkeypatch, build, n, message):
     # 2.5 and "3" once failed late with a TypeError, and 11 started sorting
-    # about 10**9 graph6 strings
+    # about 10**9 graph6 strings; mining and crosscheck share the size check
     def refuse(max_n):
         raise AssertionError("walked")
     monkeypatch.setattr(mining, "_walk", refuse)
+    monkeypatch.setattr(importlib.import_module("charideals.classify"), "_walk", refuse)
     with pytest.raises(ValueError, match=message):
-        enumerate_connected(n)
+        build(n)
 
 
 def test_task_validation():
@@ -88,6 +100,33 @@ def test_task_rejects_a_non_integer(args, bad):
     # vertices failed deep inside mine() with a TypeError
     with pytest.raises(ValueError, match=rf"^not an integer: {bad}$"):
         MiningTask(*args)
+
+
+@pytest.mark.parametrize("record,fields,changes", [
+    (MiningTask(5, "phiA", 2), ("max_vertices", "statistic", "k"),
+     [{"k": -1}, {"k": 1.5}, {"max_vertices": 1}, {"max_vertices": 11},
+      {"statistic": "phiZ"}]),
+    (BlowupSpec(Graph(2, [(0, 1)]), (2, -1)), ("underlying", "d"),
+     [{"d": (0, 1)}, {"d": (1,)}, {"d": (1.5, 1)}, {"underlying": Graph(3)}])],
+    ids=["MiningTask", "BlowupSpec"])
+def test_task_and_blowup_spec_are_checked_named_tuples(record, fields, changes):
+    # one field list sets the attributes, the constructor's order, equality,
+    # pickling and repr; _replace checks as the constructor does, and no
+    # attribute can be set after the check
+    cls = type(record)
+    assert cls._fields == fields
+    assert cls(*record) == record and hash(cls(*record)) == hash(record)
+    for change in changes:
+        with pytest.raises(ValueError) as built:
+            cls(**dict(record._asdict(), **change))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(built.value))}$"):
+            record._replace(**change)
+    for name in fields + ("other",):
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, fields[-1]))
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert repr(record).startswith(f"{cls.__name__}({fields[0]}=")
+    assert all(f"{name}=" in repr(record) for name in fields)
 
 
 def test_task_keeps_integral_values_as_ints():
@@ -134,11 +173,8 @@ def test_mine_corank_recheck_catches_a_low_bound(monkeypatch):
 
 
 def test_mine_determinism():
-    a = mine(MiningTask(5, "phiA", 2))
-    b = mine(MiningTask(5, "phiA", 2))
-    assert a.minimal == b.minimal and a.members == b.members
-    assert a.forbidden_total == b.forbidden_total
-    assert a.values == b.values
+    # every field, the task included, compares by value
+    assert mine(MiningTask(5, "phiA", 2)) == mine(MiningTask(5, "phiA", 2))
 
 
 def test_mine_result_invariants():

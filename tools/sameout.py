@@ -11,9 +11,11 @@ goes to stderr.  The list:
 * crosscheck --max-n 7 and 8, `classify -` on each seed-1 classify-stream
   input the parent's perfbench/child.py times (built by its inputs.py) and
   on a stream with bad lines, each with GRAPHTOOL_THREADS 1 and 2;
+  crosscheck --max-n 11 and 0, which are refused;
 * mine for phiA k=4 and phiL k=1 and 2 at n <= 7 with --emit-all, phiA
   k=4 at n <= 9, phiA k=2 at n <= 8 with --emit-all, and gammaA k=3 at
-  n <= 8 and k=4 at n <= 7;
+  n <= 8 and k=4 at n <= 7; and the refused phiA k=4 at n <= 11 and
+  n <= 1 and phiA k=-1 at n <= 5;
 * catalog list, and catalog emit of every name the parent lists (`<n>`
   as 5, `<a>,<b>,...` as 2,3), of padded, too large, invalid and unknown
   names, and of no name;
@@ -88,7 +90,11 @@ def commands(parent):
         ["snf", "Dhc"], ["snf", "--matrix", "laplacian", "Dhc"], ["phi", "Dhc"],
         ["phi", "--matrix", "laplacian", "Dhc"], ["g6", "encode", "0 1\n1 2\n2 0\n2 3"],
         ["g6", "decode", "Dhc"], ["g6", "decode", ""], ["g6", "decode", "   "], ["--help"],
-        ["mine", "--stat", "bogus", "--k", "4", "--max-n", "5"], [])]
+        ["mine", "--stat", "bogus", "--k", "4", "--max-n", "5"],
+        ["mine", "--stat", "phiA", "--k", "4", "--max-n", "11"],
+        ["mine", "--stat", "phiA", "--k", "4", "--max-n", "1"],
+        ["mine", "--stat", "phiA", "--k", "-1", "--max-n", "5"],
+        ["crosscheck", "--max-n", "11"], ["crosscheck", "--max-n", "0"], [])]
     cmds.append((["g6", "decode", "-"], "two graphs", "C^\n\nDhc\n", "1"))
     listed = run(parent, ["catalog", "list"])[1].decode().split()
     names = [n.replace("<n>", "5").replace("<a>,<b>,...", "2,3") for n in listed]

@@ -23,7 +23,7 @@ from collections import namedtuple
 
 from .catalog import _COLLECTIONS, lookup
 from .graphs import adjacency_matrix, parse_graph6, true_twin_quotient, twin_classes
-from .graph_ideals import _corank, algebraic_corank
+from .graph_ideals import algebraic_corank
 from .intlinalg import ConsistencyError, _integers, snf_diagonal
 from .isomorphism import canonical_form, find_induced, is_isomorphic
 from .mining import STATISTICS, _check_counted, _walk
@@ -230,7 +230,7 @@ def classify(g):
     g6 = canonical_form(g)
     snf = snf_diagonal(adjacency_matrix(g))
     phi_a = snf.ones
-    gamma = _corank(g, phi_a)
+    gamma = algebraic_corank(g)
     phi_l = STATISTICS["phiL"](g)
     decided = [*(_leq(g, "S", k, phi_a) for k in (1, 2, 3)), _s4_partial(g, snf),
                *(_leq(g, "C", k, gamma) for k in (1, 2, 3)),

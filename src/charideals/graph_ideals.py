@@ -228,7 +228,7 @@ def characteristic_ideal(g, k):
 _BOUND_POINTS = (0, 1, -1, 2, -2)
 
 
-def _corank_bound(pres, phi=None):
+def _corank_bound(pres):
     """u >= the co-rank, from the presentation.
 
     I_k evaluated at t = a is the ideal of Z generated by the k-minors of
@@ -238,24 +238,17 @@ def _corank_bound(pres, phi=None):
     sum: diag(2) (+) diag(3) has a unit invariant factor though neither
     block has one.  u is r plus the fewest over the points a; no
     count is below 0, so the points after the first that has none are
-    skipped.  At a = 0 the sum is equivalent to -A up to the r units, so
-    when phi, the unit count of A, is given the count there is phi - r.
+    skipped.
     """
     mat, w, r, (of_t, of_t1) = pres
     polys = [[_unpack(e, w) for e in row] for row in mat]
-
-    def unit_factors(a):
-        if a == 0 and phi is not None:
-            return phi - r
+    least = len(mat) + of_t + of_t1
+    for a in _BOUND_POINTS:
         diag = [a] * of_t + [a + 1] * of_t1
         rows = [[p(a) for p in row] + [0] * len(diag) for row in polys]
         rows += [[0] * len(mat) + [c if i == j else 0 for j in range(len(diag))]
                  for i, c in enumerate(diag)]
-        return _unit_count(rows)
-
-    least = len(mat) + of_t + of_t1
-    for a in _BOUND_POINTS:
-        least = min(least, unit_factors(a))
+        least = min(least, _unit_count(rows))
         if not least:
             break
     return r + least
@@ -270,15 +263,9 @@ def algebraic_corank(g):
     Only the trivial test is run, which stops at the unit ideal; no
     nontrivial ideal is completed to a basis, and the k share minor sizes.
     """
-    return _corank(g)
-
-
-def _corank(g, phi=None):
-    """algebraic_corank(g); a caller that holds phi, the number of unit
-    invariant factors of A(g), passes it on to the bound."""
     pres = _presentation(g)
     gens = _generators(pres)
-    for k in range(_corank_bound(pres, phi), pres[2], -1):
+    for k in range(_corank_bound(pres), pres[2], -1):
         if _lattice(gens(k), _lattice_degree(pres, k))[0] == [1]:
             return k
     return pres[2]

@@ -63,10 +63,12 @@ class Graph:
     __slots__ = ("n", "adj")
 
     def __init__(self, n, edges=()):
+        (n,) = _integers((n,))
         if n < 0:
             raise ValueError("negative vertex count")
         adj = [0] * n
         for u, v in edges:
+            u, v = _integers((u, v))
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
@@ -116,7 +118,7 @@ class Graph:
 
     def subgraph(self, vertices):
         """Induced subgraph, relabelled 0..len-1 preserving the given order."""
-        vs = list(vertices)
+        vs = _integers(vertices)
         for v in vs:
             if not 0 <= v < self.n:
                 raise ValueError(f"vertex {v} out of range")

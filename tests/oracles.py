@@ -31,6 +31,9 @@ the one that scans rows with `in` and folds the sign into the pivot row.
 The Faddeev-LeVerrier characteristic polynomial that once seeded each
 characteristic ideal with a monic generator is kept as a determinant of
 tI - A fast enough for blow-ups, independent of the minor engine.
+The members of the paper's families are generated from its theorems, as
+complete multipartite graphs, subgraphs and clique blow-ups, for the
+members that mining grows by computing each statistic.
 The twin-split presentation that rescaled the whole ZPoly matrix and took
 its unit pivots by polynomial row operations, grouping twins pair by
 pair, is the reference for the one built from the kept rows and pivoted
@@ -45,7 +48,9 @@ components, disjoint unions and joins, none of which the package keeps.
 from itertools import combinations, permutations
 from math import gcd
 
-from charideals.graphs import Graph, bits, parse_graph6, reach, to_graph6
+from charideals import isomorphism
+from charideals.catalog import cycle_graph, lookup, star_graph
+from charideals.graphs import BlowupSpec, Graph, bits, blowup, parse_graph6, reach, to_graph6
 from charideals.isomorphism import _search_plan
 from charideals.zpoly import ONE, T, ZERO, ZPoly
 
@@ -258,6 +263,71 @@ def complete_multipartite_parts(g):
             if (comp.adj[v] & mask).bit_count() != want:
                 return None
     return tuple(sorted((len(p) for p in parts), reverse=True))
+
+
+# -- the members of the paper's families, generated from its theorems --------
+
+def _partitions(n, parts, most):
+    """Each non-increasing tuple of `parts` positive integers, none above
+    most, summing to n."""
+    if parts == 0:
+        if n == 0:
+            yield ()
+        return
+    for first in range(min(n - parts + 1, most), 0, -1):
+        for rest in _partitions(n - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def _compositions(n, parts):
+    """Each tuple of `parts` positive integers summing to n."""
+    if parts == 1:
+        yield (n,)
+        return
+    for first in range(1, n - parts + 2):
+        for rest in _compositions(n - first, parts - 1):
+            yield (first,) + rest
+
+
+def _connected_induced(g, least):
+    """Each connected induced subgraph of g on `least` or more vertices."""
+    for size in range(least, g.n + 1):
+        for vs in combinations(range(g.n), size):
+            h = g.subgraph(vs)
+            if h.is_connected():
+                yield h
+
+
+def paper_families(max_n):
+    """name -> the canonical graph6 of the connected graphs on 2..max_n
+    vertices that the paper's characterizations name, generated without
+    computing any count: C<=1 the complete graphs; C<=2 those and the
+    complete multipartite graphs with at most 3 parts; C<=3 the complete
+    multipartite graphs with at most 4 parts, the connected induced
+    subgraphs of C5 and of the prism, and the clique blow-ups of the
+    connected induced subgraphs of C4 and K_(1,3); S<=2 and S<=3 the
+    complete multipartite graphs with at most 3 and at most 4 parts.  A
+    multipartite graph here has 2 or more parts: one part is edgeless.
+    The forms are the package's, as `mine` writes them."""
+    def multipartite(most):
+        return [complete_multipartite_graph(parts) for n in range(2, max_n + 1)
+                for m in range(2, most + 1) for parts in _partitions(n, m, n)]
+
+    bases = [h for base in (cycle_graph(4), star_graph(4)) for h in _connected_induced(base, 1)]
+    complete = [complete_multipartite_graph((1,) * n) for n in range(2, max_n + 1)]
+    families = {
+        "C<=1": complete,
+        "C<=2": complete + multipartite(3),
+        "C<=3": multipartite(4)
+        + [h for g in (cycle_graph(5), lookup("prism")) for h in _connected_induced(g, 2)
+           if h.n <= max_n]
+        + [blowup(BlowupSpec(h, tuple(-c for c in d))) for h in bases
+           for n in range(max(2, h.n), max_n + 1) for d in _compositions(n, h.n)],
+        "S<=2": multipartite(3),
+        "S<=3": multipartite(4),
+    }
+    return {name: {isomorphism.canonical_form(g) for g in graphs}
+            for name, graphs in families.items()}
 
 
 # -- the characteristic polynomial by Faddeev-LeVerrier ----------------------

@@ -643,10 +643,6 @@ def test_route_disagreement_names_graph_family_and_routes(graph, attr, fake, che
         # read only the unit count, not the Smith form
         monkeypatch.setattr(sys.modules["charideals.mining"], "_unit_count",
                             lambda m: fake(m).ones)
-    else:
-        # classify reaches the co-rank by the private route that takes its phi
-        monkeypatch.setattr(sys.modules["charideals.classify"], "_corank",
-                            lambda g, phi: fake(g))
     for run in (classify, check):
         with pytest.raises(RouteDisagreement) as info:
             run(lookup(graph))
@@ -671,13 +667,13 @@ def certificate_lines():
     return [json.dumps(classify(g).to_json_dict()) for g in graphs]
 
 
-def test_classify_takes_one_smith_form_fewer_per_corank_bound(monkeypatch):
-    # classify hands phi_adjacency to the co-rank bound, which then takes
-    # no unit count at t = 0: 4,772 Smith forms and unit counts instead of
-    # 5,912 on the ten seed-1 classify-stream inputs of perfbench.  Only
-    # phi_adjacency, whose factors the S<=4 certificate prints, is a full
-    # Smith form; 1,399 of the 3,632 unit counts leave a residue whose
-    # entries have gcd 1 and take its Smith form
+def test_classify_takes_one_smith_form_per_graph(monkeypatch):
+    # only phi_adjacency, whose factors the S<=4 certificate prints, is a
+    # full Smith form; every point of the co-rank bound, t = 0 included, and
+    # phi_laplacian are unit counts: 5,912 Smith forms and unit counts on
+    # the ten seed-1 classify-stream inputs of perfbench.  1,469 of the
+    # 4,772 unit counts leave a residue whose entries have gcd 1 and take
+    # its Smith form
     monkeypatch.syspath_prepend(str(REPO / "perfbench"))
     import inputs
     calls = {}
@@ -700,7 +696,7 @@ def test_classify_takes_one_smith_form_fewer_per_corank_bound(monkeypatch):
             classify(parse_graph6(line))
             graphs += 1
     assert graphs == 1140
-    assert calls == {"snf_diagonal": 1140, "_unit_count": 3632, "residue": 1399}
+    assert calls == {"snf_diagonal": 1140, "_unit_count": 4772, "residue": 1469}
 
 
 # sha256 of certificate_lines() joined by newlines

@@ -473,18 +473,6 @@ def test_corank_bound_stops_at_the_first_point_without_units(monkeypatch):
     assert stopped > 100
 
 
-def test_corank_given_phi_adjacency_is_the_corank():
-    # -A is I_r (+) M(0) (+) D(0), so phi_adjacency - r replaces the Smith
-    # form at a = 0; bound and co-rank stay the same with and without it
-    graphs = [g for n in range(1, 8) for g in enumerate_connected(n)]
-    assert len(graphs) == 996
-    for g in graphs:
-        phi = snf_diagonal(adjacency_matrix(g)).ones
-        pres = _presentation(g)
-        assert _corank_bound(pres, phi) == _corank_bound(pres), g
-        assert graph_ideals._corank(g, phi) == algebraic_corank(g), g
-
-
 def test_principal_minor_is_the_characteristic_polynomial():
     rng = random.Random(127)
     for _ in range(40):

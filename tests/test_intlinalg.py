@@ -5,7 +5,7 @@ from itertools import permutations
 
 import pytest
 
-from charideals import (BlowupSpec, ConsistencyError, adjacency_matrix, blowup,
+from charideals import (BlowupSpec, ConsistencyError, Graph, adjacency_matrix, blowup,
                         delta_sequence, gcd_of_k_minors, graph_ideals,
                         invariant_factors_from_deltas, laplacian_matrix, lookup, snf_diagonal)
 from charideals.catalog import complete_graph, complete_multipartite_graph, path_graph
@@ -207,6 +207,9 @@ _INTEGER_SITES = {
     "complete_multipartite_graph": lambda v: complete_multipartite_graph((v, 2)),
     "multipartite_closed_form": lambda v: graph_ideals.multipartite_closed_form((v, 3), 2),
     "multipartite_closed_form j": lambda v: graph_ideals.multipartite_closed_form((2, 2, 2), v),
+    "Graph": Graph,
+    "Graph edges": lambda v: Graph(4, [(0, v)]),
+    "Graph.subgraph": lambda v: Graph(4).subgraph([0, v]),
 }
 
 

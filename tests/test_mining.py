@@ -12,7 +12,7 @@ from charideals import (BlowupSpec, ConsistencyError, MiningResult, MiningTask, 
                         cross_check, enumerate_connected, lookup, mine, parse_graph6, to_graph6)
 from charideals import graph_ideals, isomorphism, mining
 from charideals.catalog import FAMILY_F, FORBIDDEN_S4
-from charideals.classify import is_C_leq
+from charideals.classify import _structural_c, _structural_s, is_C_leq
 from charideals.graphs import Graph
 from charideals.isomorphism import _label
 from charideals.mining import (CONNECTED_COUNTS, STATISTICS, _accept, _candidates, _level,
@@ -166,8 +166,7 @@ def test_mine_corank_recheck_catches_a_low_bound(monkeypatch):
     # a co-rank bound one too low makes the top-down route undercount; the
     # bottom-up recheck of each minimal graph never reads that bound
     bound = graph_ideals._corank_bound
-    monkeypatch.setattr(graph_ideals, "_corank_bound",
-                        lambda pres, phi=None: bound(pres, phi) - 1)
+    monkeypatch.setattr(graph_ideals, "_corank_bound", lambda pres: bound(pres) - 1)
     with pytest.raises(ConsistencyError):
         mine(MiningTask(6, "gammaA", 2))
 
@@ -266,6 +265,24 @@ def test_mine_corank_k3_to_10_gives_family_f_and_agrees_with_classifier():
     assert len(result.values) > 500
     for g6, gamma in result.values.items():
         assert is_C_leq(parse_graph6(g6), 3)[0] == (gamma <= 3), g6
+
+
+# each family's characterization: (statistic, k) of the family <= k
+_PAPER_FAMILIES = {"C<=1": ("gammaA", 1), "C<=2": ("gammaA", 2), "C<=3": ("gammaA", 3),
+                   "S<=2": ("phiA", 2), "S<=3": ("phiA", 3)}
+
+
+def test_mined_members_are_the_paper_families():
+    # each theorem as a set identity on 2..10 vertices: the members mine
+    # grows are exactly the graphs the theorem names, and classify's
+    # structural recogniser names every one of them
+    families = oracles.paper_families(10)
+    assert [len(families[name]) for name in _PAPER_FAMILIES] == [9, 63, 263, 56, 83]
+    for name, (statistic, k) in _PAPER_FAMILIES.items():
+        assert families[name] == mine(MiningTask(10, statistic, k)).members, name
+        recognise = _structural_c if name[0] == "C" else _structural_s
+        for s in families[name]:
+            assert recognise(parse_graph6(s), k) is not None, (name, s)
 
 
 def _members_digest(result):

@@ -9,8 +9,10 @@ line that differs on each side; the exit code is 1 if any does.  Progress
 goes to stderr.  The list:
 
 * crosscheck --max-n 7 and 8, `classify -` on each seed-1 classify-stream
-  input the parent's perfbench/child.py times (built by its inputs.py) and
-  on a stream with bad lines, each with GRAPHTOOL_THREADS 1 and 2;
+  input the parent's perfbench/child.py times (built by its inputs.py), on
+  a stream of blow-ups whose presentations split factors t and t + 1
+  and a 20-vertex random graph, and on a stream with bad lines, each with
+  GRAPHTOOL_THREADS 1 and 2;
   crosscheck --max-n 11 and 0, which are refused;
 * mine for phiA k=4 and phiL k=1 and 2 at n <= 7 with --emit-all, phiA
   k=4 at n <= 9, phiA k=2 at n <= 8 with --emit-all, and gammaA k=3 at
@@ -20,7 +22,8 @@ goes to stderr.  The list:
   as 5, `<a>,<b>,...` as 2,3), of padded, too large, invalid and unknown
   names, and of no name;
 * ideal --all (JSON and --pretty) and gamma on the 16-vertex clique
-  blow-up of the 4-cycle, classify, snf, phi and g6 on small graphs,
+  blow-up of the 4-cycle, gamma on the 20-vertex random graph, classify,
+  snf, phi and g6 on small graphs,
   g6 decode of an empty and a blank argument, --help, a bad --stat and
   no command at all.
 
@@ -38,6 +41,11 @@ from pathlib import Path
 
 # the clique blow-up of the 4-cycle with classes of 4 vertices
 BLOWUP = "O~~~~{NBw^`~{N{N}F~`~"
+# blow-ups of the paw by (-3, 3, -4, 3), of K_1,3 by (-3, 4, 3, -3) and of
+# the 4-cycle by (3, -3, 4, -4), each splitting off factors t and t + 1
+SPLIT_LINES = "Lw??w{^F~~~}~{\nL?????@?^~~~~~\nM???F~~~~{^p~b~b_\n"
+# tests/oracles.random_graph(random.Random(1), 20, 0.3), of co-rank 19
+RANDOM20 = "Si__qobp]b_OBHOIw?I?_?ZB?gQOpOBd?"
 # a blank line, bad graph6, a disconnected graph and good lines between them
 BAD_LINES = "C^\n\nnot-graph6\nC~\nA_\nDhc\n@@\n"
 EXTRA_NAMES = ("  PRISM ", " Family-F", "k63", "k40,40", "p100000", "c2", "k2,0", "p0",
@@ -75,6 +83,8 @@ def commands(parent):
         for i, lines in enumerate(classify_streams(parent)):
             stream = "".join(f"{g6}\n" for g6 in lines)
             cmds.append((["classify", "-"], f"classify-stream {i}", stream, threads))
+        cmds.append((["classify", "-"], "split blow-ups", SPLIT_LINES + RANDOM20 + "\n",
+                     threads))
         cmds.append((["classify", "-"], "bad lines", BAD_LINES, threads))
     cmds += [(args, "", "", "1") for args in (
         ["mine", "--stat", "phiA", "--k", "4", "--max-n", "7", "--emit-all"],
@@ -86,7 +96,8 @@ def commands(parent):
         ["mine", "--stat", "gammaA", "--k", "4", "--max-n", "7"],
         ["catalog", "list"], ["catalog", "emit"], ["catalog", "list", "extra"],
         ["ideal", "--graph", BLOWUP, "--all"], ["ideal", "--graph", BLOWUP, "--all", "--pretty"],
-        ["ideal", "--graph", "C^", "--k", "2"], ["gamma", BLOWUP], ["classify", "Dhc"],
+        ["ideal", "--graph", "C^", "--k", "2"], ["gamma", BLOWUP], ["gamma", RANDOM20],
+        ["classify", "Dhc"],
         ["snf", "Dhc"], ["snf", "--matrix", "laplacian", "Dhc"], ["phi", "Dhc"],
         ["phi", "--matrix", "laplacian", "Dhc"], ["g6", "encode", "0 1\n1 2\n2 0\n2 3"],
         ["g6", "decode", "Dhc"], ["g6", "decode", ""], ["g6", "decode", "   "], ["--help"],

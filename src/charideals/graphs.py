@@ -68,7 +68,7 @@ class Graph:
             raise ValueError("negative vertex count")
         adj = [0] * n
         for u, v in edges:
-            if type(u) is not int or type(v) is not int:  # as _integers returns an int
+            if type(u) is not int or type(v) is not int:  # _integers keeps an int as it is
                 u, v = _integers((u, v))
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")

@@ -1,8 +1,6 @@
 """``python -m charideals``: the command-line interface."""
 
-import sys
-
-from .cli import main
+from .cli import _exit_after_main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    _exit_after_main()

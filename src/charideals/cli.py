@@ -292,5 +292,16 @@ def main(argv=None):
         return 1
 
 
+def _exit_after_main():
+    """Run main() as a command process and end the process with its code as
+    soon as its output is flushed: the interpreter's teardown, which frees
+    every module and object, writes nothing.  A usage error's SystemExit
+    ends it the usual way."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    _exit_after_main()

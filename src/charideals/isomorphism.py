@@ -103,11 +103,25 @@ def _automorphism(src, dst):
     return tuple(images), fixed
 
 
-def _label(adj):
+def _root_cells(adj):
+    """The root of _label's search tree: the equitable refinement of the
+    partition of the vertices by degree, lower degrees first."""
+    by_degree = {}
+    for v, a in enumerate(adj):
+        d = a.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    cells = [by_degree[d] for d in sorted(by_degree)]
+    return _refine(adj, cells, cells)
+
+
+def _label(adj, root=None):
     """(order, generators, key) for the graph with adjacency bitmasks adj: a
     vertex order whose relabelling is the canonical form, permutations
     (tuples of images) generating the automorphism group, and the canonical
-    form's graph6 body bits as one integer (_body of that order)."""
+    form's graph6 body bits as one integer (_body of that order).  root is
+    _root_cells(adj), when the caller has it already.  Every leaf refines
+    the root, so the canonical order lists the root's cells in turn, and
+    each automorphism maps each root cell onto itself."""
     n = len(adj)
     if n <= 1:
         return tuple(range(n)), [], 0
@@ -165,12 +179,7 @@ def _label(adj):
             covered = _orbit(perms, covered | low)
         return n
 
-    by_degree = {}
-    for v, a in enumerate(adj):
-        d = a.bit_count()
-        by_degree[d] = by_degree.get(d, 0) | 1 << v
-    cells = [by_degree[d] for d in sorted(by_degree)]
-    dfs(cells, cells, (), 0)
+    dfs(_root_cells(adj) if root is None else root, [], (), 0)  # the root is equitable
     del dfs  # it refers to itself through its cell: free it without the collector
     return tuple(best[1]), [p for p, _ in gens], best[0]
 

@@ -8,10 +8,13 @@ first in canonical order.  C - w is connected, so C grows from the
 representative of C - w by one new vertex.  Each representative is
 augmented once per orbit of its automorphism group on the neighbourhoods
 of the new vertex.  A child whose new vertex is not of largest degree among
-its non-cut vertices is dropped before it is labelled; otherwise it is kept
-only when the new vertex is in the orbit of w, so every class comes out
-exactly once, and enumeration walks the tree this makes depth first.  The
-parent's cut structure decides this for every child without a search: each
+its non-cut vertices is dropped before it is labelled.  So is one whose
+new vertex is not in the first cell of its equitable root partition, the
+first step of labelling, that meets those vertices: w is in that cell,
+and orbits stay inside cells.  Otherwise it is kept only when the new
+vertex is in the orbit of w, so every class comes out exactly once, and
+enumeration walks the tree this makes depth first.  The parent's cut
+structure decides the degree test for every child without a search: each
 vertex's degree and the components left when it is deleted are found once
 per parent, and a vertex of the parent is a non-cut vertex of the child iff
 the new vertex's neighbourhood meets each of those components.
@@ -36,18 +39,22 @@ when G - v is.  The new vertex's deletion is the parent.  gammaA costs
 more than a labelling: each child is labelled, the kept ones evaluated,
 and of a forbidden one, one deletion per automorphism orbit is labelled
 and looked up.  phiA, an invariant, is evaluated first on each child, then
-on its deletions up to the first forbidden one: only members and minimal
-graphs are labelled.  phiL is defined on regular graphs only, which
-deletion does not keep, so every connected graph is evaluated under it and
-each forbidden one is searched for every smaller forbidden one.  Each
-minimal graph is then rechecked: its value by a second route, and its
-minimality by finding each connected deletion among the members (under
-phiL, each connected induced subgraph on 2..n - 1 vertices, as deletion
-may raise phiL).  That route takes phi from minor gcds and the co-rank
-bottom-up from char_ideal_profile, without the unit count or the
-evaluation bound.  No labelling outlives its step: at level s, gammaA's
-minimality test labels deletions on s - 1 vertices into a dict of that
-level, and the recheck labels into a dict of its own.
+on its deletions up to the first forbidden one, each deletion once per
+level: only members and minimal graphs are labelled.  Adding a false twin
+leaves phiA unchanged, so a child whose new vertex is a false twin of a
+parent vertex takes the parent's value, and a forbidden child with false
+twins is not minimal: none of its deletions is evaluated.  phiL is
+defined on regular graphs only, which deletion does not keep, so every
+connected graph is evaluated under it and each forbidden one is searched
+for every smaller forbidden one.  Each minimal graph is then rechecked:
+its value by a second route, and its minimality by finding each connected
+deletion among the members (under phiL, each connected induced subgraph
+on 2..n - 1 vertices, as deletion may raise phiL).  That route takes phi
+from minor gcds and the co-rank bottom-up from char_ideal_profile,
+without the unit count or the evaluation bound.  No labelling outlives
+its step: at level s, gammaA's minimality test labels deletions on s - 1
+vertices into a dict of that level, and the recheck labels into a dict of
+its own.
 """
 
 from __future__ import annotations
@@ -60,7 +67,7 @@ from .graphs import (Graph, _graph6, _induced, adjacency_matrix, laplacian_matri
                      reach, to_graph6)
 from .intlinalg import (ConsistencyError, _integers, _unit_count, delta_sequence,
                         invariant_factors_from_deltas)
-from .isomorphism import _label, _orbit, find_induced
+from .isomorphism import _label, _orbit, _root_cells, find_induced
 
 # connected graphs up to isomorphism on 1, 2, 3, ... vertices (OEIS A001349)
 CONNECTED_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117, 261080, 11716571)
@@ -151,9 +158,20 @@ def _accept(child, ties):
     in it, generators of its automorphism group in that labelling) for a
     candidate whose canonical deletion, the first vertex of ties in
     canonical order, is its new vertex, up to automorphism, so each class is
-    accepted once; else None."""
+    accepted once; else None.
+
+    When ties holds other vertices, the child's root partition comes
+    first.  The canonical order lists its cells in turn, so the canonical
+    deletion lies in the first cell that meets ties, and orbits stay inside
+    cells: a child whose new vertex is not in that cell is dropped
+    unlabelled.  Otherwise the labelling starts from that partition."""
     n = len(child) - 1
-    order, perms, key = _label(child)
+    root = None
+    if ties & (ties - 1):
+        root = _root_cells(child)
+        if not next(c for c in root if c & ties) >> n & 1:
+            return None
+    order, perms, key = _label(child, root)
     w = next(u for u in order if ties >> u & 1)
     if w == n or _orbit(perms, 1 << w) >> n & 1:
         place = sorted(range(n + 1), key=order.__getitem__)  # inverse of order
@@ -216,6 +234,10 @@ STATISTICS = {
 
 # statistics that deleting a vertex never raises; phiL needs a regular graph
 _HEREDITARY = frozenset({"phiA", "gammaA"})
+# statistics that adding a false twin leaves unchanged: rows u and v of A
+# are equal and A_uv = A_uu = 0, so subtracting row and column v from row
+# and column u leaves A(G - u) and a zero; gammaA changes with class sizes
+_TWIN_BLIND = frozenset({"phiA"})
 # statistics growth labels before it evaluates: mine gammaA k=4 n <= 9 took
 # 6.6-7.3 s so, 11.6-12.0 s evaluating each candidate first (2-vCPU VM)
 _LABEL_FIRST = frozenset({"gammaA"})
@@ -297,10 +319,19 @@ def _canonical(adj, labels):
     return s
 
 
+def _evaluated(adj, fn, evaluated):
+    # the statistic fn of the adjacency tuple adj, evaluated once per dict
+    val = evaluated.get(adj)
+    if val is None:
+        val = evaluated[adj] = fn(Graph.from_adj(adj))
+    return val
+
+
 def _grow(max_vertices, limit, statistic, values):
     """Minimal forbidden graphs as (size, graph6, Graph), and the members,
     of a statistic that deleting a vertex never raises."""
     fn, stat_first = STATISTICS[statistic], statistic not in _LABEL_FIRST
+    twin_blind = statistic in _TWIN_BLIND
     # member -> (its canonically labelled adjacency, its automorphism
     # generators), as its labelling as a child found them; K_1, with phiA
     # and gammaA 0 on it, has no generators
@@ -310,12 +341,21 @@ def _grow(max_vertices, limit, statistic, values):
     for size in range(2, max_vertices + 1):
         grown = {}
         labels = {}  # the deletions on size - 1 vertices this level labels
+        evaluated = {}  # the deletions on size - 1 vertices this level evaluates
         for s in sorted(level):
+            adj = level[s][0]
             for child, ties in _candidates(*level[s]):
                 if stat_first:  # the statistic is an invariant: no labelling needed
-                    val = fn(Graph.from_adj(child))
-                    if val >= limit and not all(fn(Graph.from_adj(h)) < limit
-                                                for h in _deletions(child, size - 1, ())):
+                    # a new vertex with a parent vertex's neighbourhood is its
+                    # false twin, and a forbidden child with false twins is not
+                    # minimal: deleting a twin leaves it connected and forbidden
+                    if twin_blind and child[-1] in adj:
+                        val = values[s]
+                    else:
+                        val = fn(Graph.from_adj(child))
+                    if val >= limit and (twin_blind and len(set(child)) < len(child) or not all(
+                            _evaluated(h, fn, evaluated) < limit
+                            for h in _deletions(child, size - 1, ()))):
                         continue
                 if (kept := _accept(child, ties)) is None:
                     continue

@@ -16,7 +16,8 @@ against every cell in each pass, for the one that counts against the cells
 the last pass made; and enumeration that augments a representative by
 every neighbourhood of a new vertex and deduplicates by canonical form;
 the degree filter that called reach for each vertex of each candidate,
-for the one that reads each parent's cut structure;
+for the one that reads each parent's cut structure; the acceptance that
+labelled every candidate, for the one that first reads its root partition;
 mining that evaluates every connected graph and searches
 each forbidden one for every smaller one, for the growth of the
 hereditary family that replaced it; and Buchberger completion of ideals
@@ -50,7 +51,8 @@ from math import gcd
 
 from charideals import isomorphism
 from charideals.catalog import cycle_graph, lookup, star_graph
-from charideals.graphs import BlowupSpec, Graph, bits, blowup, parse_graph6, reach, to_graph6
+from charideals.graphs import (BlowupSpec, Graph, _graph6, _induced, bits, blowup, parse_graph6,
+                              reach, to_graph6)
 from charideals.isomorphism import _search_plan
 from charideals.zpoly import ONE, T, ZERO, ZPoly
 
@@ -823,6 +825,20 @@ def candidates_by_reach(adj, masks):
         noncut = [u for u in range(n + 1) if not _is_cut_by_reach(child, u)]
         top = max(child[u].bit_count() for u in noncut)
         yield child, sum(1 << u for u in noncut if child[u].bit_count() == top)
+
+
+def accept_by_labelling(child, ties):
+    """mining._accept as it was before the root partition: every candidate
+    is labelled, and kept when the first vertex of ties in canonical order
+    is its new vertex, up to automorphism."""
+    n = len(child) - 1
+    order, perms, key = isomorphism._label(child)
+    w = next(u for u in order if ties >> u & 1)
+    if w == n or isomorphism._orbit(perms, 1 << w) >> n & 1:
+        place = sorted(range(n + 1), key=order.__getitem__)
+        return (_graph6(n + 1, key), Graph.from_adj(_induced(child, order)), place[n],
+                tuple(tuple([place[p[u]] for u in order]) for p in perms))
+    return None
 
 
 # -- the twin-split presentation by row operations on ZPoly entries ----------

@@ -250,7 +250,8 @@ def test_cross_check_classifies_while_it_walks(monkeypatch):
     events = []
     monkeypatch.setattr(classify_mod, "classify",
                         lambda g: events.append("classify") or real_classify(g))
-    monkeypatch.setattr(mining, "_label", lambda adj: events.append(len(adj)) or real_label(adj))
+    monkeypatch.setattr(mining, "_label",
+                        lambda adj, *root: events.append(len(adj)) or real_label(adj, *root))
     res = cross_check(6)
     assert res.graphs_checked == events.count("classify") == 143
     assert events.index("classify") < events.index(6)

@@ -556,6 +556,29 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout.strip() == "n 1"
 
 
+@pytest.mark.parametrize("module", ["charideals", "charideals.cli"])
+@pytest.mark.parametrize("argv,code", [
+    (["catalog", "emit", "forbidden-s4"], 0),
+    (["mine", "--stat", "phiA", "--k", "-1", "--max-n", "5"], 1),
+    (["mine", "--stat", "bogus", "--k", "4", "--max-n", "5"], 2),
+], ids=["exit-0", "exit-1", "exit-2"])
+def test_a_command_process_ends_with_what_main_gives(capsys, module, argv, code):
+    # the process ends at its last write, with main's code and output in
+    # process; a usage error ends it through SystemExit
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    out = capsys.readouterr()
+    assert got == code
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", module, *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.out, out.err)
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_classify_stream_answers_each_line_as_it_arrives(threads):
     # the first envelope must come while stdin is still open

@@ -8,15 +8,17 @@ from itertools import combinations, starmap
 
 import pytest
 
-from charideals import (BlowupSpec, ConsistencyError, MiningResult, MiningTask, canonical_form,
-                        cross_check, enumerate_connected, lookup, mine, parse_graph6, to_graph6)
+from charideals import (BlowupSpec, ConsistencyError, MiningResult, MiningTask, adjacency_matrix,
+                        canonical_form, cross_check, enumerate_connected, lookup, mine,
+                        parse_graph6, to_graph6)
 from charideals import graph_ideals, isomorphism, mining
 from charideals.catalog import FAMILY_F, FORBIDDEN_S4
 from charideals.classify import _structural_c, _structural_s, is_C_leq
-from charideals.graphs import Graph
+from charideals.graphs import Graph, _induced, twin_classes
+from charideals.intlinalg import _unit_count
 from charideals.isomorphism import _label
 from charideals.mining import (CONNECTED_COUNTS, STATISTICS, _accept, _candidates, _level,
-                               _mask_orbits)
+                               _mask_orbits, _walk)
 
 import oracles
 
@@ -248,6 +250,37 @@ def test_candidates_match_the_filter_by_reach():
                 oracles.candidates_by_reach(adj, range(1, 1 << n))), adj
 
 
+def _accepted_as_by_labelling(adj, gens):
+    # the children _accept keeps of the parent adj, each candidate checked
+    # against labelling it
+    for child, ties in _candidates(adj, gens):
+        kept = _accept(child, ties)
+        assert kept == oracles.accept_by_labelling(child, ties), child
+        if kept is not None:
+            yield kept
+
+
+def test_acceptance_matches_labelling_every_candidate():
+    # every connected graph on up to 6 vertices as a parent, with the
+    # generators its acceptance as a child carries, then 40 seeded connected
+    # parents on 7..10 vertices with no generators: the root partition drops
+    # no child that labelling keeps, and keeps each it keeps as labelling did
+    parents = 0
+    stack = [((0,), ())]  # K_1 has no generators
+    while stack:
+        adj, gens = stack.pop()
+        kept = list(_accepted_as_by_labelling(adj, gens))
+        parents += 1
+        if len(adj) < 6:
+            stack += [(g.adj, gens) for _, g, _, gens in kept]
+    assert parents == sum(CONNECTED_COUNTS[:6])
+    rng = random.Random(4801)
+    for n in range(7, 11):
+        for p in (0.2, 0.35, 0.5, 0.65, 0.8) * 2:
+            adj = oracles.random_connected_graph(rng, n, p).adj
+            assert list(_accepted_as_by_labelling(adj, ()))
+
+
 @pytest.mark.slow
 def test_enumeration_count_n9():
     assert sum(1 for _ in enumerate_connected(9)) == CONNECTED_COUNTS[8] == 261080
@@ -315,7 +348,7 @@ def _value(statistic, g6):
     return STATISTICS[statistic](parse_graph6(g6))
 
 
-@pytest.mark.parametrize("statistic,k", [("phiA", k) for k in range(1, 5)]
+@pytest.mark.parametrize("statistic,k", [("phiA", k) for k in range(1, 6)]
                          + [("gammaA", k) for k in range(1, 5)])
 def test_growth_matches_full_scan(statistic, k):
     # growing the members against evaluating every graph and searching each
@@ -326,6 +359,34 @@ def test_growth_matches_full_scan(statistic, k):
     assert result.counts_by_size == counts
     assert result.forbidden_total == len(forbidden)
     assert list(result.forbidden()) == forbidden
+
+
+def _phi_deleting_each_false_twin(adj):
+    # (phiA of adj, phiA of adj - u) for each vertex u that has a false twin
+    phi = _unit_count(adjacency_matrix(Graph.from_adj(adj)))
+    for u in [u for vs in twin_classes(adj, 0) if len(vs) > 1 for u in vs]:
+        rest = [v for v in range(len(adj)) if v != u]
+        yield phi, _unit_count(adjacency_matrix(Graph.from_adj(_induced(adj, rest))))
+
+
+def test_a_false_twin_leaves_phi_unchanged():
+    # what phiA growth reads: a child whose new vertex is a false twin of a
+    # parent vertex takes the parent's value, and a forbidden child with
+    # false twins is not minimal.  Every connected graph on up to 7
+    # vertices, then seeded connected graphs on 9..14 vertices with false
+    # twins added
+    pairs = [pair for s in _walk(7) for pair in _phi_deleting_each_false_twin(
+        parse_graph6(s).adj)]
+    rng = random.Random(4803)
+    for n in range(9, 15):
+        for p in (0.3, 0.5, 0.7):
+            adj = oracles.random_connected_graph(rng, n - 2, p).adj
+            for _ in range(2):  # the second may copy the first's twin
+                v, m = rng.randrange(len(adj)), len(adj)
+                adj = tuple([a | (a >> v & 1) << m for a in adj]) + (adj[v],)
+            pairs += _phi_deleting_each_false_twin(adj)
+    assert len(pairs) == 1195
+    assert all(a == b for a, b in pairs)
 
 
 @pytest.mark.parametrize("statistic,k", [("phiL", 1), ("phiL", 2), ("phiA", 4)])
@@ -370,7 +431,8 @@ def _count_labelling(monkeypatch):
     """Every adjacency mining labels, and per lookup of a level's or the
     recheck's labels whether it labelled one."""
     labelled, lookups = [], []
-    monkeypatch.setattr(mining, "_label", lambda adj: labelled.append(adj) or _label(adj))
+    monkeypatch.setattr(mining, "_label",
+                        lambda adj, *root: labelled.append(adj) or _label(adj, *root))
     canonical = mining._canonical
 
     def looked_up(adj, labels):
@@ -399,18 +461,19 @@ def test_minimality_labels_one_deletion_per_orbit(monkeypatch):
 def test_growth_labels_each_child_once(monkeypatch):
     # a member's automorphism generators come down from its labelling as a
     # child; labelling each parent again as well took 518 here.  phiA is
-    # evaluated first: only the 365 member candidates and the 53 minimal
-    # ones, 43 graphs, are labelled, and the minimality test looks nothing up
+    # evaluated first: only member candidates and minimal ones, 43 graphs,
+    # are labelled, and the minimality test looks nothing up.  Of those
+    # candidates, the root partition drops 73 unlabelled (418 before it)
     labelled, lookups = _count_labelling(monkeypatch)
     minimal, _ = mining._grow(7, 5, "phiA", {})
     assert len(minimal) == 43
     assert lookups == []
-    assert len(labelled) - sum(lookups) == 418
-    # gammaA labels every candidate
+    assert len(labelled) - sum(lookups) == 345
+    # gammaA labels every candidate the root partition keeps (154 before it)
     labelled.clear()
     minimal, _ = mining._grow(7, 4, "gammaA", {})
     assert len(minimal) == 13
-    assert len(labelled) - sum(lookups) == 154
+    assert len(labelled) - sum(lookups) == 129
 
 
 def test_phi_growth_labels_no_forbidden_child_but_a_minimal_one(monkeypatch):
@@ -445,7 +508,7 @@ def test_phi_values_hold_the_members_and_the_minimal_graphs():
 
 def test_labellings_per_run_are_pinned(monkeypatch):
     # no labelling outlives its step, so a second call labels as many
-    # again.  phiA growth labels its 418 children and looks nothing up; the
+    # again.  phiA growth labels 345 children and looks nothing up; the
     # recheck's 214 lookups label its 90 distinct deletions, 9 of them
     # children growth labelled too
     labelled, lookups = _count_labelling(monkeypatch)
@@ -453,13 +516,13 @@ def test_labellings_per_run_are_pinned(monkeypatch):
         labelled.clear()
         lookups.clear()
         mine(MiningTask(7, "phiA", 4))
-        assert (len(labelled), len(set(labelled))) == (418 + 90, 499)
+        assert (len(labelled), len(set(labelled))) == (345 + 90, 426)
         assert (len(lookups), sum(lookups)) == (214, 90)
-    # gammaA: growth labels 376 (146 lookups, 115 label), the recheck 27
+    # gammaA: growth labels 338 (146 lookups, 115 label), the recheck 27
     labelled.clear()
     lookups.clear()
     mine(MiningTask(8, "gammaA", 3))
-    assert (len(labelled), len(set(labelled))) == (403, 351)
+    assert (len(labelled), len(set(labelled))) == (365, 313)
     assert (len(lookups), sum(lookups)) == (212, 142)
     # phiL scans one depth-first walk, labelling each parent once as a
     # child; the recheck looks up each connected induced subgraph of its 6
@@ -467,18 +530,21 @@ def test_labellings_per_run_are_pinned(monkeypatch):
     labelled.clear()
     lookups.clear()
     mine(MiningTask(7, "phiL", 2))
-    assert len(labelled) == 1324 + 90
+    assert len(labelled) == 996 + 90
     assert (len(lookups), sum(lookups)) == (329, 90)
 
 
 @pytest.mark.parametrize("args,mutant", [
     ((7, "phiL", 1), ("find_induced", lambda host, pattern: None)),
-    ((6, "phiA", 2), ("_deletions", lambda adj, new, gens: iter(()))),
+    ((7, "phiA", 4), ("_deletions", lambda adj, new, gens: iter(()))),
     ((6, "gammaA", 2), ("_deletions", lambda adj, new, gens: iter(()))),
 ], ids=["phiL-scan-misses", "phiA-no-deletions", "gammaA-no-deletions"])
 def test_recheck_finds_a_graph_that_is_not_minimal(monkeypatch, args, mutant):
     # a minimality test that passes every forbidden graph: the recheck
-    # finds a subgraph outside the members.  phiL is not hereditary, so
+    # finds a subgraph outside the members.  At phiA k <= 3 and n <= 7,
+    # every forbidden child that is not minimal has false twins, which
+    # decide it before any deletion is read, so phiA takes k = 4 here.
+    # phiL is not hereditary, so
     # its recheck reads every connected induced subgraph, not only the
     # deletions
     monkeypatch.setattr(mining, *mutant)
@@ -545,12 +611,14 @@ def test_children_come_in_their_canonical_labelling():
 
 def test_levels_are_built_without_labelling_a_parent(monkeypatch):
     # each child hands its generators to its own children; labelling every
-    # parent again as well took 1,467 here
+    # parent again as well took 1,467 here, and labelling each child the
+    # root partition drops as well took 1,324.  The 995 classes on 2..7
+    # vertices take one each, and one child the orbit test drops one more
     labelled, _ = _count_labelling(monkeypatch)
     _level.cache_clear()
     level = _level(7)
     assert level == oracles._level(7)
-    assert len(labelled) == 1324
+    assert len(labelled) == 996
     assert type(level) is tuple and all(type(s) is str for s in level)
 
 

@@ -54,7 +54,8 @@ def test_one_command_runs_in_each_checkout_without_writing_bytecode(tmp_path, mo
                         ignore=shutil.ignore_patterns("__pycache__"))
     main = sides[1] / "src" / "charideals" / "__main__.py"
     main.write_text(main.read_text(encoding="utf-8").replace(
-        "sys.exit(main())", "sys.stderr.write('changed\\n')\n    sys.exit(main())"),
+        'if __name__ == "__main__":\n',
+        'if __name__ == "__main__":\n    __import__("sys").stderr.write("changed\\n")\n'),
         encoding="utf-8")
     monkeypatch.setattr(sameout, "commands", lambda parent: [
         ("charideals catalog emit diamond", ["catalog", "emit", "diamond"], "", "1")])

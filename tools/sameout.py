@@ -15,9 +15,9 @@ goes to stderr.  The list:
   GRAPHTOOL_THREADS 1 and 2;
   crosscheck --max-n 11 and 0, which are refused;
 * mine for phiA k=4 and phiL k=1 and 2 at n <= 7 with --emit-all, phiA
-  k=4 at n <= 9, phiA k=2 at n <= 8 with --emit-all, and gammaA k=3 at
-  n <= 8 and k=4 at n <= 7; and the refused phiA k=4 at n <= 11 and
-  n <= 1 and phiA k=-1 at n <= 5;
+  k=4 and k=3 at n <= 9, phiA k=2 and k=5 at n <= 8 with --emit-all, and
+  gammaA k=3 at n <= 8 and k=4 at n <= 7; and the refused phiA k=4 at
+  n <= 11 and n <= 1 and phiA k=-1 at n <= 5;
 * catalog list, and catalog emit of every name the parent lists (`<n>`
   as 5, `<a>,<b>,...` as 2,3), of padded, too large, invalid and unknown
   names, and of no name;
@@ -92,6 +92,8 @@ def commands(parent):
         ["mine", "--stat", "phiL", "--k", "2", "--max-n", "7", "--emit-all"],
         ["mine", "--stat", "phiA", "--k", "4", "--max-n", "9"],
         ["mine", "--stat", "phiA", "--k", "2", "--max-n", "8", "--emit-all"],
+        ["mine", "--stat", "phiA", "--k", "5", "--max-n", "8", "--emit-all"],
+        ["mine", "--stat", "phiA", "--k", "3", "--max-n", "9"],
         ["mine", "--stat", "gammaA", "--k", "3", "--max-n", "8"],
         ["mine", "--stat", "gammaA", "--k", "4", "--max-n", "7"],
         ["catalog", "list"], ["catalog", "emit"], ["catalog", "list", "extra"],
